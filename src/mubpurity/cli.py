@@ -28,7 +28,7 @@ from .expsim import (
     calibration_factors,
     run_protocol,
 )
-from .linalg import density_from_json, frobenius_norm
+from .linalg import density_from_json
 from .mub import (
     PAULI_AXIS_LABELS,
     MubValidationError,
@@ -41,7 +41,6 @@ from .mub import (
 from .relations import (
     build_bipartite_basis,
     check_pt_identities,
-    gamma_direct,
     relation_report,
 )
 from .states import random_density, rho_family
@@ -67,7 +66,12 @@ def parse_angle(text: str) -> float:
 
 def _default_seed() -> int:
     env = os.environ.get("PURITY_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"PURITY_SEED={env!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -113,10 +117,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_text(path, text: str) -> None:
-    Path(path).write_text(text)
-
-
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -150,7 +150,11 @@ def cmd_verify(ns) -> int:
     if not is_prime(ns.d):
         print(f"error: d={ns.d} is not prime", file=sys.stderr)
         return 2
-    d, m, big_d = ns.d, ns.m, ns.big_d or ns.d
+    if ns.trials < 1:
+        print(f"error: need --trials >= 1, got {ns.trials}", file=sys.stderr)
+        return 1
+    d, m = ns.d, ns.m
+    big_d = d if ns.big_d is None else ns.big_d
     mubs = construct_mubs(d, m)
     basis = build_bipartite_basis(mubs)
 
@@ -167,12 +171,10 @@ def cmd_verify(ns) -> int:
         rank = (d * big_d, 1, 2)[t % 3]
         rho = random_density(d * big_d, rank, s, dims=(d, big_d))
         rep = relation_report(rho, mubs)
-        g = gamma_direct(rho, mubs)
-        fro = frobenius_norm(g)
         if rep.gamma_min_eig < min_eig:
             min_eig, min_eig_seed = rep.gamma_min_eig, s
-        if fro > max_fro:
-            max_fro, max_fro_seed = fro, s
+        if rep.gamma_frobenius > max_fro:
+            max_fro, max_fro_seed = rep.gamma_frobenius, s
         if rep.gap < min_gap:
             min_gap, min_gap_seed = rep.gap, s
         if abs(rep.gap) > max_abs_gap:
@@ -206,7 +208,7 @@ def cmd_verify(ns) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if ns.out:
-        _write_text(ns.out, text)
+        Path(ns.out).write_text(text)
     return 0 if ok else 2
 
 
@@ -232,14 +234,11 @@ def cmd_relation(ns) -> int:
         label = f"state from {ns.state}"
     else:
         alpha, x = ns.alpha, ns.x
-        if not 0.0 <= x <= 1.0:
-            print(f"error: x={x!r} outside [0, 1]", file=sys.stderr)
-            return 1
         rep = _family_report(alpha, x, ns.m if ns.m else 3)
         label = f"family state alpha={alpha!r} x={x!r}"
     text = _json_dumps(rep.to_json())
     if ns.out:
-        _write_text(ns.out, text)
+        Path(ns.out).write_text(text)
         print(f"wrote relation report for {label} to {ns.out}")
     else:
         print(text, end="")
@@ -335,7 +334,7 @@ def cmd_sweep(ns) -> int:
     else:
         text = _json_dumps(rows)
     try:
-        _write_text(config.output, text)
+        config.output.write_text(text)
     except OSError as exc:
         print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
         return 1
@@ -344,20 +343,11 @@ def cmd_sweep(ns) -> int:
 
 
 def cmd_expsim(ns) -> int:
-    if not 0.0 <= ns.x <= 1.0:
-        print(f"error: x={ns.x!r} outside [0, 1]", file=sys.stderr)
-        return 1
-    if not 0.0 <= ns.alpha <= math.pi / 2:
-        print(f"error: alpha={ns.alpha!r} outside [0, pi/2]", file=sys.stderr)
-        return 1
-    if not 0.0 <= ns.noise <= 1.0:
-        print(f"error: noise={ns.noise!r} outside [0, 1]", file=sys.stderr)
-        return 1
     noise = NoiseModel(ns.noise, enabled=ns.noise > 0.0)
     panel = run_protocol(ns.alpha, ns.x, noise)
     text = _json_dumps(panel.to_json())
     if ns.out:
-        _write_text(ns.out, text)
+        Path(ns.out).write_text(text)
         print(f"wrote purity panel to {ns.out}")
     else:
         print(text, end="")
@@ -382,7 +372,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--big-d", type=int, default=None, help="B-side dimension (default d)")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=str, default=None, help="also write the report to a file")
     p.set_defaults(func=cmd_verify)
 
@@ -405,7 +395,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--simulate", action="store_true", help="add simulator raw/rescaled columns")
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_sweep)
@@ -426,6 +416,8 @@ def main(argv=None) -> int:
     if getattr(ns, "command", None) == "mub" and not ns.load and ns.m == 0:
         ns.m = ns.d + 1
     try:
+        if getattr(ns, "seed", 0) is None:
+            ns.seed = _default_seed()
         return ns.func(ns)
     except MubValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

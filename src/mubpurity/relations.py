@@ -25,7 +25,6 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
-    PureState,
     frobenius_norm,
     hermitian_eigenvalues,
     partial_trace_matrix,
@@ -33,66 +32,47 @@ from .linalg import (
     purity,
 )
 from .mub import MubSet, MubValidationError, validate_mubs
-from .tolerances import TOL_NULLSPACE, TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
+from .tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 
 
 @dataclass(frozen=True)
 class BipartiteBasis:
     """Orthonormal basis of the d*d space built from a MUB set.
 
-    ``phi`` is the maximally entangled state over basis 1, ``phis[t][k-1]``
-    its phase-twisted companions for basis t+1 and twist k = 1..d-1, and
-    ``complement`` the (d-1)(d+1-M) states completing the basis.
-    ``projector`` projects onto the complement span.
+    ``twisted[t, k]`` is the phase-twisted maximally entangled state of
+    basis t+1 and twist k = 0..d-1, shape (M, d, d*d); every k = 0 row is
+    the same state ``phi``. ``complement`` holds the (d-1)(d+1-M) states
+    completing the basis as rows, shape (p, d*d), and ``projector`` projects
+    onto their span.
     """
 
     d: int
     M: int
-    phi: PureState
-    phis: tuple[tuple[PureState, ...], ...]
-    complement: tuple[PureState, ...]
+    twisted: np.ndarray
+    complement: np.ndarray
     projector: np.ndarray
     mubs: MubSet
 
     @property
+    def phi(self) -> np.ndarray:
+        return self.twisted[0, 0]
+
+    @property
     def p(self) -> int:
-        return len(self.complement)
+        return self.complement.shape[0]
 
     def constructed_states(self) -> np.ndarray:
         """All M(d-1)+1 constructed states, stacked as rows."""
-        rows = [self.phi.amplitudes]
-        rows.extend(s.amplitudes for group in self.phis for s in group)
-        return np.stack(rows)
+        return _constructed_states(self.twisted)
 
     def all_states(self) -> np.ndarray:
         """Constructed plus complement states, stacked as rows."""
-        rows = [self.constructed_states()]
-        if self.complement:
-            rows.append(np.stack([s.amplitudes for s in self.complement]))
-        return np.concatenate(rows)
+        return np.concatenate([self.constructed_states(), self.complement])
 
 
-def _orthonormal_complement(span_rows: np.ndarray, dim: int) -> list[np.ndarray]:
-    """Orthonormal null-space basis via Gram-Schmidt over candidates e_0..e_{dim-1}.
-
-    Candidates whose residual norm drops below the null-space pivot
-    threshold are considered inside the span and skipped. One
-    re-orthogonalization pass keeps residual overlaps at rounding level.
-    """
-    basis = [row for row in span_rows]
-    out: list[np.ndarray] = []
-    for j in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[j] = 1.0
-        for _ in range(2):
-            for u in basis:
-                v = v - u * (u.conj() @ v)
-        nrm = np.linalg.norm(v)
-        if nrm >= TOL_NULLSPACE:
-            v = v / nrm
-            basis.append(v)
-            out.append(v)
-    return out
+def _constructed_states(twisted: np.ndarray) -> np.ndarray:
+    # phi once, then every twist k >= 1 of every basis
+    return np.concatenate([twisted[0, :1], twisted[:, 1:].reshape(-1, twisted.shape[2])])
 
 
 def build_bipartite_basis(mubs: MubSet) -> BipartiteBasis:
@@ -100,49 +80,29 @@ def build_bipartite_basis(mubs: MubSet) -> BipartiteBasis:
 
     The second factor of every constructed state carries the complex
     conjugate (taken in the computational basis) of the first factor's
-    vector. All invariants (pairwise orthonormality, projector idempotency
-    and rank, agreement of the two projector expressions) are verified
-    before returning.
+    vector. The complement is the eigenvalue-1 eigenspace of the projector
+    I - sum_v |v><v| over the constructed states v. All invariants
+    (pairwise orthonormality, projector idempotency and rank, agreement of
+    the projector with its complement states) are verified before returning.
     """
     report = validate_mubs(mubs)
     if not report.passed:
         raise MubValidationError(f"basis set failed validation:\n{report.summary()}", report)
     d, m = mubs.d, mubs.M
-    omega = np.exp(2j * np.pi / d)
+    phases = np.exp(2j * np.pi / d * (np.outer(np.arange(d), np.arange(d)) % d))
+    twisted = np.einsum(
+        "ki,tia,tib->tkab", phases, mubs.bases, mubs.bases.conj()
+    ).reshape(m, d, d * d) / np.sqrt(d)
 
-    b1 = mubs.bases[0]
-    phi_vec = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi_vec += np.kron(b1[i], b1[i].conj())
-    phi_vec /= np.sqrt(d)
-
-    phis: list[tuple[PureState, ...]] = []
-    for t in range(m):
-        group = []
-        for k in range(1, d):
-            v = np.zeros(d * d, dtype=complex)
-            for i in range(d):
-                v += omega ** (k * i) * np.kron(mubs.bases[t, i], mubs.bases[t, i].conj())
-            group.append(PureState(v / np.sqrt(d)))
-        phis.append(tuple(group))
-
-    constructed = [phi_vec] + [s.amplitudes for group in phis for s in group]
-    span = np.stack(constructed)
-    complement = _orthonormal_complement(span, d * d)
-    p = (d - 1) * (d + 1 - m)
-    if len(complement) != p:
-        raise RuntimeError(
-            f"complement sweep found {len(complement)} states, expected {p}"
-        )
-
-    projector = np.eye(d * d, dtype=complex) - span.conj().T @ span
+    span = _constructed_states(twisted)
+    projector = np.eye(d * d, dtype=complex) - span.T @ span.conj()
+    eigvals, eigvecs = np.linalg.eigh(projector)
 
     basis = BipartiteBasis(
         d=d,
         M=m,
-        phi=PureState(phi_vec),
-        phis=tuple(phis),
-        complement=tuple(PureState(v) for v in complement),
+        twisted=twisted,
+        complement=eigvecs[:, eigvals > 0.5].T,
         projector=projector,
         mubs=mubs,
     )
@@ -157,17 +117,14 @@ def _check_basis_invariants(basis: BipartiteBasis) -> None:
     if gram_dev > TOL_STRUCTURAL:
         raise RuntimeError(f"basis states not orthonormal: max deviation {gram_dev:.3e}")
     p_mat = basis.projector
-    if basis.complement:
-        comp = np.stack([s.amplitudes for s in basis.complement])
-        alt = comp.conj().T @ comp
-    else:
-        alt = np.zeros_like(p_mat)
-    if float(np.abs(p_mat - alt).max()) > TOL_STRUCTURAL:
+    comp = basis.complement
+    if float(np.abs(p_mat - comp.T @ comp.conj()).max()) > TOL_STRUCTURAL:
         raise RuntimeError("projector disagrees with the sum over complement states")
     if frobenius_norm(p_mat @ p_mat - p_mat) > TOL_PSD:
         raise RuntimeError("projector is not idempotent within tolerance")
-    if abs(np.trace(p_mat).real - basis.p) > TOL_SPECTRAL:
-        raise RuntimeError("projector rank disagrees with complement count")
+    p_expected = (basis.d - 1) * (basis.d + 1 - basis.M)
+    if abs(np.trace(p_mat).real - p_expected) > TOL_SPECTRAL:
+        raise RuntimeError(f"projector rank disagrees with the complement count {p_expected}")
 
 
 @dataclass(frozen=True)
@@ -195,35 +152,28 @@ class PtIdentityReport:
 
 def check_pt_identities(basis: BipartiteBasis) -> PtIdentityReport:
     """Verify the partial-transpose rewrites of the constructed projectors."""
-    d = basis.d
+    d, m = basis.d, basis.M
     dims = (d, d)
-    mubs = basis.mubs
+    vecs = basis.mubs.bases
+    n = d * d
 
-    lhs = partial_transpose(basis.phi.projector(), dims, subsystem=1)
-    b1 = mubs.bases[0]
-    rhs = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            rhs += np.kron(np.outer(b1[i], b1[j].conj()), np.outer(b1[j], b1[i].conj()))
-    phi_dev = frobenius_norm(lhs - rhs / d)
+    # swaps[t] = sum_ij |i><j| (x) |j><i| and pinches[t] = sum_i P_i (x) P_i
+    # over the vectors |i> of basis t+1
+    swaps = np.einsum(
+        "tia,tjc,tjb,tie->tabce", vecs, vecs.conj(), vecs, vecs.conj(), optimize=True
+    ).reshape(m, n, n)
+    pinches = np.einsum(
+        "tia,tic,tib,tie->tabce", vecs, vecs.conj(), vecs, vecs.conj()
+    ).reshape(m, n, n)
 
-    theta_devs = []
-    for t in range(basis.M):
-        acc = np.zeros((d * d, d * d), dtype=complex)
-        for s in basis.phis[t]:
-            acc += s.projector()
-        lhs = partial_transpose(acc, dims, subsystem=1)
-        vecs = mubs.bases[t]
-        rhs = np.zeros_like(acc)
-        for i in range(d):
-            pi = np.outer(vecs[i], vecs[i].conj())
-            rhs += np.kron(pi, pi)
-        for i in range(d):
-            for j in range(d):
-                rhs -= np.kron(
-                    np.outer(vecs[i], vecs[j].conj()), np.outer(vecs[j], vecs[i].conj())
-                ) / d
-        theta_devs.append(frobenius_norm(lhs - rhs))
+    phi = basis.phi
+    lhs = partial_transpose(np.outer(phi, phi.conj()), dims, subsystem=1)
+    phi_dev = frobenius_norm(lhs - swaps[0] / d)
+
+    twists = basis.twisted[:, 1:]
+    sums = np.einsum("tkx,tky->txy", twists, twists.conj())
+    lhs = np.stack([partial_transpose(s, dims, subsystem=1) for s in sums])
+    theta_devs = np.linalg.norm((lhs - (pinches - swaps / d)).reshape(m, -1), axis=1)
 
     return PtIdentityReport(float(phi_dev), tuple(float(v) for v in theta_devs))
 
@@ -246,18 +196,25 @@ def post_measurement_state(rho: DensityMatrix, mubs: MubSet, theta: int) -> Dens
     if not 1 <= int(theta) <= mubs.M:
         raise ValueError(f"basis label {theta} out of range 1..{mubs.M}")
     d = mubs.d
-    out = np.zeros((d * big_d, d * big_d), dtype=complex)
-    eye_b = np.eye(big_d)
-    for i in range(d):
-        ket = mubs.bases[int(theta) - 1, i]
-        bra_embed = np.kron(ket.conj().reshape(1, d), eye_b)
-        block = bra_embed @ rho.matrix @ bra_embed.conj().T
-        out += np.kron(np.outer(ket, ket.conj()), block)
-    return DensityMatrix(out, rho.dims)
+    kets = mubs.bases[int(theta) - 1]
+    r = rho.matrix.reshape(d, big_d, d, big_d)
+    blocks = np.einsum("ia,abce,ic->ibe", kets.conj(), r, kets)  # <i|rho|i> per i
+    out = np.einsum("ia,ic,ibe->abce", kets, kets.conj(), blocks)
+    return DensityMatrix(out.reshape(d * big_d, d * big_d), rho.dims)
 
 
-def _post_measurement_all(rho: DensityMatrix, mubs: MubSet) -> list[DensityMatrix]:
-    return [post_measurement_state(rho, mubs, t) for t in mubs.labels]
+def _gamma_terms(
+    rho: DensityMatrix, mubs: MubSet
+) -> tuple[np.ndarray, list[DensityMatrix], np.ndarray]:
+    """(rho_B, the M pinched states, gamma) from the definition of gamma."""
+    _check_bipartite_input(rho, mubs.d)
+    d, m = mubs.d, mubs.M
+    rho_b = partial_trace_matrix(rho.matrix, rho.dims, keep=(1,))
+    pinched = [post_measurement_state(rho, mubs, t) for t in mubs.labels]
+    g = np.kron(np.eye(d), rho_b) + (m - 1) / d * rho.matrix
+    for pm in pinched:
+        g = g - pm.matrix
+    return rho_b, pinched, g
 
 
 def gamma_direct(rho: DensityMatrix, mubs: MubSet) -> np.ndarray:
@@ -266,30 +223,24 @@ def gamma_direct(rho: DensityMatrix, mubs: MubSet) -> np.ndarray:
     gamma = I_A (x) rho_B + (M-1)/d * rho - sum_theta rho_thetaB. Hermitian;
     zero when M = d+1, positive semidefinite when M <= d.
     """
-    big_d = _check_bipartite_input(rho, mubs.d)
-    d, m = mubs.d, mubs.M
-    rho_b = partial_trace_matrix(rho.matrix, rho.dims, keep=(1,))
-    g = np.kron(np.eye(d), rho_b) + (m - 1) / d * rho.matrix
-    for pm in _post_measurement_all(rho, mubs):
-        g = g - pm.matrix
-    return g
+    return _gamma_terms(rho, mubs)[2]
 
 
 def gamma_via_projector(rho: DensityMatrix, basis: BipartiteBasis) -> np.ndarray:
     """The same operator through the complement projector.
 
-    Relabels side A of rho as an auxiliary factor C, embeds the partially
-    transposed projector as P^{T_C} (x) I_B and the state as I_A (x) rho_CB
-    on A (x) C (x) B, multiplies, and traces out C. Agrees with
+    Relabels side A of rho as an auxiliary factor C and contracts the
+    partially transposed projector with the state over C:
+    gamma[a b, a' b'] = sum_{c,e} P^{T_C}[a c, a' e] rho[e b, c b'], which is
+    Tr_C((P^{T_C} (x) I_B)(I_A (x) rho_CB)). Agrees with
     :func:`gamma_direct` up to rounding; the agreement is a two-route check
     of both implementations.
     """
     d = basis.d
     big_d = _check_bipartite_input(rho, d)
-    ptc = partial_transpose(basis.projector, (d, d), subsystem=1)
-    left = np.kron(ptc, np.eye(big_d))
-    right = np.kron(np.eye(d), rho.matrix)
-    return partial_trace_matrix(left @ right, (d, d, big_d), keep=(0, 2))
+    ptc = partial_transpose(basis.projector, (d, d), subsystem=1).reshape(d, d, d, d)
+    g = np.einsum("acxe,ebcy->abxy", ptc, rho.matrix.reshape(d, big_d, d, big_d))
+    return g.reshape(d * big_d, d * big_d)
 
 
 @dataclass(frozen=True)
@@ -308,6 +259,7 @@ class RelationReport:
     gap: float
     gamma_expectation: float
     gamma_min_eig: float
+    gamma_frobenius: float
     equality_expected: bool
 
     def to_json(self) -> dict:
@@ -324,6 +276,7 @@ class RelationReport:
             "gap": self.gap,
             "gamma_expectation": self.gamma_expectation,
             "gamma_min_eig": self.gamma_min_eig,
+            "gamma_frobenius": self.gamma_frobenius,
             "equality_expected": self.equality_expected,
         }
 
@@ -337,13 +290,10 @@ def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
     contraction Tr(gamma rho), which equals
     Tr rho_B^2 + (M-1)/d Tr rho_AB^2 - sum_theta Tr rho_thetaB^2.
     """
-    big_d = _check_bipartite_input(rho, mubs.d)
+    rho_b, pms, g = _gamma_terms(rho, mubs)
     d, m = mubs.d, mubs.M
     p_ab = purity(rho)
-    rho_b = partial_trace_matrix(rho.matrix, rho.dims, keep=(1,))
     p_b = purity(rho_b)
-
-    pms = _post_measurement_all(rho, mubs)
     p_theta = tuple(purity(pm) for pm in pms)
     p_b_given = tuple(
         purity(partial_trace_matrix(pm.matrix, pm.dims, keep=(1,))) for pm in pms
@@ -352,15 +302,9 @@ def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
     lhs = sum(p_b - p for p in p_theta)
     rhs = (m - 1) * (p_b - p_ab / d)
 
-    g = np.kron(np.eye(d), rho_b) + (m - 1) / d * rho.matrix
-    for pm in pms:
-        g = g - pm.matrix
-    gamma_expectation = float(np.trace(g @ rho.matrix).real)
-    gamma_min = float(hermitian_eigenvalues(g)[0])
-
     return RelationReport(
         d=d,
-        D=big_d,
+        D=rho.dims[1],
         M=m,
         purity_AB=p_ab,
         purity_B=p_b,
@@ -369,7 +313,8 @@ def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
         lhs=float(lhs),
         rhs=float(rhs),
         gap=float(lhs - rhs),
-        gamma_expectation=gamma_expectation,
-        gamma_min_eig=gamma_min,
+        gamma_expectation=float(np.trace(g @ rho.matrix).real),
+        gamma_min_eig=float(hermitian_eigenvalues(g)[0]),
+        gamma_frobenius=frobenius_norm(g),
         equality_expected=(m == d + 1),
     )

@@ -8,13 +8,8 @@ Three buckets, used consistently by the library and its tests:
   eigensolver inputs.
 * ``TOL_SPECTRAL`` -- accumulated-error bound for spectral sums, projector
   ranks and relation gaps.
-
-``TOL_NULLSPACE`` is the pivot threshold of the Gram-Schmidt null-space
-sweep: a candidate whose residual norm falls below it is considered inside
-the span.
 """
 
 TOL_STRUCTURAL = 1e-12
 TOL_PSD = 1e-10
 TOL_SPECTRAL = 1e-9
-TOL_NULLSPACE = 1e-8

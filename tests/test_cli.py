@@ -92,6 +92,16 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == first
         assert (tmp_path / "r.txt").read_bytes() == first_file
 
+    def test_zero_trials_exits_1(self, capsys):
+        assert main(["verify", "--d", "2", "--m", "3", "--trials", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err
+        assert "all checks passed" not in captured.out
+
+    def test_zero_big_d_exits_1(self, capsys):
+        assert main(["verify", "--d", "2", "--m", "3", "--big-d", "0", "--trials", "1"]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestRelationCommand:
     def test_family_values(self, tmp_path):
@@ -212,3 +222,10 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["expsim", "--alpha", "pie", "--x", "1"])
         assert exc.value.code == 1
+
+    def test_bad_seed_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("PURITY_SEED", "abc")
+        assert main(["verify", "--d", "2", "--m", "3", "--trials", "1"]) == 1
+        assert "PURITY_SEED" in capsys.readouterr().err
+        # an explicit seed does not read the environment
+        assert main(["verify", "--d", "2", "--m", "3", "--trials", "1", "--seed", "3"]) == 0

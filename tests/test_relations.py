@@ -31,19 +31,29 @@ def _seeds(base, n):
     return [int(s) for s in np.random.SeedSequence(base).generate_state(n, dtype=np.uint64)]
 
 
+def _pinch_by_kron(rho, mubs, theta):
+    # sum_i |i><i| (x) <i|rho|i> summed term by term, as a reference
+    d, big_d = rho.dims
+    out = np.zeros_like(rho.matrix)
+    for ket in mubs.bases[theta - 1]:
+        bra = np.kron(ket.conj().reshape(1, d), np.eye(big_d))
+        out += np.kron(np.outer(ket, ket.conj()), bra @ rho.matrix @ bra.conj().T)
+    return out
+
+
 class TestBipartiteBasis:
     def test_d2_complete_set(self):
         basis = build_bipartite_basis(construct_mubs(2, 3))
         s = 1 / np.sqrt(2)
-        assert np.allclose(basis.phi.amplitudes, [s, 0, 0, s], atol=1e-15)
+        assert np.allclose(basis.phi, [s, 0, 0, s], atol=1e-15)
         assert basis.p == 0
         assert np.abs(basis.projector).max() <= 1e-12
         # theta=1, k=1 companion picks up the phase -1 on |11>
-        assert np.allclose(basis.phis[0][0].amplitudes, [s, 0, 0, -s], atol=1e-14)
+        assert np.allclose(basis.twisted[0, 1], [s, 0, 0, -s], atol=1e-14)
 
     def test_d3_m2_counts_and_gram(self):
         basis = build_bipartite_basis(construct_mubs(3, 2))
-        assert len(basis.phis) == 2 and all(len(g) == 2 for g in basis.phis)
+        assert basis.twisted.shape == (2, 3, 9)
         assert basis.p == 4
         states = basis.all_states()
         assert states.shape == (9, 9)
@@ -59,13 +69,29 @@ class TestBipartiteBasis:
             gram = states.conj() @ states.T
             assert np.abs(gram - np.eye(states.shape[0])).max() <= 1e-12
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_twisted_matches_kron_reference(self, d):
+        mubs = construct_mubs(d, d + 1)
+        basis = build_bipartite_basis(mubs)
+        omega = np.exp(2j * np.pi / d)
+        for t in range(d + 1):
+            for k in range(d):
+                v = sum(
+                    omega ** (k * i) * np.kron(mubs.bases[t, i], mubs.bases[t, i].conj())
+                    for i in range(d)
+                )
+                assert np.abs(basis.twisted[t, k] - v / np.sqrt(d)).max() <= 1e-12
+
     def test_projector_invariants(self):
-        basis = build_bipartite_basis(construct_mubs(3, 2))
-        p = basis.projector
-        assert frobenius_norm(p @ p - p) <= 1e-10
-        assert abs(np.trace(p).real - basis.p) <= 1e-9
-        comp = np.stack([s.amplitudes for s in basis.complement])
-        assert np.abs(p - comp.conj().T @ comp).max() <= 1e-12
+        # the M = 3 subset of d = 3 bases is not closed under conjugation,
+        # so there only the P = sum_v |v><v| orientation passes
+        for m in (2, 3):
+            basis = build_bipartite_basis(construct_mubs(3, m))
+            p = basis.projector
+            assert frobenius_norm(p @ p - p) <= 1e-10
+            assert abs(np.trace(p).real - basis.p) <= 1e-9
+            comp = basis.complement
+            assert np.abs(p - comp.T @ comp.conj()).max() <= 1e-12
 
     def test_rejects_invalid_mubs(self):
         dup = MubSet(np.stack([np.eye(2, dtype=complex)] * 2))
@@ -84,7 +110,8 @@ class TestPtIdentities:
         # hand expansion at theta=1 (computational): the transposed sum is
         # diag(1,0,0,1) minus half the swap, whose (0,0) entry is 1/2
         basis = build_bipartite_basis(construct_mubs(2, 3))
-        acc = sum(s.projector() for s in basis.phis[0])
+        twists = basis.twisted[0, 1:]
+        acc = twists.T @ twists.conj()
         from mubpurity.linalg import partial_transpose
 
         lhs = partial_transpose(acc, (2, 2), subsystem=1)
@@ -130,6 +157,15 @@ class TestPostMeasurement:
                 out = post_measurement_state(rho, mubs, theta)
                 assert np.abs(partial_trace(out, [1]).matrix - marg).max() <= 1e-12
 
+    @pytest.mark.parametrize("d,big_d", [(2, 1), (3, 2), (5, 3)])
+    def test_matches_kron_reference(self, d, big_d):
+        mubs = construct_mubs(d, d + 1)
+        for seed in _seeds(300 + 10 * d + big_d, 5):
+            rho = random_density(d * big_d, d * big_d, seed, dims=(d, big_d))
+            for theta in mubs.labels:
+                out = post_measurement_state(rho, mubs, theta)
+                assert np.abs(out.matrix - _pinch_by_kron(rho, mubs, theta)).max() <= 1e-12
+
     def test_theta_out_of_range(self):
         mubs = construct_mubs(2, 3)
         with pytest.raises(ValueError):
@@ -164,7 +200,10 @@ class TestGamma:
             assert np.abs(g - g.conj().T).max() <= 1e-12
             assert hermitian_eigenvalues(g)[0] >= -1e-10
 
-    @pytest.mark.parametrize("d,m,big_d", [(2, 2, 2), (2, 3, 3), (3, 2, 3), (3, 4, 3)])
+    @pytest.mark.parametrize(
+        "d,m,big_d",
+        [(2, 2, 2), (2, 3, 3), (3, 2, 3), (3, 4, 3), (3, 3, 3), (3, 3, 2), (5, 3, 2)],
+    )
     def test_projector_route_agrees(self, d, m, big_d):
         mubs = construct_mubs(d, m)
         basis = build_bipartite_basis(mubs)
