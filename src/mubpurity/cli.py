@@ -129,6 +129,8 @@ def cmd_mub(ns) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
+        if ns.d < 2:
+            raise ValueError(f"need --d >= 2, got {ns.d}")
         if not is_prime(ns.d):
             print(
                 f"error: d={ns.d} is not prime; supply a basis file via --load",
@@ -147,6 +149,8 @@ def cmd_mub(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    if ns.d < 2:
+        raise ValueError(f"need --d >= 2, got {ns.d}")
     if not is_prime(ns.d):
         print(f"error: d={ns.d} is not prime", file=sys.stderr)
         return 2

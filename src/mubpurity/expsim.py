@@ -3,10 +3,11 @@
 Register layout: qubit 0 is the probe, qubits 1-4 are A, B, A', B'. The
 simulator evolves the traceless deviation part sigma_z^probe (x) rho (x) rho
 of the register. A protocol run prepares two copies of the depolarized
-family state, optionally pinches A and A' in a chosen Pauli basis, and
-reads a purity through controlled-SWAP gates conditioned on the probe:
-with both pair swaps the probe coherence returns Tr(rho rho'), with the
-BB' swap alone Tr(rho_B rho'_B).
+family state once; copies of that register are pinched on A and A' in each
+Pauli basis, and every register (pinched or not) is read out through
+controlled-SWAP gates conditioned on the probe: with both pair swaps the
+probe coherence returns Tr(rho rho'), with the BB' swap alone
+Tr(rho_B rho'_B). Gates act in place, so each setting reads its own copy.
 
 Sites for noise: a one-parameter depolarizing channel acts on every qubit
 touched by a controlled-SWAP, immediately after the gate. Rescaling divides
@@ -16,11 +17,11 @@ ideal panel is computed noiselessly by the same pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import PAULI_Z, partial_trace_matrix
+from .linalg import PAULI_Z
 from .states import _check_alpha, _check_x, psi_alpha
 from .tolerances import TOL_STRUCTURAL
 
@@ -68,6 +69,8 @@ NOISELESS = NoiseModel()
 class CircuitState:
     """Mutable register state: deviation matrix plus gate/noise log.
 
+    ``gate_log`` holds one tuple per event, e.g. ``("CSWAP", 0, 2, 4)``,
+    ``("DEPOL", q, p)``, ``("BRANCH", label, weight)`` or ``("READ", which)``.
     ``reference_amplitude`` is the probe sigma_z amplitude captured at
     preparation time; readouts divide by it so that ideal pure-state runs
     report exactly 1.
@@ -75,9 +78,8 @@ class CircuitState:
 
     deviation: np.ndarray
     noise: NoiseModel = NOISELESS
-    gate_log: list[str] = field(default_factory=list)
+    gate_log: list[tuple] = field(default_factory=list)
     reference_amplitude: float = 2.0
-    n_qubits: int = N_QUBITS
 
     def __post_init__(self):
         dev = np.asarray(self.deviation, dtype=complex)
@@ -86,12 +88,20 @@ class CircuitState:
         self.deviation = dev
         _check_deviation(dev)
 
-    def log_dump(self) -> str:
-        """Newline-delimited gate/noise descriptors, for debugging."""
-        return "".join(entry + "\n" for entry in self.gate_log)
+
+def _copy(state: CircuitState, noise: NoiseModel | None = None) -> CircuitState:
+    """Independent copy of a register, optionally under another noise model."""
+    return replace(
+        state,
+        deviation=state.deviation.copy(),
+        noise=state.noise if noise is None else noise,
+        gate_log=list(state.gate_log),
+    )
 
 
 def _check_deviation(dev: np.ndarray) -> None:
+    if not np.isfinite(dev).all():
+        raise RuntimeError("deviation has non-finite entries")
     if abs(np.trace(dev)) > TOL_STRUCTURAL:
         raise RuntimeError(f"deviation trace drifted to {np.trace(dev)!r}")
     if float(np.abs(dev - dev.conj().T).max()) > TOL_STRUCTURAL:
@@ -121,18 +131,11 @@ def _rx(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-def _cswap_unitary(control: int, q1: int, q2: int) -> np.ndarray:
+def _cswap_perm(control: int, q1: int, q2: int) -> np.ndarray:
+    """Basis permutation of CSWAP: flip q1 and q2 where control is 1 and they differ."""
+    flip = _QUBIT_BITS[control] & (_QUBIT_BITS[q1] ^ _QUBIT_BITS[q2])
     mask = (1 << (N_QUBITS - 1 - q1)) | (1 << (N_QUBITS - 1 - q2))
-    u = np.zeros((DIM, DIM))
-    for idx in range(DIM):
-        target = idx
-        if (idx >> (N_QUBITS - 1 - control)) & 1:
-            b1 = (idx >> (N_QUBITS - 1 - q1)) & 1
-            b2 = (idx >> (N_QUBITS - 1 - q2)) & 1
-            if b1 != b2:
-                target = idx ^ mask
-        u[target, idx] = 1.0
-    return u
+    return np.arange(DIM) ^ (flip * mask)
 
 
 def _pinch(dev: np.ndarray, qubit: int) -> np.ndarray:
@@ -143,16 +146,11 @@ def _pinch(dev: np.ndarray, qubit: int) -> np.ndarray:
 
 def _depolarize(dev: np.ndarray, qubit: int, p: float) -> np.ndarray:
     """(1-p) dev + p * (I/2 on the qubit) (x) Tr_qubit(dev)."""
-    t = dev.reshape([2] * (2 * N_QUBITS))
-    traced = np.trace(t, axis1=qubit, axis2=qubit + N_QUBITS)
-    mixed = np.zeros_like(t)
-    sl: list = [slice(None)] * (2 * N_QUBITS)
-    for b in (0, 1):
-        sl[qubit] = b
-        sl[qubit + N_QUBITS] = b
-        mixed[tuple(sl)] = traced / 2.0
-        sl[qubit] = slice(None)
-        sl[qubit + N_QUBITS] = slice(None)
+    axes = list(range(2 * N_QUBITS))
+    pair = [qubit, qubit + N_QUBITS]
+    traced = np.trace(dev.reshape([2] * (2 * N_QUBITS)), axis1=pair[0], axis2=pair[1])
+    rest = [a for a in axes if a not in pair]
+    mixed = np.einsum(traced, rest, np.eye(2) / 2.0, pair, axes)
     return (1.0 - p) * dev + p * mixed.reshape(DIM, DIM)
 
 
@@ -171,25 +169,26 @@ def apply_gate(state: CircuitState, gate: tuple) -> CircuitState:
         qubit = _check_qubit(qubit)
         u = _embed_single(_ry(angle) if kind == "RY" else _rx(angle), qubit)
         state.deviation = u @ state.deviation @ u.conj().T
-        state.gate_log.append(f"{kind} q={qubit} angle={float(angle)!r}")
+        state.gate_log.append((kind, qubit, float(angle)))
     elif kind == "CSWAP":
         control, q1, q2 = (int(v) for v in gate[1:])
         for q in (control, q1, q2):
             _check_qubit(q)
         if len({control, q1, q2}) != 3:
             raise ValueError(f"CSWAP qubits must be distinct, got {control},{q1},{q2}")
-        u = _cswap_unitary(control, q1, q2)
-        state.deviation = u @ state.deviation @ u.T
-        state.gate_log.append(f"CSWAP c={control} q1={q1} q2={q2}")
+        perm = _cswap_perm(control, q1, q2)
+        state.deviation = state.deviation[perm][:, perm]
+        state.gate_log.append(("CSWAP", control, q1, q2))
         if state.noise.active:
+            p = state.noise.p_depol
             for q in (control, q1, q2):
-                state.deviation = _depolarize(state.deviation, q, state.noise.p_depol)
-                state.gate_log.append(f"DEPOL q={q} p={float(state.noise.p_depol)!r}")
+                state.deviation = _depolarize(state.deviation, q, p)
+                state.gate_log.append(("DEPOL", q, float(p)))
     elif kind == "DEPHASE":
         _, qubit = gate
         qubit = _check_qubit(qubit)
         state.deviation = _pinch(state.deviation, qubit)
-        state.gate_log.append(f"DEPHASE q={qubit}")
+        state.gate_log.append(("DEPHASE", qubit))
     else:
         raise ValueError(f"unknown gate kind {gate[0]!r}")
     _check_deviation(state.deviation)
@@ -215,14 +214,18 @@ def prepare_pair_state(alpha: float, x: float, noise: NoiseModel = NOISELESS) ->
         (x * x, pure, pure, "pure,pure"),
     )
     dev = np.zeros((DIM, DIM), dtype=complex)
-    log = [f"PREPARE alpha={alpha!r} x={x!r}"]
+    log = [("PREPARE", alpha, x)]
     for weight, first, second, label in branches:
         if weight == 0.0:
             continue
         dev += weight * np.kron(PAULI_Z, np.kron(first, second))
-        log.append(f"BRANCH parts={label} weight={weight!r}")
+        log.append(("BRANCH", label, weight))
     reference = float(np.trace(dev @ _SZ_PROBE).real)
     return CircuitState(dev, noise=noise, gate_log=log, reference_amplitude=reference)
+
+
+# Rotation taking each measurement axis to z before the dephasing (None: z).
+_PRE_ROTATION = {"x": ("RY", -np.pi / 2), "y": ("RX", np.pi / 2), "z": None}
 
 
 def mub_measure_block(state: CircuitState, axis: str, both_copies: bool = True) -> CircuitState:
@@ -234,23 +237,19 @@ def mub_measure_block(state: CircuitState, axis: str, both_copies: bool = True) 
     copies undergo identical measurements.
     """
     axis = str(axis).lower()
-    if axis not in ("x", "y", "z"):
+    if axis not in _PRE_ROTATION:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     targets = (_A, _A2) if both_copies else (_A,)
-    if axis == "x":
+    rotation = _PRE_ROTATION[axis]
+    if rotation is not None:
+        kind, angle = rotation
         for q in targets:
-            apply_gate(state, ("RY", q, -np.pi / 2))
-    elif axis == "y":
-        for q in targets:
-            apply_gate(state, ("RX", q, np.pi / 2))
+            apply_gate(state, (kind, q, angle))
     for q in targets:
         apply_gate(state, ("DEPHASE", q))
-    if axis == "x":
+    if rotation is not None:
         for q in targets:
-            apply_gate(state, ("RY", q, np.pi / 2))
-    elif axis == "y":
-        for q in targets:
-            apply_gate(state, ("RX", q, -np.pi / 2))
+            apply_gate(state, (kind, q, -angle))
     return state
 
 
@@ -276,70 +275,57 @@ def swap_test_readout(state: CircuitState, which: str = "AB") -> float:
     apply_gate(state, ("CSWAP", _PROBE, _B, _B2))
     apply_gate(state, ("RY", _PROBE, -np.pi / 2))
     value = float(np.trace(state.deviation @ _SZ_PROBE).real)
-    state.gate_log.append(f"READ which={which}")
+    state.gate_log.append(("READ", which))
     return value / state.reference_amplitude
 
 
-def ab_marginal(dev: np.ndarray) -> np.ndarray:
-    """AB block of a prepared deviation: probe-ground sector traced over A'B'.
-
-    Valid before the readout gates scramble the register; for unit-trace
-    copies it returns the 4x4 state of the first pair.
-    """
-    block = np.asarray(dev)[: DIM // 2, : DIM // 2]
-    return partial_trace_matrix(block, (2, 2, 2, 2), keep=(0, 1))
-
-
-# Protocol settings: measurement axis (None = no pinch) and readout target.
-_SETTINGS = {
-    "purity_AB": (None, "AB"),
-    "purity_xB": ("x", "AB"),
-    "purity_yB": ("y", "AB"),
-    "purity_zB": ("z", "AB"),
-    "purity_B": (None, "B"),
-    "purity_B_given_x": ("x", "B"),
-    "purity_B_given_y": ("y", "B"),
-    "purity_B_given_z": ("z", "B"),
+# Panel entries read per measurement axis (None = no pinch): AB, then B readout.
+_READOUTS = {
+    None: ("purity_AB", "purity_B"),
+    "x": ("purity_xB", "purity_B_given_x"),
+    "y": ("purity_yB", "purity_B_given_y"),
+    "z": ("purity_zB", "purity_B_given_z"),
 }
 
 
-def _run_setting(alpha: float, x: float, noise: NoiseModel, setting: str) -> float:
-    axis, which = _SETTINGS[setting]
-    state = prepare_pair_state(alpha, x, noise)
-    if axis is not None:
-        mub_measure_block(state, axis, both_copies=True)
-    return swap_test_readout(state, which)
+def _read_panel(state: CircuitState) -> dict[str, float]:
+    """All eight settings, each read from its own copy of the prepared register."""
+    values = {}
+    for axis, (name_ab, name_b) in _READOUTS.items():
+        measured = _copy(state)
+        if axis is not None:
+            mub_measure_block(measured, axis, both_copies=True)
+        values[name_ab] = swap_test_readout(_copy(measured), "AB")
+        values[name_b] = swap_test_readout(measured, "B")
+    return {name: values[name] for name in PANEL_FIELDS}
+
+
+def _check_factor(name: str, factor: float) -> float:
+    # written as "not <" so that NaN is rejected along with 0, negatives and inf
+    if not 0.0 < factor < np.inf:
+        raise ValueError(f"attenuation factor for {name} must be positive and finite, got {factor!r}")
+    return factor
 
 
 def calibration_factors(noise: NoiseModel = NOISELESS) -> dict[str, float]:
     """Per-setting attenuation measured on the maximally entangled reference.
 
-    Runs every setting on the pure alpha = pi/2, x = 1 state with and
-    without noise; the ratio noisy/ideal is the attenuation divided out by
-    :func:`rescale`. All factors are 1 when noise is inactive.
+    Prepares the pure alpha = pi/2, x = 1 state once and reads every setting
+    from copies of it with and without noise; the ratio noisy/ideal is the
+    attenuation divided out by :func:`rescale`. All factors are 1 when
+    noise is inactive.
     """
     if not noise.active:
         return {name: 1.0 for name in PANEL_FIELDS}
-    factors = {}
-    for name in PANEL_FIELDS:
-        ideal = _run_setting(np.pi / 2, 1.0, NOISELESS, name)
-        noisy = _run_setting(np.pi / 2, 1.0, noise, name)
-        factor = noisy / ideal
-        if factor <= 0.0:
-            raise ValueError(f"non-positive attenuation factor for {name}: {factor!r}")
-        factors[name] = factor
-    return factors
+    reference = prepare_pair_state(np.pi / 2, 1.0, noise)
+    ideal = _read_panel(_copy(reference, NOISELESS))
+    noisy = _read_panel(reference)
+    return {name: _check_factor(name, noisy[name] / ideal[name]) for name in PANEL_FIELDS}
 
 
 def rescale(raw: dict[str, float], calibration: dict[str, float]) -> dict[str, float]:
     """Divide each raw panel value by its setting's attenuation factor."""
-    out = {}
-    for name, value in raw.items():
-        factor = calibration[name]
-        if factor <= 0.0:
-            raise ValueError(f"attenuation factor for {name} must be positive, got {factor!r}")
-        out[name] = value / factor
-    return out
+    return {name: value / _check_factor(name, calibration[name]) for name, value in raw.items()}
 
 
 @dataclass(frozen=True)
@@ -375,15 +361,18 @@ def run_protocol(
     noise: NoiseModel = NOISELESS,
     calibration: dict[str, float] | None = None,
 ) -> PurityPanel:
-    """Measure the full eight-purity panel, one fresh preparation per setting.
+    """Measure the full eight-purity panel from one prepared register.
 
-    With noise active the raw values are attenuated; the rescaled ones
-    divide out the calibration factors (computed here if not supplied).
-    Noiseless runs return identical raw and rescaled panels.
+    Each x/y/z measurement block runs once on a copy of the register, and
+    copies of its result feed the AB and the B readout; every setting sees
+    the same gates as on a fresh preparation. With noise active the raw
+    values are attenuated; the rescaled ones divide out the calibration
+    factors (computed here if not supplied). Noiseless runs return
+    identical raw and rescaled panels.
     """
     alpha = _check_alpha(alpha)
     x = _check_x(x)
-    raw = {name: _run_setting(alpha, x, noise, name) for name in PANEL_FIELDS}
+    raw = _read_panel(prepare_pair_state(alpha, x, noise))
     if calibration is None:
         calibration = calibration_factors(noise)
     return PurityPanel(

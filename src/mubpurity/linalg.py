@@ -46,11 +46,6 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; ``a`` acts on the leftmost factor."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def _normalize_keep(keep: Iterable[int], n: int) -> list[int]:
     idx = sorted(set(int(k) for k in keep))
     if not idx:
@@ -171,13 +166,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state on the subsystems listed in ``keep`` (original order)."""
-    idx = _normalize_keep(keep, len(rho.dims))
-    reduced = partial_trace_matrix(rho.matrix, rho.dims, idx)
-    return DensityMatrix(reduced, tuple(rho.dims[k] for k in idx))
 
 
 def purity(rho) -> float:

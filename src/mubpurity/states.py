@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PAULI_Z, DensityMatrix, PureState
+from .linalg import DensityMatrix, PureState
 
 
 def _check_alpha(alpha: float) -> float:
@@ -72,25 +72,9 @@ def random_pure_state(dim: int, seed) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
-def lpps_deviation(n_qubits: int) -> np.ndarray:
-    """Traceless deviation matrix sigma_z on qubit 1 times |0...0><0...0| of the rest.
-
-    This is the labeled pseudo-pure starting point of the simulated register
-    with the identity background dropped (unitaries and the noise channels
-    used here act trivially on it).
-    """
-    n = int(n_qubits)
-    if n < 2:
-        raise ValueError(f"need at least 2 qubits, got {n}")
-    ground = np.zeros((2 ** (n - 1), 2 ** (n - 1)), dtype=complex)
-    ground[0, 0] = 1.0
-    return np.kron(PAULI_Z, ground)
-
-
 __all__ = [
     "psi_alpha",
     "rho_family",
     "random_density",
     "random_pure_state",
-    "lpps_deviation",
 ]

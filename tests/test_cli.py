@@ -51,6 +51,12 @@ class TestMubCommand:
         assert main(["mub", "--d", "5", "--load", str(first), "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("d", ["1", "0", "-3"])
+    def test_d_below_two_exits_1(self, tmp_path, capsys, d):
+        assert main(["mub", "--d", d, "--out", str(tmp_path / "m.json")]) == 1
+        assert "--d" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_load_invalid_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         obj = json.loads(_write_mub_file(tmp_path).read_text())
@@ -96,6 +102,13 @@ class TestVerifyCommand:
         assert main(["verify", "--d", "2", "--m", "3", "--trials", "0"]) == 1
         captured = capsys.readouterr()
         assert "--trials" in captured.err
+        assert "all checks passed" not in captured.out
+
+    @pytest.mark.parametrize("d", ["1", "0", "-3"])
+    def test_d_below_two_exits_1(self, capsys, d):
+        assert main(["verify", "--d", d, "--m", "2", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "--d" in captured.err
         assert "all checks passed" not in captured.out
 
     def test_zero_big_d_exits_1(self, capsys):

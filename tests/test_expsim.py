@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from mubpurity import expsim
 from mubpurity.expsim import (
     DIM,
+    N_QUBITS,
     NOISELESS,
     PANEL_FIELDS,
     CircuitState,
     NoiseModel,
-    ab_marginal,
+    _depolarize,
     apply_gate,
     calibration_factors,
     mub_measure_block,
@@ -16,7 +18,7 @@ from mubpurity.expsim import (
     run_protocol,
     swap_test_readout,
 )
-from mubpurity.linalg import PAULI_X, PAULI_Z, purity
+from mubpurity.linalg import PAULI_X, PAULI_Z, partial_trace_matrix, purity
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import post_measurement_state, relation_report
 from mubpurity.states import rho_family
@@ -47,6 +49,64 @@ def _fresh_state(dev):
 def _pair_deviation(rho_ab, rho_ab2=None):
     rho_ab2 = rho_ab if rho_ab2 is None else rho_ab2
     return np.kron(PAULI_Z, np.kron(rho_ab, rho_ab2))
+
+
+def _ab_marginal(dev):
+    """AB state of a register before readout: probe-ground block traced over A'B'."""
+    block = np.asarray(dev)[: DIM // 2, : DIM // 2]
+    return partial_trace_matrix(block, (2, 2, 2, 2), keep=(0, 1))
+
+
+def _cswap_reference(control, q1, q2):
+    """Dense 0/1 CSWAP unitary, one column per basis index."""
+    bit = lambda idx, q: (idx >> (N_QUBITS - 1 - q)) & 1  # noqa: E731
+    u = np.zeros((DIM, DIM))
+    for idx in range(DIM):
+        target = idx
+        if bit(idx, control) and bit(idx, q1) != bit(idx, q2):
+            target = idx ^ (1 << (N_QUBITS - 1 - q1)) ^ (1 << (N_QUBITS - 1 - q2))
+        u[target, idx] = 1.0
+    return u
+
+
+def _depolarize_reference(dev, qubit, p):
+    """(1-p) dev + p (I/2 on qubit) (x) Tr_qubit(dev), filled slice by slice."""
+    t = dev.reshape([2] * (2 * N_QUBITS))
+    traced = np.trace(t, axis1=qubit, axis2=qubit + N_QUBITS)
+    mixed = np.zeros_like(t)
+    for b in (0, 1):
+        index = [slice(None)] * (2 * N_QUBITS)
+        index[qubit] = index[qubit + N_QUBITS] = b
+        mixed[tuple(index)] = traced / 2.0
+    return (1.0 - p) * dev + p * mixed.reshape(DIM, DIM)
+
+
+def _random_deviation(seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((DIM, DIM)) + 1j * rng.standard_normal((DIM, DIM))
+    h = g + g.conj().T
+    return h - np.trace(h) * np.eye(DIM) / DIM
+
+
+# Per-setting reference: a fresh preparation for every panel entry.
+_SETTINGS = {
+    "purity_AB": (None, "AB"),
+    "purity_xB": ("x", "AB"),
+    "purity_yB": ("y", "AB"),
+    "purity_zB": ("z", "AB"),
+    "purity_B": (None, "B"),
+    "purity_B_given_x": ("x", "B"),
+    "purity_B_given_y": ("y", "B"),
+    "purity_B_given_z": ("z", "B"),
+}
+
+
+def _fresh_setting(alpha, x, noise, name):
+    axis, which = _SETTINGS[name]
+    state = prepare_pair_state(alpha, x, noise)
+    if axis is not None:
+        mub_measure_block(state, axis, both_copies=True)
+    return swap_test_readout(state, which)
 
 
 class TestGates:
@@ -108,12 +168,48 @@ class TestGates:
     def test_gate_log(self):
         state = prepare_pair_state(np.pi / 2, 1.0, NoiseModel(0.01, enabled=True))
         apply_gate(state, ("CSWAP", 0, 2, 4))
-        assert any(entry.startswith("PREPARE") for entry in state.gate_log)
-        assert "CSWAP c=0 q1=2 q2=4" in state.gate_log
-        assert sum(e.startswith("DEPOL") for e in state.gate_log) == 3
-        dump = state.log_dump()
-        assert dump.splitlines() == state.gate_log
-        assert dump.endswith("\n")
+        apply_gate(state, ("RY", 1, np.pi / 2))
+        apply_gate(state, ("DEPHASE", 3))
+        swap_test_readout(state, "B")
+        assert state.gate_log[:2] == [("PREPARE", np.pi / 2, 1.0), ("BRANCH", "pure,pure", 1.0)]
+        assert state.gate_log[2:7] == [
+            ("CSWAP", 0, 2, 4),
+            ("DEPOL", 0, 0.01),
+            ("DEPOL", 2, 0.01),
+            ("DEPOL", 4, 0.01),
+            ("RY", 1, np.pi / 2),
+        ]
+        assert state.gate_log[7] == ("DEPHASE", 3)
+        assert state.gate_log[-1] == ("READ", "B")
+        assert all(isinstance(entry, tuple) for entry in state.gate_log)
+
+    @pytest.mark.parametrize("qubits", [(0, 1, 3), (0, 2, 4), (2, 0, 4), (4, 3, 1)])
+    def test_cswap_matches_dense_unitary(self, qubits):
+        dev = _random_deviation(sum(qubits))
+        state = _fresh_state(dev)
+        apply_gate(state, ("CSWAP",) + qubits)
+        u = _cswap_reference(*qubits)
+        assert np.array_equal(u @ u.T, np.eye(DIM))
+        assert np.array_equal(state.deviation, u @ dev @ u.T)
+
+    @pytest.mark.parametrize("qubit", range(N_QUBITS))
+    def test_depolarize_matches_slice_loop(self, qubit):
+        dev = _random_deviation(10 + qubit)
+        for p in (0.0, 0.05, 1.0):
+            assert np.array_equal(_depolarize(dev, qubit, p), _depolarize_reference(dev, qubit, p))
+
+    def test_nan_angle_rejected(self):
+        state = prepare_pair_state(np.pi / 2, 1.0)
+        with pytest.raises(RuntimeError):
+            apply_gate(state, ("RY", 1, float("nan")))
+
+    def test_non_finite_deviation_rejected(self):
+        with pytest.raises(RuntimeError):
+            CircuitState(np.full((DIM, DIM), np.nan))
+        dev = np.zeros((DIM, DIM), dtype=complex)
+        dev[0, 1] = dev[1, 0] = np.inf
+        with pytest.raises(RuntimeError):
+            CircuitState(dev)
 
 
 class TestPrepare:
@@ -121,20 +217,20 @@ class TestPrepare:
         state = prepare_pair_state(np.pi / 4, 1.0)
         rho = rho_family(np.pi / 4, 1.0).matrix
         assert np.abs(state.deviation - _pair_deviation(rho)).max() <= 1e-10
-        assert sum(e.startswith("BRANCH") for e in state.gate_log) == 1
+        assert sum(e[0] == "BRANCH" for e in state.gate_log) == 1
 
     def test_x_zero_identity_branch(self):
         state = prepare_pair_state(np.pi / 2, 0.0)
         expected = np.kron(PAULI_Z, np.eye(16) / 16)
         assert np.abs(state.deviation - expected).max() <= 1e-10
-        assert sum(e.startswith("BRANCH") for e in state.gate_log) == 1
+        assert sum(e[0] == "BRANCH" for e in state.gate_log) == 1
 
     def test_intermediate_x_four_branches(self):
         state = prepare_pair_state(np.pi / 2, 0.5)
         rho = rho_family(np.pi / 2, 0.5).matrix
         assert np.abs(state.deviation - _pair_deviation(rho)).max() <= 1e-10
-        assert sum(e.startswith("BRANCH") for e in state.gate_log) == 4
-        assert np.abs(ab_marginal(state.deviation) - rho).max() <= 1e-10
+        assert sum(e[0] == "BRANCH" for e in state.gate_log) == 4
+        assert np.abs(_ab_marginal(state.deviation) - rho).max() <= 1e-10
 
     def test_parameter_range(self):
         with pytest.raises(ValueError):
@@ -152,7 +248,7 @@ class TestMeasureBlock:
             expected = post_measurement_state(
                 rho_family(alpha, x), MUBS, AXIS_TO_THETA[axis]
             ).matrix
-            assert np.abs(ab_marginal(state.deviation) - expected).max() <= 1e-10
+            assert np.abs(_ab_marginal(state.deviation) - expected).max() <= 1e-10
 
     def test_x_block_halves_product_purity(self):
         rho_b = np.array([[0.8, 0.1], [0.1, 0.2]], dtype=complex)
@@ -160,7 +256,7 @@ class TestMeasureBlock:
         state = _fresh_state(_pair_deviation(pair))
         before = purity(pair)
         mub_measure_block(state, "x")
-        after = purity(ab_marginal(state.deviation))
+        after = purity(_ab_marginal(state.deviation))
         assert abs(after - before / 2) <= 1e-10
 
     def test_y_equals_x_for_singlet_family(self):
@@ -169,8 +265,8 @@ class TestMeasureBlock:
             sy = prepare_pair_state(np.pi / 2, x)
             mub_measure_block(sx, "x")
             mub_measure_block(sy, "y")
-            px = purity(ab_marginal(sx.deviation))
-            py = purity(ab_marginal(sy.deviation))
+            px = purity(_ab_marginal(sx.deviation))
+            py = purity(_ab_marginal(sy.deviation))
             assert abs(px - py) <= 1e-10
 
     def test_bad_axis(self):
@@ -232,6 +328,14 @@ class TestRunProtocol:
         assert panel.raw == panel.rescaled
         assert panel.noise_p == 0.0
 
+    @pytest.mark.parametrize("p", [0.0, 0.05])
+    def test_matches_fresh_preparation_reference(self, p):
+        # one shared register must give exactly what a fresh one per setting gives
+        noise = NoiseModel(p, enabled=p > 0.0)
+        for alpha, x in [(np.pi / 2, 1.0), (np.pi / 5, 0.3), (0.0, 0.0), (1.1, 0.85)]:
+            panel = run_protocol(alpha, x, noise, calibration={n: 1.0 for n in PANEL_FIELDS})
+            assert panel.raw == {n: _fresh_setting(alpha, x, noise, n) for n in PANEL_FIELDS}
+
     def test_json_schema(self):
         obj = run_protocol(np.pi / 2, 1.0).to_json()
         assert set(obj) == {"alpha", "x", "noise_p", "raw", "rescaled"}
@@ -268,10 +372,25 @@ class TestNoiseAndRescaling:
 
     def test_rescale_rejects_bad_factor(self):
         raw = {name: 0.5 for name in PANEL_FIELDS}
-        factors = {name: 1.0 for name in PANEL_FIELDS}
-        factors["purity_AB"] = 0.0
+        for bad in (0.0, -0.5, float("nan"), float("inf")):
+            factors = {name: 1.0 for name in PANEL_FIELDS}
+            factors["purity_AB"] = bad
+            with pytest.raises(ValueError):
+                rescale(raw, factors)
+
+    @pytest.mark.parametrize("p", [0.0, 0.05])
+    def test_calibration_matches_fresh_preparation_reference(self, p):
+        noise = NoiseModel(p, enabled=p > 0.0)
+        expected = {
+            n: _fresh_setting(np.pi / 2, 1.0, noise, n) / _fresh_setting(np.pi / 2, 1.0, NOISELESS, n)
+            for n in PANEL_FIELDS
+        }
+        assert calibration_factors(noise) == expected
+
+    def test_calibration_rejects_nan_factor(self, monkeypatch):
+        monkeypatch.setattr(expsim, "swap_test_readout", lambda state, which="AB": float("nan"))
         with pytest.raises(ValueError):
-            rescale(raw, factors)
+            calibration_factors(self.NOISE)
 
     def test_noiseless_factors_are_one(self):
         assert calibration_factors(NOISELESS) == {name: 1.0 for name in PANEL_FIELDS}

@@ -1,8 +1,9 @@
-"""Property tests of the relation layer over the whole small input space.
+"""Property tests of the relation layer and the simulator over their input space.
 
-States are drawn over d in {2, 3, 5}, every M in [2, d+1], B-side
-dimension D in {1, 2, 3} and every rank; the examples are derandomized so
-the suite stays reproducible.
+Relation-layer states are drawn over d in {2, 3, 5}, every M in [2, d+1],
+B-side dimension D in {1, 2, 3} and every rank. Simulator panels are drawn
+over (alpha, x) in [0, pi/2] x [0, 1] and depolarizing p in [0, 0.3]. The
+examples are derandomized so the suite stays reproducible.
 """
 
 from functools import lru_cache
@@ -11,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mubpurity.expsim import PANEL_FIELDS, NoiseModel, run_protocol
 from mubpurity.linalg import frobenius_norm, hermitian_eigenvalues, partial_trace_matrix
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import (
@@ -20,10 +22,11 @@ from mubpurity.relations import (
     post_measurement_state,
     relation_report,
 )
-from mubpurity.states import random_density
+from mubpurity.states import random_density, rho_family
 from mubpurity.tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+SIMULATOR_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 @lru_cache(maxsize=None)
@@ -80,3 +83,50 @@ def test_pinch_preserves_trace_and_marginal(case):
         assert abs(np.trace(out.matrix) - 1.0) <= TOL_STRUCTURAL
         marginal = partial_trace_matrix(out.matrix, out.dims, keep=(1,))
         assert np.abs(marginal - rho_b).max() <= TOL_STRUCTURAL
+
+
+alphas = st.floats(0.0, np.pi / 2)
+xs = st.floats(0.0, 1.0)
+noise_ps = st.floats(0.0, 0.3)
+
+
+def _noise(p):
+    return NoiseModel(p, enabled=p > 0.0)
+
+
+def _analytic_panel(alpha, x):
+    # construct_mubs(2, 3) orders the bases z, x, y
+    rep = relation_report(rho_family(alpha, x), construct_mubs(2, 3))
+    z, x_, y = rep.purity_thetaB
+    bz, bx, by = rep.purity_B_given_theta
+    values = (rep.purity_AB, x_, y, z, rep.purity_B, bx, by, bz)
+    return dict(zip(PANEL_FIELDS, values))
+
+
+@SIMULATOR_SETTINGS
+@given(alphas, xs)
+def test_simulated_panel_matches_analytic(alpha, x):
+    panel = run_protocol(alpha, x)
+    expected = _analytic_panel(alpha, x)
+    for name in PANEL_FIELDS:
+        assert abs(panel.raw[name] - expected[name]) <= 1e-10
+
+
+@SIMULATOR_SETTINGS
+@given(alphas, xs, noise_ps, noise_ps)
+def test_raw_panel_does_not_increase_with_noise(alpha, x, p1, p2):
+    lo, hi = sorted((p1, p2))
+    calibration = {name: 1.0 for name in PANEL_FIELDS}
+    less = run_protocol(alpha, x, _noise(lo), calibration=calibration).raw
+    more = run_protocol(alpha, x, _noise(hi), calibration=calibration).raw
+    for name in PANEL_FIELDS:
+        assert more[name] <= less[name] + TOL_STRUCTURAL
+
+
+@SIMULATOR_SETTINGS
+@given(alphas, xs, noise_ps)
+def test_rescaled_panel_recovers_noiseless(alpha, x, p):
+    noiseless = run_protocol(alpha, x).raw
+    rescaled = run_protocol(alpha, x, _noise(p)).rescaled
+    for name in PANEL_FIELDS:
+        assert abs(rescaled[name] - noiseless[name]) <= 1e-10

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from mubpurity.linalg import PAULI_Z, hermitian_eigenvalues, purity
+from mubpurity.linalg import hermitian_eigenvalues, purity
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import relation_report
 from mubpurity.states import (
-    lpps_deviation,
     psi_alpha,
     random_density,
     random_pure_state,
@@ -103,27 +102,3 @@ def test_random_pure_state():
     b = random_pure_state(5, 9)
     assert np.array_equal(a.amplitudes, b.amplitudes)
     assert abs(np.linalg.norm(a.amplitudes) - 1) <= 1e-12
-
-
-class TestLppsDeviation:
-    def test_two_qubits(self):
-        assert np.array_equal(lpps_deviation(2), np.diag([1.0, 0.0, -1.0, 0.0]))
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_traceless(self, n):
-        dev = lpps_deviation(n)
-        assert dev.shape == (2**n, 2**n)
-        assert np.trace(dev) == 0.0
-
-    def test_five_qubits_entrywise(self):
-        dev = lpps_deviation(5)
-        ground = np.zeros((16, 16))
-        ground[0, 0] = 1.0
-        assert np.array_equal(dev, np.kron(PAULI_Z, ground))
-        nz = np.nonzero(dev)
-        assert len(nz[0]) == 2
-        assert sorted(dev[nz].real) == [-1.0, 1.0]
-
-    def test_needs_two_qubits(self):
-        with pytest.raises(ValueError):
-            lpps_deviation(1)
