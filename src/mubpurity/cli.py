@@ -5,8 +5,9 @@ checks of the operator and relation properties), ``relation`` (one relation
 report), ``sweep`` (parameter sweeps with CSV/JSON output), ``expsim``
 (one simulated purity panel). Exit codes: 0 success, 1 usage error,
 2 verification/validation failure. Angles accept plain radians or pi
-fractions such as ``pi/2`` and ``3pi/8``. The seed falls back to the
-``PURITY_SEED`` environment variable, then to 0.
+fractions such as ``pi/2`` and ``3pi/8``. The seed of ``verify`` falls back
+to the ``PURITY_SEED`` environment variable, then to 0; ``sweep`` accepts
+``--seed`` but draws no random numbers.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ class SweepConfig:
     stop: float
     steps: int
     fixed_other: float
-    d: int
-    M: int
-    seed: int
     noise_p: float
     simulate: bool
     output: Path
@@ -104,8 +102,6 @@ class SweepConfig:
         other_lo, other_hi = (0.0, 1.0) if self.param == "alpha" else (0.0, math.pi / 2)
         if not other_lo <= self.fixed_other <= other_hi:
             raise ValueError("fixed value outside its parameter domain")
-        if (self.d, self.M) != (2, 3):
-            raise ValueError("sweeps are defined for the two-qubit family (d=2, M=3)")
         if not 0.0 <= self.noise_p <= 1.0:
             raise ValueError("noise probability outside [0, 1]")
 
@@ -149,6 +145,7 @@ def cmd_mub(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    seed = _default_seed() if ns.seed is None else ns.seed
     if ns.d < 2:
         raise ValueError(f"need --d >= 2, got {ns.d}")
     if not is_prime(ns.d):
@@ -166,7 +163,7 @@ def cmd_verify(ns) -> int:
     gram_dev = float(np.abs(states.conj() @ states.T - np.eye(states.shape[0])).max())
     pt = check_pt_identities(basis)
 
-    trial_seeds = [int(s) for s in np.random.SeedSequence(ns.seed).generate_state(ns.trials, dtype=np.uint64)]
+    trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(ns.trials, dtype=np.uint64)]
     min_eig, min_eig_seed = math.inf, None
     max_fro, max_fro_seed = -math.inf, None
     min_gap, min_gap_seed = math.inf, None
@@ -200,13 +197,13 @@ def cmd_verify(ns) -> int:
         checks.append(("gamma min eigenvalue", min_eig, -TOL_PSD,
                        min_eig >= -TOL_PSD, min_eig_seed))
 
-    lines = [f"verify d={d} M={m} D={big_d} trials={ns.trials} seed={ns.seed}"]
+    lines = [f"verify d={d} M={m} D={big_d} trials={ns.trials} seed={seed}"]
     ok = True
-    for name, value, bound, passed, seed in checks:
+    for name, value, bound, passed, state_seed in checks:
         ok = ok and passed
         line = f"{name}: {value!r} (bound {bound!r}) {'PASS' if passed else 'FAIL'}"
-        if not passed and seed is not None:
-            line += f" [state seed {seed}]"
+        if not passed and state_seed is not None:
+            line += f" [state seed {state_seed}]"
         lines.append(line)
     lines.append("all checks passed" if ok else "VERIFICATION FAILED")
     text = "\n".join(lines) + "\n"
@@ -265,25 +262,44 @@ def _axis_purities(rep) -> dict[str, float]:
     return {ax: rep.purity_thetaB[i] for i, ax in enumerate(PAULI_AXIS_LABELS)}
 
 
-def _sweep_rows(config: SweepConfig) -> list[dict]:
-    mubs = construct_mubs(config.d, config.M)
-    noise = NoiseModel(config.noise_p, enabled=config.noise_p > 0.0)
-    calibration = calibration_factors(noise) if config.simulate else None
-    grid = np.linspace(config.start, config.stop, config.steps)
+# Grid points per simulator call: one call holds this many 32x32 registers
+# at a time, so memory stays bounded however many steps a sweep has.
+SWEEP_CHUNK = 64
+
+
+def _simulated_columns(alphas: np.ndarray, xs: np.ndarray, noise_p: float) -> list[dict]:
+    """Raw and rescaled simulator columns of every grid point, one call per chunk."""
+    noise = NoiseModel(noise_p, enabled=noise_p > 0.0)
+    calibration = calibration_factors(noise)
     rows = []
-    for value in grid:
-        alpha, x = (
-            (float(value), config.fixed_other)
-            if config.param == "alpha"
-            else (config.fixed_other, float(value))
-        )
+    for start in range(0, len(alphas), SWEEP_CHUNK):
+        chunk = slice(start, start + SWEEP_CHUNK)
+        panel = run_protocol(alphas[chunk], xs[chunk], noise, calibration=calibration)
+        raw_lhs, raw_rhs = panel.relation_sides(use_raw=True)
+        res_lhs, res_rhs = panel.relation_sides(use_raw=False)
+        columns = {f"raw_{name}": panel.raw[name] for name in PANEL_FIELDS}
+        columns.update(raw_lhs=raw_lhs, raw_rhs=raw_rhs, raw_gap=raw_lhs - raw_rhs)
+        columns.update({f"rescaled_{name}": panel.rescaled[name] for name in PANEL_FIELDS})
+        columns.update(rescaled_lhs=res_lhs, rescaled_rhs=res_rhs, rescaled_gap=res_lhs - res_rhs)
+        values = [np.asarray(v).tolist() for v in columns.values()]
+        rows.extend(dict(zip(columns, point)) for point in zip(*values))
+    return rows
+
+
+def _sweep_rows(config: SweepConfig) -> list[dict]:
+    mubs = construct_mubs(2, 3)  # the two-qubit family
+    grid = np.linspace(config.start, config.stop, config.steps)
+    fixed = np.full(config.steps, config.fixed_other)
+    alphas, xs = (grid, fixed) if config.param == "alpha" else (fixed, grid)
+    rows = []
+    for alpha, x in zip(alphas.tolist(), xs.tolist()):
         rep = relation_report(rho_family(alpha, x), mubs)
         axis = _axis_purities(rep)
-        row = {
+        rows.append({
             "alpha": alpha,
             "x": x,
-            "d": config.d,
-            "M": config.M,
+            "d": mubs.d,
+            "M": mubs.M,
             "purity_AB": rep.purity_AB,
             "purity_B": rep.purity_B,
             "purity_xB": axis["x"],
@@ -292,20 +308,10 @@ def _sweep_rows(config: SweepConfig) -> list[dict]:
             "lhs": rep.lhs,
             "rhs": rep.rhs,
             "gap": rep.gap,
-        }
-        if config.simulate:
-            panel = run_protocol(alpha, x, noise, calibration=calibration)
-            for name in PANEL_FIELDS:
-                row[f"raw_{name}"] = panel.raw[name]
-            raw_lhs, raw_rhs = panel.relation_sides(use_raw=True)
-            row["raw_lhs"], row["raw_rhs"], row["raw_gap"] = raw_lhs, raw_rhs, raw_lhs - raw_rhs
-            for name in PANEL_FIELDS:
-                row[f"rescaled_{name}"] = panel.rescaled[name]
-            res_lhs, res_rhs = panel.relation_sides(use_raw=False)
-            row["rescaled_lhs"], row["rescaled_rhs"], row["rescaled_gap"] = (
-                res_lhs, res_rhs, res_lhs - res_rhs,
-            )
-        rows.append(row)
+        })
+    if config.simulate:
+        for row, simulated in zip(rows, _simulated_columns(alphas, xs, config.noise_p)):
+            row.update(simulated)
     return rows
 
 
@@ -317,9 +323,6 @@ def cmd_sweep(ns) -> int:
             stop=ns.stop if ns.stop is not None else (math.pi / 2 if ns.param == "alpha" else 1.0),
             steps=ns.steps,
             fixed_other=ns.fixed if ns.fixed is not None else (1.0 if ns.param == "alpha" else math.pi / 2),
-            d=ns.d,
-            M=ns.m,
-            seed=ns.seed,
             noise_p=ns.noise,
             simulate=ns.simulate,
             output=Path(ns.out),
@@ -395,11 +398,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--to", dest="stop", type=parse_angle, default=None)
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--fixed", type=parse_angle, default=None, help="value of the other parameter")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--m", type=int, default=3)
     p.add_argument("--simulate", action="store_true", help="add simulator raw/rescaled columns")
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="ignored: a sweep draws no random numbers")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=cmd_sweep)
@@ -420,8 +421,6 @@ def main(argv=None) -> int:
     if getattr(ns, "command", None) == "mub" and not ns.load and ns.m == 0:
         ns.m = ns.d + 1
     try:
-        if getattr(ns, "seed", 0) is None:
-            ns.seed = _default_seed()
         return ns.func(ns)
     except MubValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

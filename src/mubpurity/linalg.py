@@ -187,12 +187,13 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         data = obj["data"]
-    except (KeyError, TypeError) as exc:
+        if len(data) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
+        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+        m = flat.reshape(rows, cols)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if len(data) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    return as_matrix(flat.reshape(rows, cols))
+    return as_matrix(m)
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
@@ -202,6 +203,10 @@ def density_to_json(rho: DensityMatrix) -> dict:
 
 
 def density_from_json(obj: dict) -> DensityMatrix:
-    if "dims" not in obj:
-        raise ValueError("density matrix object must carry 'dims'")
-    return DensityMatrix(matrix_from_json(obj), tuple(int(d) for d in obj["dims"]))
+    try:
+        dims = tuple(int(d) for d in obj["dims"])
+    except KeyError:
+        raise ValueError("density matrix object must carry 'dims'") from None
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed dims: {exc}") from exc
+    return DensityMatrix(matrix_from_json(obj), dims)

@@ -59,6 +59,8 @@ class MubSet:
         if not np.isfinite(a).all():
             raise ValueError("basis amplitudes must be finite")
         m, d = a.shape[0], a.shape[1]
+        if d < 2:
+            raise ValueError(f"need d >= 2, got d={d}")
         if not 2 <= m <= d + 1:
             raise ValueError(f"need 2 <= M <= d+1, got M={m}, d={d}")
         a = a.copy()
@@ -205,7 +207,7 @@ def load_mubs(path) -> MubSet:
             [[[complex(re, im) for re, im in vec] for vec in basis] for basis in raw],
             dtype=complex,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MubValidationError(f"malformed basis file {path}: {exc}") from exc
     if arr.shape != (m, d, d):
         raise MubValidationError(

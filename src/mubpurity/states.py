@@ -65,16 +65,8 @@ def random_density(dim: int, rank: int, seed, dims=None) -> DensityMatrix:
     return DensityMatrix(m, dims)
 
 
-def random_pure_state(dim: int, seed) -> PureState:
-    """Seeded Haar-like random pure state (normalized complex Gaussian)."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(int(dim)) + 1j * rng.standard_normal(int(dim))
-    return PureState(v / np.linalg.norm(v))
-
-
 __all__ = [
     "psi_alpha",
     "rho_family",
     "random_density",
-    "random_pure_state",
 ]

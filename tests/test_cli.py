@@ -67,6 +67,18 @@ class TestMubCommand:
     def test_m_out_of_range_exits_1(self, tmp_path):
         assert main(["mub", "--d", "3", "--m", "9", "--out", str(tmp_path / "x.json")]) == 1
 
+    def test_load_d_one_exits_2(self, tmp_path, capsys):
+        path = _write_d_one_file(tmp_path)
+        assert main(["mub", "--d", "1", "--load", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert "d >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+
+def _write_d_one_file(tmp_path):
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps({"d": 1, "M": 2, "bases": [[[[1, 0]]], [[[1, 0]]]]}))
+    return path
+
 
 def _write_mub_file(tmp_path):
     path = tmp_path / "src.json"
@@ -140,6 +152,18 @@ class TestRelationCommand:
     def test_bad_x_exits_1(self):
         assert main(["relation", "--x", "1.5"]) == 1
 
+    def test_d_one_basis_file_exits_2(self, tmp_path, capsys):
+        from mubpurity.linalg import density_to_json
+        from mubpurity.states import random_density
+
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(density_to_json(random_density(2, 2, 0, dims=(1, 2)))))
+        mubs = _write_d_one_file(tmp_path)
+        assert main(["relation", "--mubs", str(mubs), "--state", str(state_path)]) == 2
+        captured = capsys.readouterr()
+        assert "d >= 2" in captured.err
+        assert "equality_expected" not in captured.out
+
 
 class TestSweepCommand:
     def test_alpha_sweep_rows(self, tmp_path):
@@ -181,7 +205,44 @@ class TestSweepCommand:
         assert main(["sweep", "--param", "x", "--steps", "3", "--format", "json",
                      "--out", str(out)]) == 0
         rows = json.loads(out.read_text())
-        assert len(rows) == 3 and rows[0]["d"] == 2
+        assert len(rows) == 3
+        assert all((row["d"], row["M"]) == (2, 3) for row in rows)
+
+    def test_seed_environment_is_not_read(self, tmp_path, monkeypatch):
+        # a sweep draws no random numbers, so a bad PURITY_SEED must not stop it
+        monkeypatch.setenv("PURITY_SEED", "abc")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--param", "x", "--steps", "3", "--out", str(out)]) == 0
+        assert main(["sweep", "--param", "x", "--steps", "3", "--seed", "3",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        assert out.read_bytes() == (tmp_path / "t.csv").read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--d", "--m"])
+    def test_family_flags_removed(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--param", "x", flag, "2", "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 1
+
+    def test_simulated_columns_match_per_point_runs(self, tmp_path, monkeypatch):
+        from mubpurity import cli
+        from mubpurity.expsim import PANEL_FIELDS, NoiseModel, calibration_factors, run_protocol
+
+        args = ["sweep", "--param", "alpha", "--fixed", "0.4", "--steps", "7", "--simulate",
+                "--noise", "0.05"]
+        assert main(args + ["--out", str(tmp_path / "whole.csv")]) == 0
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", 3)  # chunks of 3, 3 and 1 points
+        assert main(args + ["--out", str(tmp_path / "chunked.csv")]) == 0
+        whole = (tmp_path / "whole.csv").read_text()
+        assert (tmp_path / "chunked.csv").read_text() == whole
+        lines = whole.splitlines()
+        noise = NoiseModel(0.05, enabled=True)
+        calibration = calibration_factors(noise)
+        for line in lines[1:]:
+            row = dict(zip(lines[0].split(","), line.split(",")))
+            panel = run_protocol(float(row["alpha"]), float(row["x"]), noise, calibration=calibration)
+            for name in PANEL_FIELDS:
+                assert row[f"raw_{name}"] == repr(panel.raw[name])
+                assert row[f"rescaled_{name}"] == repr(panel.rescaled[name])
 
     def test_bad_range_exits_1(self, tmp_path):
         assert main(["sweep", "--param", "x", "--from", "0.5", "--to", "0.2",

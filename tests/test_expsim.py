@@ -9,6 +9,7 @@ from mubpurity.expsim import (
     PANEL_FIELDS,
     CircuitState,
     NoiseModel,
+    _check_deviation,
     _depolarize,
     apply_gate,
     calibration_factors,
@@ -127,7 +128,7 @@ class TestGates:
         before = state.deviation.copy()
         apply_gate(state, ("CSWAP", 0, 1, 2))
         # control bit 0 sector untouched
-        assert np.abs(state.deviation[:16, :16] - before[:16, :16]).max() <= 1e-14
+        assert np.abs(state.deviation[0, :16, :16] - before[0, :16, :16]).max() <= 1e-14
 
     def test_dephase_kills_x_keeps_z(self):
         # deviation with a sigma_x component on qubit 1 and sigma_z on qubit 2
@@ -142,19 +143,19 @@ class TestGates:
 
     def test_unitary_preserves_purity_dephase_contracts(self):
         state = prepare_pair_state(np.pi / 3, 0.6)
-        before = purity(state.deviation)
+        before = purity(state.deviation[0])
         apply_gate(state, ("RY", 2, 0.4))
         apply_gate(state, ("RX", 3, -1.1))
         apply_gate(state, ("CSWAP", 0, 1, 3))
-        assert abs(purity(state.deviation) - before) <= 1e-12
+        assert abs(purity(state.deviation[0]) - before) <= 1e-12
         apply_gate(state, ("DEPHASE", 1))
-        assert purity(state.deviation) <= before + 1e-12
+        assert purity(state.deviation[0]) <= before + 1e-12
 
     def test_trace_stays_zero(self):
         state = prepare_pair_state(np.pi / 2, 0.5, NoiseModel(0.05, enabled=True))
         for gate in [("RY", 0, np.pi / 2), ("CSWAP", 0, 1, 3), ("DEPHASE", 2), ("RX", 4, 0.3)]:
             apply_gate(state, gate)
-            assert abs(np.trace(state.deviation)) <= 1e-12
+            assert abs(np.trace(state.deviation[0])) <= 1e-12
 
     def test_bad_qubit_index(self):
         state = prepare_pair_state(0.0, 1.0)
@@ -190,7 +191,7 @@ class TestGates:
         apply_gate(state, ("CSWAP",) + qubits)
         u = _cswap_reference(*qubits)
         assert np.array_equal(u @ u.T, np.eye(DIM))
-        assert np.array_equal(state.deviation, u @ dev @ u.T)
+        assert np.array_equal(state.deviation[0], u @ dev @ u.T)
 
     @pytest.mark.parametrize("qubit", range(N_QUBITS))
     def test_depolarize_matches_slice_loop(self, qubit):
@@ -230,7 +231,7 @@ class TestPrepare:
         rho = rho_family(np.pi / 2, 0.5).matrix
         assert np.abs(state.deviation - _pair_deviation(rho)).max() <= 1e-10
         assert sum(e[0] == "BRANCH" for e in state.gate_log) == 4
-        assert np.abs(_ab_marginal(state.deviation) - rho).max() <= 1e-10
+        assert np.abs(_ab_marginal(state.deviation[0]) - rho).max() <= 1e-10
 
     def test_parameter_range(self):
         with pytest.raises(ValueError):
@@ -248,7 +249,7 @@ class TestMeasureBlock:
             expected = post_measurement_state(
                 rho_family(alpha, x), MUBS, AXIS_TO_THETA[axis]
             ).matrix
-            assert np.abs(_ab_marginal(state.deviation) - expected).max() <= 1e-10
+            assert np.abs(_ab_marginal(state.deviation[0]) - expected).max() <= 1e-10
 
     def test_x_block_halves_product_purity(self):
         rho_b = np.array([[0.8, 0.1], [0.1, 0.2]], dtype=complex)
@@ -256,7 +257,7 @@ class TestMeasureBlock:
         state = _fresh_state(_pair_deviation(pair))
         before = purity(pair)
         mub_measure_block(state, "x")
-        after = purity(_ab_marginal(state.deviation))
+        after = purity(_ab_marginal(state.deviation[0]))
         assert abs(after - before / 2) <= 1e-10
 
     def test_y_equals_x_for_singlet_family(self):
@@ -265,8 +266,8 @@ class TestMeasureBlock:
             sy = prepare_pair_state(np.pi / 2, x)
             mub_measure_block(sx, "x")
             mub_measure_block(sy, "y")
-            px = purity(_ab_marginal(sx.deviation))
-            py = purity(_ab_marginal(sy.deviation))
+            px = purity(_ab_marginal(sx.deviation[0]))
+            py = purity(_ab_marginal(sy.deviation[0]))
             assert abs(px - py) <= 1e-10
 
     def test_bad_axis(self):
@@ -340,6 +341,89 @@ class TestRunProtocol:
         obj = run_protocol(np.pi / 2, 1.0).to_json()
         assert set(obj) == {"alpha", "x", "noise_p", "raw", "rescaled"}
         assert tuple(obj["raw"]) == PANEL_FIELDS
+
+
+class TestBatch:
+    """A stack of points runs every gate once and reads what each point alone reads."""
+
+    ALPHA = np.array([0.0, np.pi / 5, 1.1, np.pi / 2, 0.3, np.pi / 2, 0.7])
+    X = np.array([0.0, 0.3, 0.85, 1.0, 1.0, 0.0, 0.5])
+
+    def test_stack_shapes(self):
+        state = prepare_pair_state(self.ALPHA, self.X)
+        assert state.deviation.shape == (len(self.X), DIM, DIM)
+        assert state.reference_amplitude.shape == (len(self.X),)
+        for i, (alpha, x) in enumerate(zip(self.ALPHA, self.X)):
+            single = prepare_pair_state(float(alpha), float(x))
+            assert single.deviation.shape == (1, DIM, DIM)
+            assert type(single.reference_amplitude) is float
+            assert np.array_equal(state.deviation[i], single.deviation[0])
+            assert state.reference_amplitude[i] == single.reference_amplitude
+
+    @pytest.mark.parametrize("p", [0.0, 0.05])
+    def test_array_call_equals_scalar_calls(self, p):
+        noise = NoiseModel(p, enabled=p > 0.0)
+        panel = run_protocol(self.ALPHA, self.X, noise)
+        assert np.array_equal(panel.alpha, self.ALPHA) and np.array_equal(panel.x, self.X)
+        for i, (alpha, x) in enumerate(zip(self.ALPHA.tolist(), self.X.tolist())):
+            single = run_protocol(alpha, x, noise)
+            for name in PANEL_FIELDS:
+                assert type(single.raw[name]) is float and type(single.rescaled[name]) is float
+                assert panel.raw[name].shape == (len(self.X),)
+                assert panel.raw[name][i] == single.raw[name]
+                assert panel.rescaled[name][i] == single.rescaled[name]
+
+    def test_chunks_change_no_value(self):
+        noise = NoiseModel(0.05, enabled=True)
+        whole = run_protocol(self.ALPHA, self.X, noise)
+        for size in (1, 2, 4):
+            parts = [
+                run_protocol(self.ALPHA[i:i + size], self.X[i:i + size], noise)
+                for i in range(0, len(self.X), size)
+            ]
+            for name in PANEL_FIELDS:
+                assert np.array_equal(np.concatenate([q.raw[name] for q in parts]), whole.raw[name])
+
+    def test_length_one_arrays_stay_arrays(self):
+        panel = run_protocol(np.array([np.pi / 2]), np.array([1.0]))
+        assert panel.raw["purity_AB"].shape == (1,)
+        assert panel.to_json()["raw"]["purity_AB"] == [panel.raw["purity_AB"][0]]
+        assert type(run_protocol(np.pi / 2, 1.0).to_json()["raw"]["purity_AB"]) is float
+
+    def test_point_validation(self):
+        with pytest.raises(ValueError, match="alpha="):
+            run_protocol(np.array([0.1, 2.0]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="x="):
+            prepare_pair_state(np.array([0.1, 0.2]), np.array([0.5, np.nan]))
+        for alpha, x in [
+            (np.array([0.1, 0.2]), np.array([0.5])),
+            (np.zeros((2, 2)), np.zeros((2, 2))),
+            (np.array([]), np.array([])),
+            (0.1, np.array([0.5, 0.5])),
+        ]:
+            with pytest.raises(ValueError, match="equal length"):
+                run_protocol(alpha, x)
+
+    def test_check_rejects_one_bad_point_in_a_stack(self):
+        stack = prepare_pair_state(self.ALPHA, self.X).deviation
+        _check_deviation(stack)
+        cases = {
+            "non-finite": (3, 5, np.nan),
+            "trace drifted": (3, 3, 1e-6),
+            "hermiticity": (2, 9, 1e-6),
+        }
+        for message, (i, j, delta) in cases.items():
+            bad = stack.copy()
+            bad[4, i, j] += delta
+            with pytest.raises(RuntimeError, match=message):
+                _check_deviation(bad)
+
+    def test_gate_log_of_a_stack(self):
+        state = prepare_pair_state(np.array([0.2, 0.4]), np.array([1.0, 1.0]))
+        kind, alpha, x = state.gate_log[0]
+        assert kind == "PREPARE" and np.array_equal(alpha, [0.2, 0.4])
+        assert [e[1] for e in state.gate_log[1:]] == ["pure,pure"]  # zero-weight branches skipped
+        assert np.array_equal(state.gate_log[1][2], [1.0, 1.0])
 
 
 class TestNoiseAndRescaling:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,19 @@ def test_labels_and_vector_access():
 def test_structural_rejects_bad_m():
     with pytest.raises(ValueError):
         MubSet(np.eye(2, dtype=complex)[None])  # M=1
+
+
+# One basis vector in one dimension, twice: every check passes vacuously.
+D_ONE_FILE = {"d": 1, "M": 2, "bases": [[[[1, 0]]], [[[1, 0]]]]}
+
+
+def test_structural_rejects_d_below_two():
+    with pytest.raises(ValueError, match="d >= 2"):
+        MubSet(np.ones((2, 1, 1), dtype=complex))
+
+
+def test_load_rejects_d_one(tmp_path):
+    path = tmp_path / "d1.json"
+    path.write_text(json.dumps(D_ONE_FILE))
+    with pytest.raises(MubValidationError, match="d >= 2"):
+        load_mubs(path)

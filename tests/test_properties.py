@@ -1,20 +1,30 @@
-"""Property tests of the relation layer and the simulator over their input space.
+"""Property tests of the relation layer, the simulator and the JSON loaders.
 
 Relation-layer states are drawn over d in {2, 3, 5}, every M in [2, d+1],
 B-side dimension D in {1, 2, 3} and every rank. Simulator panels are drawn
 over (alpha, x) in [0, pi/2] x [0, 1] and depolarizing p in [0, 0.3]. The
-examples are derandomized so the suite stays reproducible.
+loaders read valid files for d in {2, 3, 5, 7} and mutated copies of them.
+The examples are derandomized so the suite stays reproducible.
 """
 
+import json
+import math
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mubpurity.expsim import PANEL_FIELDS, NoiseModel, run_protocol
-from mubpurity.linalg import frobenius_norm, hermitian_eigenvalues, partial_trace_matrix
-from mubpurity.mub import construct_mubs
+from mubpurity.linalg import (
+    density_from_json,
+    density_to_json,
+    frobenius_norm,
+    hermitian_eigenvalues,
+    partial_trace_matrix,
+)
+from mubpurity.mub import MubValidationError, construct_mubs, load_mubs, save_mubs
 from mubpurity.relations import (
     build_bipartite_basis,
     gamma_direct,
@@ -130,3 +140,135 @@ def test_rescaled_panel_recovers_noiseless(alpha, x, p):
     rescaled = run_protocol(alpha, x, _noise(p)).rescaled
     for name in PANEL_FIELDS:
         assert abs(rescaled[name] - noiseless[name]) <= 1e-10
+
+
+# -- JSON loaders -------------------------------------------------------
+# Each broken file is a valid one with one mutation. A loader must reject it
+# with its documented error, never with another exception.
+
+LOADER_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+LOADER_DIMS = (2, 3, 5, 7)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+# Values that are not a usable count or amplitude pair.
+JUNK = st.sampled_from((None, "x", [], {}, [1.0], [1.0, 0.0, 0.0], math.nan, math.inf, -math.inf))
+
+
+def _mub_object(d, m):
+    mubs = construct_mubs(d, m)
+    return {
+        "d": d,
+        "M": m,
+        "bases": [[[[z.real, z.imag] for z in vec] for vec in basis] for basis in mubs.bases],
+    }
+
+
+def _declared(true_value):
+    """A declared count that cannot be read as ``true_value``."""
+    return st.one_of(st.integers(-3, 12).filter(lambda v: v != true_value), JUNK)
+
+
+@st.composite
+def broken_mub_objects(draw):
+    d = draw(st.sampled_from(LOADER_DIMS))
+    m = draw(st.integers(2, d + 1))
+    obj = _mub_object(d, m)
+    bases = obj["bases"]
+    t, i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    kind = draw(st.sampled_from((
+        "non_finite", "bad_pair", "short_vector", "short_basis", "extra_basis",
+        "declared_d", "declared_m", "missing_key", "d_one",
+    )))
+    if kind == "non_finite":
+        bases[t][i][j][draw(st.integers(0, 1))] = draw(st.sampled_from(NON_FINITE))
+    elif kind == "bad_pair":
+        bases[t][i][j] = draw(JUNK)
+    elif kind == "short_vector":
+        del bases[t][i][j]
+    elif kind == "short_basis":
+        del bases[t][i]
+    elif kind == "extra_basis":
+        bases.append(bases[t])
+    elif kind == "declared_d":
+        obj["d"] = draw(_declared(d))
+    elif kind == "declared_m":
+        obj["M"] = draw(_declared(m))
+    elif kind == "missing_key":
+        del obj[draw(st.sampled_from(("d", "M", "bases")))]
+    else:  # a one-dimensional "set": structurally complete, but vacuous
+        obj = {"d": 1, "M": 2, "bases": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}
+    return obj
+
+
+@LOADER_SETTINGS
+@given(obj=broken_mub_objects())
+def test_load_mubs_rejects_mutated_files(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "broken_mubs.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(MubValidationError):
+        load_mubs(path)
+
+
+@LOADER_SETTINGS
+@given(d=st.sampled_from(LOADER_DIMS), data=st.data())
+def test_mub_file_round_trip_is_bit_exact(tmp_path_factory, d, data):
+    mubs = construct_mubs(d, data.draw(st.integers(2, d + 1)))
+    path = tmp_path_factory.getbasetemp() / "round_trip_mubs.json"
+    save_mubs(mubs, path)
+    assert load_mubs(path).bases.tobytes() == mubs.bases.tobytes()
+
+
+@st.composite
+def densities(draw):
+    d = draw(st.sampled_from(LOADER_DIMS))
+    big_d = draw(st.sampled_from((1, 2, 3)))
+    rank = draw(st.integers(1, d * big_d))
+    return random_density(d * big_d, rank, draw(st.integers(0, 2**32 - 1)), dims=(d, big_d))
+
+
+@st.composite
+def broken_density_objects(draw):
+    rho = draw(densities())
+    obj = density_to_json(rho)
+    n = rho.dim
+    k = draw(st.integers(0, n * n - 1))
+    kind = draw(st.sampled_from((
+        "non_finite", "bad_pair", "short_data", "long_data", "declared_rows",
+        "declared_cols", "dims", "missing_key", "not_hermitian",
+    )))
+    if kind == "non_finite":
+        obj["data"][k][draw(st.integers(0, 1))] = draw(st.sampled_from(NON_FINITE))
+    elif kind == "bad_pair":
+        obj["data"][k] = draw(JUNK)
+    elif kind == "short_data":
+        del obj["data"][k]
+    elif kind == "long_data":
+        obj["data"].append([0.0, 0.0])
+    elif kind == "declared_rows":
+        obj["rows"] = draw(_declared(n))
+    elif kind == "declared_cols":
+        obj["cols"] = draw(_declared(n))
+    elif kind == "dims":
+        obj["dims"] = draw(st.one_of(
+            st.lists(st.integers(-1, 8), max_size=3).filter(lambda ds: math.prod(ds) != n),
+            JUNK,
+        ))
+    elif kind == "missing_key":
+        del obj[draw(st.sampled_from(("rows", "cols", "data", "dims")))]
+    else:  # entry (0, 1) moves without its mirror image (n >= 2 here)
+        obj["data"][1] = [obj["data"][1][0] + 0.5, obj["data"][1][1]]
+    return obj
+
+
+@LOADER_SETTINGS
+@given(obj=broken_density_objects())
+def test_density_from_json_rejects_mutated_objects(obj):
+    with pytest.raises(ValueError):
+        density_from_json(json.loads(json.dumps(obj)))
+
+
+@LOADER_SETTINGS
+@given(rho=densities())
+def test_density_round_trip_is_bit_exact(rho):
+    back = density_from_json(json.loads(json.dumps(density_to_json(rho))))
+    assert back.dims == rho.dims
+    assert back.matrix.tobytes() == rho.matrix.tobytes()

@@ -17,7 +17,7 @@ from mubpurity.relations import (
     post_measurement_state,
     relation_report,
 )
-from mubpurity.states import random_density, random_pure_state, rho_family
+from mubpurity.states import random_density, rho_family
 
 BELL = DensityMatrix(
     np.array(
@@ -274,8 +274,7 @@ class TestRelationReport:
     def test_pure_states_and_family(self):
         mubs = construct_mubs(2, 3)
         for seed in _seeds(77, 20):
-            psi = random_pure_state(4, seed)
-            rho = DensityMatrix(psi.projector(), (2, 2))
+            rho = random_density(4, 1, seed, dims=(2, 2))  # a random pure state
             rep = relation_report(rho, mubs)
             assert abs(rep.gap) <= 1e-9
         for alpha in (0.0, np.pi / 4, np.pi / 2):

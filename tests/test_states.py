@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from mubpurity.linalg import hermitian_eigenvalues, purity
+from mubpurity.linalg import PureState, hermitian_eigenvalues, purity
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import relation_report
 from mubpurity.states import (
     psi_alpha,
     random_density,
-    random_pure_state,
     rho_family,
 )
 
@@ -97,8 +96,17 @@ class TestRandomDensity:
             random_density(4, 4, 0, dims=(2, 3))
 
 
+def _random_pure_state(dim, seed):
+    """Seeded normalized complex Gaussian vector."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return PureState(v / np.linalg.norm(v))
+
+
 def test_random_pure_state():
-    a = random_pure_state(5, 9)
-    b = random_pure_state(5, 9)
-    assert np.array_equal(a.amplitudes, b.amplitudes)
+    # a rank-one random_density is the projector of the same seed's Gaussian
+    # vector, so it serves wherever a seeded random pure state is needed
+    a = _random_pure_state(5, 9)
+    assert np.array_equal(a.amplitudes, _random_pure_state(5, 9).amplitudes)
     assert abs(np.linalg.norm(a.amplitudes) - 1) <= 1e-12
+    assert np.abs(random_density(5, 1, 9).matrix - a.projector()).max() <= 1e-15
