@@ -61,7 +61,10 @@ def parse_angle(text: str) -> float:
         coef = {"": 1.0, "+": 1.0, "-": -1.0}.get(coef_text)
         if coef is None:
             coef = float(coef_text)
-        return coef * math.pi / (float(den_text) if den_text else 1.0)
+        den = float(den_text) if den_text else 1.0
+        if den == 0.0:
+            raise ValueError(f"zero denominator in angle {text!r}")
+        return coef * math.pi / den
     return float(s)
 
 
@@ -164,22 +167,22 @@ def cmd_verify(ns) -> int:
     pt = check_pt_identities(basis)
 
     trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(ns.trials, dtype=np.uint64)]
-    min_eig, min_eig_seed = math.inf, None
-    max_fro, max_fro_seed = -math.inf, None
-    min_gap, min_gap_seed = math.inf, None
-    max_abs_gap, max_abs_gap_seed = -math.inf, None
-    for t, s in enumerate(trial_seeds):
-        rank = (d * big_d, 1, 2)[t % 3]
-        rho = random_density(d * big_d, rank, s, dims=(d, big_d))
-        rep = relation_report(rho, mubs)
-        if rep.gamma_min_eig < min_eig:
-            min_eig, min_eig_seed = rep.gamma_min_eig, s
-        if rep.gamma_frobenius > max_fro:
-            max_fro, max_fro_seed = rep.gamma_frobenius, s
-        if rep.gap < min_gap:
-            min_gap, min_gap_seed = rep.gap, s
-        if abs(rep.gap) > max_abs_gap:
-            max_abs_gap, max_abs_gap_seed = abs(rep.gap), s
+    ranks = (d * big_d, 1, 2)
+    reports = [
+        relation_report(random_density(d * big_d, ranks[t % 3], s, dims=(d, big_d)), mubs)
+        for t, s in enumerate(trial_seeds)
+    ]
+
+    def worst(values, pick):
+        # the first trial attaining the extreme, and the seed of its state
+        k = int(pick(values))
+        return float(values[k]), trial_seeds[k]
+
+    gaps = np.array([rep.gap for rep in reports])
+    min_gap, min_gap_seed = worst(gaps, np.argmin)
+    max_abs_gap, max_abs_gap_seed = worst(np.abs(gaps), np.argmax)
+    min_eig, min_eig_seed = worst(np.array([rep.gamma_min_eig for rep in reports]), np.argmin)
+    max_fro, max_fro_seed = worst(np.array([rep.gamma_frobenius for rep in reports]), np.argmax)
 
     complete = m == d + 1
     checks = [

@@ -18,7 +18,6 @@ import numpy as np
 from .tolerances import TOL_PSD, TOL_STRUCTURAL
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -30,10 +29,6 @@ def as_matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
 
 
 def frobenius_norm(m) -> float:

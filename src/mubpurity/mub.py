@@ -75,16 +75,6 @@ class MubSet:
     def M(self) -> int:
         return self.bases.shape[0]
 
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(range(1, self.M + 1))
-
-    def vector(self, theta: int, i: int) -> np.ndarray:
-        """i-th vector (0-based) of the basis labeled ``theta`` (1-based)."""
-        if not 1 <= theta <= self.M:
-            raise ValueError(f"basis label {theta} out of range 1..{self.M}")
-        return self.bases[theta - 1, i]
-
 
 @dataclass(frozen=True)
 class MubValidationReport:

@@ -57,10 +57,6 @@ class BipartiteBasis:
     def phi(self) -> np.ndarray:
         return self.twisted[0, 0]
 
-    @property
-    def p(self) -> int:
-        return self.complement.shape[0]
-
     def constructed_states(self) -> np.ndarray:
         """All M(d-1)+1 constructed states, stacked as rows."""
         return _constructed_states(self.twisted)
@@ -186,35 +182,50 @@ def _check_bipartite_input(rho: DensityMatrix, d: int) -> int:
     return rho.dims[1]
 
 
+def _pinch_blocks(rho: DensityMatrix, bases: np.ndarray) -> np.ndarray:
+    """``blocks[t, i] = <i_t|rho|i_t>``, shape (k, d, D, D), for a stack of k bases.
+
+    Basis t pinches rho into sum_i |i_t><i_t| (x) blocks[t, i], which is
+    Hermitian and PSD for any vectors but has unit trace only for an
+    orthonormal basis; a trace off 1 beyond tolerance raises ``ValueError``.
+    """
+    d = bases.shape[1]
+    big_d = _check_bipartite_input(rho, d)
+    half = (bases.conj() @ rho.matrix.reshape(d, -1)).reshape(-1, d, big_d, d, big_d)
+    blocks = np.einsum("tibce,tic->tibe", half, bases)
+    defect = float(np.abs(np.einsum("tibb->t", blocks) - 1.0).max())
+    if defect > TOL_STRUCTURAL:
+        raise ValueError(f"pinched trace is off 1 by {defect:.3e}: the basis is not orthonormal")
+    return blocks
+
+
+def _pinched_sum(bases: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_t sum_i |i_t><i_t| (x) blocks[t, i], as a (d*D, d*D) matrix."""
+    k, d, big_d = blocks.shape[:3]
+    proj = np.einsum("tia,tic->tiac", bases, bases.conj()).reshape(k * d, d * d)
+    out = (proj.T @ blocks.reshape(k * d, -1)).reshape(d, d, big_d, big_d)
+    return out.transpose(0, 2, 1, 3).reshape(d * big_d, d * big_d)
+
+
 def post_measurement_state(rho: DensityMatrix, mubs: MubSet, theta: int) -> DensityMatrix:
     """State after a non-selective measurement of side A in basis ``theta`` (1-based).
 
     Returns sum_i |i><i| (x) <i|rho|i> for the vectors |i> of the chosen
     basis; the trace and the B marginal are preserved.
     """
-    big_d = _check_bipartite_input(rho, mubs.d)
     if not 1 <= int(theta) <= mubs.M:
         raise ValueError(f"basis label {theta} out of range 1..{mubs.M}")
-    d = mubs.d
-    kets = mubs.bases[int(theta) - 1]
-    r = rho.matrix.reshape(d, big_d, d, big_d)
-    blocks = np.einsum("ia,abce,ic->ibe", kets.conj(), r, kets)  # <i|rho|i> per i
-    out = np.einsum("ia,ic,ibe->abce", kets, kets.conj(), blocks)
-    return DensityMatrix(out.reshape(d * big_d, d * big_d), rho.dims)
+    kets = mubs.bases[int(theta) - 1 : int(theta)]
+    return DensityMatrix(_pinched_sum(kets, _pinch_blocks(rho, kets)), rho.dims)
 
 
-def _gamma_terms(
-    rho: DensityMatrix, mubs: MubSet
-) -> tuple[np.ndarray, list[DensityMatrix], np.ndarray]:
-    """(rho_B, the M pinched states, gamma) from the definition of gamma."""
-    _check_bipartite_input(rho, mubs.d)
+def _gamma_terms(rho: DensityMatrix, mubs: MubSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho_B, the pinch blocks of all M bases, gamma) from the definition of gamma."""
+    blocks = _pinch_blocks(rho, mubs.bases)
     d, m = mubs.d, mubs.M
     rho_b = partial_trace_matrix(rho.matrix, rho.dims, keep=(1,))
-    pinched = [post_measurement_state(rho, mubs, t) for t in mubs.labels]
-    g = np.kron(np.eye(d), rho_b) + (m - 1) / d * rho.matrix
-    for pm in pinched:
-        g = g - pm.matrix
-    return rho_b, pinched, g
+    g = np.kron(np.eye(d), rho_b) + (m - 1) / d * rho.matrix - _pinched_sum(mubs.bases, blocks)
+    return rho_b, blocks, g
 
 
 def gamma_direct(rho: DensityMatrix, mubs: MubSet) -> np.ndarray:
@@ -290,14 +301,15 @@ def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
     contraction Tr(gamma rho), which equals
     Tr rho_B^2 + (M-1)/d Tr rho_AB^2 - sum_theta Tr rho_thetaB^2.
     """
-    rho_b, pms, g = _gamma_terms(rho, mubs)
+    rho_b, blocks, g = _gamma_terms(rho, mubs)
     d, m = mubs.d, mubs.M
     p_ab = purity(rho)
     p_b = purity(rho_b)
-    p_theta = tuple(purity(pm) for pm in pms)
-    p_b_given = tuple(
-        purity(partial_trace_matrix(pm.matrix, pm.dims, keep=(1,))) for pm in pms
-    )
+    # Tr rho_thetaB^2 = sum_i Tr blocks[t, i]^2, and the B marginal of
+    # rho_thetaB is sum_i blocks[t, i]
+    p_theta = tuple(float(v) for v in np.einsum("tibe,tieb->t", blocks, blocks).real)
+    marginals = blocks.sum(axis=1)
+    p_b_given = tuple(float(v) for v in np.einsum("tbe,teb->t", marginals, marginals).real)
 
     lhs = sum(p_b - p for p in p_theta)
     rhs = (m - 1) * (p_b - p_ab / d)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ class TestParseAngle:
         assert parse_angle("0.5pi") == 0.5 * math.pi
 
     def test_rejects_junk(self):
-        for bad in ("pie", "pi/", "2+pi", "x"):
+        for bad in ("pie", "pi/", "2+pi", "x", "pi/0", "3pi/0.0"):
             with pytest.raises(ValueError):
                 parse_angle(bad)
 
@@ -296,6 +300,19 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["expsim", "--alpha", "pie", "--x", "1"])
         assert exc.value.code == 1
+
+    def test_zero_denominator_angle(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mubpurity", "relation", "--alpha", "pi/0"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 1
+        assert "invalid parse_angle value" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_bad_seed_environment(self, monkeypatch, capsys):
         monkeypatch.setenv("PURITY_SEED", "abc")

@@ -25,7 +25,7 @@ def test_d2_pauli_triple():
     assert np.allclose(mubs.bases[1], [[s, s], [s, -s]])
     assert np.allclose(mubs.bases[2], [[s, 1j * s], [s, -1j * s]])
     # |<0|+>|^2 = 1/2
-    overlap = abs(mubs.vector(1, 0).conj() @ mubs.vector(2, 0)) ** 2
+    overlap = abs(mubs.bases[0, 0].conj() @ mubs.bases[1, 0]) ** 2
     assert abs(overlap - 0.5) <= 1e-12
 
 
@@ -119,11 +119,12 @@ def test_load_d4_tensor_product_triple(tmp_path):
 
 
 def test_labels_and_vector_access():
+    # vector i of the basis labeled theta (1-based) is the row bases[theta - 1, i];
+    # label 3 of d = 3 has components omega**(s*s + i*s) / sqrt(3)
     mubs = construct_mubs(3, 4)
-    assert mubs.labels == (1, 2, 3, 4)
-    assert np.array_equal(mubs.vector(1, 2), np.eye(3)[2])
-    with pytest.raises(ValueError):
-        mubs.vector(5, 0)
+    s = np.arange(3)
+    expected = np.exp(2j * np.pi / 3 * ((s * s + s) % 3)) / np.sqrt(3)
+    assert np.abs(mubs.bases[2, 1] - expected).max() <= 1e-12
 
 
 def test_structural_rejects_bad_m():

@@ -70,6 +70,9 @@ def test_relation_gap(case):
     assert rep.gap >= -TOL_SPECTRAL
     if basis.M == basis.d + 1:
         assert abs(rep.gap) <= TOL_SPECTRAL
+    # pinching side A leaves rho_B unchanged
+    for p in rep.purity_B_given_theta:
+        assert abs(p - rep.purity_B) <= TOL_SPECTRAL
 
 
 @PROPERTY_SETTINGS
@@ -88,7 +91,7 @@ def test_gamma_psd_or_vanishing(case):
 def test_pinch_preserves_trace_and_marginal(case):
     basis, rho = case
     rho_b = partial_trace_matrix(rho.matrix, rho.dims, keep=(1,))
-    for theta in basis.mubs.labels:
+    for theta in range(1, basis.M + 1):
         out = post_measurement_state(rho, basis.mubs, theta)
         assert abs(np.trace(out.matrix) - 1.0) <= TOL_STRUCTURAL
         marginal = partial_trace_matrix(out.matrix, out.dims, keep=(1,))

@@ -46,7 +46,7 @@ class TestBipartiteBasis:
         basis = build_bipartite_basis(construct_mubs(2, 3))
         s = 1 / np.sqrt(2)
         assert np.allclose(basis.phi, [s, 0, 0, s], atol=1e-15)
-        assert basis.p == 0
+        assert basis.complement.shape[0] == 0
         assert np.abs(basis.projector).max() <= 1e-12
         # theta=1, k=1 companion picks up the phase -1 on |11>
         assert np.allclose(basis.twisted[0, 1], [s, 0, 0, -s], atol=1e-14)
@@ -54,7 +54,7 @@ class TestBipartiteBasis:
     def test_d3_m2_counts_and_gram(self):
         basis = build_bipartite_basis(construct_mubs(3, 2))
         assert basis.twisted.shape == (2, 3, 9)
-        assert basis.p == 4
+        assert basis.complement.shape[0] == 4
         states = basis.all_states()
         assert states.shape == (9, 9)
         gram = states.conj() @ states.T
@@ -89,7 +89,7 @@ class TestBipartiteBasis:
             basis = build_bipartite_basis(construct_mubs(3, m))
             p = basis.projector
             assert frobenius_norm(p @ p - p) <= 1e-10
-            assert abs(np.trace(p).real - basis.p) <= 1e-9
+            assert abs(np.trace(p).real - basis.complement.shape[0]) <= 1e-9
             comp = basis.complement
             assert np.abs(p - comp.T @ comp.conj()).max() <= 1e-12
 
@@ -153,7 +153,7 @@ class TestPostMeasurement:
         for seed in _seeds(31, 10):
             rho = random_density(4, 4, seed, dims=(2, 2))
             marg = partial_trace_matrix(rho.matrix, rho.dims, [1])
-            for theta in mubs.labels:
+            for theta in range(1, mubs.M + 1):
                 out = post_measurement_state(rho, mubs, theta)
                 assert np.abs(partial_trace_matrix(out.matrix, out.dims, [1]) - marg).max() <= 1e-12
 
@@ -162,9 +162,15 @@ class TestPostMeasurement:
         mubs = construct_mubs(d, d + 1)
         for seed in _seeds(300 + 10 * d + big_d, 5):
             rho = random_density(d * big_d, d * big_d, seed, dims=(d, big_d))
-            for theta in mubs.labels:
+            rep = relation_report(rho, mubs)
+            for theta in range(1, mubs.M + 1):
                 out = post_measurement_state(rho, mubs, theta)
-                assert np.abs(out.matrix - _pinch_by_kron(rho, mubs, theta)).max() <= 1e-12
+                expected = _pinch_by_kron(rho, mubs, theta)
+                assert np.abs(out.matrix - expected).max() <= 1e-12
+                # the report reads the same pinch from its blocks
+                marginal = partial_trace_matrix(expected, rho.dims, keep=(1,))
+                assert abs(rep.purity_thetaB[theta - 1] - purity(expected)) <= 1e-12
+                assert abs(rep.purity_B_given_theta[theta - 1] - purity(marginal)) <= 1e-12
 
     def test_theta_out_of_range(self):
         mubs = construct_mubs(2, 3)
@@ -177,6 +183,20 @@ class TestPostMeasurement:
         mubs = construct_mubs(3, 2)
         with pytest.raises(ValueError):
             post_measurement_state(BELL, mubs, 1)
+
+    def test_non_orthonormal_basis_rejected(self):
+        # a pinch in a basis with a scaled vector does not keep the trace
+        bases = construct_mubs(3, 3).bases.copy()
+        bases[1, 2] *= 1.1
+        mubs = MubSet(bases)
+        rho = random_density(9, 9, 5, dims=(3, 3))
+        with pytest.raises(ValueError, match="pinched trace"):
+            relation_report(rho, mubs)
+        with pytest.raises(ValueError, match="pinched trace"):
+            gamma_direct(rho, mubs)
+        with pytest.raises(ValueError, match="pinched trace"):
+            post_measurement_state(rho, mubs, 2)
+        post_measurement_state(rho, mubs, 1)  # the intact bases still pinch
 
 
 class TestGamma:
