@@ -3,20 +3,16 @@
 from .expsim import (
     NOISELESS,
     PANEL_FIELDS,
-    CircuitState,
     NoiseModel,
     PurityPanel,
     apply_gate,
     calibration_factors,
-    mub_measure_block,
     prepare_pair_state,
     rescale,
     run_protocol,
-    swap_test_readout,
 )
 from .linalg import (
     DensityMatrix,
-    PureState,
     density_from_json,
     density_to_json,
     hermitian_eigenvalues,
@@ -55,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartiteBasis",
-    "CircuitState",
     "DensityMatrix",
     "MubSet",
     "MubValidationError",
@@ -64,7 +59,6 @@ __all__ = [
     "NOISELESS",
     "PANEL_FIELDS",
     "PtIdentityReport",
-    "PureState",
     "PurityPanel",
     "RelationReport",
     "apply_gate",
@@ -79,7 +73,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "is_prime",
     "load_mubs",
-    "mub_measure_block",
     "partial_trace_matrix",
     "partial_transpose",
     "post_measurement_state",
@@ -92,6 +85,5 @@ __all__ = [
     "rho_family",
     "run_protocol",
     "save_mubs",
-    "swap_test_readout",
     "validate_mubs",
 ]

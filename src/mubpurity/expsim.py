@@ -1,27 +1,29 @@
 """Deviation-matrix simulation of the five-qubit swap-test purity protocol.
 
 Register layout: qubit 0 is the probe, qubits 1-4 are A, B, A', B'. The
-simulator evolves the traceless deviation part sigma_z^probe (x) rho (x) rho
-of the register. A protocol run prepares two copies of the depolarized
-family state once; copies of that register are pinched on A and A' in each
-Pauli basis, and every register (pinched or not) is read out through
-controlled-SWAP gates conditioned on the probe: with both pair swaps the
-probe coherence returns Tr(rho rho'), with the BB' swap alone
-Tr(rho_B rho'_B). Gates act in place, so each setting reads its own copy.
+prepared register is the traceless deviation sigma_z^probe (x) rho (x) rho
+of two copies of the depolarized family state. Each of the eight panel
+settings is a fixed gate sequence: an optional pinch of A and A' in one
+Pauli basis, then controlled-SWAPs conditioned on the probe. With both
+pair swaps the probe signal returns Tr(rho rho'), with the BB' swap alone
+Tr(rho_B rho'_B) (the swap-test estimator of Ekert et al., PRL 88, 217901
+(2002)).
 
-A register is a stack: the deviation carries a leading axis with one
-matrix per (alpha, x) point, and every gate acts once on the whole stack.
-Each point still sees exactly the gates of its own fresh preparation.
+The panel is read in the Heisenberg picture. Every gate is unital and
+self-adjoint up to the sign of a rotation angle, so the probe observable
+is propagated backwards through each setting once per noise level, and a
+setting's value is Re Tr(W_s dev) / reference over the whole prepared
+stack (one (n, 32, 32) deviation per (alpha, x) point).
 
 Sites for noise: a one-parameter depolarizing channel acts on every qubit
 touched by a controlled-SWAP, immediately after the gate. Rescaling divides
 each measured value by the attenuation observed on a reference state whose
-ideal panel is computed noiselessly by the same pipeline.
+ideal panel is read by the same pipeline without noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,6 +52,12 @@ _PROBE, _A, _B, _A2, _B2 = range(N_QUBITS)
 _SZ_PROBE_DIAG = np.repeat([1.0, -1.0], DIM // 2)  # diagonal of sigma_z^probe
 _QUBIT_BITS = [((np.arange(DIM) >> (N_QUBITS - 1 - q)) & 1) for q in range(N_QUBITS)]
 
+# The (measurement axis, readout) of each panel entry, in PANEL_FIELDS order;
+# axis None reads the register unpinched.
+_SETTINGS = dict(
+    zip(PANEL_FIELDS, [(axis, which) for which in ("AB", "B") for axis in (None, "x", "y", "z")])
+)
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -69,63 +77,17 @@ class NoiseModel:
 
 NOISELESS = NoiseModel()
 
-
-@dataclass
-class CircuitState:
-    """Mutable register state: a stack of deviation matrices plus gate/noise log.
-
-    ``deviation`` has shape (n, DIM, DIM), one register per point; every
-    gate acts on the whole stack at once. A single (DIM, DIM) matrix is a
-    stack of one. ``reference_amplitude`` is the probe sigma_z amplitude
-    captured at preparation time, one per register; readouts divide by it
-    so that ideal pure-state runs report exactly 1. A float amplitude
-    marks a single register, whose readouts are plain floats; an (n,)
-    array makes them (n,) arrays. ``gate_log`` holds one tuple per event,
-    e.g. ``("CSWAP", 0, 2, 4)``, ``("DEPOL", q, p)``, ``("BRANCH", label,
-    weight)`` or ``("READ", which)``.
-    """
-
-    deviation: np.ndarray
-    noise: NoiseModel = NOISELESS
-    gate_log: list[tuple] = field(default_factory=list)
-    reference_amplitude: float | np.ndarray = 2.0
-
-    def __post_init__(self):
-        dev = np.asarray(self.deviation, dtype=complex)
-        if dev.ndim == 2:
-            dev = dev[None]
-        if dev.ndim != 3 or dev.shape[1:] != (DIM, DIM):
-            raise ValueError(f"deviation must be {DIM}x{DIM} or a stack of them, got {dev.shape}")
-        ref = self.reference_amplitude
-        if np.ndim(ref) == 0 and len(dev) == 1:
-            ref = float(ref)
-        else:
-            ref = np.broadcast_to(np.asarray(ref, dtype=float), (len(dev),))
-        self.deviation = dev
-        self.reference_amplitude = ref
-        _check_deviation(dev)
-
-
-def _copy(state: CircuitState, noise: NoiseModel | None = None) -> CircuitState:
-    """Independent copy of a register, optionally under another noise model."""
-    return replace(
-        state,
-        deviation=state.deviation.copy(),
-        noise=state.noise if noise is None else noise,
-        gate_log=list(state.gate_log),
-    )
-
-
 # Flat indices of each entry on or above the diagonal, and of its mirror image.
 _UPPER = np.ravel_multi_index(np.triu_indices(DIM), (DIM, DIM))
 _MIRROR = np.arange(DIM * DIM).reshape(DIM, DIM).T.ravel()[_UPPER]
 
 
 def _check_deviation(dev: np.ndarray) -> None:
-    """Reject a stack with a non-finite entry, trace drift or lost hermiticity."""
+    """Reject a (..., DIM, DIM) array with a non-finite entry, trace drift or lost hermiticity."""
+    dev = dev.reshape(-1, DIM, DIM)
     if not np.isfinite(dev).all():
         raise RuntimeError("deviation has non-finite entries")
-    trace = np.trace(dev, axis1=-2, axis2=-1)
+    trace = np.trace(dev, axis1=1, axis2=2)
     worst = int(np.abs(trace).argmax())
     if abs(trace[worst]) > TOL_STRUCTURAL:
         raise RuntimeError(f"deviation trace drifted to {trace[worst]!r}")
@@ -214,45 +176,43 @@ def _probe_signal(dev: np.ndarray) -> np.ndarray:
     return (np.diagonal(dev, axis1=-2, axis2=-1) * _SZ_PROBE_DIAG).sum(axis=-1).real
 
 
-def apply_gate(state: CircuitState, gate: tuple) -> CircuitState:
-    """Apply one gate descriptor in place, to every register, and log it.
+def apply_gate(dev: np.ndarray, gate: tuple) -> np.ndarray:
+    """One gate descriptor applied to a (..., DIM, DIM) array; the input is not changed.
 
     Descriptors: ("RY", qubit, angle), ("RX", qubit, angle),
-    ("CSWAP", control, q1, q2), ("DEPHASE", qubit). Unitary gates conjugate
-    the deviation; DEPHASE pinches the target qubit in the computational
-    basis. When noise is active, depolarizing follows every CSWAP on each
-    involved qubit.
+    ("CSWAP", control, q1, q2), ("DEPHASE", qubit), ("DEPOL", qubit, p).
+    Unitary gates conjugate every matrix; DEPHASE pinches the qubit in the
+    computational basis; DEPOL is the depolarizing channel of strength p
+    on the qubit. The result is checked for finite entries, zero trace and
+    hermiticity.
     """
+    dev = np.asarray(dev, dtype=complex)
+    if dev.ndim < 2 or dev.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"expected (..., {DIM}, {DIM}) matrices, got shape {dev.shape}")
     kind = str(gate[0]).upper()
     if kind in ("RY", "RX"):
         _, qubit, angle = gate
-        qubit = _check_qubit(qubit)
-        u, u_dagger = _rotation(kind, qubit, float(angle))
-        state.deviation = u @ state.deviation @ u_dagger
-        state.gate_log.append((kind, qubit, float(angle)))
+        u, u_dagger = _rotation(kind, _check_qubit(qubit), float(angle))
+        out = u @ dev @ u_dagger
     elif kind == "CSWAP":
-        control, q1, q2 = (int(v) for v in gate[1:])
-        for q in (control, q1, q2):
-            _check_qubit(q)
+        control, q1, q2 = (_check_qubit(v) for v in gate[1:])
         if len({control, q1, q2}) != 3:
             raise ValueError(f"CSWAP qubits must be distinct, got {control},{q1},{q2}")
-        dev = state.deviation
-        state.deviation = dev.reshape(len(dev), -1)[:, _cswap_perm(control, q1, q2)].reshape(dev.shape)
-        state.gate_log.append(("CSWAP", control, q1, q2))
-        if state.noise.active:
-            p = state.noise.p_depol
-            for q in (control, q1, q2):
-                state.deviation = _depolarize(state.deviation, q, p)
-                state.gate_log.append(("DEPOL", q, float(p)))
+        flat = dev.reshape(dev.shape[:-2] + (DIM * DIM,))
+        out = flat[..., _cswap_perm(control, q1, q2)].reshape(dev.shape)
     elif kind == "DEPHASE":
         _, qubit = gate
-        qubit = _check_qubit(qubit)
-        state.deviation = np.where(_DEPHASE_KEEP[qubit], state.deviation, 0.0)
-        state.gate_log.append(("DEPHASE", qubit))
+        out = np.where(_DEPHASE_KEEP[_check_qubit(qubit)], dev, 0.0)
+    elif kind == "DEPOL":
+        _, qubit, p = gate
+        p = float(p)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"depolarizing probability {p!r} outside [0, 1]")
+        out = _depolarize(dev, _check_qubit(qubit), p)
     else:
         raise ValueError(f"unknown gate kind {gate[0]!r}")
-    _check_deviation(state.deviation)
-    return state
+    _check_deviation(out)
+    return out
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,115 +222,108 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (rows, cols))
 
 
-def prepare_pair_state(alpha, x, noise: NoiseModel = NOISELESS) -> CircuitState:
+def prepare_pair_state(alpha, x) -> tuple[np.ndarray, float | np.ndarray]:
     """Prepare sigma_z^probe (x) rho(alpha, x) (x) rho(alpha, x).
 
-    ``alpha`` and ``x`` are two floats (one register) or two equal-length
-    1-D arrays (one register per point). Temporal averaging: the mixture is
-    assembled as the weighted classical sum of up to four separately built
-    branch deviations, one per term of (x P + (1-x)/4 I)^(x2) with P the
-    projector on the entangled pure state. A branch whose weight is zero at
-    every point is skipped, so x = 1 is a single run.
+    ``alpha`` and ``x`` are two floats or two equal-length 1-D arrays.
+    Returns the checked deviation stack, of shape (n, DIM, DIM) with n = 1
+    for floats, and the reference amplitude Tr(dev sigma_z^probe) that
+    readouts divide by, so that ideal pure-state runs report exactly 1: a
+    float for floats, an (n,) array otherwise. Temporal averaging: the
+    mixture is assembled as the weighted classical sum of up to four
+    separately built branch deviations, one per term of
+    (x P + (1-x)/4 I)^(x2) with P the projector on the entangled pure
+    state. A branch whose weight is zero at every point is skipped, so
+    x = 1 is a single run.
     """
     alpha, x = _check_points(alpha, x)
     xs = np.atleast_1d(x)
-    pure = np.array([psi_alpha(a).projector() for a in np.atleast_1d(alpha).tolist()])
+    pure = np.array([np.outer(v, v.conj()) for v in map(psi_alpha, np.atleast_1d(alpha).tolist())])
     mixed = np.eye(4, dtype=complex)
     # float_power is libm's pow, as a scalar (1 - x) ** 2 evaluates it; an
     # array's ** 2 squares instead, which differs in the last bit.
     branches = (
-        (np.float_power(1.0 - xs, 2) / 16.0, mixed, mixed, "mixed,mixed"),
-        (xs * (1.0 - xs) / 4.0, mixed, pure, "mixed,pure"),
-        (xs * (1.0 - xs) / 4.0, pure, mixed, "pure,mixed"),
-        (xs * xs, pure, pure, "pure,pure"),
+        (np.float_power(1.0 - xs, 2) / 16.0, mixed, mixed),
+        (xs * (1.0 - xs) / 4.0, mixed, pure),
+        (xs * (1.0 - xs) / 4.0, pure, mixed),
+        (xs * xs, pure, pure),
     )
     dev = np.zeros((len(xs), DIM, DIM), dtype=complex)
-    log = [("PREPARE", alpha, x)]
-    for weight, first, second, label in branches:
-        if not weight.any():
-            continue
-        dev += weight[:, None, None] * _kron(PAULI_Z, _kron(first, second))
-        log.append(("BRANCH", label, weight if np.ndim(x) else float(weight[0])))
+    for weight, first, second in branches:
+        if weight.any():
+            dev += weight[:, None, None] * _kron(PAULI_Z, _kron(first, second))
+    _check_deviation(dev)
     reference = _probe_signal(dev)
-    reference = reference if np.ndim(x) else float(reference[0])
-    return CircuitState(dev, noise=noise, gate_log=log, reference_amplitude=reference)
+    return dev, reference if np.ndim(x) else float(reference[0])
 
 
 # Rotation taking each measurement axis to z before the dephasing (None: z).
 _PRE_ROTATION = {"x": ("RY", -np.pi / 2), "y": ("RX", np.pi / 2), "z": None}
 
 
-def mub_measure_block(state: CircuitState, axis: str, both_copies: bool = True) -> CircuitState:
-    """Pinch the A qubit(s) in the given Pauli basis.
+def _setting_gates(axis: str | None, which: str, p: float) -> tuple[tuple, ...]:
+    """The gate sequence of one setting, in time order.
 
-    x: rotate by -pi/2 about y, dephase, rotate back; y: rotate by +pi/2
-    about x, dephase, rotate back with the opposite phase; z: dephase only.
-    With ``both_copies`` the block acts on A and A' so the two register
-    copies undergo identical measurements.
-    """
-    axis = str(axis).lower()
-    if axis not in _PRE_ROTATION:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    targets = (_A, _A2) if both_copies else (_A,)
-    rotation = _PRE_ROTATION[axis]
-    if rotation is not None:
-        kind, angle = rotation
-        for q in targets:
-            apply_gate(state, (kind, q, angle))
-    for q in targets:
-        apply_gate(state, ("DEPHASE", q))
-    if rotation is not None:
-        for q in targets:
-            apply_gate(state, (kind, q, -angle))
-    return state
-
-
-def swap_test_readout(state: CircuitState, which: str = "AB") -> float | np.ndarray:
-    """Controlled-SWAP interference readout of a copy overlap.
-
-    Creates probe coherence, applies CSWAP(probe; A, A') and
+    Measurement block (axis None: none): pinch A and A' in the Pauli basis
+    of ``axis``. x: rotate by -pi/2 about y, dephase, rotate back; y:
+    rotate by +pi/2 about x, dephase, rotate back; z: dephase only.
+    Readout: create probe coherence, apply CSWAP(probe; A, A') and
     CSWAP(probe; B, B') for ``which="AB"`` (only the BB' gate for
-    ``which="B"``), rotates the coherence back and returns the probe
-    sigma_z expectation over the preparation reference amplitude: a float
-    for a single register, one value per register for a stack. For
-    identical noiseless copies this is Tr(rho_AB^2), resp. Tr(rho_B^2).
+    ``which="B"``) and rotate the coherence back. With p > 0 each CSWAP is
+    followed by depolarizing on its three qubits.
     """
-    if state.deviation.shape[1:] != (DIM, DIM):
-        raise ValueError("malformed register")
-    which = str(which).upper()
+    if axis is not None and axis not in _PRE_ROTATION:
+        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     if which not in ("AB", "B"):
         raise ValueError(f"which must be 'AB' or 'B', got {which!r}")
-    if np.any(np.asarray(state.reference_amplitude) == 0.0):
-        raise ValueError("reference amplitude is zero; was the state prepared?")
-    apply_gate(state, ("RY", _PROBE, np.pi / 2))
-    if which == "AB":
-        apply_gate(state, ("CSWAP", _PROBE, _A, _A2))
-    apply_gate(state, ("CSWAP", _PROBE, _B, _B2))
-    apply_gate(state, ("RY", _PROBE, -np.pi / 2))
-    values = _probe_signal(state.deviation) / state.reference_amplitude
-    state.gate_log.append(("READ", which))
-    return float(values[0]) if np.ndim(state.reference_amplitude) == 0 else values
+    gates = [] if axis is None else [("DEPHASE", q) for q in (_A, _A2)]
+    rotation = _PRE_ROTATION.get(axis)
+    if rotation is not None:
+        kind, angle = rotation
+        gates = [(kind, q, angle) for q in (_A, _A2)] + gates + [(kind, q, -angle) for q in (_A, _A2)]
+    gates.append(("RY", _PROBE, np.pi / 2))
+    for pair in ((_A, _A2), (_B, _B2)) if which == "AB" else ((_B, _B2),):
+        gates.append(("CSWAP", _PROBE) + pair)
+        if p > 0.0:
+            gates += [("DEPOL", q, p) for q in (_PROBE,) + pair]
+    gates.append(("RY", _PROBE, -np.pi / 2))
+    return tuple(gates)
 
 
-# Panel entries read per measurement axis (None = no pinch): AB, then B readout.
-_READOUTS = {
-    None: ("purity_AB", "purity_B"),
-    "x": ("purity_xB", "purity_B_given_x"),
-    "y": ("purity_yB", "purity_B_given_y"),
-    "z": ("purity_zB", "purity_B_given_z"),
-}
+def _pull_back(w: np.ndarray, gates) -> np.ndarray:
+    """The observable w propagated backwards through a gate sequence.
+
+    Tr(result dev) equals Tr(w dev') where dev' is dev after the gates. The
+    adjoint of each gate is the gate itself with its rotation angle negated
+    (CSWAP, DEPHASE and DEPOL are self-adjoint), applied in reverse order.
+    """
+    for gate in reversed(gates):
+        if gate[0] in ("RY", "RX"):
+            gate = (gate[0], gate[1], -gate[2])
+        w = apply_gate(w, gate)
+    return w
 
 
-def _read_panel(state: CircuitState) -> dict[str, float | np.ndarray]:
-    """All eight settings, each read from its own copy of the prepared register."""
+@lru_cache(maxsize=64)
+def _observable(name: str, p: float) -> np.ndarray:
+    """W_s of one panel setting: sigma_z^probe pulled back through its gates.
+
+    The cache holds the eight settings of up to eight noise levels.
+    """
+    w = _pull_back(np.diag(_SZ_PROBE_DIAG).astype(complex), _setting_gates(*_SETTINGS[name], p))
+    w.setflags(write=False)
+    return w
+
+
+def _read_panel(dev: np.ndarray, reference: float | np.ndarray, p: float) -> dict[str, float | np.ndarray]:
+    """All eight settings of a prepared stack at depolarizing strength p."""
     values = {}
-    for axis, (name_ab, name_b) in _READOUTS.items():
-        measured = _copy(state)
-        if axis is not None:
-            mub_measure_block(measured, axis, both_copies=True)
-        values[name_ab] = swap_test_readout(_copy(measured), "AB")
-        values[name_b] = swap_test_readout(measured, "B")
-    return {name: values[name] for name in PANEL_FIELDS}
+    for name in PANEL_FIELDS:
+        # one einsum per point, whatever the stack size: a stacked point reads
+        # the same bits as a point alone
+        signal = np.einsum("nij,ji->n", dev, _observable(name, p)).real / reference
+        values[name] = signal if np.ndim(reference) else float(signal[0])
+    return values
 
 
 def _check_factor(name: str, factor: float) -> float:
@@ -384,15 +337,15 @@ def calibration_factors(noise: NoiseModel = NOISELESS) -> dict[str, float]:
     """Per-setting attenuation measured on the maximally entangled reference.
 
     Prepares the pure alpha = pi/2, x = 1 state once and reads every setting
-    from copies of it with and without noise; the ratio noisy/ideal is the
-    attenuation divided out by :func:`rescale`. All factors are 1 when
-    noise is inactive.
+    of it with and without noise; the ratio noisy/ideal is the attenuation
+    divided out by :func:`rescale`. All factors are 1 when noise is
+    inactive.
     """
     if not noise.active:
         return {name: 1.0 for name in PANEL_FIELDS}
-    reference = prepare_pair_state(np.pi / 2, 1.0, noise)
-    ideal = _read_panel(_copy(reference, NOISELESS))
-    noisy = _read_panel(reference)
+    dev, reference = prepare_pair_state(np.pi / 2, 1.0)
+    ideal = _read_panel(dev, reference, 0.0)
+    noisy = _read_panel(dev, reference, float(noise.p_depol))
     return {name: _check_factor(name, noisy[name] / ideal[name]) for name in PANEL_FIELDS}
 
 
@@ -443,21 +396,14 @@ def run_protocol(
 
     ``alpha`` and ``x`` are two floats, or two equal-length 1-D arrays of
     points that are simulated together, one register per point; the panel
-    then holds arrays. Each x/y/z measurement block runs once on a copy of
-    the stack, and copies of its result feed the AB and the B readout;
-    every point sees the same gates as on a fresh preparation of it alone.
+    then holds arrays. Every point reads the same bits as a run of it alone.
     With noise active the raw values are attenuated; the rescaled ones
     divide out the calibration factors (computed here if not supplied).
     Noiseless runs return identical raw and rescaled panels.
     """
     alpha, x = _check_points(alpha, x)
-    raw = _read_panel(prepare_pair_state(alpha, x, noise))
+    p = float(noise.p_depol) if noise.active else 0.0
+    raw = _read_panel(*prepare_pair_state(alpha, x), p)
     if calibration is None:
         calibration = calibration_factors(noise)
-    return PurityPanel(
-        alpha=alpha,
-        x=x,
-        noise_p=float(noise.p_depol) if noise.active else 0.0,
-        raw=raw,
-        rescaled=rescale(raw, calibration),
-    )
+    return PurityPanel(alpha=alpha, x=x, noise_p=p, raw=raw, rescaled=rescale(raw, calibration))

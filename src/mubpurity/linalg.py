@@ -17,7 +17,6 @@ import numpy as np
 
 from .tolerances import TOL_PSD, TOL_STRUCTURAL
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -100,32 +99,6 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     if hermiticity_defect(a) > TOL_PSD:
         raise ValueError("input is not Hermitian within tolerance")
     return np.linalg.eigvalsh(a)
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Normalized state vector."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex)
-        if v.ndim != 1:
-            raise ValueError(f"amplitudes must be a vector, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            raise ValueError("amplitudes must be finite")
-        if abs(np.linalg.norm(v) - 1.0) > TOL_STRUCTURAL:
-            raise ValueError(f"state norm {np.linalg.norm(v)!r} is not 1 within tolerance")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "amplitudes", v)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 @dataclass(frozen=True)

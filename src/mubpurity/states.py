@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState
+from .linalg import DensityMatrix
 
 
 def _check_alpha(alpha: float) -> float:
@@ -21,8 +21,8 @@ def _check_x(x: float) -> float:
     return x
 
 
-def psi_alpha(alpha: float) -> PureState:
-    """Two-qubit state cos(a/2)|01> - sin(a/2)|10>.
+def psi_alpha(alpha: float) -> np.ndarray:
+    """Normalized amplitudes of the two-qubit state cos(a/2)|01> - sin(a/2)|10>.
 
     alpha = 0 gives the product state |01>; alpha = pi/2 the maximally
     entangled singlet. Qubit A is the leftmost (most significant) factor.
@@ -31,7 +31,7 @@ def psi_alpha(alpha: float) -> PureState:
     v = np.zeros(4, dtype=complex)
     v[1] = np.cos(alpha / 2)
     v[2] = -np.sin(alpha / 2)
-    return PureState(v)
+    return v
 
 
 def rho_family(alpha: float, x: float) -> DensityMatrix:
@@ -41,7 +41,8 @@ def rho_family(alpha: float, x: float) -> DensityMatrix:
     and (1-x)/4 three times).
     """
     x = _check_x(x)
-    m = x * psi_alpha(alpha).projector() + (1.0 - x) / 4.0 * np.eye(4)
+    v = psi_alpha(alpha)
+    m = x * np.outer(v, v.conj()) + (1.0 - x) / 4.0 * np.eye(4)
     return DensityMatrix(m, (2, 2))
 
 

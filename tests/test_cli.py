@@ -253,6 +253,10 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert main(["sweep", "--param", "alpha", "--to", "5", "--steps", "5",
                      "--out", str(tmp_path / "y.csv")]) == 1
+        # the noise model is checked whether or not the sweep simulates
+        for extra in ([], ["--simulate"]):
+            assert main(["sweep", "--param", "x", "--noise", "2", *extra,
+                         "--out", str(tmp_path / "z.csv")]) == 1
 
 
 class TestExpsimCommand:

@@ -3,27 +3,31 @@ import pytest
 
 from mubpurity import expsim
 from mubpurity.expsim import (
+    _SETTINGS,
     DIM,
     N_QUBITS,
     NOISELESS,
     PANEL_FIELDS,
-    CircuitState,
     NoiseModel,
     _check_deviation,
     _depolarize,
+    _observable,
+    _probe_signal,
+    _pull_back,
+    _read_panel,
+    _setting_gates,
     apply_gate,
     calibration_factors,
-    mub_measure_block,
     prepare_pair_state,
     rescale,
     run_protocol,
-    swap_test_readout,
 )
-from mubpurity.linalg import PAULI_X, PAULI_Z, partial_trace_matrix, purity
+from mubpurity.linalg import PAULI_Z, partial_trace_matrix, purity
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import post_measurement_state, relation_report
-from mubpurity.states import rho_family
+from mubpurity.states import psi_alpha, rho_family
 
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 MUBS = construct_mubs(2, 3)
 # construct_mubs(2, 3) orders the bases z, x, y
 AXIS_TO_THETA = {"z": 1, "x": 2, "y": 3}
@@ -43,8 +47,27 @@ def _panel_expected(alpha, x):
     }
 
 
-def _fresh_state(dev):
-    return CircuitState(np.asarray(dev, dtype=complex))
+# Schroedinger-picture reference: run a setting's gates forward on the register.
+def _forward(dev, gates):
+    for gate in gates:
+        dev = apply_gate(dev, gate)
+    return dev
+
+
+def _forward_read(dev, reference, axis, which, p=0.0):
+    """Probe signal over the reference after one setting's gates, one value per register."""
+    return _probe_signal(_forward(dev, _setting_gates(axis, which, p))) / reference
+
+
+def _forward_setting(alpha, x, noise, name):
+    """One panel entry from a fresh preparation of one point, run forward."""
+    p = noise.p_depol if noise.active else 0.0
+    return float(_forward_read(*prepare_pair_state(alpha, x), *_SETTINGS[name], p)[0])
+
+
+def _measure_block(dev, axis):
+    """The pinch of A and A': the gates of a setting that leave the probe alone."""
+    return _forward(dev, [g for g in _setting_gates(axis, "B", 0.0) if g[1] != 0])
 
 
 def _pair_deviation(rho_ab, rho_ab2=None):
@@ -89,34 +112,11 @@ def _random_deviation(seed):
     return h - np.trace(h) * np.eye(DIM) / DIM
 
 
-# Per-setting reference: a fresh preparation for every panel entry.
-_SETTINGS = {
-    "purity_AB": (None, "AB"),
-    "purity_xB": ("x", "AB"),
-    "purity_yB": ("y", "AB"),
-    "purity_zB": ("z", "AB"),
-    "purity_B": (None, "B"),
-    "purity_B_given_x": ("x", "B"),
-    "purity_B_given_y": ("y", "B"),
-    "purity_B_given_z": ("z", "B"),
-}
-
-
-def _fresh_setting(alpha, x, noise, name):
-    axis, which = _SETTINGS[name]
-    state = prepare_pair_state(alpha, x, noise)
-    if axis is not None:
-        mub_measure_block(state, axis, both_copies=True)
-    return swap_test_readout(state, which)
-
-
 class TestGates:
     def test_ry_pi_twice_is_identity(self):
         dev = _pair_deviation(rho_family(0.7, 0.8).matrix)
-        state = _fresh_state(dev)
-        apply_gate(state, ("RY", 1, np.pi))
-        apply_gate(state, ("RY", 1, np.pi))
-        assert np.abs(state.deviation - dev).max() <= 1e-12
+        out = apply_gate(apply_gate(dev, ("RY", 1, np.pi)), ("RY", 1, np.pi))
+        assert np.abs(out - dev).max() <= 1e-12
 
     def test_cswap_control_zero_is_identity(self):
         # probe in |0><0| deviation-like block: build a traceless test
@@ -124,11 +124,11 @@ class TestGates:
         block = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
         dev = np.kron(np.diag([1.0, 0.0]), np.kron(block, np.eye(4) / 4))
         dev = dev - np.trace(dev) * np.eye(DIM) / DIM
-        state = _fresh_state(dev)
-        before = state.deviation.copy()
-        apply_gate(state, ("CSWAP", 0, 1, 2))
+        before = dev.copy()
+        out = apply_gate(dev, ("CSWAP", 0, 1, 2))
         # control bit 0 sector untouched
-        assert np.abs(state.deviation[0, :16, :16] - before[0, :16, :16]).max() <= 1e-14
+        assert np.abs(out[:16, :16] - before[:16, :16]).max() <= 1e-14
+        assert np.array_equal(dev, before)  # the input is not changed
 
     def test_dephase_kills_x_keeps_z(self):
         # deviation with a sigma_x component on qubit 1 and sigma_z on qubit 2
@@ -136,102 +136,106 @@ class TestGates:
         dev = np.kron(PAULI_Z, np.kron(PAULI_X, rest)) + np.kron(
             PAULI_Z, np.kron(PAULI_Z, rest)
         )
-        state = _fresh_state(dev)
-        apply_gate(state, ("DEPHASE", 1))
+        out = apply_gate(dev, ("DEPHASE", 1))
         expected = np.kron(PAULI_Z, np.kron(PAULI_Z, rest))
-        assert np.abs(state.deviation - expected).max() <= 1e-14
+        assert np.abs(out - expected).max() <= 1e-14
 
     def test_unitary_preserves_purity_dephase_contracts(self):
-        state = prepare_pair_state(np.pi / 3, 0.6)
-        before = purity(state.deviation[0])
-        apply_gate(state, ("RY", 2, 0.4))
-        apply_gate(state, ("RX", 3, -1.1))
-        apply_gate(state, ("CSWAP", 0, 1, 3))
-        assert abs(purity(state.deviation[0]) - before) <= 1e-12
-        apply_gate(state, ("DEPHASE", 1))
-        assert purity(state.deviation[0]) <= before + 1e-12
+        dev = prepare_pair_state(np.pi / 3, 0.6)[0][0]
+        before = purity(dev)
+        dev = _forward(dev, [("RY", 2, 0.4), ("RX", 3, -1.1), ("CSWAP", 0, 1, 3)])
+        assert abs(purity(dev) - before) <= 1e-12
+        dev = apply_gate(dev, ("DEPHASE", 1))
+        assert purity(dev) <= before + 1e-12
 
     def test_trace_stays_zero(self):
-        state = prepare_pair_state(np.pi / 2, 0.5, NoiseModel(0.05, enabled=True))
-        for gate in [("RY", 0, np.pi / 2), ("CSWAP", 0, 1, 3), ("DEPHASE", 2), ("RX", 4, 0.3)]:
-            apply_gate(state, gate)
-            assert abs(np.trace(state.deviation[0])) <= 1e-12
+        dev = prepare_pair_state(np.pi / 2, 0.5)[0]
+        gates = [("RY", 0, np.pi / 2), ("CSWAP", 0, 1, 3), ("DEPOL", 0, 0.05), ("DEPOL", 1, 0.05),
+                 ("DEPOL", 3, 0.05), ("DEPHASE", 2), ("RX", 4, 0.3)]
+        for gate in gates:
+            dev = apply_gate(dev, gate)
+            assert abs(np.trace(dev[0])) <= 1e-12
 
     def test_bad_qubit_index(self):
-        state = prepare_pair_state(0.0, 1.0)
-        with pytest.raises(ValueError):
-            apply_gate(state, ("RY", 5, 0.1))
-        with pytest.raises(ValueError):
-            apply_gate(state, ("CSWAP", 0, 1, 1))
-        with pytest.raises(ValueError):
-            apply_gate(state, ("HADAMARD", 0))
+        dev = prepare_pair_state(0.0, 1.0)[0]
+        for bad in [("RY", 5, 0.1), ("CSWAP", 0, 1, 1), ("HADAMARD", 0), ("DEPOL", 5, 0.1),
+                    ("DEPOL", 1, 1.5), ("DEPHASE", -1)]:
+            with pytest.raises(ValueError):
+                apply_gate(dev, bad)
+        with pytest.raises(ValueError, match="expected"):
+            apply_gate(np.zeros((4, 4)), ("DEPHASE", 1))
 
-    def test_gate_log(self):
-        state = prepare_pair_state(np.pi / 2, 1.0, NoiseModel(0.01, enabled=True))
-        apply_gate(state, ("CSWAP", 0, 2, 4))
-        apply_gate(state, ("RY", 1, np.pi / 2))
-        apply_gate(state, ("DEPHASE", 3))
-        swap_test_readout(state, "B")
-        assert state.gate_log[:2] == [("PREPARE", np.pi / 2, 1.0), ("BRANCH", "pure,pure", 1.0)]
-        assert state.gate_log[2:7] == [
-            ("CSWAP", 0, 2, 4),
-            ("DEPOL", 0, 0.01),
-            ("DEPOL", 2, 0.01),
-            ("DEPOL", 4, 0.01),
-            ("RY", 1, np.pi / 2),
-        ]
-        assert state.gate_log[7] == ("DEPHASE", 3)
-        assert state.gate_log[-1] == ("READ", "B")
-        assert all(isinstance(entry, tuple) for entry in state.gate_log)
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_stack_of_any_shape_is_gated_matrix_by_matrix(self, shape):
+        count = int(np.prod(shape, dtype=int))
+        dev = np.array([_random_deviation(20 + k) for k in range(count)]).reshape(shape + (DIM, DIM))
+        before = dev.copy()
+        for gate in [("RY", 2, 0.4), ("RX", 0, -1.1), ("CSWAP", 0, 2, 4), ("DEPHASE", 3), ("DEPOL", 1, 0.2)]:
+            out = apply_gate(dev, gate)
+            assert out.shape == dev.shape
+            singles = [apply_gate(m, gate) for m in dev.reshape(-1, DIM, DIM)]
+            assert np.array_equal(out.reshape(-1, DIM, DIM), np.array(singles))
+            assert np.array_equal(dev, before)
 
     @pytest.mark.parametrize("qubits", [(0, 1, 3), (0, 2, 4), (2, 0, 4), (4, 3, 1)])
     def test_cswap_matches_dense_unitary(self, qubits):
         dev = _random_deviation(sum(qubits))
-        state = _fresh_state(dev)
-        apply_gate(state, ("CSWAP",) + qubits)
+        out = apply_gate(dev, ("CSWAP",) + qubits)
         u = _cswap_reference(*qubits)
         assert np.array_equal(u @ u.T, np.eye(DIM))
-        assert np.array_equal(state.deviation[0], u @ dev @ u.T)
+        assert np.array_equal(out, u @ dev @ u.T)
 
     @pytest.mark.parametrize("qubit", range(N_QUBITS))
     def test_depolarize_matches_slice_loop(self, qubit):
         dev = _random_deviation(10 + qubit)
         for p in (0.0, 0.05, 1.0):
             assert np.array_equal(_depolarize(dev, qubit, p), _depolarize_reference(dev, qubit, p))
+            assert np.array_equal(apply_gate(dev, ("DEPOL", qubit, p)), _depolarize_reference(dev, qubit, p))
 
     def test_nan_angle_rejected(self):
-        state = prepare_pair_state(np.pi / 2, 1.0)
+        dev = prepare_pair_state(np.pi / 2, 1.0)[0]
         with pytest.raises(RuntimeError):
-            apply_gate(state, ("RY", 1, float("nan")))
+            apply_gate(dev, ("RY", 1, float("nan")))
 
     def test_non_finite_deviation_rejected(self):
         with pytest.raises(RuntimeError):
-            CircuitState(np.full((DIM, DIM), np.nan))
+            apply_gate(np.full((DIM, DIM), np.nan), ("DEPHASE", 1))
         dev = np.zeros((DIM, DIM), dtype=complex)
         dev[0, 1] = dev[1, 0] = np.inf
         with pytest.raises(RuntimeError):
-            CircuitState(dev)
+            _check_deviation(dev)
 
 
 class TestPrepare:
     def test_x_one_single_branch(self):
-        state = prepare_pair_state(np.pi / 4, 1.0)
+        dev, reference = prepare_pair_state(np.pi / 4, 1.0)
         rho = rho_family(np.pi / 4, 1.0).matrix
-        assert np.abs(state.deviation - _pair_deviation(rho)).max() <= 1e-10
-        assert sum(e[0] == "BRANCH" for e in state.gate_log) == 1
+        assert np.abs(dev - _pair_deviation(rho)).max() <= 1e-10
+        # exactly the pure,pure branch: no other term was added
+        v = psi_alpha(np.pi / 4)
+        pure = np.outer(v, v.conj())
+        assert np.array_equal(dev[0], _pair_deviation(pure))
+        assert reference == 2.0
 
     def test_x_zero_identity_branch(self):
-        state = prepare_pair_state(np.pi / 2, 0.0)
+        dev, reference = prepare_pair_state(np.pi / 2, 0.0)
         expected = np.kron(PAULI_Z, np.eye(16) / 16)
-        assert np.abs(state.deviation - expected).max() <= 1e-10
-        assert sum(e[0] == "BRANCH" for e in state.gate_log) == 1
+        assert np.abs(dev - expected).max() <= 1e-10
+        # exactly the mixed,mixed branch: no pure term was added
+        assert np.array_equal(dev[0], expected)
+        assert reference == 2.0
 
     def test_intermediate_x_four_branches(self):
-        state = prepare_pair_state(np.pi / 2, 0.5)
+        dev, reference = prepare_pair_state(np.pi / 2, 0.5)
         rho = rho_family(np.pi / 2, 0.5).matrix
-        assert np.abs(state.deviation - _pair_deviation(rho)).max() <= 1e-10
-        assert sum(e[0] == "BRANCH" for e in state.gate_log) == 4
-        assert np.abs(_ab_marginal(state.deviation[0]) - rho).max() <= 1e-10
+        assert np.abs(dev - _pair_deviation(rho)).max() <= 1e-10
+        # the four branches of (x P + (1-x)/4 I)^(x2), one per pair of terms
+        v = psi_alpha(np.pi / 2)
+        terms = (0.5 * np.outer(v, v.conj()), 0.5 / 4 * np.eye(4))
+        expected = sum(_pair_deviation(first, second) for first in terms for second in terms)
+        assert np.abs(dev[0] - expected).max() <= 1e-15
+        assert np.abs(_ab_marginal(dev[0]) - rho).max() <= 1e-10
+        assert reference == pytest.approx(2.0, abs=1e-15)
 
     def test_parameter_range(self):
         with pytest.raises(ValueError):
@@ -239,66 +243,128 @@ class TestPrepare:
         with pytest.raises(ValueError):
             prepare_pair_state(0.1, 1.5)
 
+    def test_prepared_stack_checked_once(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(expsim, "_check_deviation", checked.append)
+        dev, _ = prepare_pair_state(np.array([0.2, 0.4]), np.array([0.5, 1.0]))
+        assert len(checked) == 1 and checked[0] is dev
+
 
 class TestMeasureBlock:
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_matches_analytic_pinch(self, axis):
         for alpha, x in [(np.pi / 2, 1.0), (np.pi / 3, 0.6), (0.0, 1.0)]:
-            state = prepare_pair_state(alpha, x)
-            mub_measure_block(state, axis, both_copies=True)
+            dev = _measure_block(prepare_pair_state(alpha, x)[0], axis)
             expected = post_measurement_state(
                 rho_family(alpha, x), MUBS, AXIS_TO_THETA[axis]
             ).matrix
-            assert np.abs(_ab_marginal(state.deviation[0]) - expected).max() <= 1e-10
+            assert np.abs(_ab_marginal(dev[0]) - expected).max() <= 1e-10
 
     def test_x_block_halves_product_purity(self):
         rho_b = np.array([[0.8, 0.1], [0.1, 0.2]], dtype=complex)
         pair = np.kron(np.diag([1.0, 0.0]).astype(complex), rho_b)
-        state = _fresh_state(_pair_deviation(pair))
         before = purity(pair)
-        mub_measure_block(state, "x")
-        after = purity(_ab_marginal(state.deviation[0]))
+        after = purity(_ab_marginal(_measure_block(_pair_deviation(pair), "x")))
         assert abs(after - before / 2) <= 1e-10
 
     def test_y_equals_x_for_singlet_family(self):
         for x in (0.25, 0.75):
-            sx = prepare_pair_state(np.pi / 2, x)
-            sy = prepare_pair_state(np.pi / 2, x)
-            mub_measure_block(sx, "x")
-            mub_measure_block(sy, "y")
-            px = purity(_ab_marginal(sx.deviation[0]))
-            py = purity(_ab_marginal(sy.deviation[0]))
+            dev = prepare_pair_state(np.pi / 2, x)[0][0]
+            px = purity(_ab_marginal(_measure_block(dev, "x")))
+            py = purity(_ab_marginal(_measure_block(dev, "y")))
             assert abs(px - py) <= 1e-10
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
-            mub_measure_block(prepare_pair_state(0.0, 1.0), "w")
+            _setting_gates("w", "AB", 0.0)
 
 
 class TestSwapTestReadout:
     def test_pure_pair(self):
-        assert abs(swap_test_readout(prepare_pair_state(np.pi / 2, 1.0), "AB") - 1.0) <= 1e-10
+        value = _forward_read(*prepare_pair_state(np.pi / 2, 1.0), None, "AB")
+        assert abs(value[0] - 1.0) <= 1e-10
 
     def test_maximally_mixed_pair(self):
         # overlap of two maximally mixed two-qubit states: Tr((I4/4)^2) = 1/4
-        value = swap_test_readout(prepare_pair_state(np.pi / 2, 0.0), "AB")
-        assert abs(value - 0.25) <= 1e-10
+        value = _forward_read(*prepare_pair_state(np.pi / 2, 0.0), None, "AB")
+        assert abs(value[0] - 0.25) <= 1e-10
 
     @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
     def test_b_marginal_readout(self, x):
-        value = swap_test_readout(prepare_pair_state(np.pi / 2, x), "B")
-        assert abs(value - 0.5) <= 1e-10
+        value = _forward_read(*prepare_pair_state(np.pi / 2, x), None, "B")
+        assert abs(value[0] - 0.5) <= 1e-10
 
     def test_unequal_copies_overlap(self):
         rho1 = rho_family(np.pi / 2, 1.0).matrix
         rho2 = rho_family(np.pi / 2, 0.0).matrix
-        state = _fresh_state(_pair_deviation(rho1, rho2))
-        value = swap_test_readout(state, "AB")
-        assert abs(value - np.trace(rho1 @ rho2).real) <= 1e-10
+        dev = _pair_deviation(rho1, rho2)[None]
+        expected = np.trace(rho1 @ rho2).real
+        assert abs(_forward_read(dev, 2.0, None, "AB")[0] - expected) <= 1e-10
+        assert abs(_read_panel(dev, 2.0, 0.0)["purity_AB"] - expected) <= 1e-10
 
     def test_bad_which(self):
         with pytest.raises(ValueError):
-            swap_test_readout(prepare_pair_state(0.0, 1.0), "C")
+            _setting_gates(None, "C", 0.0)
+
+
+class TestObservables:
+    """W_s read against the forward gates it replaces."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3])
+    def test_read_matches_forward_gates_on_random_registers(self, p):
+        dev = np.array([_random_deviation(40 + k) for k in range(3)]) / DIM
+        reference = np.array([0.5, 1.0, 2.0])
+        panel = _read_panel(dev, reference, p)
+        for name, (axis, which) in _SETTINGS.items():
+            assert np.abs(panel[name] - _forward_read(dev, reference, axis, which, p)).max() <= 1e-14
+
+    def test_pull_back_is_the_adjoint_of_any_gate_sequence(self):
+        # random angles and qubits: no rotation is undone by its inverse
+        rng = np.random.default_rng(5)
+        gates = []
+        for _ in range(12):
+            kind = rng.choice(["RY", "RX", "CSWAP", "DEPHASE", "DEPOL"])
+            if kind in ("RY", "RX"):
+                gates.append((kind, int(rng.integers(N_QUBITS)), float(rng.uniform(-np.pi, np.pi))))
+            elif kind == "CSWAP":
+                gates.append(("CSWAP",) + tuple(int(q) for q in rng.permutation(N_QUBITS)[:3]))
+            elif kind == "DEPHASE":
+                gates.append(("DEPHASE", int(rng.integers(N_QUBITS))))
+            else:
+                gates.append(("DEPOL", int(rng.integers(N_QUBITS)), float(rng.uniform(0, 0.5))))
+        dev, w = _random_deviation(60) / DIM, _random_deviation(61) / DIM
+        forward = np.trace(w @ _forward(dev, gates))
+        assert abs(np.trace(_pull_back(w, gates) @ dev) - forward) <= 1e-13
+
+    def test_observables_are_hermitian_traceless_and_frozen(self):
+        for name in PANEL_FIELDS:
+            w = _observable(name, 0.05)
+            assert abs(np.trace(w)) <= 1e-12
+            assert np.abs(w - w.conj().T).max() <= 1e-12
+            assert not w.flags.writeable
+
+    def test_every_gate_of_a_build_is_checked(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(expsim, "_check_deviation", checked.append)
+        _observable.cache_clear()
+        w = _observable("purity_xB", 0.125)
+        assert len(checked) == len(_setting_gates("x", "AB", 0.125)) == 16
+        assert np.array_equal(checked[-1], w)
+        _observable.cache_clear()
+
+    def test_cache_is_bounded(self):
+        maxsize = _observable.cache_info().maxsize
+        assert maxsize is not None
+        for p in np.linspace(0.0, 0.3, maxsize // len(PANEL_FIELDS) + 3):
+            calibration_factors(NoiseModel(float(p), enabled=True))
+        assert _observable.cache_info().currsize <= maxsize
+
+    def test_noise_sites_follow_each_cswap(self):
+        gates = _setting_gates(None, "AB", 0.01)
+        kinds = [g[0] for g in gates]
+        assert kinds == ["RY", "CSWAP", "DEPOL", "DEPOL", "DEPOL", "CSWAP", "DEPOL", "DEPOL", "DEPOL", "RY"]
+        assert [g[1] for g in gates if g[0] == "DEPOL"] == [0, 1, 3, 0, 2, 4]
+        assert "DEPOL" not in [g[0] for g in _setting_gates("x", "B", 0.0)]
 
 
 class TestRunProtocol:
@@ -331,11 +397,12 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("p", [0.0, 0.05])
     def test_matches_fresh_preparation_reference(self, p):
-        # one shared register must give exactly what a fresh one per setting gives
+        # the cached observables read what a fresh register run forward per setting reads
         noise = NoiseModel(p, enabled=p > 0.0)
         for alpha, x in [(np.pi / 2, 1.0), (np.pi / 5, 0.3), (0.0, 0.0), (1.1, 0.85)]:
             panel = run_protocol(alpha, x, noise, calibration={n: 1.0 for n in PANEL_FIELDS})
-            assert panel.raw == {n: _fresh_setting(alpha, x, noise, n) for n in PANEL_FIELDS}
+            for n in PANEL_FIELDS:
+                assert abs(panel.raw[n] - _forward_setting(alpha, x, noise, n)) <= 1e-14
 
     def test_json_schema(self):
         obj = run_protocol(np.pi / 2, 1.0).to_json()
@@ -350,15 +417,15 @@ class TestBatch:
     X = np.array([0.0, 0.3, 0.85, 1.0, 1.0, 0.0, 0.5])
 
     def test_stack_shapes(self):
-        state = prepare_pair_state(self.ALPHA, self.X)
-        assert state.deviation.shape == (len(self.X), DIM, DIM)
-        assert state.reference_amplitude.shape == (len(self.X),)
+        dev, reference = prepare_pair_state(self.ALPHA, self.X)
+        assert dev.shape == (len(self.X), DIM, DIM)
+        assert reference.shape == (len(self.X),)
         for i, (alpha, x) in enumerate(zip(self.ALPHA, self.X)):
-            single = prepare_pair_state(float(alpha), float(x))
-            assert single.deviation.shape == (1, DIM, DIM)
-            assert type(single.reference_amplitude) is float
-            assert np.array_equal(state.deviation[i], single.deviation[0])
-            assert state.reference_amplitude[i] == single.reference_amplitude
+            single, single_reference = prepare_pair_state(float(alpha), float(x))
+            assert single.shape == (1, DIM, DIM)
+            assert type(single_reference) is float
+            assert np.array_equal(dev[i], single[0])
+            assert reference[i] == single_reference
 
     @pytest.mark.parametrize("p", [0.0, 0.05])
     def test_array_call_equals_scalar_calls(self, p):
@@ -405,7 +472,7 @@ class TestBatch:
                 run_protocol(alpha, x)
 
     def test_check_rejects_one_bad_point_in_a_stack(self):
-        stack = prepare_pair_state(self.ALPHA, self.X).deviation
+        stack = prepare_pair_state(self.ALPHA, self.X)[0]
         _check_deviation(stack)
         cases = {
             "non-finite": (3, 5, np.nan),
@@ -417,13 +484,6 @@ class TestBatch:
             bad[4, i, j] += delta
             with pytest.raises(RuntimeError, match=message):
                 _check_deviation(bad)
-
-    def test_gate_log_of_a_stack(self):
-        state = prepare_pair_state(np.array([0.2, 0.4]), np.array([1.0, 1.0]))
-        kind, alpha, x = state.gate_log[0]
-        assert kind == "PREPARE" and np.array_equal(alpha, [0.2, 0.4])
-        assert [e[1] for e in state.gate_log[1:]] == ["pure,pure"]  # zero-weight branches skipped
-        assert np.array_equal(state.gate_log[1][2], [1.0, 1.0])
 
 
 class TestNoiseAndRescaling:
@@ -465,14 +525,13 @@ class TestNoiseAndRescaling:
     @pytest.mark.parametrize("p", [0.0, 0.05])
     def test_calibration_matches_fresh_preparation_reference(self, p):
         noise = NoiseModel(p, enabled=p > 0.0)
-        expected = {
-            n: _fresh_setting(np.pi / 2, 1.0, noise, n) / _fresh_setting(np.pi / 2, 1.0, NOISELESS, n)
-            for n in PANEL_FIELDS
-        }
-        assert calibration_factors(noise) == expected
+        factors = calibration_factors(noise)
+        for n in PANEL_FIELDS:
+            expected = _forward_setting(np.pi / 2, 1.0, noise, n) / _forward_setting(np.pi / 2, 1.0, NOISELESS, n)
+            assert abs(factors[n] - expected) <= 1e-14
 
     def test_calibration_rejects_nan_factor(self, monkeypatch):
-        monkeypatch.setattr(expsim, "swap_test_readout", lambda state, which="AB": float("nan"))
+        monkeypatch.setattr(expsim, "_read_panel", lambda dev, reference, p: dict.fromkeys(PANEL_FIELDS, np.nan))
         with pytest.raises(ValueError):
             calibration_factors(self.NOISE)
 

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from mubpurity.linalg import (
-    PAULI_X,
     PAULI_Z,
     DensityMatrix,
-    PureState,
     as_matrix,
     density_from_json,
     density_to_json,
@@ -17,6 +15,7 @@ from mubpurity.linalg import (
     purity,
 )
 
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
 
@@ -231,10 +230,6 @@ class TestPurity:
 
 
 class TestTypes:
-    def test_pure_state_norm_enforced(self):
-        with pytest.raises(ValueError):
-            PureState(np.array([1.0, 1.0]))
-
     def test_density_rejects_non_hermitian(self):
         m = np.eye(2, dtype=complex) / 2
         m[0, 1] = 0.1

@@ -2,7 +2,8 @@
 
 Relation-layer states are drawn over d in {2, 3, 5}, every M in [2, d+1],
 B-side dimension D in {1, 2, 3} and every rank. Simulator panels are drawn
-over (alpha, x) in [0, pi/2] x [0, 1] and depolarizing p in [0, 0.3]. The
+over (alpha, x) in [0, pi/2] x [0, 1] and depolarizing p in [0, 0.3], and
+read against the forward gate-by-gate reference of tests/test_expsim.py. The
 loaders read valid files for d in {2, 3, 5, 7} and mutated copies of them.
 The examples are derandomized so the suite stays reproducible.
 """
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubpurity.expsim import PANEL_FIELDS, NoiseModel, run_protocol
+from mubpurity.expsim import NOISELESS, PANEL_FIELDS, NoiseModel, calibration_factors, run_protocol
 from mubpurity.linalg import (
     density_from_json,
     density_to_json,
@@ -34,6 +35,7 @@ from mubpurity.relations import (
 )
 from mubpurity.states import random_density, rho_family
 from mubpurity.tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
+from test_expsim import _forward_setting
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SIMULATOR_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -143,6 +145,19 @@ def test_rescaled_panel_recovers_noiseless(alpha, x, p):
     rescaled = run_protocol(alpha, x, _noise(p)).rescaled
     for name in PANEL_FIELDS:
         assert abs(rescaled[name] - noiseless[name]) <= 1e-10
+
+
+@SIMULATOR_SETTINGS
+@given(alphas, xs, noise_ps)
+def test_observable_read_matches_forward_gates(alpha, x, p):
+    noise = _noise(p)
+    raw = run_protocol(alpha, x, noise, calibration=dict.fromkeys(PANEL_FIELDS, 1.0)).raw
+    factors = calibration_factors(noise)
+    for name in PANEL_FIELDS:
+        assert abs(raw[name] - _forward_setting(alpha, x, noise, name)) <= 1e-14
+        if noise.active:
+            forward = _forward_setting(np.pi / 2, 1.0, noise, name) / _forward_setting(np.pi / 2, 1.0, NOISELESS, name)
+            assert abs(factors[name] - forward) <= 1e-14
 
 
 # -- JSON loaders -------------------------------------------------------

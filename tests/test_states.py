@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mubpurity.linalg import PureState, hermitian_eigenvalues, purity
+from mubpurity.linalg import hermitian_eigenvalues, purity
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import relation_report
 from mubpurity.states import (
@@ -13,16 +13,17 @@ from mubpurity.states import (
 
 class TestPsiAlpha:
     def test_alpha_zero_is_01(self):
-        v = psi_alpha(0.0).amplitudes
+        v = psi_alpha(0.0)
         assert np.array_equal(v, [0, 1, 0, 0])
 
     def test_alpha_half_pi_is_singlet(self):
-        v = psi_alpha(np.pi / 2).amplitudes
+        v = psi_alpha(np.pi / 2)
         s = 1 / np.sqrt(2)
         assert np.allclose(v, [0, s, -s, 0], atol=1e-15)
 
     def test_alpha_quarter_pi(self):
-        v = psi_alpha(np.pi / 4).amplitudes
+        v = psi_alpha(np.pi / 4)
+        assert v.shape == (4,) and abs(np.linalg.norm(v) - 1.0) <= 1e-15
         assert abs(v[1] - np.cos(np.pi / 8)) <= 1e-15
         assert abs(v[2] + np.sin(np.pi / 8)) <= 1e-15
         assert abs(abs(v[1]) - 0.9238795325112867) <= 1e-12
@@ -100,13 +101,13 @@ def _random_pure_state(dim, seed):
     """Seeded normalized complex Gaussian vector."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def test_random_pure_state():
     # a rank-one random_density is the projector of the same seed's Gaussian
     # vector, so it serves wherever a seeded random pure state is needed
     a = _random_pure_state(5, 9)
-    assert np.array_equal(a.amplitudes, _random_pure_state(5, 9).amplitudes)
-    assert abs(np.linalg.norm(a.amplitudes) - 1) <= 1e-12
-    assert np.abs(random_density(5, 1, 9).matrix - a.projector()).max() <= 1e-15
+    assert np.array_equal(a, _random_pure_state(5, 9))
+    assert abs(np.linalg.norm(a) - 1) <= 1e-12
+    assert np.abs(random_density(5, 1, 9).matrix - np.outer(a, a.conj())).max() <= 1e-15
