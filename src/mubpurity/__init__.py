@@ -7,7 +7,6 @@ from .expsim import (
     PurityPanel,
     apply_gate,
     calibration_factors,
-    prepare_pair_state,
     rescale,
     run_protocol,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "partial_trace_matrix",
     "partial_transpose",
     "post_measurement_state",
-    "prepare_pair_state",
     "psi_alpha",
     "purity",
     "random_density",

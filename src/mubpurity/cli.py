@@ -26,7 +26,6 @@ import numpy as np
 from .expsim import (
     PANEL_FIELDS,
     NoiseModel,
-    calibration_factors,
     run_protocol,
 )
 from .linalg import density_from_json
@@ -259,27 +258,17 @@ def _axis_purities(rep) -> dict[str, float]:
     return {ax: rep.purity_thetaB[i] for i, ax in enumerate(PAULI_AXIS_LABELS)}
 
 
-# Grid points per simulator call: one call holds this many 32x32 registers
-# at a time, so memory stays bounded however many steps a sweep has.
-SWEEP_CHUNK = 64
-
-
 def _simulated_columns(alphas: np.ndarray, xs: np.ndarray, noise: NoiseModel) -> list[dict]:
-    """Raw and rescaled simulator columns of every grid point, one call per chunk."""
-    calibration = calibration_factors(noise)
-    rows = []
-    for start in range(0, len(alphas), SWEEP_CHUNK):
-        chunk = slice(start, start + SWEEP_CHUNK)
-        panel = run_protocol(alphas[chunk], xs[chunk], noise, calibration=calibration)
-        raw_lhs, raw_rhs = panel.relation_sides(use_raw=True)
-        res_lhs, res_rhs = panel.relation_sides(use_raw=False)
-        columns = {f"raw_{name}": panel.raw[name] for name in PANEL_FIELDS}
-        columns.update(raw_lhs=raw_lhs, raw_rhs=raw_rhs, raw_gap=raw_lhs - raw_rhs)
-        columns.update({f"rescaled_{name}": panel.rescaled[name] for name in PANEL_FIELDS})
-        columns.update(rescaled_lhs=res_lhs, rescaled_rhs=res_rhs, rescaled_gap=res_lhs - res_rhs)
-        values = [np.asarray(v).tolist() for v in columns.values()]
-        rows.extend(dict(zip(columns, point)) for point in zip(*values))
-    return rows
+    """Raw and rescaled simulator columns of every grid point, from one run over the grid."""
+    panel = run_protocol(alphas, xs, noise)
+    raw_lhs, raw_rhs = panel.relation_sides(use_raw=True)
+    res_lhs, res_rhs = panel.relation_sides(use_raw=False)
+    columns = {f"raw_{name}": panel.raw[name] for name in PANEL_FIELDS}
+    columns.update(raw_lhs=raw_lhs, raw_rhs=raw_rhs, raw_gap=raw_lhs - raw_rhs)
+    columns.update({f"rescaled_{name}": panel.rescaled[name] for name in PANEL_FIELDS})
+    columns.update(rescaled_lhs=res_lhs, rescaled_rhs=res_rhs, rescaled_gap=res_lhs - res_rhs)
+    values = [v.tolist() for v in columns.values()]
+    return [dict(zip(columns, point)) for point in zip(*values)]
 
 
 def _sweep_rows(config: SweepConfig) -> list[dict]:
@@ -320,7 +309,7 @@ def cmd_sweep(ns) -> int:
         stop=ns.stop if ns.stop is not None else (math.pi / 2 if ns.param == "alpha" else 1.0),
         steps=ns.steps,
         fixed_other=ns.fixed if ns.fixed is not None else (1.0 if ns.param == "alpha" else math.pi / 2),
-        noise=NoiseModel(ns.noise, enabled=ns.noise > 0.0),
+        noise=NoiseModel(ns.noise),
         simulate=ns.simulate,
         output=Path(ns.out),
         format=ns.format,
@@ -344,7 +333,7 @@ def cmd_sweep(ns) -> int:
 
 
 def cmd_expsim(ns) -> int:
-    noise = NoiseModel(ns.noise, enabled=ns.noise > 0.0)
+    noise = NoiseModel(ns.noise)
     panel = run_protocol(ns.alpha, ns.x, noise)
     text = _json_dumps(panel.to_json())
     if ns.out:

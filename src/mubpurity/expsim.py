@@ -1,8 +1,8 @@
 """Deviation-matrix simulation of the five-qubit swap-test purity protocol.
 
 Register layout: qubit 0 is the probe, qubits 1-4 are A, B, A', B'. The
-prepared register is the traceless deviation sigma_z^probe (x) rho (x) rho
-of two copies of the depolarized family state. Each of the eight panel
+register is the traceless deviation sigma_z^probe (x) rho (x) rho of two
+copies of the depolarized family state. Each of the eight panel
 settings is a fixed gate sequence: an optional pinch of A and A' in one
 Pauli basis, then controlled-SWAPs conditioned on the probe. With both
 pair swaps the probe signal returns Tr(rho rho'), with the BB' swap alone
@@ -11,9 +11,11 @@ Tr(rho_B rho'_B) (the swap-test estimator of Ekert et al., PRL 88, 217901
 
 The panel is read in the Heisenberg picture. Every gate is unital and
 self-adjoint up to the sign of a rotation angle, so the probe observable
-is propagated backwards through each setting once per noise level, and a
-setting's value is Re Tr(W_s dev) / reference over the whole prepared
-stack (one (n, 32, 32) deviation per (alpha, x) point).
+is propagated backwards through each setting once per noise level. Tracing
+its probe against sigma_z leaves a 16x16 observable V_s on the two copies,
+so a setting's value is Re Tr(V_s rho (x) rho) / (2 Tr(rho)^2), read
+against the 4x4 rho of each (alpha, x) point; the 32x32 register itself is
+never built.
 
 Sites for noise: a one-parameter depolarizing channel acts on every qubit
 touched by a controlled-SWAP, immediately after the gate. Rescaling divides
@@ -28,8 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import PAULI_Z
-from .states import _check_alpha, _check_x, psi_alpha
+from .states import _check_alpha, _check_x, _family_matrices
 from .tolerances import TOL_STRUCTURAL
 
 N_QUBITS = 5
@@ -64,7 +65,6 @@ class NoiseModel:
     """Per-qubit depolarizing probability applied after each controlled-SWAP."""
 
     p_depol: float = 0.0
-    enabled: bool = False
 
     def __post_init__(self):
         if not 0.0 <= float(self.p_depol) <= 1.0:
@@ -72,7 +72,7 @@ class NoiseModel:
 
     @property
     def active(self) -> bool:
-        return self.enabled and self.p_depol > 0.0
+        return self.p_depol > 0.0
 
 
 NOISELESS = NoiseModel()
@@ -171,11 +171,6 @@ def _depolarize(dev: np.ndarray, qubit: int, p: float) -> np.ndarray:
     return out.reshape(dev.shape)
 
 
-def _probe_signal(dev: np.ndarray) -> np.ndarray:
-    """Tr(dev sigma_z^probe) of each register, real part."""
-    return (np.diagonal(dev, axis1=-2, axis2=-1) * _SZ_PROBE_DIAG).sum(axis=-1).real
-
-
 def apply_gate(dev: np.ndarray, gate: tuple) -> np.ndarray:
     """One gate descriptor applied to a (..., DIM, DIM) array; the input is not changed.
 
@@ -213,48 +208,6 @@ def apply_gate(dev: np.ndarray, gate: tuple) -> np.ndarray:
         raise ValueError(f"unknown gate kind {gate[0]!r}")
     _check_deviation(out)
     return out
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two stacks of matrices, point by point."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
-    return out.reshape(out.shape[:-4] + (rows, cols))
-
-
-def prepare_pair_state(alpha, x) -> tuple[np.ndarray, float | np.ndarray]:
-    """Prepare sigma_z^probe (x) rho(alpha, x) (x) rho(alpha, x).
-
-    ``alpha`` and ``x`` are two floats or two equal-length 1-D arrays.
-    Returns the checked deviation stack, of shape (n, DIM, DIM) with n = 1
-    for floats, and the reference amplitude Tr(dev sigma_z^probe) that
-    readouts divide by, so that ideal pure-state runs report exactly 1: a
-    float for floats, an (n,) array otherwise. Temporal averaging: the
-    mixture is assembled as the weighted classical sum of up to four
-    separately built branch deviations, one per term of
-    (x P + (1-x)/4 I)^(x2) with P the projector on the entangled pure
-    state. A branch whose weight is zero at every point is skipped, so
-    x = 1 is a single run.
-    """
-    alpha, x = _check_points(alpha, x)
-    xs = np.atleast_1d(x)
-    pure = np.array([np.outer(v, v.conj()) for v in map(psi_alpha, np.atleast_1d(alpha).tolist())])
-    mixed = np.eye(4, dtype=complex)
-    # float_power is libm's pow, as a scalar (1 - x) ** 2 evaluates it; an
-    # array's ** 2 squares instead, which differs in the last bit.
-    branches = (
-        (np.float_power(1.0 - xs, 2) / 16.0, mixed, mixed),
-        (xs * (1.0 - xs) / 4.0, mixed, pure),
-        (xs * (1.0 - xs) / 4.0, pure, mixed),
-        (xs * xs, pure, pure),
-    )
-    dev = np.zeros((len(xs), DIM, DIM), dtype=complex)
-    for weight, first, second in branches:
-        if weight.any():
-            dev += weight[:, None, None] * _kron(PAULI_Z, _kron(first, second))
-    _check_deviation(dev)
-    reference = _probe_signal(dev)
-    return dev, reference if np.ndim(x) else float(reference[0])
 
 
 # Rotation taking each measurement axis to z before the dephasing (None: z).
@@ -306,24 +259,41 @@ def _pull_back(w: np.ndarray, gates) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _observable(name: str, p: float) -> np.ndarray:
-    """W_s of one panel setting: sigma_z^probe pulled back through its gates.
+    """V_s of one panel setting, as a read-only (4, 4, 4, 4) array.
 
-    The cache holds the eight settings of up to eight noise levels.
+    W_s is sigma_z^probe pulled back through the setting's gates; V_s =
+    W_s[:16, :16] - W_s[16:, 16:] is its partial trace against the probe's
+    sigma_z, so Tr(W_s sigma_z (x) R) = Tr(V_s R) for any R on A B A' B'.
+    Entry [a, b, c, d] is row (a, b), column (c, d) of V_s, with a, c on
+    A B and b, d on A' B'. The cache holds the eight settings of up to eight
+    noise levels.
     """
     w = _pull_back(np.diag(_SZ_PROBE_DIAG).astype(complex), _setting_gates(*_SETTINGS[name], p))
-    w.setflags(write=False)
-    return w
+    half = DIM // 2
+    v = (w[:half, :half] - w[half:, half:]).reshape(4, 4, 4, 4)
+    v.setflags(write=False)
+    return v
 
 
-def _read_panel(dev: np.ndarray, reference: float | np.ndarray, p: float) -> dict[str, float | np.ndarray]:
-    """All eight settings of a prepared stack at depolarizing strength p."""
-    values = {}
-    for name in PANEL_FIELDS:
-        # one einsum per point, whatever the stack size: a stacked point reads
-        # the same bits as a point alone
-        signal = np.einsum("nij,ji->n", dev, _observable(name, p)).real / reference
-        values[name] = signal if np.ndim(reference) else float(signal[0])
-    return values
+def _check_states(rho: np.ndarray) -> None:
+    """Reject an (n, 4, 4) state stack with a non-finite entry or lost hermiticity."""
+    if not np.isfinite(rho).all():
+        raise RuntimeError("state has non-finite entries")
+    if float(np.abs(rho - rho.conj().transpose(0, 2, 1)).max()) > TOL_STRUCTURAL:
+        raise RuntimeError("state lost hermiticity")
+
+
+def _read_panel(rho: np.ndarray, p: float) -> dict[str, np.ndarray]:
+    """All eight settings of an (n, 4, 4) state stack at depolarizing strength p, as (n,) arrays."""
+    _check_states(rho)
+    # the probe signal Tr(sigma_z^probe dev) of the unread register dev
+    reference = 2.0 * np.trace(rho, axis1=1, axis2=2).real ** 2
+    # one einsum per point, whatever the stack size: a stacked point reads
+    # the same bits as a point alone
+    return {
+        name: np.einsum("abcd,nca,ndb->n", _observable(name, p), rho, rho).real / reference
+        for name in PANEL_FIELDS
+    }
 
 
 def _check_factor(name: str, factor: float) -> float:
@@ -336,17 +306,16 @@ def _check_factor(name: str, factor: float) -> float:
 def calibration_factors(noise: NoiseModel = NOISELESS) -> dict[str, float]:
     """Per-setting attenuation measured on the maximally entangled reference.
 
-    Prepares the pure alpha = pi/2, x = 1 state once and reads every setting
-    of it with and without noise; the ratio noisy/ideal is the attenuation
-    divided out by :func:`rescale`. All factors are 1 when noise is
-    inactive.
+    Reads every setting of the pure alpha = pi/2, x = 1 state with and
+    without noise; the ratio noisy/ideal is the attenuation divided out by
+    :func:`rescale`. All factors are 1 when noise is inactive.
     """
     if not noise.active:
         return {name: 1.0 for name in PANEL_FIELDS}
-    dev, reference = prepare_pair_state(np.pi / 2, 1.0)
-    ideal = _read_panel(dev, reference, 0.0)
-    noisy = _read_panel(dev, reference, float(noise.p_depol))
-    return {name: _check_factor(name, noisy[name] / ideal[name]) for name in PANEL_FIELDS}
+    rho = _family_matrices(np.array([np.pi / 2]), np.array([1.0]))
+    ideal = _read_panel(rho, 0.0)
+    noisy = _read_panel(rho, float(noise.p_depol))
+    return {name: _check_factor(name, float(noisy[name][0] / ideal[name][0])) for name in PANEL_FIELDS}
 
 
 def rescale(raw: dict[str, float], calibration: dict[str, float]) -> dict[str, float]:
@@ -392,18 +361,20 @@ def run_protocol(
     noise: NoiseModel = NOISELESS,
     calibration: dict[str, float] | None = None,
 ) -> PurityPanel:
-    """Measure the full eight-purity panel from one prepared register stack.
+    """Measure the full eight-purity panel of one point or of a stack of points.
 
     ``alpha`` and ``x`` are two floats, or two equal-length 1-D arrays of
-    points that are simulated together, one register per point; the panel
-    then holds arrays. Every point reads the same bits as a run of it alone.
+    points that are read together, one 4x4 state per point; the panel then
+    holds arrays. Every point reads the same bits as a run of it alone.
     With noise active the raw values are attenuated; the rescaled ones
     divide out the calibration factors (computed here if not supplied).
     Noiseless runs return identical raw and rescaled panels.
     """
     alpha, x = _check_points(alpha, x)
     p = float(noise.p_depol) if noise.active else 0.0
-    raw = _read_panel(*prepare_pair_state(alpha, x), p)
+    raw = _read_panel(_family_matrices(np.atleast_1d(alpha), np.atleast_1d(x)), p)
+    if np.ndim(x) == 0:
+        raw = {name: float(value[0]) for name, value in raw.items()}
     if calibration is None:
         calibration = calibration_factors(noise)
     return PurityPanel(alpha=alpha, x=x, noise_p=p, raw=raw, rescaled=rescale(raw, calibration))

@@ -17,9 +17,6 @@ import numpy as np
 
 from .tolerances import TOL_PSD, TOL_STRUCTURAL
 
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
 def as_matrix(m) -> np.ndarray:
     """Coerce ``m`` to a finite complex 2-D array."""
     a = np.asarray(m, dtype=complex)

@@ -105,26 +105,35 @@ class MubValidationReport:
         )
 
 
+def _worst(dev: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Worst entry of a stack of (d, d) deviation blocks and its (block, i, j).
+
+    The first maximum within a block, and the last block attaining the largest.
+    """
+    flat = dev.reshape(len(dev), -1)
+    first = flat.argmax(axis=1)
+    peaks = flat[np.arange(len(flat)), first]
+    k = len(peaks) - 1 - int(peaks[::-1].argmax())
+    i, j = np.unravel_index(int(first[k]), dev.shape[1:])
+    return float(peaks[k]), (k, int(i), int(j))
+
+
 def validate_mubs(mubs: MubSet) -> MubValidationReport:
-    """Check orthonormality of each basis and pairwise unbiasedness."""
+    """Check orthonormality of each basis and pairwise unbiasedness.
+
+    One contraction gives every overlap <t_i|u_j>: the t = u blocks are the
+    Gram matrices, the t < u blocks the cross-basis overlaps.
+    """
     d, m = mubs.d, mubs.M
-    worst_on = 0.0
-    worst_on_at = (1, 0, 0)
-    worst_ub = 0.0
-    worst_ub_at = (1, 2, 0, 0)
-    for t in range(m):
-        gram = mubs.bases[t].conj() @ mubs.bases[t].T
-        dev = np.abs(gram - np.eye(d))
-        i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-        if dev[i, j] >= worst_on:
-            worst_on, worst_on_at = float(dev[i, j]), (t + 1, int(i), int(j))
-        for u in range(t + 1, m):
-            overlap = np.abs(mubs.bases[t].conj() @ mubs.bases[u].T) ** 2
-            dev = np.abs(overlap - 1.0 / d)
-            i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-            if dev[i, j] >= worst_ub:
-                worst_ub, worst_ub_at = float(dev[i, j]), (t + 1, u + 1, int(i), int(j))
-    return MubValidationReport(d, m, worst_on, worst_ub, worst_on_at, worst_ub_at)
+    b = mubs.bases
+    overlaps = b.conj()[:, None] @ b.transpose(0, 2, 1)[None]  # (M, M, d, d)
+    diag = np.arange(m)
+    worst_on, (t, i, j) = _worst(np.abs(overlaps[diag, diag] - np.eye(d)))
+    rows, cols = np.triu_indices(m, 1)
+    worst_ub, (k, wi, wj) = _worst(np.abs(np.abs(overlaps[rows, cols]) ** 2 - 1.0 / d))
+    return MubValidationReport(
+        d, m, worst_on, worst_ub, (t + 1, i, j), (int(rows[k]) + 1, int(cols[k]) + 1, wi, wj)
+    )
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:

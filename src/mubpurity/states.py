@@ -21,17 +21,31 @@ def _check_x(x: float) -> float:
     return x
 
 
+def _psi_stack(alpha: np.ndarray) -> np.ndarray:
+    """The (n, 4) amplitudes of psi_alpha for each alpha of a 1-D array; no range check."""
+    v = np.zeros((len(alpha), 4), dtype=complex)
+    v[:, 1] = np.cos(alpha / 2)
+    v[:, 2] = -np.sin(alpha / 2)
+    return v
+
+
 def psi_alpha(alpha: float) -> np.ndarray:
     """Normalized amplitudes of the two-qubit state cos(a/2)|01> - sin(a/2)|10>.
 
     alpha = 0 gives the product state |01>; alpha = pi/2 the maximally
     entangled singlet. Qubit A is the leftmost (most significant) factor.
     """
-    alpha = _check_alpha(alpha)
-    v = np.zeros(4, dtype=complex)
-    v[1] = np.cos(alpha / 2)
-    v[2] = -np.sin(alpha / 2)
-    return v
+    return _psi_stack(np.array([_check_alpha(alpha)]))[0]
+
+
+def _family_matrices(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x |psi_alpha><psi_alpha| + (1-x)/4 I4 for each point of two 1-D arrays, shape (n, 4, 4).
+
+    The caller checks the ranges; every point has the same bits as a stack of one.
+    """
+    v = _psi_stack(alpha)
+    pure = v[:, :, None] * v[:, None, :].conj()
+    return x[:, None, None] * pure + ((1.0 - x) / 4.0)[:, None, None] * np.eye(4)
 
 
 def rho_family(alpha: float, x: float) -> DensityMatrix:
@@ -41,9 +55,8 @@ def rho_family(alpha: float, x: float) -> DensityMatrix:
     and (1-x)/4 three times).
     """
     x = _check_x(x)
-    v = psi_alpha(alpha)
-    m = x * np.outer(v, v.conj()) + (1.0 - x) / 4.0 * np.eye(4)
-    return DensityMatrix(m, (2, 2))
+    m = _family_matrices(np.array([_check_alpha(alpha)]), np.array([x]))
+    return DensityMatrix(m[0], (2, 2))
 
 
 def random_density(dim: int, rank: int, seed, dims=None) -> DensityMatrix:

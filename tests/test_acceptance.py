@@ -178,7 +178,7 @@ def test_criterion_7_simulator_matches_analytic_panel():
 
 
 def test_criterion_8_noise_and_rescaling():
-    noise = NoiseModel(0.01, enabled=True)
+    noise = NoiseModel(0.01)
     ideal = run_protocol(np.pi / 2, 1.0)
     noisy = run_protocol(np.pi / 2, 1.0, noise, calibration=calibration_factors(noise))
     attenuated = all(noisy.raw[name] < ideal.raw[name] for name in PANEL_FIELDS)

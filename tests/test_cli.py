@@ -227,19 +227,16 @@ class TestSweepCommand:
             main(["sweep", "--param", "x", flag, "2", "--out", str(tmp_path / "s.csv")])
         assert exc.value.code == 1
 
-    def test_simulated_columns_match_per_point_runs(self, tmp_path, monkeypatch):
-        from mubpurity import cli
+    def test_simulated_columns_match_per_point_runs(self, tmp_path):
+        # 130 grid points are read in one call; each equals a run of that point alone
         from mubpurity.expsim import PANEL_FIELDS, NoiseModel, calibration_factors, run_protocol
 
-        args = ["sweep", "--param", "alpha", "--fixed", "0.4", "--steps", "7", "--simulate",
-                "--noise", "0.05"]
-        assert main(args + ["--out", str(tmp_path / "whole.csv")]) == 0
-        monkeypatch.setattr(cli, "SWEEP_CHUNK", 3)  # chunks of 3, 3 and 1 points
-        assert main(args + ["--out", str(tmp_path / "chunked.csv")]) == 0
-        whole = (tmp_path / "whole.csv").read_text()
-        assert (tmp_path / "chunked.csv").read_text() == whole
-        lines = whole.splitlines()
-        noise = NoiseModel(0.05, enabled=True)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--param", "alpha", "--fixed", "0.4", "--steps", "130", "--simulate",
+                     "--noise", "0.05", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 131
+        noise = NoiseModel(0.05)
         calibration = calibration_factors(noise)
         for line in lines[1:]:
             row = dict(zip(lines[0].split(","), line.split(",")))

@@ -1,33 +1,36 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mubpurity import expsim
 from mubpurity.expsim import (
     _SETTINGS,
+    _SZ_PROBE_DIAG,
     DIM,
     N_QUBITS,
     NOISELESS,
     PANEL_FIELDS,
     NoiseModel,
     _check_deviation,
+    _check_states,
     _depolarize,
     _observable,
-    _probe_signal,
     _pull_back,
     _read_panel,
     _setting_gates,
     apply_gate,
     calibration_factors,
-    prepare_pair_state,
     rescale,
     run_protocol,
 )
-from mubpurity.linalg import PAULI_Z, partial_trace_matrix, purity
+from mubpurity.linalg import partial_trace_matrix, purity
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import post_measurement_state, relation_report
-from mubpurity.states import psi_alpha, rho_family
+from mubpurity.states import _family_matrices, psi_alpha, random_density, rho_family
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 MUBS = construct_mubs(2, 3)
 # construct_mubs(2, 3) orders the bases z, x, y
 AXIS_TO_THETA = {"z": 1, "x": 2, "y": 3}
@@ -47,7 +50,25 @@ def _panel_expected(alpha, x):
     }
 
 
-# Schroedinger-picture reference: run a setting's gates forward on the register.
+# Schroedinger-picture reference: build the dense 32x32 register and run a
+# setting's gates forward on it.
+def _pair_deviation(rho_ab, rho_ab2=None):
+    """The register sigma_z^probe (x) rho_ab (x) rho_ab2 (two copies of rho_ab by default)."""
+    rho_ab2 = rho_ab if rho_ab2 is None else rho_ab2
+    return np.kron(PAULI_Z, np.kron(rho_ab, rho_ab2))
+
+
+def _probe_signal(dev):
+    """Tr(dev sigma_z^probe) of each register, real part."""
+    return (np.diagonal(dev, axis1=-2, axis2=-1) * _SZ_PROBE_DIAG).sum(axis=-1).real
+
+
+def _prepare(alpha, x):
+    """The register of one family point as a stack of one, and its reference Tr(dev sigma_z^probe)."""
+    dev = _pair_deviation(rho_family(alpha, x).matrix)[None]
+    return dev, float(_probe_signal(dev)[0])
+
+
 def _forward(dev, gates):
     for gate in gates:
         dev = apply_gate(dev, gate)
@@ -62,17 +83,12 @@ def _forward_read(dev, reference, axis, which, p=0.0):
 def _forward_setting(alpha, x, noise, name):
     """One panel entry from a fresh preparation of one point, run forward."""
     p = noise.p_depol if noise.active else 0.0
-    return float(_forward_read(*prepare_pair_state(alpha, x), *_SETTINGS[name], p)[0])
+    return float(_forward_read(*_prepare(alpha, x), *_SETTINGS[name], p)[0])
 
 
 def _measure_block(dev, axis):
     """The pinch of A and A': the gates of a setting that leave the probe alone."""
     return _forward(dev, [g for g in _setting_gates(axis, "B", 0.0) if g[1] != 0])
-
-
-def _pair_deviation(rho_ab, rho_ab2=None):
-    rho_ab2 = rho_ab if rho_ab2 is None else rho_ab2
-    return np.kron(PAULI_Z, np.kron(rho_ab, rho_ab2))
 
 
 def _ab_marginal(dev):
@@ -141,7 +157,7 @@ class TestGates:
         assert np.abs(out - expected).max() <= 1e-14
 
     def test_unitary_preserves_purity_dephase_contracts(self):
-        dev = prepare_pair_state(np.pi / 3, 0.6)[0][0]
+        dev = _prepare(np.pi / 3, 0.6)[0][0]
         before = purity(dev)
         dev = _forward(dev, [("RY", 2, 0.4), ("RX", 3, -1.1), ("CSWAP", 0, 1, 3)])
         assert abs(purity(dev) - before) <= 1e-12
@@ -149,7 +165,7 @@ class TestGates:
         assert purity(dev) <= before + 1e-12
 
     def test_trace_stays_zero(self):
-        dev = prepare_pair_state(np.pi / 2, 0.5)[0]
+        dev = _prepare(np.pi / 2, 0.5)[0]
         gates = [("RY", 0, np.pi / 2), ("CSWAP", 0, 1, 3), ("DEPOL", 0, 0.05), ("DEPOL", 1, 0.05),
                  ("DEPOL", 3, 0.05), ("DEPHASE", 2), ("RX", 4, 0.3)]
         for gate in gates:
@@ -157,7 +173,7 @@ class TestGates:
             assert abs(np.trace(dev[0])) <= 1e-12
 
     def test_bad_qubit_index(self):
-        dev = prepare_pair_state(0.0, 1.0)[0]
+        dev = _prepare(0.0, 1.0)[0]
         for bad in [("RY", 5, 0.1), ("CSWAP", 0, 1, 1), ("HADAMARD", 0), ("DEPOL", 5, 0.1),
                     ("DEPOL", 1, 1.5), ("DEPHASE", -1)]:
             with pytest.raises(ValueError):
@@ -193,7 +209,7 @@ class TestGates:
             assert np.array_equal(apply_gate(dev, ("DEPOL", qubit, p)), _depolarize_reference(dev, qubit, p))
 
     def test_nan_angle_rejected(self):
-        dev = prepare_pair_state(np.pi / 2, 1.0)[0]
+        dev = _prepare(np.pi / 2, 1.0)[0]
         with pytest.raises(RuntimeError):
             apply_gate(dev, ("RY", 1, float("nan")))
 
@@ -207,54 +223,79 @@ class TestGates:
 
 
 class TestPrepare:
+    """The family stack a panel is read against, and the register the forward reference builds."""
+
     def test_x_one_single_branch(self):
-        dev, reference = prepare_pair_state(np.pi / 4, 1.0)
-        rho = rho_family(np.pi / 4, 1.0).matrix
-        assert np.abs(dev - _pair_deviation(rho)).max() <= 1e-10
-        # exactly the pure,pure branch: no other term was added
+        # at x = 1 the state is exactly the pure projector: no mixed term was added
         v = psi_alpha(np.pi / 4)
         pure = np.outer(v, v.conj())
+        assert np.array_equal(_family_matrices(np.array([np.pi / 4]), np.array([1.0]))[0], pure)
+        dev, reference = _prepare(np.pi / 4, 1.0)
         assert np.array_equal(dev[0], _pair_deviation(pure))
         assert reference == 2.0
 
     def test_x_zero_identity_branch(self):
-        dev, reference = prepare_pair_state(np.pi / 2, 0.0)
-        expected = np.kron(PAULI_Z, np.eye(16) / 16)
-        assert np.abs(dev - expected).max() <= 1e-10
-        # exactly the mixed,mixed branch: no pure term was added
-        assert np.array_equal(dev[0], expected)
+        # at x = 0 the state is exactly I4/4: no pure term was added
+        assert np.array_equal(_family_matrices(np.array([np.pi / 2]), np.array([0.0]))[0], np.eye(4) / 4)
+        dev, reference = _prepare(np.pi / 2, 0.0)
+        assert np.array_equal(dev[0], np.kron(PAULI_Z, np.eye(16) / 16))
         assert reference == 2.0
 
     def test_intermediate_x_four_branches(self):
-        dev, reference = prepare_pair_state(np.pi / 2, 0.5)
+        # temporal averaging: the weighted sum of the four branch registers of
+        # (x P + (1-x)/4 I)^(x2) is, by linearity, the register of rho itself
         rho = rho_family(np.pi / 2, 0.5).matrix
-        assert np.abs(dev - _pair_deviation(rho)).max() <= 1e-10
-        # the four branches of (x P + (1-x)/4 I)^(x2), one per pair of terms
         v = psi_alpha(np.pi / 2)
         terms = (0.5 * np.outer(v, v.conj()), 0.5 / 4 * np.eye(4))
-        expected = sum(_pair_deviation(first, second) for first in terms for second in terms)
-        assert np.abs(dev[0] - expected).max() <= 1e-15
-        assert np.abs(_ab_marginal(dev[0]) - rho).max() <= 1e-10
-        assert reference == pytest.approx(2.0, abs=1e-15)
+        branches = sum(_pair_deviation(first, second) for first in terms for second in terms)
+        assert np.abs(branches - _pair_deviation(rho)).max() <= 1e-15
+        assert np.abs(_ab_marginal(branches) - rho).max() <= 1e-10
+        panel = run_protocol(np.pi / 2, 0.5)
+        for name, (axis, which) in _SETTINGS.items():
+            assert abs(panel.raw[name] - _forward_read(branches[None], 2.0, axis, which)[0]) <= 1e-14
 
     def test_parameter_range(self):
         with pytest.raises(ValueError):
-            prepare_pair_state(-0.1, 0.5)
+            run_protocol(-0.1, 0.5)
         with pytest.raises(ValueError):
-            prepare_pair_state(0.1, 1.5)
+            run_protocol(0.1, 1.5)
 
     def test_prepared_stack_checked_once(self, monkeypatch):
         checked = []
-        monkeypatch.setattr(expsim, "_check_deviation", checked.append)
-        dev, _ = prepare_pair_state(np.array([0.2, 0.4]), np.array([0.5, 1.0]))
-        assert len(checked) == 1 and checked[0] is dev
+        monkeypatch.setattr(expsim, "_check_states", checked.append)
+        alpha, x = np.array([0.2, 0.4]), np.array([0.5, 1.0])
+        run_protocol(alpha, x)
+        assert len(checked) == 1 and np.array_equal(checked[0], _family_matrices(alpha, x))
+
+    def test_state_check_rejects_bad_stack(self):
+        rho = _family_matrices(np.array([0.2, 0.4]), np.array([0.5, 1.0]))
+        _check_states(rho)
+        for message, (i, j, delta) in {"non-finite": (1, 2, np.inf), "hermiticity": (0, 3, 1e-6)}.items():
+            bad = rho.copy()
+            bad[1, i, j] += delta
+            with pytest.raises(RuntimeError, match=message):
+                _check_states(bad)
+
+    def test_memory_stays_bounded(self):
+        # only the (n, 4, 4) states are held per point, never a 32x32 register
+        alpha = np.linspace(0.0, np.pi / 2, 4096)
+        x = np.linspace(0.0, 1.0, 4096)
+        noise = NoiseModel(0.01)
+        run_protocol(alpha[:2], x[:2], noise)  # build the cached observables first
+        tracemalloc.start()
+        try:
+            run_protocol(alpha, x, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestMeasureBlock:
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_matches_analytic_pinch(self, axis):
         for alpha, x in [(np.pi / 2, 1.0), (np.pi / 3, 0.6), (0.0, 1.0)]:
-            dev = _measure_block(prepare_pair_state(alpha, x)[0], axis)
+            dev = _measure_block(_prepare(alpha, x)[0], axis)
             expected = post_measurement_state(
                 rho_family(alpha, x), MUBS, AXIS_TO_THETA[axis]
             ).matrix
@@ -269,7 +310,7 @@ class TestMeasureBlock:
 
     def test_y_equals_x_for_singlet_family(self):
         for x in (0.25, 0.75):
-            dev = prepare_pair_state(np.pi / 2, x)[0][0]
+            dev = _prepare(np.pi / 2, x)[0][0]
             px = purity(_ab_marginal(_measure_block(dev, "x")))
             py = purity(_ab_marginal(_measure_block(dev, "y")))
             assert abs(px - py) <= 1e-10
@@ -281,17 +322,17 @@ class TestMeasureBlock:
 
 class TestSwapTestReadout:
     def test_pure_pair(self):
-        value = _forward_read(*prepare_pair_state(np.pi / 2, 1.0), None, "AB")
+        value = _forward_read(*_prepare(np.pi / 2, 1.0), None, "AB")
         assert abs(value[0] - 1.0) <= 1e-10
 
     def test_maximally_mixed_pair(self):
         # overlap of two maximally mixed two-qubit states: Tr((I4/4)^2) = 1/4
-        value = _forward_read(*prepare_pair_state(np.pi / 2, 0.0), None, "AB")
+        value = _forward_read(*_prepare(np.pi / 2, 0.0), None, "AB")
         assert abs(value[0] - 0.25) <= 1e-10
 
     @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
     def test_b_marginal_readout(self, x):
-        value = _forward_read(*prepare_pair_state(np.pi / 2, x), None, "B")
+        value = _forward_read(*_prepare(np.pi / 2, x), None, "B")
         assert abs(value[0] - 0.5) <= 1e-10
 
     def test_unequal_copies_overlap(self):
@@ -300,7 +341,8 @@ class TestSwapTestReadout:
         dev = _pair_deviation(rho1, rho2)[None]
         expected = np.trace(rho1 @ rho2).real
         assert abs(_forward_read(dev, 2.0, None, "AB")[0] - expected) <= 1e-10
-        assert abs(_read_panel(dev, 2.0, 0.0)["purity_AB"] - expected) <= 1e-10
+        read = np.einsum("abcd,ca,db->", _observable("purity_AB", 0.0), rho1, rho2).real / 2.0
+        assert abs(read - expected) <= 1e-10
 
     def test_bad_which(self):
         with pytest.raises(ValueError):
@@ -312,9 +354,13 @@ class TestObservables:
 
     @pytest.mark.parametrize("p", [0.0, 0.05, 0.3])
     def test_read_matches_forward_gates_on_random_registers(self, p):
-        dev = np.array([_random_deviation(40 + k) for k in range(3)]) / DIM
-        reference = np.array([0.5, 1.0, 2.0])
-        panel = _read_panel(dev, reference, p)
+        # random states of ranks 1, 2 and 4, scaled to traces 0.5, 1 and 2
+        scale = np.array([0.5, 1.0, 2.0])
+        rho = np.array([random_density(4, rank, 40 + rank).matrix for rank in (1, 2, 4)]) * scale[:, None, None]
+        dev = np.array([_pair_deviation(r) for r in rho])
+        reference = _probe_signal(dev)
+        assert np.abs(reference - 2.0 * scale**2).max() <= 1e-14
+        panel = _read_panel(rho, p)
         for name, (axis, which) in _SETTINGS.items():
             assert np.abs(panel[name] - _forward_read(dev, reference, axis, which, p)).max() <= 1e-14
 
@@ -337,11 +383,14 @@ class TestObservables:
         assert abs(np.trace(_pull_back(w, gates) @ dev) - forward) <= 1e-13
 
     def test_observables_are_hermitian_traceless_and_frozen(self):
-        for name in PANEL_FIELDS:
-            w = _observable(name, 0.05)
+        for name, (axis, which) in _SETTINGS.items():
+            w = _pull_back(np.diag(_SZ_PROBE_DIAG).astype(complex), _setting_gates(axis, which, 0.05))
             assert abs(np.trace(w)) <= 1e-12
             assert np.abs(w - w.conj().T).max() <= 1e-12
-            assert not w.flags.writeable
+            v = _observable(name, 0.05)
+            # the probe's sigma_z traced out of W_s
+            assert np.array_equal(v.reshape(16, 16), w[:16, :16] - w[16:, 16:])
+            assert not v.flags.writeable
 
     def test_every_gate_of_a_build_is_checked(self, monkeypatch):
         checked = []
@@ -349,14 +398,14 @@ class TestObservables:
         _observable.cache_clear()
         w = _observable("purity_xB", 0.125)
         assert len(checked) == len(_setting_gates("x", "AB", 0.125)) == 16
-        assert np.array_equal(checked[-1], w)
+        assert np.array_equal(checked[-1][:16, :16] - checked[-1][16:, 16:], w.reshape(16, 16))
         _observable.cache_clear()
 
     def test_cache_is_bounded(self):
         maxsize = _observable.cache_info().maxsize
         assert maxsize is not None
         for p in np.linspace(0.0, 0.3, maxsize // len(PANEL_FIELDS) + 3):
-            calibration_factors(NoiseModel(float(p), enabled=True))
+            calibration_factors(NoiseModel(float(p)))
         assert _observable.cache_info().currsize <= maxsize
 
     def test_noise_sites_follow_each_cswap(self):
@@ -398,7 +447,7 @@ class TestRunProtocol:
     @pytest.mark.parametrize("p", [0.0, 0.05])
     def test_matches_fresh_preparation_reference(self, p):
         # the cached observables read what a fresh register run forward per setting reads
-        noise = NoiseModel(p, enabled=p > 0.0)
+        noise = NoiseModel(p)
         for alpha, x in [(np.pi / 2, 1.0), (np.pi / 5, 0.3), (0.0, 0.0), (1.1, 0.85)]:
             panel = run_protocol(alpha, x, noise, calibration={n: 1.0 for n in PANEL_FIELDS})
             for n in PANEL_FIELDS:
@@ -417,19 +466,17 @@ class TestBatch:
     X = np.array([0.0, 0.3, 0.85, 1.0, 1.0, 0.0, 0.5])
 
     def test_stack_shapes(self):
-        dev, reference = prepare_pair_state(self.ALPHA, self.X)
-        assert dev.shape == (len(self.X), DIM, DIM)
-        assert reference.shape == (len(self.X),)
-        for i, (alpha, x) in enumerate(zip(self.ALPHA, self.X)):
-            single, single_reference = prepare_pair_state(float(alpha), float(x))
-            assert single.shape == (1, DIM, DIM)
-            assert type(single_reference) is float
-            assert np.array_equal(dev[i], single[0])
-            assert reference[i] == single_reference
+        rho = _family_matrices(self.ALPHA, self.X)
+        assert rho.shape == (len(self.X), 4, 4)
+        for i, (alpha, x) in enumerate(zip(self.ALPHA.tolist(), self.X.tolist())):
+            single = _family_matrices(np.array([alpha]), np.array([x]))
+            assert single.shape == (1, 4, 4)
+            assert np.array_equal(rho[i], single[0])
+            assert np.array_equal(rho[i], rho_family(alpha, x).matrix)
 
     @pytest.mark.parametrize("p", [0.0, 0.05])
     def test_array_call_equals_scalar_calls(self, p):
-        noise = NoiseModel(p, enabled=p > 0.0)
+        noise = NoiseModel(p)
         panel = run_protocol(self.ALPHA, self.X, noise)
         assert np.array_equal(panel.alpha, self.ALPHA) and np.array_equal(panel.x, self.X)
         for i, (alpha, x) in enumerate(zip(self.ALPHA.tolist(), self.X.tolist())):
@@ -441,7 +488,7 @@ class TestBatch:
                 assert panel.rescaled[name][i] == single.rescaled[name]
 
     def test_chunks_change_no_value(self):
-        noise = NoiseModel(0.05, enabled=True)
+        noise = NoiseModel(0.05)
         whole = run_protocol(self.ALPHA, self.X, noise)
         for size in (1, 2, 4):
             parts = [
@@ -461,7 +508,7 @@ class TestBatch:
         with pytest.raises(ValueError, match="alpha="):
             run_protocol(np.array([0.1, 2.0]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="x="):
-            prepare_pair_state(np.array([0.1, 0.2]), np.array([0.5, np.nan]))
+            run_protocol(np.array([0.1, 0.2]), np.array([0.5, np.nan]))
         for alpha, x in [
             (np.array([0.1, 0.2]), np.array([0.5])),
             (np.zeros((2, 2)), np.zeros((2, 2))),
@@ -472,7 +519,7 @@ class TestBatch:
                 run_protocol(alpha, x)
 
     def test_check_rejects_one_bad_point_in_a_stack(self):
-        stack = prepare_pair_state(self.ALPHA, self.X)[0]
+        stack = np.array([_prepare(a, x)[0][0] for a, x in zip(self.ALPHA.tolist(), self.X.tolist())])
         _check_deviation(stack)
         cases = {
             "non-finite": (3, 5, np.nan),
@@ -487,7 +534,7 @@ class TestBatch:
 
 
 class TestNoiseAndRescaling:
-    NOISE = NoiseModel(0.01, enabled=True)
+    NOISE = NoiseModel(0.01)
 
     def test_raw_strictly_attenuated_for_pure_panel(self):
         ideal = run_protocol(np.pi / 2, 1.0)
@@ -524,14 +571,14 @@ class TestNoiseAndRescaling:
 
     @pytest.mark.parametrize("p", [0.0, 0.05])
     def test_calibration_matches_fresh_preparation_reference(self, p):
-        noise = NoiseModel(p, enabled=p > 0.0)
+        noise = NoiseModel(p)
         factors = calibration_factors(noise)
         for n in PANEL_FIELDS:
             expected = _forward_setting(np.pi / 2, 1.0, noise, n) / _forward_setting(np.pi / 2, 1.0, NOISELESS, n)
             assert abs(factors[n] - expected) <= 1e-14
 
     def test_calibration_rejects_nan_factor(self, monkeypatch):
-        monkeypatch.setattr(expsim, "_read_panel", lambda dev, reference, p: dict.fromkeys(PANEL_FIELDS, np.nan))
+        monkeypatch.setattr(expsim, "_read_panel", lambda rho, p: dict.fromkeys(PANEL_FIELDS, np.array([np.nan])))
         with pytest.raises(ValueError):
             calibration_factors(self.NOISE)
 
@@ -542,5 +589,7 @@ class TestNoiseAndRescaling:
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
         with pytest.raises(ValueError):
-            NoiseModel(1.5, enabled=True)
-        assert not NoiseModel(0.3, enabled=False).active
+            NoiseModel(1.5)
+        assert NoiseModel(0.3).active and not NoiseModel(0.0).active and not NOISELESS.active
+        with pytest.raises(TypeError):
+            NoiseModel(0.3, enabled=False)  # noise is on exactly when p_depol > 0

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mubpurity.linalg import (
-    PAULI_Z,
     DensityMatrix,
     as_matrix,
     density_from_json,
@@ -16,6 +15,7 @@ from mubpurity.linalg import (
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
 

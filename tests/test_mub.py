@@ -6,6 +6,7 @@ import pytest
 from mubpurity.mub import (
     MubSet,
     MubValidationError,
+    MubValidationReport,
     construct_mubs,
     is_prime,
     load_mubs,
@@ -48,6 +49,47 @@ def test_prefix_property(d):
 def test_first_basis_is_computational():
     for d in (2, 3, 5):
         assert np.array_equal(construct_mubs(d, 2).bases[0], np.eye(d))
+
+
+def _validate_by_loop(mubs):
+    """Reference report, one basis and one pair at a time.
+
+    The first maximum within a basis or pair is kept; across them a later
+    maximum equal to the worst so far replaces it.
+    """
+    d, m = mubs.d, mubs.M
+    worst_on, worst_on_at, worst_ub, worst_ub_at = 0.0, (1, 0, 0), 0.0, (1, 2, 0, 0)
+    for t in range(m):
+        dev = np.abs(mubs.bases[t].conj() @ mubs.bases[t].T - np.eye(d))
+        i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+        if dev[i, j] >= worst_on:
+            worst_on, worst_on_at = float(dev[i, j]), (t + 1, int(i), int(j))
+        for u in range(t + 1, m):
+            dev = np.abs(np.abs(mubs.bases[t].conj() @ mubs.bases[u].T) ** 2 - 1.0 / d)
+            i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+            if dev[i, j] >= worst_ub:
+                worst_ub, worst_ub_at = float(dev[i, j]), (t + 1, u + 1, int(i), int(j))
+    return MubValidationReport(d, m, worst_on, worst_ub, worst_on_at, worst_ub_at)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_validation_matches_pair_loop(d):
+    rng = np.random.default_rng(d)
+    for m in range(2, d + 2):
+        mubs = construct_mubs(d, m)
+        assert validate_mubs(mubs) == _validate_by_loop(mubs)
+        # a stretched vector, a repeated basis, a perturbed set
+        stretched = mubs.bases.copy()
+        stretched[rng.integers(m), rng.integers(d)] *= 1.25
+        repeated = mubs.bases.copy()
+        repeated[-1] = repeated[0]
+        noise = rng.standard_normal(mubs.bases.shape) + 1j * rng.standard_normal(mubs.bases.shape)
+        for bases in (stretched, repeated, mubs.bases + 1e-3 * noise):
+            mutated = MubSet(bases)
+            assert validate_mubs(mutated) == _validate_by_loop(mutated)
+    # exact ties in every block: identical bases
+    same = MubSet(np.stack([np.eye(d, dtype=complex)] * 3))
+    assert validate_mubs(same) == _validate_by_loop(same)
 
 
 def test_duplicated_basis_fails():

@@ -105,10 +105,6 @@ xs = st.floats(0.0, 1.0)
 noise_ps = st.floats(0.0, 0.3)
 
 
-def _noise(p):
-    return NoiseModel(p, enabled=p > 0.0)
-
-
 def _analytic_panel(alpha, x):
     # construct_mubs(2, 3) orders the bases z, x, y
     rep = relation_report(rho_family(alpha, x), construct_mubs(2, 3))
@@ -132,8 +128,8 @@ def test_simulated_panel_matches_analytic(alpha, x):
 def test_raw_panel_does_not_increase_with_noise(alpha, x, p1, p2):
     lo, hi = sorted((p1, p2))
     calibration = {name: 1.0 for name in PANEL_FIELDS}
-    less = run_protocol(alpha, x, _noise(lo), calibration=calibration).raw
-    more = run_protocol(alpha, x, _noise(hi), calibration=calibration).raw
+    less = run_protocol(alpha, x, NoiseModel(lo), calibration=calibration).raw
+    more = run_protocol(alpha, x, NoiseModel(hi), calibration=calibration).raw
     for name in PANEL_FIELDS:
         assert more[name] <= less[name] + TOL_STRUCTURAL
 
@@ -142,7 +138,7 @@ def test_raw_panel_does_not_increase_with_noise(alpha, x, p1, p2):
 @given(alphas, xs, noise_ps)
 def test_rescaled_panel_recovers_noiseless(alpha, x, p):
     noiseless = run_protocol(alpha, x).raw
-    rescaled = run_protocol(alpha, x, _noise(p)).rescaled
+    rescaled = run_protocol(alpha, x, NoiseModel(p)).rescaled
     for name in PANEL_FIELDS:
         assert abs(rescaled[name] - noiseless[name]) <= 1e-10
 
@@ -150,7 +146,7 @@ def test_rescaled_panel_recovers_noiseless(alpha, x, p):
 @SIMULATOR_SETTINGS
 @given(alphas, xs, noise_ps)
 def test_observable_read_matches_forward_gates(alpha, x, p):
-    noise = _noise(p)
+    noise = NoiseModel(p)
     raw = run_protocol(alpha, x, noise, calibration=dict.fromkeys(PANEL_FIELDS, 1.0)).raw
     factors = calibration_factors(noise)
     for name in PANEL_FIELDS:
