@@ -39,11 +39,12 @@ from .mub import (
     validate_mubs,
 )
 from .relations import (
+    _relation_arrays,
     build_bipartite_basis,
     check_pt_identities,
     relation_report,
 )
-from .states import random_density, rho_family
+from .states import _family_states, random_density, rho_family
 from .tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 
 _PI_RE = re.compile(r"^([+-]?(?:\d+(?:\.\d*)?|\.\d+)?)\*?pi(?:/(\d+(?:\.\d*)?))?$")
@@ -246,20 +247,8 @@ def cmd_relation(ns) -> int:
     return 0
 
 
-_SWEEP_BASE_COLUMNS = (
-    "alpha", "x", "d", "M",
-    "purity_AB", "purity_B", "purity_xB", "purity_yB", "purity_zB",
-    "lhs", "rhs", "gap",
-)
-
-
-def _axis_purities(rep) -> dict[str, float]:
-    # construct_mubs(2, 3) orders the bases z, x, y
-    return {ax: rep.purity_thetaB[i] for i, ax in enumerate(PAULI_AXIS_LABELS)}
-
-
-def _simulated_columns(alphas: np.ndarray, xs: np.ndarray, noise: NoiseModel) -> list[dict]:
-    """Raw and rescaled simulator columns of every grid point, from one run over the grid."""
+def _simulated_columns(alphas: np.ndarray, xs: np.ndarray, noise: NoiseModel) -> dict[str, np.ndarray]:
+    """Raw and rescaled simulator columns of the grid, from one run over it."""
     panel = run_protocol(alphas, xs, noise)
     raw_lhs, raw_rhs = panel.relation_sides(use_raw=True)
     res_lhs, res_rhs = panel.relation_sides(use_raw=False)
@@ -267,8 +256,7 @@ def _simulated_columns(alphas: np.ndarray, xs: np.ndarray, noise: NoiseModel) ->
     columns.update(raw_lhs=raw_lhs, raw_rhs=raw_rhs, raw_gap=raw_lhs - raw_rhs)
     columns.update({f"rescaled_{name}": panel.rescaled[name] for name in PANEL_FIELDS})
     columns.update(rescaled_lhs=res_lhs, rescaled_rhs=res_rhs, rescaled_gap=res_lhs - res_rhs)
-    values = [v.tolist() for v in columns.values()]
-    return [dict(zip(columns, point)) for point in zip(*values)]
+    return columns
 
 
 def _sweep_rows(config: SweepConfig) -> list[dict]:
@@ -276,28 +264,23 @@ def _sweep_rows(config: SweepConfig) -> list[dict]:
     grid = np.linspace(config.start, config.stop, config.steps)
     fixed = np.full(config.steps, config.fixed_other)
     alphas, xs = (grid, fixed) if config.param == "alpha" else (fixed, grid)
-    rows = []
-    for alpha, x in zip(alphas.tolist(), xs.tolist()):
-        rep = relation_report(rho_family(alpha, x), mubs)
-        axis = _axis_purities(rep)
-        rows.append({
-            "alpha": alpha,
-            "x": x,
-            "d": mubs.d,
-            "M": mubs.M,
-            "purity_AB": rep.purity_AB,
-            "purity_B": rep.purity_B,
-            "purity_xB": axis["x"],
-            "purity_yB": axis["y"],
-            "purity_zB": axis["z"],
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "gap": rep.gap,
-        })
+    rep = _relation_arrays(_family_states(alphas, xs), (2, 2), mubs)
+    columns = {
+        "alpha": alphas,
+        "x": xs,
+        "d": np.full(config.steps, mubs.d),
+        "M": np.full(config.steps, mubs.M),
+        "purity_AB": rep["purity_AB"],
+        "purity_B": rep["purity_B"],
+    }
+    # construct_mubs(2, 3) orders the bases z, x, y
+    axis = dict(zip(PAULI_AXIS_LABELS, rep["purity_thetaB"].T))
+    columns.update({f"purity_{ax}B": axis[ax] for ax in ("x", "y", "z")})
+    columns.update({name: rep[name] for name in ("lhs", "rhs", "gap")})
     if config.simulate:
-        for row, simulated in zip(rows, _simulated_columns(alphas, xs, config.noise)):
-            row.update(simulated)
-    return rows
+        columns.update(_simulated_columns(alphas, xs, config.noise))
+    values = [v.tolist() for v in columns.values()]
+    return [dict(zip(columns, point)) for point in zip(*values)]
 
 
 def cmd_sweep(ns) -> int:

@@ -17,14 +17,21 @@ import numpy as np
 
 from .tolerances import TOL_PSD, TOL_STRUCTURAL
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a finite complex 2-D array."""
+def _as_stack(m) -> np.ndarray:
+    """Coerce ``m`` to a finite complex array of one matrix or a (..., n, n) stack."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    if a.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
+
+
+def as_matrix(m) -> np.ndarray:
+    """Coerce ``m`` to a finite complex 2-D array."""
+    if np.ndim(m) != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {np.shape(m)}")
+    return _as_stack(m)
 
 
 def frobenius_norm(m) -> float:
@@ -32,9 +39,9 @@ def frobenius_norm(m) -> float:
 
 
 def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation of ``m`` from its own adjoint."""
+    """Largest entrywise deviation of a matrix, or of any matrix of a stack, from its adjoint."""
     a = np.asarray(m)
-    return float(np.abs(a - a.conj().T).max())
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
 
 
 def _normalize_keep(keep: Iterable[int], n: int) -> list[int]:
@@ -50,21 +57,23 @@ def partial_trace_matrix(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndar
     """Trace out every subsystem not listed in ``keep``.
 
     Kept subsystems retain their original order. Works on any square matrix
-    (density matrices, deviation matrices, generic operators).
+    (density matrices, deviation matrices, generic operators) and on each
+    matrix of a (..., n, n) stack.
     """
-    a = as_matrix(m)
+    a = _as_stack(m)
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
-    if a.shape != (total, total):
+    lead = a.shape[:-2]
+    if a.shape[-2:] != (total, total):
         raise ValueError(f"matrix shape {a.shape} does not match dims {dims}")
     idx = _normalize_keep(keep, len(dims))
-    t = a.reshape(dims + dims)
+    t = a.reshape(lead + dims + dims)
     nsub = len(dims)
     for drop in sorted((i for i in range(len(dims)) if i not in idx), reverse=True):
-        t = np.trace(t, axis1=drop, axis2=drop + nsub)
+        t = np.trace(t, axis1=len(lead) + drop, axis2=len(lead) + drop + nsub)
         nsub -= 1
     size = int(np.prod([dims[k] for k in idx]))
-    return t.reshape(size, size)
+    return t.reshape(lead + (size, size))
 
 
 def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:
@@ -88,14 +97,29 @@ def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
+    """Eigenvalues of a Hermitian matrix, or of each matrix of a (..., n, n) stack, ascending.
 
     Rejects inputs whose hermiticity defect exceeds the 1e-10 slack bucket.
+    A stacked matrix gets the same bits as the matrix alone.
     """
-    a = as_matrix(m)
+    a = _as_stack(m)
     if hermiticity_defect(a) > TOL_PSD:
         raise ValueError("input is not Hermitian within tolerance")
     return np.linalg.eigvalsh(a)
+
+
+def _check_density_stack(a: np.ndarray) -> None:
+    """Reject an (n, k, k) stack unless every matrix is finite, Hermitian, unit-trace and PSD."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if hermiticity_defect(a) > TOL_STRUCTURAL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    traces = np.trace(a, axis1=1, axis2=2)
+    off = np.abs(traces - 1.0) > TOL_STRUCTURAL
+    if off.any():
+        raise ValueError(f"trace {complex(traces[off.argmax()])!r} is not 1 within tolerance")
+    if np.linalg.eigvalsh(a)[:, 0].min() < -TOL_PSD:
+        raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
 
 
 @dataclass(frozen=True)
@@ -116,13 +140,7 @@ class DensityMatrix:
             raise ValueError(f"invalid dims {dims}")
         if a.shape != (total, total):
             raise ValueError(f"matrix shape {a.shape} does not match dims {dims}")
-        if hermiticity_defect(a) > TOL_STRUCTURAL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = complex(np.trace(a))
-        if abs(tr - 1.0) > TOL_STRUCTURAL:
-            raise ValueError(f"trace {tr!r} is not 1 within tolerance")
-        if np.linalg.eigvalsh(a)[0] < -TOL_PSD:
-            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+        _check_density_stack(a[None])
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
@@ -133,10 +151,15 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
+def _purities(m: np.ndarray) -> np.ndarray:
+    """Tr(m^2) of each matrix of a (..., k, k) stack, as a real array of the leading shape."""
+    return np.einsum("...ab,...ba->...", m, m).real
+
+
 def purity(rho) -> float:
     """Tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho)
-    return float(np.trace(m @ m).real)
+    return float(_purities(m))
 
 
 # JSON matrix format: {"rows": n, "cols": n, "data": [[re, im], ...]} row-major;

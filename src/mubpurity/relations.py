@@ -25,11 +25,11 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
+    _purities,
     frobenius_norm,
     hermitian_eigenvalues,
     partial_trace_matrix,
     partial_transpose,
-    purity,
 )
 from .mub import MubSet, MubValidationError, validate_mubs
 from .tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
@@ -159,7 +159,7 @@ def check_pt_identities(basis: BipartiteBasis) -> PtIdentityReport:
         "tia,tjc,tjb,tie->tabce", vecs, vecs.conj(), vecs, vecs.conj(), optimize=True
     ).reshape(m, n, n)
     pinches = np.einsum(
-        "tia,tic,tib,tie->tabce", vecs, vecs.conj(), vecs, vecs.conj()
+        "tia,tic,tib,tie->tabce", vecs, vecs.conj(), vecs, vecs.conj(), optimize=True
     ).reshape(m, n, n)
 
     phi = basis.phi
@@ -174,37 +174,40 @@ def check_pt_identities(basis: BipartiteBasis) -> PtIdentityReport:
     return PtIdentityReport(float(phi_dev), tuple(float(v) for v in theta_devs))
 
 
-def _check_bipartite_input(rho: DensityMatrix, d: int) -> int:
-    if len(rho.dims) != 2:
-        raise ValueError(f"expected a bipartite state, got dims {rho.dims}")
-    if rho.dims[0] != d:
-        raise ValueError(f"state A-dimension {rho.dims[0]} does not match basis dimension {d}")
-    return rho.dims[1]
+def _check_bipartite_input(dims: tuple[int, ...], d: int) -> int:
+    if len(dims) != 2:
+        raise ValueError(f"expected a bipartite state, got dims {dims}")
+    if dims[0] != d:
+        raise ValueError(f"state A-dimension {dims[0]} does not match basis dimension {d}")
+    return dims[1]
 
 
-def _pinch_blocks(rho: DensityMatrix, bases: np.ndarray) -> np.ndarray:
-    """``blocks[t, i] = <i_t|rho|i_t>``, shape (k, d, D, D), for a stack of k bases.
+def _pinch_blocks(rho: np.ndarray, dims: tuple[int, ...], bases: np.ndarray) -> np.ndarray:
+    """``blocks[n, t, i] = <i_t|rho_n|i_t>``, shape (n, k, d, D, D), for n states and k bases.
 
-    Basis t pinches rho into sum_i |i_t><i_t| (x) blocks[t, i], which is
-    Hermitian and PSD for any vectors but has unit trace only for an
-    orthonormal basis; a trace off 1 beyond tolerance raises ``ValueError``.
+    ``rho`` is an (n, d*D, d*D) stack on ``dims``. Basis t pinches rho_n into
+    sum_i |i_t><i_t| (x) blocks[n, t, i], which is Hermitian and PSD for any
+    vectors but has unit trace only for an orthonormal basis; a trace off 1
+    beyond tolerance raises ``ValueError``.
     """
-    d = bases.shape[1]
-    big_d = _check_bipartite_input(rho, d)
-    half = (bases.conj() @ rho.matrix.reshape(d, -1)).reshape(-1, d, big_d, d, big_d)
-    blocks = np.einsum("tibce,tic->tibe", half, bases)
-    defect = float(np.abs(np.einsum("tibb->t", blocks) - 1.0).max())
+    k, d = bases.shape[:2]
+    big_d = _check_bipartite_input(dims, d)
+    n = len(rho)
+    # one (d, d) @ (d, D*d*D) product per state and basis
+    half = (bases.conj() @ rho.reshape(n, 1, d, -1)).reshape(n, k, d, big_d, d, big_d)
+    blocks = np.einsum("ntibce,tic->ntibe", half, bases)
+    defect = float(np.abs(np.einsum("ntibb->nt", blocks) - 1.0).max())
     if defect > TOL_STRUCTURAL:
         raise ValueError(f"pinched trace is off 1 by {defect:.3e}: the basis is not orthonormal")
     return blocks
 
 
 def _pinched_sum(bases: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """sum_t sum_i |i_t><i_t| (x) blocks[t, i], as a (d*D, d*D) matrix."""
-    k, d, big_d = blocks.shape[:3]
+    """sum_t sum_i |i_t><i_t| (x) blocks[n, t, i] of each state, as an (n, d*D, d*D) stack."""
+    n, k, d, big_d = blocks.shape[:4]
     proj = np.einsum("tia,tic->tiac", bases, bases.conj()).reshape(k * d, d * d)
-    out = (proj.T @ blocks.reshape(k * d, -1)).reshape(d, d, big_d, big_d)
-    return out.transpose(0, 2, 1, 3).reshape(d * big_d, d * big_d)
+    out = (proj.T @ blocks.reshape(n, k * d, -1)).reshape(n, d, d, big_d, big_d)
+    return out.transpose(0, 1, 3, 2, 4).reshape(n, d * big_d, d * big_d)
 
 
 def post_measurement_state(rho: DensityMatrix, mubs: MubSet, theta: int) -> DensityMatrix:
@@ -216,15 +219,21 @@ def post_measurement_state(rho: DensityMatrix, mubs: MubSet, theta: int) -> Dens
     if not 1 <= int(theta) <= mubs.M:
         raise ValueError(f"basis label {theta} out of range 1..{mubs.M}")
     kets = mubs.bases[int(theta) - 1 : int(theta)]
-    return DensityMatrix(_pinched_sum(kets, _pinch_blocks(rho, kets)), rho.dims)
+    blocks = _pinch_blocks(rho.matrix[None], rho.dims, kets)
+    return DensityMatrix(_pinched_sum(kets, blocks)[0], rho.dims)
 
 
-def _gamma_terms(rho: DensityMatrix, mubs: MubSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho_B, the pinch blocks of all M bases, gamma) from the definition of gamma."""
-    blocks = _pinch_blocks(rho, mubs.bases)
+def _gamma_terms(
+    rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho_B, the pinch blocks of all M bases, gamma) from the definition of gamma.
+
+    All three carry the leading axis of the (n, d*D, d*D) stack ``rho``.
+    """
+    blocks = _pinch_blocks(rho, dims, mubs.bases)
     d, m = mubs.d, mubs.M
-    rho_b = partial_trace_matrix(rho.matrix, rho.dims, keep=(1,))
-    g = np.kron(np.eye(d), rho_b) + (m - 1) / d * rho.matrix - _pinched_sum(mubs.bases, blocks)
+    rho_b = partial_trace_matrix(rho, dims, keep=(1,))
+    g = np.kron(np.eye(d), rho_b) + (m - 1) / d * rho - _pinched_sum(mubs.bases, blocks)
     return rho_b, blocks, g
 
 
@@ -234,7 +243,7 @@ def gamma_direct(rho: DensityMatrix, mubs: MubSet) -> np.ndarray:
     gamma = I_A (x) rho_B + (M-1)/d * rho - sum_theta rho_thetaB. Hermitian;
     zero when M = d+1, positive semidefinite when M <= d.
     """
-    return _gamma_terms(rho, mubs)[2]
+    return _gamma_terms(rho.matrix[None], rho.dims, mubs)[2][0]
 
 
 def gamma_via_projector(rho: DensityMatrix, basis: BipartiteBasis) -> np.ndarray:
@@ -248,9 +257,11 @@ def gamma_via_projector(rho: DensityMatrix, basis: BipartiteBasis) -> np.ndarray
     of both implementations.
     """
     d = basis.d
-    big_d = _check_bipartite_input(rho, d)
+    big_d = _check_bipartite_input(rho.dims, d)
     ptc = partial_transpose(basis.projector, (d, d), subsystem=1).reshape(d, d, d, d)
-    g = np.einsum("acxe,ebcy->abxy", ptc, rho.matrix.reshape(d, big_d, d, big_d))
+    g = np.einsum(
+        "acxe,ebcy->abxy", ptc, rho.matrix.reshape(d, big_d, d, big_d), optimize=True
+    )
     return g.reshape(d * big_d, d * big_d)
 
 
@@ -292,6 +303,36 @@ class RelationReport:
         }
 
 
+def _relation_arrays(rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet) -> dict[str, np.ndarray]:
+    """Every per-state :class:`RelationReport` field of an (n, d*D, d*D) stack of states.
+
+    ``purity_thetaB`` and ``purity_B_given_theta`` have shape (n, M), every
+    other field shape (n,). The caller checks the states; each row has the
+    same bits as a stack of that state alone.
+    """
+    rho_b, blocks, g = _gamma_terms(rho, dims, mubs)
+    d, m = mubs.d, mubs.M
+    p_ab = _purities(rho)
+    p_b = _purities(rho_b)
+    # Tr rho_thetaB^2 = sum_i Tr blocks[t, i]^2, and the B marginal of
+    # rho_thetaB is sum_i blocks[t, i]
+    p_theta = _purities(blocks).sum(axis=2)
+    lhs = (p_b[:, None] - p_theta).sum(axis=1)
+    rhs = (m - 1) * (p_b - p_ab / d)
+    return {
+        "purity_AB": p_ab,
+        "purity_B": p_b,
+        "purity_thetaB": p_theta,
+        "purity_B_given_theta": _purities(blocks.sum(axis=2)),
+        "lhs": lhs,
+        "rhs": rhs,
+        "gap": lhs - rhs,
+        "gamma_expectation": np.einsum("nab,nba->n", g, rho).real,
+        "gamma_min_eig": hermitian_eigenvalues(g)[:, 0],
+        "gamma_frobenius": np.linalg.norm(g.reshape(len(g), -1), axis=1),
+    }
+
+
 def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
     """Evaluate every quantity entering the conservation relation.
 
@@ -301,32 +342,8 @@ def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
     contraction Tr(gamma rho), which equals
     Tr rho_B^2 + (M-1)/d Tr rho_AB^2 - sum_theta Tr rho_thetaB^2.
     """
-    rho_b, blocks, g = _gamma_terms(rho, mubs)
-    d, m = mubs.d, mubs.M
-    p_ab = purity(rho)
-    p_b = purity(rho_b)
-    # Tr rho_thetaB^2 = sum_i Tr blocks[t, i]^2, and the B marginal of
-    # rho_thetaB is sum_i blocks[t, i]
-    p_theta = tuple(float(v) for v in np.einsum("tibe,tieb->t", blocks, blocks).real)
-    marginals = blocks.sum(axis=1)
-    p_b_given = tuple(float(v) for v in np.einsum("tbe,teb->t", marginals, marginals).real)
-
-    lhs = sum(p_b - p for p in p_theta)
-    rhs = (m - 1) * (p_b - p_ab / d)
-
+    arrays = _relation_arrays(rho.matrix[None], rho.dims, mubs)
+    fields = {name: tuple(v[0].tolist()) if v.ndim == 2 else v[0].tolist() for name, v in arrays.items()}
     return RelationReport(
-        d=d,
-        D=rho.dims[1],
-        M=m,
-        purity_AB=p_ab,
-        purity_B=p_b,
-        purity_thetaB=p_theta,
-        purity_B_given_theta=p_b_given,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        gap=float(lhs - rhs),
-        gamma_expectation=float(np.trace(g @ rho.matrix).real),
-        gamma_min_eig=float(hermitian_eigenvalues(g)[0]),
-        gamma_frobenius=frobenius_norm(g),
-        equality_expected=(m == d + 1),
+        d=mubs.d, D=rho.dims[1], M=mubs.M, equality_expected=(mubs.M == mubs.d + 1), **fields
     )

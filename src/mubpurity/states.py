@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _check_density_stack
 
 
 def _check_alpha(alpha: float) -> float:
@@ -46,6 +46,20 @@ def _family_matrices(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
     v = _psi_stack(alpha)
     pure = v[:, :, None] * v[:, None, :].conj()
     return x[:, None, None] * pure + ((1.0 - x) / 4.0)[:, None, None] * np.eye(4)
+
+
+def _family_states(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The checked (n, 4, 4) stack of family states at the points of two 1-D arrays.
+
+    Every point passes the checks of :func:`rho_family`, with the same
+    messages, and state i has the bits of ``rho_family(alpha[i], x[i]).matrix``.
+    """
+    for a, b in zip(alpha.tolist(), x.tolist()):
+        _check_x(b)
+        _check_alpha(a)
+    rho = _family_matrices(alpha, x)
+    _check_density_stack(rho)
+    return rho
 
 
 def rho_family(alpha: float, x: float) -> DensityMatrix:

@@ -245,6 +245,53 @@ class TestSweepCommand:
                 assert row[f"raw_{name}"] == repr(panel.raw[name])
                 assert row[f"rescaled_{name}"] == repr(panel.rescaled[name])
 
+    @pytest.mark.parametrize("simulate", [False, True])
+    @pytest.mark.parametrize("param,fixed", [("alpha", "0.35"), ("x", "1.2")])
+    def test_analytic_columns_match_per_point_reports(self, tmp_path, param, fixed, simulate):
+        # the whole grid is read in one batched call; each cell equals a report of that point alone
+        from mubpurity.mub import construct_mubs
+        from mubpurity.relations import relation_report
+        from mubpurity.states import rho_family
+
+        out = tmp_path / "s.csv"
+        extra = ["--simulate", "--noise", "0.01"] if simulate else []
+        assert main(["sweep", "--param", param, "--fixed", fixed, "--steps", "130", *extra,
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 131
+        mubs = construct_mubs(2, 3)
+        for line in lines[1:]:
+            row = dict(zip(lines[0].split(","), line.split(",")))
+            rep = relation_report(rho_family(float(row["alpha"]), float(row["x"])), mubs)
+            z, x, y = rep.purity_thetaB  # construct_mubs(2, 3) orders the bases z, x, y
+            expected = {
+                "d": "2", "M": "3", "purity_AB": rep.purity_AB, "purity_B": rep.purity_B,
+                "purity_xB": x, "purity_yB": y, "purity_zB": z,
+                "lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap,
+            }
+            for name, value in expected.items():
+                assert row[name] == (value if isinstance(value, str) else repr(value)), name
+
+    @pytest.mark.parametrize("simulate", [False, True])
+    @pytest.mark.parametrize("args,alpha,x", [
+        (["--param", "alpha", "--from", "-0.25"], -0.25, 1.0),
+        (["--param", "alpha", "--to", "2"], 2.0, 1.0),
+        (["--param", "alpha", "--fixed", "1.5"], 0.0, 1.5),
+        (["--param", "x", "--from", "-1", "--to", "0.5"], math.pi / 2, -1.0),
+        (["--param", "x", "--to", "1.5", "--steps", "3"], math.pi / 2, 1.5),
+        (["--param", "x", "--fixed", "pi"], math.pi, 0.0),
+    ])
+    def test_out_of_domain_exits_1_with_library_message(self, tmp_path, capsys, args, alpha, x, simulate):
+        from mubpurity.states import rho_family
+
+        with pytest.raises(ValueError) as exc:
+            rho_family(alpha, x)  # the first point of the grid outside the domain
+        extra = ["--simulate"] if simulate else []
+        out = tmp_path / "s.csv"
+        assert main(["sweep", *args, *extra, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert not out.exists()
+
     def test_bad_range_exits_1(self, tmp_path):
         assert main(["sweep", "--param", "x", "--from", "0.5", "--to", "0.2",
                      "--out", str(tmp_path / "x.csv")]) == 1

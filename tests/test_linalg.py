@@ -3,6 +3,7 @@ import pytest
 
 from mubpurity.linalg import (
     DensityMatrix,
+    _check_density_stack,
     as_matrix,
     density_from_json,
     density_to_json,
@@ -112,6 +113,16 @@ class TestPartialTrace:
         assert out.shape == (4, 4)
         assert abs(np.trace(out) - np.trace(m)) <= 1e-13
 
+    def test_stack_rows_equal_single_matrices(self):
+        rng = _rng(5)
+        stack = np.stack([_random_density_matrix(rng, 12) for _ in range(4)])
+        for keep in ([0], [1, 2], [0, 2]):
+            out = partial_trace_matrix(stack, (2, 3, 2), keep)
+            for row, m in enumerate(stack):
+                assert np.array_equal(out[row], partial_trace_matrix(m, (2, 3, 2), keep))
+        with pytest.raises(ValueError, match="does not match"):
+            partial_trace_matrix(stack, (2, 2), [0])
+
     def test_invalid_subsystem(self):
         rho = np.eye(4) / 4
         with pytest.raises(ValueError):
@@ -199,6 +210,25 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_rows_equal_single_matrices(self):
+        rng = _rng(15)
+        g = _random_complex(rng, 5 * 6, 6).reshape(5, 6, 6)
+        stack = g + g.conj().transpose(0, 2, 1)
+        w = hermitian_eigenvalues(stack)
+        assert w.shape == (5, 6)
+        for row, m in enumerate(stack):
+            assert np.array_equal(w[row], hermitian_eigenvalues(m))
+        assert hermitian_eigenvalues(stack.reshape(5, 1, 6, 6)).shape == (5, 1, 6)
+
+    def test_stack_rejects_one_non_hermitian_matrix(self):
+        stack = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(stack)
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_eigenvalues(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+        with pytest.raises(ValueError, match="stack"):
+            hermitian_eigenvalues(np.ones(3))
+
 
 class TestPurity:
     def test_maximally_mixed(self):
@@ -253,6 +283,29 @@ class TestTypes:
     def test_density_dims_mismatch(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
+
+    @pytest.mark.parametrize("defect", ["non-hermitian", "trace", "negative", "nan"])
+    def test_stack_check_rejects_one_bad_state(self, defect):
+        # a bad state inside a stack fails with the message it fails with alone
+        bad = np.eye(3, dtype=complex) / 3
+        if defect == "non-hermitian":
+            bad[0, 1] = 0.1
+        elif defect == "trace":
+            bad *= 1.5
+        elif defect == "negative":
+            bad = np.diag([0.7, 0.5, -0.2]).astype(complex)
+        else:
+            bad[2, 2] = np.nan
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(bad, (3,))
+        good = _random_density_matrix(_rng(16), 3)
+        _check_density_stack(np.stack([good, good]))
+        for position in range(3):
+            stack = [good, good]
+            stack.insert(position, bad)
+            with pytest.raises(ValueError) as stacked:
+                _check_density_stack(np.stack(stack))
+            assert str(stacked.value) == str(alone.value)
 
     def test_immutable(self):
         rho = DensityMatrix(np.eye(2) / 2, (2,))

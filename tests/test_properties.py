@@ -1,9 +1,10 @@
 """Property tests of the relation layer, the simulator and the JSON loaders.
 
 Relation-layer states are drawn over d in {2, 3, 5}, every M in [2, d+1],
-B-side dimension D in {1, 2, 3} and every rank. Simulator panels are drawn
-over (alpha, x) in [0, pi/2] x [0, 1] and depolarizing p in [0, 0.3], and
-read against the forward gate-by-gate reference of tests/test_expsim.py. The
+B-side dimension D in {1, 2, 3} and every rank, alone and in stacks of
+mixed ranks. Simulator panels are drawn over (alpha, x) in [0, pi/2] x
+[0, 1] and depolarizing p in [0, 0.3], and read against the forward
+gate-by-gate reference of tests/test_expsim.py. The
 loaders read valid files for d in {2, 3, 5, 7} and mutated copies of them.
 The examples are derandomized so the suite stays reproducible.
 """
@@ -27,6 +28,7 @@ from mubpurity.linalg import (
 )
 from mubpurity.mub import MubValidationError, construct_mubs, load_mubs, save_mubs
 from mubpurity.relations import (
+    _relation_arrays,
     build_bipartite_basis,
     gamma_direct,
     gamma_via_projector,
@@ -36,6 +38,7 @@ from mubpurity.relations import (
 from mubpurity.states import random_density, rho_family
 from mubpurity.tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 from test_expsim import _forward_setting
+from test_relations import _report_fields, _stacked_row
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SIMULATOR_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -86,6 +89,28 @@ def test_gamma_psd_or_vanishing(case):
         assert hermitian_eigenvalues(g)[0] >= -TOL_PSD
     else:
         assert frobenius_norm(g) <= TOL_SPECTRAL
+
+
+@st.composite
+def stacks(draw):
+    d = draw(st.sampled_from((2, 3, 5)))
+    m = draw(st.integers(2, d + 1))
+    big_d = draw(st.sampled_from((1, 2, 3)))
+    points = draw(st.lists(
+        st.tuples(st.integers(1, d * big_d), st.integers(0, 2**32 - 1)), min_size=1, max_size=6
+    ))
+    states = [random_density(d * big_d, rank, seed, dims=(d, big_d)) for rank, seed in points]
+    return construct_mubs(d, m), states
+
+
+@PROPERTY_SETTINGS
+@given(stacks())
+def test_stacked_report_rows_equal_single_reports(case):
+    mubs, states = case
+    stack = np.stack([rho.matrix for rho in states])
+    arrays = _relation_arrays(stack, states[0].dims, mubs)
+    for row, rho in enumerate(states):
+        assert _stacked_row(arrays, row) == _report_fields(relation_report(rho, mubs))
 
 
 @PROPERTY_SETTINGS

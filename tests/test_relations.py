@@ -10,6 +10,8 @@ from mubpurity.linalg import (
 )
 from mubpurity.mub import MubSet, MubValidationError, construct_mubs
 from mubpurity.relations import (
+    RelationReport,
+    _relation_arrays,
     build_bipartite_basis,
     check_pt_identities,
     gamma_direct,
@@ -17,7 +19,7 @@ from mubpurity.relations import (
     post_measurement_state,
     relation_report,
 )
-from mubpurity.states import random_density, rho_family
+from mubpurity.states import _family_states, random_density, rho_family
 
 BELL = DensityMatrix(
     np.array(
@@ -29,6 +31,23 @@ BELL = DensityMatrix(
 
 def _seeds(base, n):
     return [int(s) for s in np.random.SeedSequence(base).generate_state(n, dtype=np.uint64)]
+
+
+_PER_STATE_FIELDS = tuple(
+    name for name in RelationReport.__dataclass_fields__ if name not in ("d", "D", "M", "equality_expected")
+)
+
+
+def _stacked_row(arrays, row):
+    # one row of the batched report, as Python floats and tuples
+    return {
+        name: tuple(values[row].tolist()) if values.ndim == 2 else values[row].tolist()
+        for name, values in arrays.items()
+    }
+
+
+def _report_fields(rep):
+    return {name: getattr(rep, name) for name in _PER_STATE_FIELDS}
 
 
 def _pinch_by_kron(rho, mubs, theta):
@@ -320,3 +339,53 @@ class TestRelationReport:
         assert obj["d"] == 2 and obj["D"] == 2 and obj["M"] == 3
         assert len(obj["purity_thetaB"]) == 3
         assert obj["equality_expected"] is True
+
+
+class TestStackedReport:
+    """The batched report kernel against the one-state API, bit for bit."""
+
+    @pytest.mark.parametrize("param", ["alpha", "x"])
+    def test_sweep_grid_rows_equal_single_reports(self, param):
+        mubs = construct_mubs(2, 3)
+        grid = np.linspace(0.0, np.pi / 2 if param == "alpha" else 1.0, 130)
+        fixed = np.full(130, 0.6)
+        alphas, xs = (grid, fixed) if param == "alpha" else (fixed, grid)
+        arrays = _relation_arrays(_family_states(alphas, xs), (2, 2), mubs)
+        assert set(arrays) == set(_PER_STATE_FIELDS)
+        for row, (alpha, x) in enumerate(zip(alphas.tolist(), xs.tolist())):
+            rep = relation_report(rho_family(alpha, x), mubs)
+            assert _stacked_row(arrays, row) == _report_fields(rep)
+
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_large_states_rows_equal_single_reports(self, m):
+        mubs = construct_mubs(7, m)
+        states = [random_density(49, rank, seed, dims=(7, 7)) for rank, seed in [(49, 1), (1, 2), (2, 3)]]
+        arrays = _relation_arrays(np.stack([rho.matrix for rho in states]), (7, 7), mubs)
+        for row, rho in enumerate(states):
+            assert _stacked_row(arrays, row) == _report_fields(relation_report(rho, mubs))
+
+    def test_shapes(self):
+        mubs = construct_mubs(3, 2)
+        stack = np.stack([random_density(6, 6, seed, dims=(3, 2)).matrix for seed in (1, 2, 3, 4)])
+        arrays = _relation_arrays(stack, (3, 2), mubs)
+        for name, values in arrays.items():
+            expected = (4, 2) if name in ("purity_thetaB", "purity_B_given_theta") else (4,)
+            assert values.shape == expected, name
+
+    def test_pinched_trace_checked_on_every_state(self):
+        # a scaled vector of basis 3 keeps the pinched trace of a state whose
+        # A side is orthogonal to it, so only the second state is off
+        bases = construct_mubs(3, 3).bases.copy()
+        bases[2, 0] *= 1.1
+        mubs = MubSet(bases)
+        ket = bases[2, 1] / np.linalg.norm(bases[2, 1])
+        blind = np.kron(np.outer(ket, ket.conj()), random_density(3, 3, 4).matrix)
+        _relation_arrays(blind[None], (3, 3), mubs)
+        stack = np.stack([blind, random_density(9, 9, 5, dims=(3, 3)).matrix])
+        with pytest.raises(ValueError, match="pinched trace"):
+            _relation_arrays(stack, (3, 3), mubs)
+
+    def test_dimension_checked_on_stack(self):
+        stack = np.stack([BELL.matrix, BELL.matrix])
+        with pytest.raises(ValueError, match="does not match basis dimension"):
+            _relation_arrays(stack, (2, 2), construct_mubs(3, 2))

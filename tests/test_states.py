@@ -5,6 +5,7 @@ from mubpurity.linalg import hermitian_eigenvalues, purity
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import relation_report
 from mubpurity.states import (
+    _family_states,
     psi_alpha,
     random_density,
     rho_family,
@@ -111,3 +112,29 @@ def test_random_pure_state():
     assert np.array_equal(a, _random_pure_state(5, 9))
     assert abs(np.linalg.norm(a) - 1) <= 1e-12
     assert np.abs(random_density(5, 1, 9).matrix - np.outer(a, a.conj())).max() <= 1e-15
+
+
+class TestFamilyStates:
+    def test_rows_equal_rho_family(self):
+        alphas = np.linspace(0.0, np.pi / 2, 9)
+        xs = np.linspace(1.0, 0.0, 9)
+        stack = _family_states(alphas, xs)
+        assert stack.shape == (9, 4, 4)
+        for row, (alpha, x) in enumerate(zip(alphas.tolist(), xs.tolist())):
+            assert np.array_equal(stack[row], rho_family(alpha, x).matrix)
+
+    def test_stack_checked_as_density_matrices(self, monkeypatch):
+        import mubpurity.states as states
+
+        checked = []
+        monkeypatch.setattr(states, "_check_density_stack", checked.append)
+        stack = _family_states(np.array([0.2, 0.4]), np.array([0.5, 1.0]))
+        assert len(checked) == 1 and checked[0] is stack
+
+    @pytest.mark.parametrize("alpha,x", [(-0.1, 0.5), (1.6, 0.5), (0.3, 1.2), (0.3, -0.5), (2.0, 2.0)])
+    def test_range_messages_match_rho_family(self, alpha, x):
+        with pytest.raises(ValueError) as alone:
+            rho_family(alpha, x)
+        with pytest.raises(ValueError) as stacked:
+            _family_states(np.array([0.1, alpha, 0.2]), np.array([0.5, x, 0.5]))
+        assert str(stacked.value) == str(alone.value)
