@@ -13,6 +13,7 @@ to the ``PURITY_SEED`` environment variable, then to 0; ``sweep`` accepts
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ import numpy as np
 from .expsim import (
     PANEL_FIELDS,
     NoiseModel,
+    _panel,
     run_protocol,
 )
 from .linalg import density_from_json
@@ -130,10 +132,7 @@ def cmd_mub(ns) -> int:
                 file=sys.stderr,
             )
             return 2
-        if not 2 <= ns.m <= ns.d + 1:
-            print(f"error: need 2 <= M <= d+1, got M={ns.m}", file=sys.stderr)
-            return 1
-        mubs = construct_mubs(ns.d, ns.m)
+        mubs = construct_mubs(ns.d, ns.m if ns.m else ns.d + 1)
     report = validate_mubs(mubs)
     save_mubs(mubs, ns.out)
     print(f"wrote {mubs.M} bases of dimension {mubs.d} to {ns.out}")
@@ -247,9 +246,11 @@ def cmd_relation(ns) -> int:
     return 0
 
 
-def _simulated_columns(alphas: np.ndarray, xs: np.ndarray, noise: NoiseModel) -> dict[str, np.ndarray]:
-    """Raw and rescaled simulator columns of the grid, from one run over it."""
-    panel = run_protocol(alphas, xs, noise)
+def _simulated_columns(
+    alphas: np.ndarray, xs: np.ndarray, rho: np.ndarray, noise: NoiseModel
+) -> dict[str, np.ndarray]:
+    """Raw and rescaled simulator columns of the grid, from one read of its checked state stack."""
+    panel = _panel(alphas, xs, rho, noise, None)
     raw_lhs, raw_rhs = panel.relation_sides(use_raw=True)
     res_lhs, res_rhs = panel.relation_sides(use_raw=False)
     columns = {f"raw_{name}": panel.raw[name] for name in PANEL_FIELDS}
@@ -264,7 +265,8 @@ def _sweep_rows(config: SweepConfig) -> list[dict]:
     grid = np.linspace(config.start, config.stop, config.steps)
     fixed = np.full(config.steps, config.fixed_other)
     alphas, xs = (grid, fixed) if config.param == "alpha" else (fixed, grid)
-    rep = _relation_arrays(_family_states(alphas, xs), (2, 2), mubs)
+    rho = _family_states(alphas, xs)
+    rep = _relation_arrays(rho, (2, 2), mubs)
     columns = {
         "alpha": alphas,
         "x": xs,
@@ -278,7 +280,7 @@ def _sweep_rows(config: SweepConfig) -> list[dict]:
     columns.update({f"purity_{ax}B": axis[ax] for ax in ("x", "y", "z")})
     columns.update({name: rep[name] for name in ("lhs", "rhs", "gap")})
     if config.simulate:
-        columns.update(_simulated_columns(alphas, xs, config.noise))
+        columns.update(_simulated_columns(alphas, xs, rho, config.noise))
     values = [v.tolist() for v in columns.values()]
     return [dict(zip(columns, point)) for point in zip(*values)]
 
@@ -329,6 +331,7 @@ def cmd_expsim(ns) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mubpurity", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -382,10 +385,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if getattr(ns, "command", None) == "mub" and not ns.load and ns.m == 0:
-        ns.m = ns.d + 1
+    ns = _build_parser().parse_args(argv)
     try:
         return ns.func(ns)
     except MubValidationError as exc:

@@ -15,7 +15,9 @@ is propagated backwards through each setting once per noise level. Tracing
 its probe against sigma_z leaves a 16x16 observable V_s on the two copies,
 so a setting's value is Re Tr(V_s rho (x) rho) / (2 Tr(rho)^2), read
 against the 4x4 rho of each (alpha, x) point; the 32x32 register itself is
-never built.
+never built. The states are the stack that ``states._family_states``
+builds and checks; out-of-domain points fail there with the message of
+``rho_family``, which names x when both values are out.
 
 Sites for noise: a one-parameter depolarizing channel acts on every qubit
 touched by a controlled-SWAP, immediately after the gate. Rescaling divides
@@ -30,7 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .states import _check_alpha, _check_x, _family_matrices
+from .linalg import hermiticity_defect
+from .states import _family_states
 from .tolerances import TOL_STRUCTURAL
 
 N_QUBITS = 5
@@ -77,10 +80,6 @@ class NoiseModel:
 
 NOISELESS = NoiseModel()
 
-# Flat indices of each entry on or above the diagonal, and of its mirror image.
-_UPPER = np.ravel_multi_index(np.triu_indices(DIM), (DIM, DIM))
-_MIRROR = np.arange(DIM * DIM).reshape(DIM, DIM).T.ravel()[_UPPER]
-
 
 def _check_deviation(dev: np.ndarray) -> None:
     """Reject a (..., DIM, DIM) array with a non-finite entry, trace drift or lost hermiticity."""
@@ -91,9 +90,7 @@ def _check_deviation(dev: np.ndarray) -> None:
     worst = int(np.abs(trace).argmax())
     if abs(trace[worst]) > TOL_STRUCTURAL:
         raise RuntimeError(f"deviation trace drifted to {trace[worst]!r}")
-    # |d_ij - conj(d_ji)| is symmetric in (i, j): the upper triangle holds its maximum
-    flat = dev.reshape(len(dev), DIM * DIM)
-    if float(np.abs(flat[:, _UPPER] - flat[:, _MIRROR].conj()).max()) > TOL_STRUCTURAL:
+    if hermiticity_defect(dev) > TOL_STRUCTURAL:
         raise RuntimeError("deviation lost hermiticity")
 
 
@@ -102,23 +99,6 @@ def _check_qubit(q: int) -> int:
     if not 0 <= q < N_QUBITS:
         raise ValueError(f"qubit index {q} out of range 0..{N_QUBITS - 1}")
     return q
-
-
-def _check_points(alpha, x):
-    """Validated (alpha, x): two floats, or two equal-length 1-D float arrays."""
-    if np.ndim(alpha) == 0 and np.ndim(x) == 0:
-        return _check_alpha(alpha), _check_x(x)
-    alpha = np.array(alpha, dtype=float)
-    x = np.array(x, dtype=float)
-    if alpha.ndim != 1 or alpha.shape != x.shape or alpha.size == 0:
-        raise ValueError(
-            f"alpha and x must be scalars or non-empty 1-D arrays of equal length, "
-            f"got shapes {alpha.shape} and {x.shape}"
-        )
-    for a, b in zip(alpha.tolist(), x.tolist()):
-        _check_alpha(a)
-        _check_x(b)
-    return alpha, x
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -275,17 +255,11 @@ def _observable(name: str, p: float) -> np.ndarray:
     return v
 
 
-def _check_states(rho: np.ndarray) -> None:
-    """Reject an (n, 4, 4) state stack with a non-finite entry or lost hermiticity."""
-    if not np.isfinite(rho).all():
-        raise RuntimeError("state has non-finite entries")
-    if float(np.abs(rho - rho.conj().transpose(0, 2, 1)).max()) > TOL_STRUCTURAL:
-        raise RuntimeError("state lost hermiticity")
-
-
 def _read_panel(rho: np.ndarray, p: float) -> dict[str, np.ndarray]:
-    """All eight settings of an (n, 4, 4) state stack at depolarizing strength p, as (n,) arrays."""
-    _check_states(rho)
+    """All eight settings of an (n, 4, 4) state stack at depolarizing strength p, as (n,) arrays.
+
+    The stack is read as given: callers take it from :func:`_family_states`, which checks it.
+    """
     # the probe signal Tr(sigma_z^probe dev) of the unread register dev
     reference = 2.0 * np.trace(rho, axis1=1, axis2=2).real ** 2
     # one einsum per point, whatever the stack size: a stacked point reads
@@ -312,7 +286,7 @@ def calibration_factors(noise: NoiseModel = NOISELESS) -> dict[str, float]:
     """
     if not noise.active:
         return {name: 1.0 for name in PANEL_FIELDS}
-    rho = _family_matrices(np.array([np.pi / 2]), np.array([1.0]))
+    rho = _family_states(np.pi / 2, 1.0)
     ideal = _read_panel(rho, 0.0)
     noisy = _read_panel(rho, float(noise.p_depol))
     return {name: _check_factor(name, float(noisy[name][0] / ideal[name][0])) for name in PANEL_FIELDS}
@@ -370,9 +344,17 @@ def run_protocol(
     divide out the calibration factors (computed here if not supplied).
     Noiseless runs return identical raw and rescaled panels.
     """
-    alpha, x = _check_points(alpha, x)
+    alpha, x = np.array(alpha, dtype=float), np.array(x, dtype=float)
+    rho = _family_states(alpha, x)
+    if x.ndim == 0:
+        alpha, x = float(alpha), float(x)
+    return _panel(alpha, x, rho, noise, calibration)
+
+
+def _panel(alpha, x, rho: np.ndarray, noise: NoiseModel, calibration: dict[str, float] | None) -> PurityPanel:
+    """The panel of the checked state stack ``rho`` of the points alpha, x (floats or (n,) arrays)."""
     p = float(noise.p_depol) if noise.active else 0.0
-    raw = _read_panel(_family_matrices(np.atleast_1d(alpha), np.atleast_1d(x)), p)
+    raw = _read_panel(rho, p)
     if np.ndim(x) == 0:
         raw = {name: float(value[0]) for name, value in raw.items()}
     if calibration is None:

@@ -77,23 +77,21 @@ def partial_trace_matrix(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndar
 
 
 def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:
-    """Transpose one factor of a bipartite operator in the computational basis.
+    """Transpose one factor of a bipartite operator, or of each operator of a (..., n, n) stack.
 
     ``subsystem`` is 0 for the left factor and 1 for the right one. The map
     is an entrywise permutation, hence an exact involution.
     """
-    a = as_matrix(m)
+    a = _as_stack(m)
     d1, d2 = (int(d) for d in dims)
-    if a.shape != (d1 * d2, d1 * d2):
+    if a.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"matrix shape {a.shape} does not match dims ({d1}, {d2})")
-    t = a.reshape(d1, d2, d1, d2)
-    if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
-    elif subsystem == 1:
-        t = t.transpose(0, 3, 2, 1)
-    else:
+    if subsystem not in (0, 1):
         raise ValueError("subsystem must be 0 or 1")
-    return t.reshape(d1 * d2, d1 * d2)
+    # swap the row and the column index of the chosen factor
+    row = a.ndim - 2 + subsystem
+    t = a.reshape(a.shape[:-2] + (d1, d2, d1, d2)).swapaxes(row, row + 2)
+    return t.reshape(a.shape)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

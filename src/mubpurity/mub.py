@@ -136,16 +136,6 @@ def validate_mubs(mubs: MubSet) -> MubValidationReport:
     )
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each vector so its first nonzero amplitude is real positive."""
-    out = vectors.copy()
-    for i, v in enumerate(out):
-        nz = np.flatnonzero(np.abs(v) > 1e-9)
-        if nz.size:
-            out[i] = v * (np.abs(v[nz[0]]) / v[nz[0]])
-    return out
-
-
 def construct_mubs(d: int, M: int) -> MubSet:
     """Deterministic MUB construction for prime d.
 
@@ -154,24 +144,22 @@ def construct_mubs(d: int, M: int) -> MubSet:
     ``omega = exp(2*pi*i/d)`` and a = 0..d-1; for d = 2 the quadratic form
     degenerates, so the x and y eigenbases are used instead.
     ``construct_mubs(d, M)`` is a prefix of ``construct_mubs(d, M')`` for
-    M < M', and phases are normalized for byte-reproducible output.
+    M < M'. The first amplitude of every vector is real and positive (1, or
+    the s = 0 component 1/sqrt(d)), so no phase needs fixing.
     """
     if not is_prime(d):
         raise ValueError(f"d={d} is not prime; use load_mubs to supply a basis set")
     if not 2 <= M <= d + 1:
         raise ValueError(f"need 2 <= M <= d+1, got M={M}, d={d}")
-    bases = [np.eye(d, dtype=complex)]
     if d == 2:
         s = 1.0 / np.sqrt(2.0)
-        bases.append(np.array([[s, s], [s, -s]], dtype=complex))
-        bases.append(np.array([[s, 1j * s], [s, -1j * s]], dtype=complex))
+        rest = np.array([[[s, s], [s, -s]], [[s, 1j * s], [s, -1j * s]]], dtype=complex)
     else:
-        s = np.arange(d)
-        for a in range(d):
-            rows = [np.exp(2j * np.pi * ((a * s * s + j * s) % d) / d) / np.sqrt(d) for j in range(d)]
-            bases.append(np.array(rows))
-    stacked = np.stack([_fix_phases(b) for b in bases[:M]])
-    mubs = MubSet(stacked)
+        # rest[a, j, s] = omega**(a*s*s + j*s) / sqrt(d)
+        a, j, s = np.ogrid[:d, :d, :d]
+        rest = np.exp(2j * np.pi * ((a * s * s + j * s) % d) / d) / np.sqrt(d)
+    bases = np.concatenate([np.eye(d, dtype=complex)[None], rest])
+    mubs = MubSet(bases[:M])
     report = validate_mubs(mubs)
     if not report.passed:
         raise MubValidationError(f"constructed set failed validation:\n{report.summary()}", report)

@@ -168,7 +168,7 @@ def check_pt_identities(basis: BipartiteBasis) -> PtIdentityReport:
 
     twists = basis.twisted[:, 1:]
     sums = np.einsum("tkx,tky->txy", twists, twists.conj())
-    lhs = np.stack([partial_transpose(s, dims, subsystem=1) for s in sums])
+    lhs = partial_transpose(sums, dims, subsystem=1)
     theta_devs = np.linalg.norm((lhs - (pinches - swaps / d)).reshape(m, -1), axis=1)
 
     return PtIdentityReport(float(phi_dev), tuple(float(v) for v in theta_devs))

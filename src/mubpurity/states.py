@@ -48,15 +48,27 @@ def _family_matrices(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x[:, None, None] * pure + ((1.0 - x) / 4.0)[:, None, None] * np.eye(4)
 
 
-def _family_states(alpha: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The checked (n, 4, 4) stack of family states at the points of two 1-D arrays.
+def _family_states(alpha, x) -> np.ndarray:
+    """The checked (n, 4, 4) stack of family states at two floats or two equal-length 1-D arrays.
 
-    Every point passes the checks of :func:`rho_family`, with the same
-    messages, and state i has the bits of ``rho_family(alpha[i], x[i]).matrix``.
+    Two floats give a stack of one. The first point outside the domain
+    fails with the message of :func:`rho_family`, which names x when both
+    values are bad; state i has the bits of ``rho_family(alpha[i], x[i]).matrix``.
     """
-    for a, b in zip(alpha.tolist(), x.tolist()):
-        _check_x(b)
-        _check_alpha(a)
+    alpha, x = np.array(alpha, dtype=float), np.array(x, dtype=float)
+    if alpha.ndim == 0 and x.ndim == 0:
+        alpha, x = alpha[None], x[None]
+    if alpha.ndim != 1 or alpha.shape != x.shape or alpha.size == 0:
+        raise ValueError(
+            f"alpha and x must be scalars or non-empty 1-D arrays of equal length, "
+            f"got shapes {alpha.shape} and {x.shape}"
+        )
+    # the domains of _check_x and _check_alpha; NaN fails every comparison
+    bad = ~((0.0 <= x) & (x <= 1.0) & (0.0 <= alpha) & (alpha <= np.pi / 2))
+    if bad.any():
+        first = int(bad.argmax())
+        _check_x(x[first])
+        _check_alpha(alpha[first])
     rho = _family_matrices(alpha, x)
     _check_density_stack(rho)
     return rho

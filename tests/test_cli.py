@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,8 +69,15 @@ class TestMubCommand:
         bad.write_text(json.dumps(obj))
         assert main(["mub", "--d", "2", "--load", str(bad), "--out", str(tmp_path / "o.json")]) == 2
 
-    def test_m_out_of_range_exits_1(self, tmp_path):
-        assert main(["mub", "--d", "3", "--m", "9", "--out", str(tmp_path / "x.json")]) == 1
+    def test_m_out_of_range_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        for m in ("9", "1"):
+            assert main(["mub", "--d", "3", "--m", m, "--out", str(out)]) == 1
+            # the library's message
+            assert capsys.readouterr().err == f"error: need 2 <= M <= d+1, got M={m}, d=3\n"
+            assert not out.exists()
+        assert main(["mub", "--d", "3", "--out", str(out)]) == 0
+        assert load_mubs(out).M == 4
 
     def test_load_d_one_exits_2(self, tmp_path, capsys):
         path = _write_d_one_file(tmp_path)
@@ -292,6 +300,24 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: {exc.value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["0", "0.01"])
+    def test_grid_checked_once(self, tmp_path, monkeypatch, noise):
+        import mubpurity.cli as cli
+        import mubpurity.expsim as expsim
+        import mubpurity.states as states
+
+        checked, reported, simulated = [], [], []
+        monkeypatch.setattr(states, "_check_density_stack", checked.append)
+        report, read = cli._relation_arrays, expsim._read_panel
+        monkeypatch.setattr(cli, "_relation_arrays", lambda rho, *a: reported.append(rho) or report(rho, *a))
+        monkeypatch.setattr(expsim, "_read_panel", lambda rho, p: simulated.append(rho) or read(rho, p))
+        args = ["sweep", "--param", "x", "--steps", "7", "--simulate", "--noise", noise]
+        assert main([*args, "--out", str(tmp_path / "s.csv")]) == 0
+        # the grid, then the calibration reference when noise is on
+        assert [len(rho) for rho in checked] == ([7] if noise == "0" else [7, 1])
+        grid = checked[0]
+        assert reported[0] is grid and simulated[0] is grid
+
     def test_bad_range_exits_1(self, tmp_path):
         assert main(["sweep", "--param", "x", "--from", "0.5", "--to", "0.2",
                      "--out", str(tmp_path / "x.csv")]) == 1
@@ -333,7 +359,48 @@ class TestExpsimCommand:
         assert main(["expsim", "--alpha", "0", "--x", "1", "--noise", "2"]) == 1
 
 
+@pytest.mark.parametrize("alpha,x", [(2.0, 1.5), (-0.25, -1.0)])
+def test_both_values_bad_names_x(tmp_path, capsys, alpha, x):
+    """At the first point outside the domain x is named before alpha, on every path."""
+    from mubpurity.expsim import run_protocol
+    from mubpurity.states import rho_family
+
+    message = f"x={x!r} outside [0, 1]"
+    for alphas, xs in [(alpha, x), (np.array([0.1, alpha, 2.0]), np.array([0.5, x, 0.5]))]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_protocol(alphas, xs)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rho_family(alpha, x)
+    sweep = ["sweep", "--param", "alpha", "--from", repr(alpha), "--to", repr(alpha + 0.1), "--fixed", repr(x)]
+    for argv in (
+        ["expsim", "--alpha", repr(alpha), "--x", repr(x)],
+        ["relation", "--alpha", repr(alpha), "--x", repr(x)],
+        [*sweep, "--out", str(tmp_path / "s.csv")],
+        [*sweep, "--simulate", "--out", str(tmp_path / "s.csv")],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestUsageErrors:
+    def test_parser_built_once(self):
+        from mubpurity.cli import _build_parser
+
+        _build_parser.cache_clear()
+        main(["expsim", "--alpha", "0", "--x", "1"])
+        main(["relation"])
+        main(["expsim", "--alpha", "pi", "--x", "1"])
+        assert _build_parser.cache_info().misses == 1
+
+    def test_usage_error_after_success(self, capsys):
+        assert main(["expsim", "--alpha", "0", "--x", "1"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["expsim", "--alpha", "pie", "--x", "1"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mubpurity expsim") and "invalid parse_angle value: 'pie'" in err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -13,7 +13,6 @@ from mubpurity.expsim import (
     PANEL_FIELDS,
     NoiseModel,
     _check_deviation,
-    _check_states,
     _depolarize,
     _observable,
     _pull_back,
@@ -261,20 +260,16 @@ class TestPrepare:
             run_protocol(0.1, 1.5)
 
     def test_prepared_stack_checked_once(self, monkeypatch):
-        checked = []
-        monkeypatch.setattr(expsim, "_check_states", checked.append)
+        import mubpurity.states as states
+
+        checked, read = [], []
+        monkeypatch.setattr(states, "_check_density_stack", checked.append)
+        monkeypatch.setattr(expsim, "_read_panel", lambda rho, p: read.append(rho) or _read_panel(rho, p))
         alpha, x = np.array([0.2, 0.4]), np.array([0.5, 1.0])
         run_protocol(alpha, x)
         assert len(checked) == 1 and np.array_equal(checked[0], _family_matrices(alpha, x))
-
-    def test_state_check_rejects_bad_stack(self):
-        rho = _family_matrices(np.array([0.2, 0.4]), np.array([0.5, 1.0]))
-        _check_states(rho)
-        for message, (i, j, delta) in {"non-finite": (1, 2, np.inf), "hermiticity": (0, 3, 1e-6)}.items():
-            bad = rho.copy()
-            bad[1, i, j] += delta
-            with pytest.raises(RuntimeError, match=message):
-                _check_states(bad)
+        # the panel reads the stack that was checked, not a rebuilt copy
+        assert len(read) == 1 and read[0] is checked[0]
 
     def test_memory_stays_bounded(self):
         # only the (n, 4, 4) states are held per point, never a 32x32 register

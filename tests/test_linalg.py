@@ -167,6 +167,15 @@ class TestPartialTranspose:
         with pytest.raises(ValueError):
             partial_transpose(np.eye(5), (2, 2), subsystem=1)
 
+    def test_stack_matches_single(self):
+        rng = _rng(8)
+        stack = np.array([[_random_complex(rng, 6) for _ in range(3)] for _ in range(2)])
+        for sub in (0, 1):
+            out = partial_transpose(stack, (2, 3), sub)
+            assert out.shape == stack.shape
+            for i in np.ndindex(stack.shape[:2]):
+                assert np.array_equal(out[i], partial_transpose(stack[i], (2, 3), sub))
+
 
 class TestHermitianEigenvalues:
     def test_diagonal(self):
@@ -284,7 +293,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
 
-    @pytest.mark.parametrize("defect", ["non-hermitian", "trace", "negative", "nan"])
+    @pytest.mark.parametrize("defect", ["non-hermitian", "trace", "negative", "nan", "inf"])
     def test_stack_check_rejects_one_bad_state(self, defect):
         # a bad state inside a stack fails with the message it fails with alone
         bad = np.eye(3, dtype=complex) / 3
@@ -294,8 +303,10 @@ class TestTypes:
             bad *= 1.5
         elif defect == "negative":
             bad = np.diag([0.7, 0.5, -0.2]).astype(complex)
-        else:
+        elif defect == "nan":
             bad[2, 2] = np.nan
+        else:
+            bad[1, 2] = np.inf
         with pytest.raises(ValueError) as alone:
             DensityMatrix(bad, (3,))
         good = _random_density_matrix(_rng(16), 3)

@@ -51,6 +51,40 @@ def test_first_basis_is_computational():
         assert np.array_equal(construct_mubs(d, 2).bases[0], np.eye(d))
 
 
+def _construct_by_loop(d, m):
+    """Reference bases, one row and one vector at a time."""
+    bases = [np.eye(d, dtype=complex)]
+    if d == 2:
+        s = 1.0 / np.sqrt(2.0)
+        bases.append(np.array([[s, s], [s, -s]], dtype=complex))
+        bases.append(np.array([[s, 1j * s], [s, -1j * s]], dtype=complex))
+    else:
+        s = np.arange(d)
+        for a in range(d):
+            rows = [np.exp(2j * np.pi * ((a * s * s + j * s) % d) / d) / np.sqrt(d) for j in range(d)]
+            bases.append(np.array(rows))
+    fixed = []
+    for basis in bases[:m]:
+        out = basis.copy()
+        for i, v in enumerate(out):
+            nz = np.flatnonzero(np.abs(v) > 1e-9)
+            if nz.size:
+                out[i] = v * (np.abs(v[nz[0]]) / v[nz[0]])
+        fixed.append(out)
+    return np.stack(fixed)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_construction_matches_row_loop(d):
+    for m in range(2, d + 2):
+        # bytes, not ==: the signs of zero parts reach the JSON files
+        assert construct_mubs(d, m).bases.tobytes() == _construct_by_loop(d, m).tobytes()
+    # every vector's first nonzero amplitude is real and positive
+    for v in construct_mubs(d, d + 1).bases.reshape(-1, d):
+        lead = v[np.flatnonzero(np.abs(v) > 1e-9)[0]]
+        assert lead.imag == 0 and lead.real > 0
+
+
 def _validate_by_loop(mubs):
     """Reference report, one basis and one pair at a time.
 

@@ -138,3 +138,23 @@ class TestFamilyStates:
         with pytest.raises(ValueError) as stacked:
             _family_states(np.array([0.1, alpha, 0.2]), np.array([0.5, x, 0.5]))
         assert str(stacked.value) == str(alone.value)
+
+    def test_shape_rule(self):
+        for alpha, x in [
+            (np.array([0.1, 0.2]), np.array([0.5])),
+            (np.zeros((2, 2)), np.zeros((2, 2))),
+            (np.array([]), np.array([])),
+            (0.1, np.array([0.5, 0.5])),
+        ]:
+            with pytest.raises(ValueError, match="equal length"):
+                _family_states(alpha, x)
+        # two floats give a stack of one
+        assert np.array_equal(_family_states(0.3, 0.6), rho_family(0.3, 0.6).matrix[None])
+
+    def test_first_offending_point_is_named(self):
+        # alpha is bad at point 1 and x only later: point 1 is reported
+        with pytest.raises(ValueError, match="alpha=2.0"):
+            _family_states(np.array([0.1, 2.0, 0.2]), np.array([0.5, 0.5, 1.5]))
+        # both bad at the first offending point: x is named, as rho_family does
+        with pytest.raises(ValueError, match="x=1.5"):
+            _family_states(np.array([0.1, 2.0, 0.2]), np.array([0.5, 1.5, -1.0]))
