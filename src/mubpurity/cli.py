@@ -1,13 +1,17 @@
 """Command-line front end.
 
-Subcommands: ``mub`` (generate/validate basis sets), ``verify`` (stochastic
+Each subcommand parses its arguments, calls the library once and formats
+the result: ``mub`` (generate/validate basis sets), ``verify`` (stochastic
 checks of the operator and relation properties), ``relation`` (one relation
 report), ``sweep`` (parameter sweeps with CSV/JSON output), ``expsim``
-(one simulated purity panel). Exit codes: 0 success, 1 usage error,
-2 verification/validation failure. Angles accept plain radians or pi
-fractions such as ``pi/2`` and ``3pi/8``. The seed of ``verify`` falls back
-to the ``PURITY_SEED`` environment variable, then to 0; ``sweep`` accepts
-``--seed`` but draws no random numbers.
+(one simulated purity panel). ``mub``, ``verify`` and ``relation`` take
+their basis set from one resolver: the file of ``--load`` or ``--mubs``,
+else the construction at a prime d. Exit codes: 0 success, 1 usage error,
+2 verification/validation failure; ``main`` alone turns an error into its
+exit code and one ``error:`` line on stderr. Angles accept plain radians or
+pi fractions such as ``pi/2`` and ``3pi/8``. The seed of ``verify`` falls
+back to the ``PURITY_SEED`` environment variable, then to 0; ``sweep``
+accepts ``--seed`` but draws no random numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +36,7 @@ from .expsim import (
 from .linalg import density_from_json
 from .mub import (
     PAULI_AXIS_LABELS,
+    MubSet,
     MubValidationError,
     construct_mubs,
     is_prime,
@@ -71,38 +75,10 @@ def parse_angle(text: str) -> float:
 
 
 def _default_seed() -> int:
-    env = os.environ.get("PURITY_SEED")
-    if not env:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"PURITY_SEED={env!r} is not an integer") from None
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Arguments of one sweep run.
-
-    Only the grid is checked here; the library rejects alpha, x and noise
-    values outside their domains.
-    """
-
-    param: str
-    start: float
-    stop: float
-    steps: int
-    fixed_other: float
-    noise: NoiseModel
-    simulate: bool
-    output: Path
-    format: str
-
-    def __post_init__(self):
-        if self.steps < 2:
-            raise ValueError("steps must be at least 2")
-        if not self.start < self.stop:
-            raise ValueError("sweep range must satisfy from < to")
+    env = os.environ.get("PURITY_SEED") or "0"
+    if not re.fullmatch(r"\s*[+-]?\d(?:_?\d)*\s*", env):  # what int() accepts
+        raise ValueError(f"PURITY_SEED={env!r} is not an integer")
+    return int(env)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,23 +92,32 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_mub(ns) -> int:
-    if ns.load:
-        try:
-            mubs = load_mubs(ns.load)
-        except MubValidationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+def _emit(text: str, out: str | None, what: str) -> None:
+    """Write ``text`` to ``out`` and say so, or print it when there is no ``out``."""
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {what} to {out}")
     else:
-        if ns.d < 2:
-            raise ValueError(f"need --d >= 2, got {ns.d}")
-        if not is_prime(ns.d):
-            print(
-                f"error: d={ns.d} is not prime; supply a basis file via --load",
-                file=sys.stderr,
-            )
-            return 2
-        mubs = construct_mubs(ns.d, ns.m if ns.m else ns.d + 1)
+        print(text, end="")
+
+
+def _basis_set(d: int, m: int, path: str | None, hint: str) -> MubSet:
+    """The basis set in ``path``; without one, the first m bases constructed at d.
+
+    d < 2 is a usage error; a non-prime d fails with the message ``hint``.
+    """
+    if path:
+        return load_mubs(path)
+    if d < 2:
+        raise ValueError(f"need --d >= 2, got {d}")
+    if not is_prime(d):
+        raise MubValidationError(hint)
+    return construct_mubs(d, m)
+
+
+def cmd_mub(ns) -> int:
+    mubs = _basis_set(ns.d, ns.m or ns.d + 1, ns.load,
+                      f"d={ns.d} is not prime; supply a basis file via --load")
     report = validate_mubs(mubs)
     save_mubs(mubs, ns.out)
     print(f"wrote {mubs.M} bases of dimension {mubs.d} to {ns.out}")
@@ -142,17 +127,11 @@ def cmd_mub(ns) -> int:
 
 def cmd_verify(ns) -> int:
     seed = _default_seed() if ns.seed is None else ns.seed
-    if ns.d < 2:
-        raise ValueError(f"need --d >= 2, got {ns.d}")
-    if not is_prime(ns.d):
-        print(f"error: d={ns.d} is not prime", file=sys.stderr)
-        return 2
-    if ns.trials < 1:
-        print(f"error: need --trials >= 1, got {ns.trials}", file=sys.stderr)
-        return 1
     d, m = ns.d, ns.m
+    mubs = _basis_set(d, m, None, f"d={d} is not prime")
+    if ns.trials < 1:
+        raise ValueError(f"need --trials >= 1, got {ns.trials}")
     big_d = d if ns.big_d is None else ns.big_d
-    mubs = construct_mubs(d, m)
     basis = build_bipartite_basis(mubs)
 
     states = basis.all_states()
@@ -209,36 +188,17 @@ def cmd_verify(ns) -> int:
     return 0 if ok else 2
 
 
-def _family_report(alpha: float, x: float, m: int):
-    return relation_report(rho_family(alpha, x), construct_mubs(2, m))
-
-
 def cmd_relation(ns) -> int:
     if ns.state:
         rho = density_from_json(json.loads(Path(ns.state).read_text()))
-        if ns.mubs:
-            mubs = load_mubs(ns.mubs)
-        else:
-            d = rho.dims[0]
-            if not is_prime(d):
-                print(
-                    f"error: A-dimension {d} is not prime; supply --mubs",
-                    file=sys.stderr,
-                )
-                return 2
-            mubs = construct_mubs(d, ns.m if ns.m else d + 1)
-        rep = relation_report(rho, mubs)
+        d = rho.dims[0]
         label = f"state from {ns.state}"
     else:
-        alpha, x = ns.alpha, ns.x
-        rep = _family_report(alpha, x, ns.m if ns.m else 3)
-        label = f"family state alpha={alpha!r} x={x!r}"
-    text = _json_dumps(rep.to_json())
-    if ns.out:
-        Path(ns.out).write_text(text)
-        print(f"wrote relation report for {label} to {ns.out}")
-    else:
-        print(text, end="")
+        rho, d = rho_family(ns.alpha, ns.x), 2
+        label = f"family state alpha={ns.alpha!r} x={ns.x!r}"
+    mubs = _basis_set(d, ns.m or d + 1, ns.mubs, f"A-dimension {d} is not prime; supply --mubs")
+    rep = relation_report(rho, mubs)
+    _emit(_json_dumps(rep.to_json()), ns.out, f"relation report for {label}")
     print(
         f"lhs={rep.lhs!r} rhs={rep.rhs!r} gap={rep.gap!r} "
         f"equality_expected={rep.equality_expected}"
@@ -246,32 +206,30 @@ def cmd_relation(ns) -> int:
     return 0
 
 
-def _simulated_columns(
-    alphas: np.ndarray, xs: np.ndarray, rho: np.ndarray, noise: NoiseModel
-) -> dict[str, np.ndarray]:
-    """Raw and rescaled simulator columns of the grid, from one read of its checked state stack."""
-    panel = _panel(alphas, xs, rho, noise, None)
-    raw_lhs, raw_rhs = panel.relation_sides(use_raw=True)
-    res_lhs, res_rhs = panel.relation_sides(use_raw=False)
-    columns = {f"raw_{name}": panel.raw[name] for name in PANEL_FIELDS}
-    columns.update(raw_lhs=raw_lhs, raw_rhs=raw_rhs, raw_gap=raw_lhs - raw_rhs)
-    columns.update({f"rescaled_{name}": panel.rescaled[name] for name in PANEL_FIELDS})
-    columns.update(rescaled_lhs=res_lhs, rescaled_rhs=res_rhs, rescaled_gap=res_lhs - res_rhs)
-    return columns
-
-
-def _sweep_rows(config: SweepConfig) -> list[dict]:
+def _sweep_rows(ns) -> list[dict]:
+    """The sweep's rows; only the grid is checked here, the library checks alpha, x and noise."""
+    # the noise model is built first, so a bad --noise fails whether or not the sweep simulates
+    noise = NoiseModel(ns.noise)
+    start = 0.0 if ns.start is None else ns.start
+    stop = ns.stop if ns.stop is not None else (math.pi / 2 if ns.param == "alpha" else 1.0)
+    fixed = ns.fixed if ns.fixed is not None else (1.0 if ns.param == "alpha" else math.pi / 2)
+    if ns.steps < 2:
+        raise ValueError("steps must be at least 2")
+    for flag, bound in (("--from", start), ("--to", stop)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{flag} must be finite, got {bound!r}")
+    if not start < stop:
+        raise ValueError("sweep range must satisfy from < to")
     mubs = construct_mubs(2, 3)  # the two-qubit family
-    grid = np.linspace(config.start, config.stop, config.steps)
-    fixed = np.full(config.steps, config.fixed_other)
-    alphas, xs = (grid, fixed) if config.param == "alpha" else (fixed, grid)
+    grid, other = np.linspace(start, stop, ns.steps), np.full(ns.steps, fixed)
+    alphas, xs = (grid, other) if ns.param == "alpha" else (other, grid)
     rho = _family_states(alphas, xs)
     rep = _relation_arrays(rho, (2, 2), mubs)
     columns = {
         "alpha": alphas,
         "x": xs,
-        "d": np.full(config.steps, mubs.d),
-        "M": np.full(config.steps, mubs.M),
+        "d": np.full(ns.steps, mubs.d),
+        "M": np.full(ns.steps, mubs.M),
         "purity_AB": rep["purity_AB"],
         "purity_B": rep["purity_B"],
     }
@@ -279,53 +237,31 @@ def _sweep_rows(config: SweepConfig) -> list[dict]:
     axis = dict(zip(PAULI_AXIS_LABELS, rep["purity_thetaB"].T))
     columns.update({f"purity_{ax}B": axis[ax] for ax in ("x", "y", "z")})
     columns.update({name: rep[name] for name in ("lhs", "rhs", "gap")})
-    if config.simulate:
-        columns.update(_simulated_columns(alphas, xs, rho, config.noise))
+    if ns.simulate:
+        # raw and rescaled simulator columns, from one read of the checked grid
+        panel = _panel(alphas, xs, rho, noise, None)
+        for kind, values in (("raw", panel.raw), ("rescaled", panel.rescaled)):
+            lhs, rhs = panel.relation_sides(use_raw=kind == "raw")
+            columns.update({f"{kind}_{name}": values[name] for name in PANEL_FIELDS})
+            columns.update({f"{kind}_lhs": lhs, f"{kind}_rhs": rhs, f"{kind}_gap": lhs - rhs})
     values = [v.tolist() for v in columns.values()]
     return [dict(zip(columns, point)) for point in zip(*values)]
 
 
 def cmd_sweep(ns) -> int:
-    # a ValueError here or in the library exits 1 through main; the noise
-    # model is built before the simulate branch, so a bad --noise fails either way
-    config = SweepConfig(
-        param=ns.param,
-        start=ns.start if ns.start is not None else 0.0,
-        stop=ns.stop if ns.stop is not None else (math.pi / 2 if ns.param == "alpha" else 1.0),
-        steps=ns.steps,
-        fixed_other=ns.fixed if ns.fixed is not None else (1.0 if ns.param == "alpha" else math.pi / 2),
-        noise=NoiseModel(ns.noise),
-        simulate=ns.simulate,
-        output=Path(ns.out),
-        format=ns.format,
-    )
-    rows = _sweep_rows(config)
-    columns = list(rows[0].keys())
-    if config.format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))
+    rows = _sweep_rows(ns)
+    if ns.format == "csv":
+        lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         text = _json_dumps(rows)
-    try:
-        config.output.write_text(text)
-    except OSError as exc:
-        print(f"error: cannot write {config.output}: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {len(rows)} sweep rows to {config.output}")
+    _emit(text, ns.out, f"{len(rows)} sweep rows")
     return 0
 
 
 def cmd_expsim(ns) -> int:
-    noise = NoiseModel(ns.noise)
-    panel = run_protocol(ns.alpha, ns.x, noise)
-    text = _json_dumps(panel.to_json())
-    if ns.out:
-        Path(ns.out).write_text(text)
-        print(f"wrote purity panel to {ns.out}")
-    else:
-        print(text, end="")
+    panel = run_protocol(ns.alpha, ns.x, NoiseModel(ns.noise))
+    _emit(_json_dumps(panel.to_json()), ns.out, "purity panel")
     lhs, rhs = panel.relation_sides()
     print(f"rescaled lhs={lhs!r} rhs={rhs!r} gap={lhs - rhs!r}")
     return 0

@@ -111,30 +111,6 @@ def _rx(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-@lru_cache(maxsize=64)
-def _rotation(kind: str, qubit: int, angle: float) -> tuple[np.ndarray, np.ndarray]:
-    """The embedded single-qubit rotation U and its adjoint, built once per key."""
-    r = _ry(angle) if kind == "RY" else _rx(angle)
-    u = np.kron(np.kron(np.eye(2 ** qubit), r), np.eye(2 ** (N_QUBITS - 1 - qubit)))
-    u_dagger = u.conj().T
-    for a in (u, u_dagger):
-        a.setflags(write=False)
-    return u, u_dagger
-
-
-@lru_cache(maxsize=None)
-def _cswap_perm(control: int, q1: int, q2: int) -> np.ndarray:
-    """CSWAP conjugation as a permutation of the row-major matrix entries.
-
-    The basis permutation flips q1 and q2 where control is 1 and they
-    differ; entry (i, j) of the result is entry (perm[i], perm[j]).
-    """
-    flip = _QUBIT_BITS[control] & (_QUBIT_BITS[q1] ^ _QUBIT_BITS[q2])
-    mask = (1 << (N_QUBITS - 1 - q1)) | (1 << (N_QUBITS - 1 - q2))
-    perm = np.arange(DIM) ^ (flip * mask)
-    return (perm[:, None] * DIM + perm[None, :]).ravel()
-
-
 # Per qubit: True where bra and ket agree on that qubit (what DEPHASE keeps).
 _DEPHASE_KEEP = [bits[:, None] == bits[None, :] for bits in _QUBIT_BITS]
 
@@ -167,14 +143,20 @@ def apply_gate(dev: np.ndarray, gate: tuple) -> np.ndarray:
     kind = str(gate[0]).upper()
     if kind in ("RY", "RX"):
         _, qubit, angle = gate
-        u, u_dagger = _rotation(kind, _check_qubit(qubit), float(angle))
-        out = u @ dev @ u_dagger
+        qubit = _check_qubit(qubit)
+        r = (_ry if kind == "RY" else _rx)(float(angle))
+        u = np.kron(np.kron(np.eye(2 ** qubit), r), np.eye(2 ** (N_QUBITS - 1 - qubit)))
+        out = u @ dev @ u.conj().T
     elif kind == "CSWAP":
         control, q1, q2 = (_check_qubit(v) for v in gate[1:])
         if len({control, q1, q2}) != 3:
             raise ValueError(f"CSWAP qubits must be distinct, got {control},{q1},{q2}")
-        flat = dev.reshape(dev.shape[:-2] + (DIM * DIM,))
-        out = flat[..., _cswap_perm(control, q1, q2)].reshape(dev.shape)
+        # flip q1 and q2 where control is 1 and they differ; entry (i, j) of
+        # the result is entry (perm[i], perm[j])
+        flip = _QUBIT_BITS[control] & (_QUBIT_BITS[q1] ^ _QUBIT_BITS[q2])
+        mask = (1 << (N_QUBITS - 1 - q1)) | (1 << (N_QUBITS - 1 - q2))
+        perm = np.arange(DIM) ^ (flip * mask)
+        out = dev[..., perm[:, None], perm[None, :]]
     elif kind == "DEPHASE":
         _, qubit = gate
         out = np.where(_DEPHASE_KEEP[_check_qubit(qubit)], dev, 0.0)

@@ -19,7 +19,7 @@ projector/partial-transpose route, which serves as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -285,22 +285,7 @@ class RelationReport:
     equality_expected: bool
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "D": self.D,
-            "M": self.M,
-            "purity_AB": self.purity_AB,
-            "purity_B": self.purity_B,
-            "purity_thetaB": list(self.purity_thetaB),
-            "purity_B_given_theta": list(self.purity_B_given_theta),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "gamma_expectation": self.gamma_expectation,
-            "gamma_min_eig": self.gamma_min_eig,
-            "gamma_frobenius": self.gamma_frobenius,
-            "equality_expected": self.equality_expected,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def _relation_arrays(rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet) -> dict[str, np.ndarray]:

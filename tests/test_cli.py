@@ -177,6 +177,24 @@ class TestRelationCommand:
         assert "equality_expected" not in captured.out
 
 
+    def test_family_state_reads_mubs_file(self, tmp_path, capsys):
+        # --mubs applies to the family state too, through the same resolver
+        assert main(["relation", "--mubs", str(tmp_path / "missing.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read basis set from ")
+        pair = tmp_path / "pair.json"
+        assert main(["mub", "--d", "2", "--m", "2", "--out", str(pair)]) == 0
+        out = tmp_path / "rel.json"
+        assert main(["relation", "--mubs", str(pair), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["M"] == 2
+        five = tmp_path / "five.json"
+        assert main(["mub", "--d", "5", "--out", str(five)]) == 0
+        capsys.readouterr()
+        assert main(["relation", "--mubs", str(five)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: state A-dimension 2 does not match basis dimension 5\n"
+        assert "equality_expected" not in captured.out
+
+
 class TestSweepCommand:
     def test_alpha_sweep_rows(self, tmp_path):
         out = tmp_path / "a.csv"
@@ -252,6 +270,10 @@ class TestSweepCommand:
             for name in PANEL_FIELDS:
                 assert row[f"raw_{name}"] == repr(panel.raw[name])
                 assert row[f"rescaled_{name}"] == repr(panel.rescaled[name])
+            for kind in ("raw", "rescaled"):
+                lhs, rhs = panel.relation_sides(use_raw=kind == "raw")
+                assert [row[f"{kind}_{side}"] for side in ("lhs", "rhs", "gap")] == [
+                    repr(lhs), repr(rhs), repr(lhs - rhs)]
 
     @pytest.mark.parametrize("simulate", [False, True])
     @pytest.mark.parametrize("param,fixed", [("alpha", "0.35"), ("x", "1.2")])
@@ -317,6 +339,19 @@ class TestSweepCommand:
         assert [len(rho) for rho in checked] == ([7] if noise == "0" else [7, 1])
         grid = checked[0]
         assert reported[0] is grid and simulated[0] is grid
+
+    @pytest.mark.parametrize("flag,value", [("--to", "inf"), ("--from", "-inf"), ("--from", "nan")])
+    def test_non_finite_bound_exits_1(self, tmp_path, capsys, flag, value):
+        # rejected before the grid is built: no numpy warning, no nan point
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--param", "alpha", f"{flag}={value}", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)!r}\n"
+        assert not out.exists()
+
+    def test_write_failure_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "s.csv"
+        assert main(["sweep", "--param", "x", "--steps", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
     def test_bad_range_exits_1(self, tmp_path):
         assert main(["sweep", "--param", "x", "--from", "0.5", "--to", "0.2",

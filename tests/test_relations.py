@@ -339,6 +339,10 @@ class TestRelationReport:
         assert obj["d"] == 2 and obj["D"] == 2 and obj["M"] == 3
         assert len(obj["purity_thetaB"]) == 3
         assert obj["equality_expected"] is True
+        assert list(obj) == list(RelationReport.__dataclass_fields__)  # every field, in order
+        # the per-basis tuples become JSON lists
+        assert obj["purity_thetaB"] == list(rep.purity_thetaB)
+        assert obj["purity_B_given_theta"] == list(rep.purity_B_given_theta)
 
 
 class TestStackedReport:
