@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Each subcommand parses its arguments, calls the library once and formats
-the result: ``mub`` (generate/validate basis sets), ``verify`` (stochastic
-checks of the operator and relation properties), ``relation`` (one relation
-report), ``sweep`` (parameter sweeps with CSV/JSON output), ``expsim``
-(one simulated purity panel). ``mub``, ``verify`` and ``relation`` take
+the result: ``mub`` (generate/validate basis sets), ``verify`` (the report
+of ``verify_relations``, which makes every check of the basis and of the
+relation on seeded random states), ``relation`` (one relation report),
+``sweep`` (parameter sweeps with CSV/JSON output), ``expsim`` (one
+simulated purity panel). ``mub``, ``verify`` and ``relation`` take
 their basis set from one resolver: the file of ``--load`` or ``--mubs``,
 else the construction at a prime d. Exit codes: 0 success, 1 usage error,
 2 verification/validation failure; ``main`` alone turns an error into its
@@ -44,14 +45,8 @@ from .mub import (
     save_mubs,
     validate_mubs,
 )
-from .relations import (
-    _relation_arrays,
-    build_bipartite_basis,
-    check_pt_identities,
-    relation_report,
-)
-from .states import _family_states, random_density, rho_family
-from .tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
+from .relations import _relation_arrays, relation_report, verify_relations
+from .states import _family_states, rho_family
 
 _PI_RE = re.compile(r"^([+-]?(?:\d+(?:\.\d*)?|\.\d+)?)\*?pi(?:/(\d+(?:\.\d*)?))?$")
 
@@ -101,22 +96,23 @@ def _emit(text: str, out: str | None, what: str) -> None:
         print(text, end="")
 
 
-def _basis_set(d: int, m: int, path: str | None, hint: str) -> MubSet:
+def _basis_set(d: int, m: int, path: str | None, too_small: str, not_prime: str) -> MubSet:
     """The basis set in ``path``; without one, the first m bases constructed at d.
 
-    d < 2 is a usage error; a non-prime d fails with the message ``hint``.
+    d < 2 is a usage error with the message ``too_small``; a non-prime d
+    fails validation with the message ``not_prime``.
     """
     if path:
         return load_mubs(path)
     if d < 2:
-        raise ValueError(f"need --d >= 2, got {d}")
+        raise ValueError(too_small)
     if not is_prime(d):
-        raise MubValidationError(hint)
+        raise MubValidationError(not_prime)
     return construct_mubs(d, m)
 
 
 def cmd_mub(ns) -> int:
-    mubs = _basis_set(ns.d, ns.m or ns.d + 1, ns.load,
+    mubs = _basis_set(ns.d, ns.m or ns.d + 1, ns.load, f"need --d >= 2, got {ns.d}",
                       f"d={ns.d} is not prime; supply a basis file via --load")
     report = validate_mubs(mubs)
     save_mubs(mubs, ns.out)
@@ -127,65 +123,15 @@ def cmd_mub(ns) -> int:
 
 def cmd_verify(ns) -> int:
     seed = _default_seed() if ns.seed is None else ns.seed
-    d, m = ns.d, ns.m
-    mubs = _basis_set(d, m, None, f"d={d} is not prime")
+    mubs = _basis_set(ns.d, ns.m, None, f"need --d >= 2, got {ns.d}", f"d={ns.d} is not prime")
     if ns.trials < 1:
         raise ValueError(f"need --trials >= 1, got {ns.trials}")
-    big_d = d if ns.big_d is None else ns.big_d
-    basis = build_bipartite_basis(mubs)
-
-    states = basis.all_states()
-    gram_dev = float(np.abs(states.conj() @ states.T - np.eye(states.shape[0])).max())
-    pt = check_pt_identities(basis)
-
-    trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(ns.trials, dtype=np.uint64)]
-    ranks = (d * big_d, 1, 2)
-    reports = [
-        relation_report(random_density(d * big_d, ranks[t % 3], s, dims=(d, big_d)), mubs)
-        for t, s in enumerate(trial_seeds)
-    ]
-
-    def worst(values, pick):
-        # the first trial attaining the extreme, and the seed of its state
-        k = int(pick(values))
-        return float(values[k]), trial_seeds[k]
-
-    gaps = np.array([rep.gap for rep in reports])
-    min_gap, min_gap_seed = worst(gaps, np.argmin)
-    max_abs_gap, max_abs_gap_seed = worst(np.abs(gaps), np.argmax)
-    min_eig, min_eig_seed = worst(np.array([rep.gamma_min_eig for rep in reports]), np.argmin)
-    max_fro, max_fro_seed = worst(np.array([rep.gamma_frobenius for rep in reports]), np.argmax)
-
-    complete = m == d + 1
-    checks = [
-        ("gram max deviation", gram_dev, TOL_STRUCTURAL, gram_dev <= TOL_STRUCTURAL, None),
-        ("pt identities max deviation", pt.max_deviation, TOL_STRUCTURAL,
-         pt.max_deviation <= TOL_STRUCTURAL, None),
-        ("relation gap min", min_gap, -TOL_SPECTRAL, min_gap >= -TOL_SPECTRAL, min_gap_seed),
-    ]
-    if complete:
-        checks.append(("gamma frobenius max", max_fro, TOL_SPECTRAL,
-                       max_fro <= TOL_SPECTRAL, max_fro_seed))
-        checks.append(("relation |gap| max", max_abs_gap, TOL_SPECTRAL,
-                       max_abs_gap <= TOL_SPECTRAL, max_abs_gap_seed))
-    else:
-        checks.append(("gamma min eigenvalue", min_eig, -TOL_PSD,
-                       min_eig >= -TOL_PSD, min_eig_seed))
-
-    lines = [f"verify d={d} M={m} D={big_d} trials={ns.trials} seed={seed}"]
-    ok = True
-    for name, value, bound, passed, state_seed in checks:
-        ok = ok and passed
-        line = f"{name}: {value!r} (bound {bound!r}) {'PASS' if passed else 'FAIL'}"
-        if not passed and state_seed is not None:
-            line += f" [state seed {state_seed}]"
-        lines.append(line)
-    lines.append("all checks passed" if ok else "VERIFICATION FAILED")
-    text = "\n".join(lines) + "\n"
+    report = verify_relations(mubs, ns.d if ns.big_d is None else ns.big_d, ns.trials, seed)
+    text = report.summary() + "\n"
     print(text, end="")
     if ns.out:
         Path(ns.out).write_text(text)
-    return 0 if ok else 2
+    return 0 if report.passed else 2
 
 
 def cmd_relation(ns) -> int:
@@ -196,7 +142,8 @@ def cmd_relation(ns) -> int:
     else:
         rho, d = rho_family(ns.alpha, ns.x), 2
         label = f"family state alpha={ns.alpha!r} x={ns.x!r}"
-    mubs = _basis_set(d, ns.m or d + 1, ns.mubs, f"A-dimension {d} is not prime; supply --mubs")
+    mubs = _basis_set(d, ns.m or d + 1, ns.mubs, f"need an A-dimension >= 2, got {d}",
+                      f"A-dimension {d} is not prime; supply --mubs")
     rep = relation_report(rho, mubs)
     _emit(_json_dumps(rep.to_json()), ns.out, f"relation report for {label}")
     print(
@@ -220,6 +167,8 @@ def _sweep_rows(ns) -> list[dict]:
             raise ValueError(f"{flag} must be finite, got {bound!r}")
     if not start < stop:
         raise ValueError("sweep range must satisfy from < to")
+    if not math.isfinite(stop - start):
+        raise ValueError(f"sweep span --to minus --from must be finite, got {stop - start!r}")
     mubs = construct_mubs(2, 3)  # the two-qubit family
     grid, other = np.linspace(start, stop, ns.steps), np.full(ns.steps, fixed)
     alphas, xs = (grid, other) if ns.param == "alpha" else (other, grid)

@@ -15,6 +15,7 @@ with equality whenever M = d + 1. Both sides are tied to the operator
 which vanishes at M = d + 1 and is positive semidefinite for M <= d. The
 module computes gamma both from that definition and through an independent
 projector/partial-transpose route, which serves as a cross-check.
+:func:`verify_relations` checks all of these claims on seeded random states.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .linalg import (
     partial_transpose,
 )
 from .mub import MubSet, MubValidationError, validate_mubs
+from .states import random_density
 from .tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 
 
@@ -43,7 +45,8 @@ class BipartiteBasis:
     basis t+1 and twist k = 0..d-1, shape (M, d, d*d); every k = 0 row is
     the same state ``phi``. ``complement`` holds the (d-1)(d+1-M) states
     completing the basis as rows, shape (p, d*d), and ``projector`` projects
-    onto their span.
+    onto their span. ``gram_deviation`` is max|G - I| of the Gram matrix G
+    of all d*d states, measured when the basis was built.
     """
 
     d: int
@@ -52,6 +55,7 @@ class BipartiteBasis:
     complement: np.ndarray
     projector: np.ndarray
     mubs: MubSet
+    gram_deviation: float
 
     @property
     def phi(self) -> np.ndarray:
@@ -60,10 +64,6 @@ class BipartiteBasis:
     def constructed_states(self) -> np.ndarray:
         """All M(d-1)+1 constructed states, stacked as rows."""
         return _constructed_states(self.twisted)
-
-    def all_states(self) -> np.ndarray:
-        """Constructed plus complement states, stacked as rows."""
-        return np.concatenate([self.constructed_states(), self.complement])
 
 
 def _constructed_states(twisted: np.ndarray) -> np.ndarray:
@@ -79,7 +79,8 @@ def build_bipartite_basis(mubs: MubSet) -> BipartiteBasis:
     vector. The complement is the eigenvalue-1 eigenspace of the projector
     I - sum_v |v><v| over the constructed states v. All invariants
     (pairwise orthonormality, projector idempotency and rank, agreement of
-    the projector with its complement states) are verified before returning.
+    the projector with its complement states) are verified before returning;
+    a failed one raises :class:`MubValidationError`.
     """
     report = validate_mubs(mubs)
     if not report.passed:
@@ -93,34 +94,28 @@ def build_bipartite_basis(mubs: MubSet) -> BipartiteBasis:
     span = _constructed_states(twisted)
     projector = np.eye(d * d, dtype=complex) - span.T @ span.conj()
     eigvals, eigvecs = np.linalg.eigh(projector)
-
-    basis = BipartiteBasis(
-        d=d,
-        M=m,
-        twisted=twisted,
-        complement=eigvecs[:, eigvals > 0.5].T,
-        projector=projector,
-        mubs=mubs,
-    )
-    _check_basis_invariants(basis)
-    return basis
+    complement = eigvecs[:, eigvals > 0.5].T
+    gram_dev = _check_basis_invariants(span, complement, projector, d, m)
+    return BipartiteBasis(d, m, twisted, complement, projector, mubs, gram_dev)
 
 
-def _check_basis_invariants(basis: BipartiteBasis) -> None:
-    states = basis.all_states()
+def _check_basis_invariants(
+    span: np.ndarray, complement: np.ndarray, projector: np.ndarray, d: int, m: int
+) -> float:
+    """max|G - I| of the Gram matrix G of all d*d states; a failed invariant is a MubValidationError."""
+    states = np.concatenate([span, complement])
     gram = states.conj() @ states.T
     gram_dev = float(np.abs(gram - np.eye(states.shape[0])).max())
     if gram_dev > TOL_STRUCTURAL:
-        raise RuntimeError(f"basis states not orthonormal: max deviation {gram_dev:.3e}")
-    p_mat = basis.projector
-    comp = basis.complement
-    if float(np.abs(p_mat - comp.T @ comp.conj()).max()) > TOL_STRUCTURAL:
-        raise RuntimeError("projector disagrees with the sum over complement states")
-    if frobenius_norm(p_mat @ p_mat - p_mat) > TOL_PSD:
-        raise RuntimeError("projector is not idempotent within tolerance")
-    p_expected = (basis.d - 1) * (basis.d + 1 - basis.M)
-    if abs(np.trace(p_mat).real - p_expected) > TOL_SPECTRAL:
-        raise RuntimeError(f"projector rank disagrees with the complement count {p_expected}")
+        raise MubValidationError(f"basis states not orthonormal: max deviation {gram_dev:.3e}")
+    if float(np.abs(projector - complement.T @ complement.conj()).max()) > TOL_STRUCTURAL:
+        raise MubValidationError("projector disagrees with the sum over complement states")
+    if frobenius_norm(projector @ projector - projector) > TOL_PSD:
+        raise MubValidationError("projector is not idempotent within tolerance")
+    p_expected = (d - 1) * (d + 1 - m)
+    if abs(np.trace(projector).real - p_expected) > TOL_SPECTRAL:
+        raise MubValidationError(f"projector rank disagrees with the complement count {p_expected}")
+    return gram_dev
 
 
 @dataclass(frozen=True)
@@ -332,3 +327,72 @@ def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
     return RelationReport(
         d=mubs.d, D=rho.dims[1], M=mubs.M, equality_expected=(mubs.M == mubs.d + 1), **fields
     )
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """The checks of :func:`verify_relations`, one ``(name, value, bound, passed, state_seed)`` each.
+
+    ``state_seed`` seeds the random state attaining ``value``; it is None
+    for the checks of the basis itself.
+    """
+
+    d: int
+    D: int
+    M: int
+    trials: int
+    seed: int
+    checks: tuple[tuple[str, float, float, bool, int | None], ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(check[3] for check in self.checks)
+
+    def summary(self) -> str:
+        lines = [f"verify d={self.d} M={self.M} D={self.D} trials={self.trials} seed={self.seed}"]
+        for name, value, bound, passed, state_seed in self.checks:
+            line = f"{name}: {value!r} (bound {bound!r}) {'PASS' if passed else 'FAIL'}"
+            if not passed and state_seed is not None:
+                line += f" [state seed {state_seed}]"
+            lines.append(line)
+        lines.append("all checks passed" if self.passed else "VERIFICATION FAILED")
+        return "\n".join(lines)
+
+
+def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> VerificationReport:
+    """Check the basis of ``mubs`` and the relation on ``trials`` >= 1 random states on (d, big_d).
+
+    Trial t draws a state of rank d*big_d, 1 or 2 (cycling) from the t-th
+    seed of ``SeedSequence(seed)``; one :func:`relation_report` per trial
+    keeps memory bounded. A state check reports its first worst trial.
+    """
+    d, m = mubs.d, mubs.M
+    basis = build_bipartite_basis(mubs)
+    pt = check_pt_identities(basis)
+    trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)]
+    ranks = (d * big_d, 1, 2)
+    reports = [
+        relation_report(random_density(d * big_d, ranks[t % 3], s, dims=(d, big_d)), mubs)
+        for t, s in enumerate(trial_seeds)
+    ]
+
+    def worst(name, values, lowest, bound):
+        k = int(np.argmin(values) if lowest else np.argmax(values))
+        value = float(values[k])
+        return name, value, bound, (value >= bound) if lowest else (value <= bound), trial_seeds[k]
+
+    gaps = np.array([rep.gap for rep in reports])
+    gram = basis.gram_deviation
+    checks = [
+        ("gram max deviation", gram, TOL_STRUCTURAL, gram <= TOL_STRUCTURAL, None),
+        ("pt identities max deviation", pt.max_deviation, pt.tolerance, pt.passed, None),
+        worst("relation gap min", gaps, True, -TOL_SPECTRAL),
+    ]
+    if m == d + 1:
+        frobenius = np.array([rep.gamma_frobenius for rep in reports])
+        checks += [worst("gamma frobenius max", frobenius, False, TOL_SPECTRAL),
+                   worst("relation |gap| max", np.abs(gaps), False, TOL_SPECTRAL)]
+    else:
+        min_eigs = np.array([rep.gamma_min_eig for rep in reports])
+        checks.append(worst("gamma min eigenvalue", min_eigs, True, -TOL_PSD))
+    return VerificationReport(d, big_d, m, trials, seed, tuple(checks))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -139,6 +140,28 @@ class TestVerifyCommand:
         assert main(["verify", "--d", "2", "--m", "3", "--big-d", "0", "--trials", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_failed_trial_names_its_state_seed(self, capsys, monkeypatch):
+        from mubpurity import relations
+        from mubpurity.states import random_density
+
+        real, seen = relations.relation_report, []
+
+        def one_bad_gap(rho, mubs):
+            seen.append(rho)
+            rep = real(rho, mubs)
+            return dataclasses.replace(rep, gap=-1.0) if len(seen) == 5 else rep
+
+        monkeypatch.setattr(relations, "relation_report", one_bad_gap)
+        assert main(["verify", "--d", "3", "--m", "3", "--big-d", "2", "--trials", "6", "--seed", "5"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        seed = int(np.random.SeedSequence(5).generate_state(6, dtype=np.uint64)[4])
+        assert [line for line in lines[1:-1] if not line.endswith("PASS")] == [
+            f"relation gap min: -1.0 (bound -1e-09) FAIL [state seed {seed}]"
+        ]
+        assert lines[-1] == "VERIFICATION FAILED"
+        # the seed rebuilds that trial's state; trial 4 draws rank 1
+        assert np.array_equal(random_density(6, 1, seed, dims=(3, 2)).matrix, seen[4].matrix)
+
 
 class TestRelationCommand:
     def test_family_values(self, tmp_path):
@@ -176,6 +199,16 @@ class TestRelationCommand:
         assert "d >= 2" in captured.err
         assert "equality_expected" not in captured.out
 
+
+    def test_one_dimensional_a_side_exits_1(self, tmp_path, capsys):
+        from mubpurity.linalg import density_to_json
+        from mubpurity.states import random_density
+
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(density_to_json(random_density(2, 2, 0, dims=(1, 2)))))
+        assert main(["relation", "--state", str(state_path)]) == 1
+        # relation has no --d flag; the message names the state's A side
+        assert capsys.readouterr().err == "error: need an A-dimension >= 2, got 1\n"
 
     def test_family_state_reads_mubs_file(self, tmp_path, capsys):
         # --mubs applies to the family state too, through the same resolver
@@ -346,6 +379,13 @@ class TestSweepCommand:
         out = tmp_path / "s.csv"
         assert main(["sweep", "--param", "alpha", f"{flag}={value}", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)!r}\n"
+        assert not out.exists()
+
+    def test_overflowing_span_exits_1(self, tmp_path, capsys):
+        # finite bounds whose difference overflows: rejected before numpy warns
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--param", "alpha", "--from=-1.7e308", "--to", "1.7e308", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sweep span --to minus --from must be finite, got inf\n"
         assert not out.exists()
 
     def test_write_failure_exits_1(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from mubpurity.linalg import (
     partial_trace_matrix,
     purity,
 )
-from mubpurity.mub import MubSet, MubValidationError, construct_mubs
+from mubpurity.mub import MubSet, MubValidationError, construct_mubs, validate_mubs
 from mubpurity.relations import (
     RelationReport,
     _relation_arrays,
@@ -18,6 +18,7 @@ from mubpurity.relations import (
     gamma_via_projector,
     post_measurement_state,
     relation_report,
+    verify_relations,
 )
 from mubpurity.states import _family_states, random_density, rho_family
 
@@ -74,10 +75,11 @@ class TestBipartiteBasis:
         basis = build_bipartite_basis(construct_mubs(3, 2))
         assert basis.twisted.shape == (2, 3, 9)
         assert basis.complement.shape[0] == 4
-        states = basis.all_states()
+        states = np.concatenate([basis.constructed_states(), basis.complement])
         assert states.shape == (9, 9)
         gram = states.conj() @ states.T
         assert np.abs(gram - np.eye(9)).max() <= 1e-12
+        assert basis.gram_deviation == np.abs(gram - np.eye(9)).max()
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_constructed_states_orthonormal(self, d):
@@ -116,6 +118,26 @@ class TestBipartiteBasis:
         dup = MubSet(np.stack([np.eye(2, dtype=complex)] * 2))
         with pytest.raises(MubValidationError):
             build_bipartite_basis(dup)
+
+    def test_near_bound_sets_build_or_fail_validation(self):
+        # complete sets perturbed by eps*G, eps bisected to just inside the
+        # bound of validate_mubs: the basis invariants may still fail, and
+        # then as a validation failure, never as another exception
+        raised = 0
+        for d in (7, 11, 13):
+            exact = construct_mubs(d, d + 1).bases
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                g = rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape)
+                lo, hi = 0.0, 1e-10
+                for _ in range(60):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if validate_mubs(MubSet(exact + mid * g)).passed else (lo, mid)
+                try:
+                    build_bipartite_basis(MubSet(exact + lo * g))
+                except MubValidationError:
+                    raised += 1
+        assert raised >= 1
 
 
 class TestPtIdentities:
@@ -393,3 +415,22 @@ class TestStackedReport:
         stack = np.stack([BELL.matrix, BELL.matrix])
         with pytest.raises(ValueError, match="does not match basis dimension"):
             _relation_arrays(stack, (2, 2), construct_mubs(3, 2))
+
+
+class TestVerifyRelations:
+    @pytest.mark.parametrize("m,state_checks", [
+        (4, ["relation gap min", "gamma frobenius max", "relation |gap| max"]),
+        (3, ["relation gap min", "gamma min eigenvalue"]),
+    ])
+    def test_report_reads_the_library_checks(self, m, state_checks):
+        mubs = construct_mubs(3, m)
+        report = verify_relations(mubs, 2, 4, 9)
+        basis = build_bipartite_basis(mubs)
+        assert [check[0] for check in report.checks] == [
+            "gram max deviation", "pt identities max deviation", *state_checks
+        ]
+        assert report.checks[0][1] == basis.gram_deviation
+        assert report.checks[1][1] == check_pt_identities(basis).max_deviation
+        assert [check[4] for check in report.checks[:2]] == [None, None]
+        assert all(check[4] in _seeds(9, 4) for check in report.checks[2:])
+        assert report.passed and report.summary().endswith("\nall checks passed")
