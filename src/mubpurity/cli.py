@@ -124,9 +124,12 @@ def cmd_mub(ns) -> int:
 def cmd_verify(ns) -> int:
     seed = _default_seed() if ns.seed is None else ns.seed
     mubs = _basis_set(ns.d, ns.m, None, f"need --d >= 2, got {ns.d}", f"d={ns.d} is not prime")
+    big_d = ns.d if ns.big_d is None else ns.big_d
     if ns.trials < 1:
         raise ValueError(f"need --trials >= 1, got {ns.trials}")
-    report = verify_relations(mubs, ns.d if ns.big_d is None else ns.big_d, ns.trials, seed)
+    if big_d < 1:
+        raise ValueError(f"need --big-d >= 1, got {big_d}")
+    report = verify_relations(mubs, big_d, ns.trials, seed)
     text = report.summary() + "\n"
     print(text, end="")
     if ns.out:

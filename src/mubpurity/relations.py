@@ -33,8 +33,11 @@ from .linalg import (
     partial_transpose,
 )
 from .mub import MubSet, MubValidationError, validate_mubs
-from .states import random_density
+from .states import _random_density_stack
 from .tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
+
+# byte budget of the largest per-chunk intermediate of verify_relations
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -60,10 +63,6 @@ class BipartiteBasis:
     @property
     def phi(self) -> np.ndarray:
         return self.twisted[0, 0]
-
-    def constructed_states(self) -> np.ndarray:
-        """All M(d-1)+1 constructed states, stacked as rows."""
-        return _constructed_states(self.twisted)
 
 
 def _constructed_states(twisted: np.ndarray) -> np.ndarray:
@@ -360,28 +359,42 @@ class VerificationReport:
 
 
 def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> VerificationReport:
-    """Check the basis of ``mubs`` and the relation on ``trials`` >= 1 random states on (d, big_d).
+    """Check the basis of ``mubs`` and the relation on ``trials`` >= 1 random states on (d, big_d >= 1).
 
     Trial t draws a state of rank d*big_d, 1 or 2 (cycling) from the t-th
-    seed of ``SeedSequence(seed)``; one :func:`relation_report` per trial
-    keeps memory bounded. A state check reports its first worst trial.
+    seed of ``SeedSequence(seed)``. The trials are drawn and read as checked
+    stacks, one :func:`_relation_arrays` call per chunk; the chunk holds as
+    many states as keep its pinch intermediate within ``_CHUNK_BYTES``, so
+    memory stays bounded at any trial count. A state check reports its first
+    worst trial.
     """
+    if big_d < 1:
+        raise ValueError(f"need big_d >= 1, got {big_d}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     d, m = mubs.d, mubs.M
     basis = build_bipartite_basis(mubs)
     pt = check_pt_identities(basis)
     trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)]
-    ranks = (d * big_d, 1, 2)
-    reports = [
-        relation_report(random_density(d * big_d, ranks[t % 3], s, dims=(d, big_d)), mubs)
-        for t, s in enumerate(trial_seeds)
-    ]
+    dim = d * big_d
+    ranks = [(dim, 1, 2)[t % 3] for t in range(trials)]
+    # the pinch's (n, M, d, D, d, D) complex array is the largest intermediate
+    chunk = max(1, _CHUNK_BYTES // (m * dim * dim * 16))
+    parts = []
+    for start in range(0, trials, chunk):
+        stop = start + chunk
+        rho = _random_density_stack(dim, ranks[start:stop], trial_seeds[start:stop], dims=(d, big_d))
+        parts.append(_relation_arrays(rho, (d, big_d), mubs))
+    gaps, frobenius, min_eigs = (
+        np.concatenate([part[name] for part in parts])
+        for name in ("gap", "gamma_frobenius", "gamma_min_eig")
+    )
 
     def worst(name, values, lowest, bound):
         k = int(np.argmin(values) if lowest else np.argmax(values))
         value = float(values[k])
         return name, value, bound, (value >= bound) if lowest else (value <= bound), trial_seeds[k]
 
-    gaps = np.array([rep.gap for rep in reports])
     gram = basis.gram_deviation
     checks = [
         ("gram max deviation", gram, TOL_STRUCTURAL, gram <= TOL_STRUCTURAL, None),
@@ -389,10 +402,8 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
         worst("relation gap min", gaps, True, -TOL_SPECTRAL),
     ]
     if m == d + 1:
-        frobenius = np.array([rep.gamma_frobenius for rep in reports])
         checks += [worst("gamma frobenius max", frobenius, False, TOL_SPECTRAL),
                    worst("relation |gap| max", np.abs(gaps), False, TOL_SPECTRAL)]
     else:
-        min_eigs = np.array([rep.gamma_min_eig for rep in reports])
         checks.append(worst("gamma min eigenvalue", min_eigs, True, -TOL_PSD))
     return VerificationReport(d, big_d, m, trials, seed, tuple(checks))

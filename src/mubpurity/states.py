@@ -85,24 +85,50 @@ def rho_family(alpha: float, x: float) -> DensityMatrix:
     return DensityMatrix(m[0], (2, 2))
 
 
+def _check_draw(dim: int, ranks, dims) -> tuple[int, list[int], tuple[int, ...]]:
+    """(dim, ranks, dims) as ints once every rank lies in 1..dim and positive ``dims`` multiply to dim."""
+    dim = int(dim)
+    ranks = [int(r) for r in ranks]
+    for rank in ranks:
+        if not 1 <= rank <= dim:
+            raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
+    dims = (dim,) if dims is None else tuple(int(d) for d in dims)
+    if int(np.prod(dims)) != dim:
+        raise ValueError(f"dims {dims} do not multiply to {dim}")
+    if min(dims, default=0) < 1:
+        raise ValueError(f"invalid dims {dims}")
+    return dim, ranks, dims
+
+
+def _ginibre(dim: int, rank: int, seed) -> np.ndarray:
+    """g g^dagger / Tr(g g^dagger) for a seeded complex Gaussian (dim, rank) matrix g; unchecked."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return m
+
+
+def _random_density_stack(dim: int, ranks, seeds, dims=None) -> np.ndarray:
+    """The checked (n, dim, dim) stack of seeded random states, state i of rank ``ranks[i]``.
+
+    Makes every check of :func:`random_density`; row i has the bits of
+    ``random_density(dim, ranks[i], seeds[i], dims).matrix``.
+    """
+    dim, ranks, dims = _check_draw(dim, ranks, dims)
+    stack = np.stack([_ginibre(dim, rank, seed) for rank, seed in zip(ranks, seeds, strict=True)])
+    _check_density_stack(stack)
+    return stack
+
+
 def random_density(dim: int, rank: int, seed, dims=None) -> DensityMatrix:
     """Seeded random density matrix of the given rank (Ginibre construction).
 
     ``dims`` optionally labels a tensor factorization; it must multiply to
     ``dim`` and defaults to the single factor ``(dim,)``.
     """
-    dim = int(dim)
-    rank = int(rank)
-    if not 1 <= rank <= dim:
-        raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    dims = (dim,) if dims is None else tuple(int(d) for d in dims)
-    if int(np.prod(dims)) != dim:
-        raise ValueError(f"dims {dims} do not multiply to {dim}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return DensityMatrix(m, dims)
+    dim, (rank,), dims = _check_draw(dim, [rank], dims)
+    return DensityMatrix(_ginibre(dim, rank, seed), dims)
 
 
 __all__ = [

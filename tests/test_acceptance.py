@@ -13,6 +13,7 @@ from mubpurity.expsim import PANEL_FIELDS, NoiseModel, calibration_factors, run_
 from mubpurity.linalg import frobenius_norm, hermitian_eigenvalues
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import (
+    _constructed_states,
     build_bipartite_basis,
     check_pt_identities,
     gamma_direct,
@@ -45,7 +46,7 @@ def test_criterion_1_bipartite_states_orthonormal():
     for d in (2, 3, 5):
         for m in range(2, d + 2):
             basis = build_bipartite_basis(construct_mubs(d, m))
-            states = basis.constructed_states()
+            states = _constructed_states(basis.twisted)
             gram = states.conj() @ states.T
             worst = max(worst, float(np.abs(gram - np.eye(states.shape[0])).max()))
     elapsed = time.perf_counter() - start

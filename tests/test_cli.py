@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -137,21 +136,27 @@ class TestVerifyCommand:
         assert "all checks passed" not in captured.out
 
     def test_zero_big_d_exits_1(self, capsys):
-        assert main(["verify", "--d", "2", "--m", "3", "--big-d", "0", "--trials", "1"]) == 1
-        assert "error:" in capsys.readouterr().err
+        for big_d in ("0", "-1"):
+            assert main(["verify", "--d", "2", "--m", "3", "--big-d", big_d, "--trials", "1"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: need --big-d >= 1, got {big_d}\n"
+            assert "all checks passed" not in captured.out
 
     def test_failed_trial_names_its_state_seed(self, capsys, monkeypatch):
         from mubpurity import relations
         from mubpurity.states import random_density
 
-        real, seen = relations.relation_report, []
+        real, seen = relations._relation_arrays, []
 
-        def one_bad_gap(rho, mubs):
-            seen.append(rho)
-            rep = real(rho, mubs)
-            return dataclasses.replace(rep, gap=-1.0) if len(seen) == 5 else rep
+        def one_bad_gap(rho, dims, mubs):
+            # trial 4 gets gap -1 in whichever chunk holds it
+            arrays = real(rho, dims, mubs)
+            if len(seen) <= 4 < len(seen) + len(rho):
+                arrays["gap"][4 - len(seen)] = -1.0
+            seen.extend(rho)
+            return arrays
 
-        monkeypatch.setattr(relations, "relation_report", one_bad_gap)
+        monkeypatch.setattr(relations, "_relation_arrays", one_bad_gap)
         assert main(["verify", "--d", "3", "--m", "3", "--big-d", "2", "--trials", "6", "--seed", "5"]) == 2
         lines = capsys.readouterr().out.splitlines()
         seed = int(np.random.SeedSequence(5).generate_state(6, dtype=np.uint64)[4])
@@ -160,7 +165,7 @@ class TestVerifyCommand:
         ]
         assert lines[-1] == "VERIFICATION FAILED"
         # the seed rebuilds that trial's state; trial 4 draws rank 1
-        assert np.array_equal(random_density(6, 1, seed, dims=(3, 2)).matrix, seen[4].matrix)
+        assert np.array_equal(random_density(6, 1, seed, dims=(3, 2)).matrix, seen[4])
 
 
 class TestRelationCommand:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mubpurity import relations
 from mubpurity.linalg import (
     DensityMatrix,
     frobenius_norm,
@@ -11,6 +14,7 @@ from mubpurity.linalg import (
 from mubpurity.mub import MubSet, MubValidationError, construct_mubs, validate_mubs
 from mubpurity.relations import (
     RelationReport,
+    _constructed_states,
     _relation_arrays,
     build_bipartite_basis,
     check_pt_identities,
@@ -75,7 +79,7 @@ class TestBipartiteBasis:
         basis = build_bipartite_basis(construct_mubs(3, 2))
         assert basis.twisted.shape == (2, 3, 9)
         assert basis.complement.shape[0] == 4
-        states = np.concatenate([basis.constructed_states(), basis.complement])
+        states = np.concatenate([_constructed_states(basis.twisted), basis.complement])
         assert states.shape == (9, 9)
         gram = states.conj() @ states.T
         assert np.abs(gram - np.eye(9)).max() <= 1e-12
@@ -85,7 +89,7 @@ class TestBipartiteBasis:
     def test_constructed_states_orthonormal(self, d):
         for m in range(2, d + 2):
             basis = build_bipartite_basis(construct_mubs(d, m))
-            states = basis.constructed_states()
+            states = _constructed_states(basis.twisted)
             assert states.shape[0] == m * (d - 1) + 1
             gram = states.conj() @ states.T
             assert np.abs(gram - np.eye(states.shape[0])).max() <= 1e-12
@@ -434,3 +438,48 @@ class TestVerifyRelations:
         assert [check[4] for check in report.checks[:2]] == [None, None]
         assert all(check[4] in _seeds(9, 4) for check in report.checks[2:])
         assert report.passed and report.summary().endswith("\nall checks passed")
+
+    @pytest.mark.parametrize("m", [2, 8])
+    def test_chunked_read_equals_per_trial_reports(self, m):
+        mubs = construct_mubs(7, m)
+        assert relations._CHUNK_BYTES // (m * 49 * 49 * 16) < 40  # the trials span several chunks
+        seeds = _seeds(12, 40)
+        reports = [
+            relation_report(random_density(49, (49, 1, 2)[t % 3], seed, dims=(7, 7)), mubs)
+            for t, seed in enumerate(seeds)
+        ]
+
+        def worst(name, values, lowest, bound):
+            # first trial attaining the extreme value
+            k = min(range(40), key=lambda t: values[t] if lowest else -values[t])
+            passed = values[k] >= bound if lowest else values[k] <= bound
+            return name, values[k], bound, passed, seeds[k]
+
+        gaps = [rep.gap for rep in reports]
+        expected = [worst("relation gap min", gaps, True, -1e-9)]
+        if m == 8:
+            expected += [worst("gamma frobenius max", [rep.gamma_frobenius for rep in reports], False, 1e-9),
+                         worst("relation |gap| max", [abs(gap) for gap in gaps], False, 1e-9)]
+        else:
+            expected.append(worst("gamma min eigenvalue", [rep.gamma_min_eig for rep in reports], True, -1e-10))
+        assert list(verify_relations(mubs, 7, 40, 12).checks[2:]) == expected
+
+    @pytest.mark.parametrize("m", [2, 8])
+    def test_trial_memory_is_bounded(self, m):
+        mubs = construct_mubs(7, m)
+        build_bipartite_basis(mubs)  # warm every lazily built numpy path first
+        peaks = []
+        for trials in (1, 200):
+            tracemalloc.start()
+            try:
+                verify_relations(mubs, 7, trials, 3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # all 200 states in one stack would pinch through 15 MiB at M = 2
+        assert peaks[1] <= peaks[0] + 4 * 2**20
+
+    @pytest.mark.parametrize("big_d,trials,name", [(0, 1, "big_d"), (-1, 1, "big_d"), (1, 0, "trials")])
+    def test_rejects_empty_b_side_and_no_trials(self, big_d, trials, name):
+        with pytest.raises(ValueError, match=f"need {name} >= 1"):
+            verify_relations(construct_mubs(2, 3), big_d, trials, 0)

@@ -6,6 +6,7 @@ from mubpurity.mub import construct_mubs
 from mubpurity.relations import relation_report
 from mubpurity.states import (
     _family_states,
+    _random_density_stack,
     psi_alpha,
     random_density,
     rho_family,
@@ -96,6 +97,36 @@ class TestRandomDensity:
     def test_dims_must_multiply(self):
         with pytest.raises(ValueError):
             random_density(4, 4, 0, dims=(2, 3))
+
+
+class TestRandomDensityStack:
+    def test_rows_equal_random_density(self):
+        ranks, seeds = [12, 1, 2, 12, 5], [3, 1 << 63, 0, 17, 9]
+        stack = _random_density_stack(12, ranks, seeds, dims=(3, 4))
+        assert stack.shape == (5, 12, 12)
+        for row, (rank, seed) in enumerate(zip(ranks, seeds)):
+            assert np.array_equal(stack[row], random_density(12, rank, seed, dims=(3, 4)).matrix)
+
+    def test_stack_checked_as_density_matrices(self, monkeypatch):
+        import mubpurity.states as states
+
+        checked = []
+        monkeypatch.setattr(states, "_check_density_stack", checked.append)
+        stack = _random_density_stack(4, [4, 1], [1, 2])
+        assert len(checked) == 1 and checked[0] is stack
+
+    @pytest.mark.parametrize("dim,ranks,dims,match", [
+        (4, [4, 0], None, "rank=0"),
+        (4, [5], None, "rank=5"),
+        (0, [1], (0, 3), "rank=1, dim=0"),
+        (4, [4], (2, 3), "do not multiply"),
+        (1, [1], (-1, -1), "invalid dims"),
+    ])
+    def test_rank_and_dims_checked_as_random_density(self, dim, ranks, dims, match):
+        with pytest.raises(ValueError, match=match):
+            _random_density_stack(dim, ranks, [0] * len(ranks), dims=dims)
+        with pytest.raises(ValueError, match=match):
+            random_density(dim, ranks[-1], 0, dims=dims)
 
 
 def _random_pure_state(dim, seed):
