@@ -169,16 +169,26 @@ def construct_mubs(d: int, M: int) -> MubSet:
 # MUB JSON schema:
 # {"d": n, "M": m, "bases": [[[ [re, im], ... d amplitudes ] x d vectors] x M]}
 
+def _json_array(items: list[str], depth: int) -> str:
+    # one array at nesting depth `depth`, laid out as json.dumps(indent=2) does
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
 def save_mubs(mubs: MubSet, path) -> None:
-    obj = {
-        "d": mubs.d,
-        "M": mubs.M,
-        "bases": [
-            [[[float(z.real), float(z.imag)] for z in vec] for vec in basis]
-            for basis in mubs.bases
-        ],
-    }
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    """Write the set in the schema above.
+
+    The text is exactly ``json.dumps(obj, indent=2) + "\\n"`` of the schema
+    object, written without json's pure-Python indenting encoder: every
+    float is its ``repr``, as json writes finite floats, and the arrays are
+    laid out level by level.
+    """
+    d, m = mubs.d, mubs.M
+    items = list(map(repr, np.stack([mubs.bases.real, mubs.bases.imag], axis=-1).ravel().tolist()))
+    # [re, im] pairs at depth 4, vectors at 3, bases at 2, the list of bases at 1
+    for depth, size in ((4, 2), (3, d), (2, d), (1, m)):
+        items = [_json_array(items[k : k + size], depth) for k in range(0, len(items), size)]
+    Path(path).write_text(f'{{\n  "d": {d},\n  "M": {m},\n  "bases": {items[0]}\n}}\n')
 
 
 def load_mubs(path) -> MubSet:

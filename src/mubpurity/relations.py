@@ -141,31 +141,34 @@ class PtIdentityReport:
 
 
 def check_pt_identities(basis: BipartiteBasis) -> PtIdentityReport:
-    """Verify the partial-transpose rewrites of the constructed projectors."""
-    d, m = basis.d, basis.M
-    dims = (d, d)
-    vecs = basis.mubs.bases
+    """Verify the partial-transpose rewrites of the constructed projectors.
+
+    The stored twisted states are checked against the stored MUB vectors
+    one basis at a time: each pass holds a few (d*d, d*d) matrices of one
+    basis, so the peak memory is O(d**4) at any M. The pinch and the twist
+    sum are each one BLAS matrix product.
+    """
+    d = basis.d
     n = d * d
-
-    # swaps[t] = sum_ij |i><j| (x) |j><i| and pinches[t] = sum_i P_i (x) P_i
-    # over the vectors |i> of basis t+1
-    swaps = np.einsum(
-        "tia,tjc,tjb,tie->tabce", vecs, vecs.conj(), vecs, vecs.conj(), optimize=True
-    ).reshape(m, n, n)
-    pinches = np.einsum(
-        "tia,tic,tib,tie->tabce", vecs, vecs.conj(), vecs, vecs.conj(), optimize=True
-    ).reshape(m, n, n)
-
     phi = basis.phi
-    lhs = partial_transpose(np.outer(phi, phi.conj()), dims, subsystem=1)
-    phi_dev = frobenius_norm(lhs - swaps[0] / d)
-
-    twists = basis.twisted[:, 1:]
-    sums = np.einsum("tkx,tky->txy", twists, twists.conj())
-    lhs = partial_transpose(sums, dims, subsystem=1)
-    theta_devs = np.linalg.norm((lhs - (pinches - swaps / d)).reshape(m, -1), axis=1)
-
-    return PtIdentityReport(float(phi_dev), tuple(float(v) for v in theta_devs))
+    phi_dev = 0.0
+    theta_devs = []
+    for t, (vecs, twists) in enumerate(zip(basis.mubs.bases, basis.twisted[:, 1:])):
+        # the rows of vecs are the vectors |i> of the basis; with
+        # q[a, e] = sum_i <a|i><i|e>, the swap sum_ij |i><j| (x) |j><i| has
+        # entries swap[ab, ce] = q[a, e] q[b, c]
+        q = vecs.T @ vecs.conj()
+        swap = np.multiply.outer(q, q).transpose(0, 2, 3, 1).reshape(n, n)
+        # the pinch sum_i P_i (x) P_i is w^T w* with w[i, ab] = <a|i><b|i>
+        w = (vecs[:, :, None] * vecs[:, None, :]).reshape(d, n)
+        pinch = w.T @ w.conj()
+        lhs = partial_transpose(twists.T @ twists.conj(), (d, d), subsystem=1)
+        if t == 0:
+            # phi's identity uses the swap of basis 1
+            phi_pt = partial_transpose(np.outer(phi, phi.conj()), (d, d), subsystem=1)
+            phi_dev = frobenius_norm(phi_pt - swap / d)
+        theta_devs.append(frobenius_norm(lhs - (pinch - swap / d)))
+    return PtIdentityReport(phi_dev, tuple(theta_devs))
 
 
 def _check_bipartite_input(dims: tuple[int, ...], d: int) -> int:

@@ -155,6 +155,48 @@ def test_round_trip(tmp_path):
         assert np.abs(back.bases - mubs.bases).max() <= 1e-15
 
 
+def _json_reference(mubs):
+    # the schema object through json's own indenting encoder
+    obj = {
+        "d": mubs.d,
+        "M": mubs.M,
+        "bases": [
+            [[[float(z.real), float(z.imag)] for z in vec] for vec in basis]
+            for basis in mubs.bases
+        ],
+    }
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_saved_text_is_json_dumps(tmp_path, d):
+    path, again = tmp_path / "mubs.json", tmp_path / "again.json"
+    for m in (2, d + 1):
+        mubs = construct_mubs(d, m)
+        save_mubs(mubs, path)
+        assert path.read_bytes() == _json_reference(mubs).encode()
+        save_mubs(load_mubs(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def test_saved_text_keeps_float_reprs(tmp_path):
+    # signed zero, the smallest subnormal, exponent forms and a sum that
+    # needs 17 significant digits
+    arr = np.array(
+        [
+            [[complex(-0.0, 5e-324), complex(1e-07, 1e16)], [complex(0.1 + 0.2, -0.0), 1.0]],
+            [[complex(-1e16, 0.0), complex(2.5, -5e-324)], [complex(0.0, 1e-07), -(0.1 + 0.2)]],
+        ]
+    )
+    mubs = MubSet(arr)
+    path = tmp_path / "odd.json"
+    save_mubs(mubs, path)
+    text = path.read_text()
+    assert text == _json_reference(mubs)
+    for token in ("-0.0", "5e-324", "1e-07", "1e+16", "0.30000000000000004"):
+        assert f" {token}," in text or f" {token}\n" in text
+
+
 def test_load_rejects_unnormalized_vector(tmp_path):
     mubs = construct_mubs(2, 3)
     path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from mubpurity.linalg import (
     frobenius_norm,
     hermitian_eigenvalues,
     partial_trace_matrix,
+    partial_transpose,
     purity,
 )
 from mubpurity.mub import MubSet, MubValidationError, construct_mubs, validate_mubs
@@ -144,12 +146,75 @@ class TestBipartiteBasis:
         assert raised >= 1
 
 
+def _pt_deviations_batched(basis):
+    # every basis at once through (M, d*d, d*d) stacks, as a reference for
+    # the per-basis check: (phi deviation, theta deviations)
+    d, m = basis.d, basis.M
+    n = d * d
+    vecs = basis.mubs.bases
+    swaps = np.einsum(
+        "tia,tjc,tjb,tie->tabce", vecs, vecs.conj(), vecs, vecs.conj(), optimize=True
+    ).reshape(m, n, n)
+    pinches = np.einsum(
+        "tia,tic,tib,tie->tabce", vecs, vecs.conj(), vecs, vecs.conj(), optimize=True
+    ).reshape(m, n, n)
+    phi = basis.phi
+    lhs = partial_transpose(np.outer(phi, phi.conj()), (d, d), subsystem=1)
+    phi_dev = frobenius_norm(lhs - swaps[0] / d)
+    twists = basis.twisted[:, 1:]
+    sums = np.einsum("tkx,tky->txy", twists, twists.conj())
+    lhs = partial_transpose(sums, (d, d), subsystem=1)
+    return phi_dev, np.linalg.norm((lhs - (pinches - swaps / d)).reshape(m, -1), axis=1)
+
+
 class TestPtIdentities:
-    @pytest.mark.parametrize("d,m", [(2, 3), (3, 4), (2, 2), (3, 2), (5, 6)])
+    @pytest.mark.parametrize(
+        "d,m", [(2, 3), (3, 4), (2, 2), (3, 2), (5, 6), (13, 14), (17, 18), (19, 20), (23, 24)]
+    )
     def test_identities_hold(self, d, m):
         report = check_pt_identities(build_bipartite_basis(construct_mubs(d, m)))
         assert report.passed
         assert report.max_deviation <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+    def test_matches_batched_reference(self, d):
+        for m in range(2, d + 2):
+            basis = build_bipartite_basis(construct_mubs(d, m))
+            report = check_pt_identities(basis)
+            phi_dev, theta_devs = _pt_deviations_batched(basis)
+            assert len(report.theta_deviations) == m
+            assert abs(report.phi_deviation - phi_dev) <= 1e-14
+            assert np.abs(np.array(report.theta_deviations) - theta_devs).max() <= 1e-14
+
+    @pytest.mark.parametrize("d,m,theta", [(2, 3, 3), (3, 4, 2), (5, 3, 3), (7, 8, 5)])
+    @pytest.mark.parametrize("fault", ["unconjugated", "perturbed"])
+    def test_corrupted_twisted_states_fail_their_basis(self, d, m, theta, fault):
+        basis = build_bipartite_basis(construct_mubs(d, m))
+        twisted = basis.twisted.copy()
+        t = theta - 1
+        if fault == "unconjugated":
+            # the second factor without its conjugate, as a broken build would store it
+            vecs = basis.mubs.bases[t]
+            phases = np.exp(2j * np.pi / d * np.outer(np.arange(d), np.arange(d)))
+            twisted[t] = np.einsum("ki,ia,ib->kab", phases, vecs, vecs).reshape(d, d * d) / np.sqrt(d)
+        else:
+            twisted[t, 1, 0] += 1e-6
+        report = check_pt_identities(dataclasses.replace(basis, twisted=twisted))
+        assert report.theta_deviations[t] > report.tolerance
+        assert not report.passed
+        others = [dev for k, dev in enumerate(report.theta_deviations) if k != t]
+        assert max(others) <= report.tolerance
+
+    def test_memory_is_one_basis_at_a_time(self):
+        # at d = 17, M = 18 every basis at once peaks near 140 MB
+        basis = build_bipartite_basis(construct_mubs(17, 18))
+        tracemalloc.start()
+        try:
+            check_pt_identities(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 10**6
 
     def test_d2_theta1_entry_value(self):
         # hand expansion at theta=1 (computational): the transposed sum is
@@ -157,8 +222,6 @@ class TestPtIdentities:
         basis = build_bipartite_basis(construct_mubs(2, 3))
         twists = basis.twisted[0, 1:]
         acc = twists.T @ twists.conj()
-        from mubpurity.linalg import partial_transpose
-
         lhs = partial_transpose(acc, (2, 2), subsystem=1)
         swap = np.array(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
