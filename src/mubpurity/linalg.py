@@ -107,7 +107,15 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 
 def _check_density_stack(a: np.ndarray) -> None:
-    """Reject an (n, k, k) stack unless every matrix is finite, Hermitian, unit-trace and PSD."""
+    """Reject an (n, k, k) stack unless every matrix is finite, Hermitian, unit-trace and PSD.
+
+    PSD means no eigenvalue below -TOL_PSD. The checks run in that order, and
+    the last one decides it without an eigensolve: a Hermitian matrix has a
+    Cholesky factor exactly when it is positive definite, so ``a + TOL_PSD I``
+    factors exactly when every eigenvalue of ``a`` exceeds -TOL_PSD. The
+    factorization is backward stable, so rounding moves that bound by far
+    less than the slack.
+    """
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     if hermiticity_defect(a) > TOL_STRUCTURAL:
@@ -116,8 +124,10 @@ def _check_density_stack(a: np.ndarray) -> None:
     off = np.abs(traces - 1.0) > TOL_STRUCTURAL
     if off.any():
         raise ValueError(f"trace {complex(traces[off.argmax()])!r} is not 1 within tolerance")
-    if np.linalg.eigvalsh(a)[:, 0].min() < -TOL_PSD:
-        raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+    try:
+        np.linalg.cholesky(a + TOL_PSD * np.eye(a.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise ValueError("density matrix has a negative eigenvalue beyond tolerance") from None
 
 
 @dataclass(frozen=True)

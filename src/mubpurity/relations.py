@@ -75,11 +75,14 @@ def build_bipartite_basis(mubs: MubSet) -> BipartiteBasis:
 
     The second factor of every constructed state carries the complex
     conjugate (taken in the computational basis) of the first factor's
-    vector. The complement is the eigenvalue-1 eigenspace of the projector
-    I - sum_v |v><v| over the constructed states v. All invariants
-    (pairwise orthonormality, projector idempotency and rank, agreement of
-    the projector with its complement states) are verified before returning;
-    a failed one raises :class:`MubValidationError`.
+    vector. The projector is I - sum_v |v><v| over the constructed states v.
+    The complement is an orthonormal basis of the orthogonal complement of
+    their span: the trailing columns of the complete QR factor of the
+    (d*d, 1 + M(d-1)) matrix whose columns are the v. At M = d + 1 the v
+    already span the space, so the complement is empty and no factorization
+    runs. All invariants (pairwise orthonormality, projector idempotency and
+    rank, agreement of the projector with its complement states) are
+    verified before returning; a failed one raises :class:`MubValidationError`.
     """
     report = validate_mubs(mubs)
     if not report.passed:
@@ -92,8 +95,10 @@ def build_bipartite_basis(mubs: MubSet) -> BipartiteBasis:
 
     span = _constructed_states(twisted)
     projector = np.eye(d * d, dtype=complex) - span.T @ span.conj()
-    eigvals, eigvecs = np.linalg.eigh(projector)
-    complement = eigvecs[:, eigvals > 0.5].T
+    if len(span) == d * d:
+        complement = np.empty((0, d * d), dtype=complex)
+    else:
+        complement = np.linalg.qr(span.T, mode="complete")[0][:, len(span):].T
     gram_dev = _check_basis_invariants(span, complement, projector, d, m)
     return BipartiteBasis(d, m, twisted, complement, projector, mubs, gram_dev)
 
@@ -286,11 +291,13 @@ class RelationReport:
 
 
 def _relation_arrays(rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet) -> dict[str, np.ndarray]:
-    """Every per-state :class:`RelationReport` field of an (n, d*D, d*D) stack of states.
+    """Every per-state :class:`RelationReport` field of an (n, d*D, d*D) stack of states, and gamma.
 
     ``purity_thetaB`` and ``purity_B_given_theta`` have shape (n, M), every
-    other field shape (n,). The caller checks the states; each row has the
-    same bits as a stack of that state alone.
+    other field shape (n,). ``gamma_min_eig`` is left to the callers that
+    read it: they solve the eigenvalues of the (n, d*D, d*D) stack
+    ``gamma``. The caller checks the states; each row has the same bits as
+    a stack of that state alone.
     """
     rho_b, blocks, g = _gamma_terms(rho, dims, mubs)
     d, m = mubs.d, mubs.M
@@ -310,7 +317,7 @@ def _relation_arrays(rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet) -> di
         "rhs": rhs,
         "gap": lhs - rhs,
         "gamma_expectation": np.einsum("nab,nba->n", g, rho).real,
-        "gamma_min_eig": hermitian_eigenvalues(g)[:, 0],
+        "gamma": g,
         "gamma_frobenius": np.linalg.norm(g.reshape(len(g), -1), axis=1),
     }
 
@@ -325,6 +332,7 @@ def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
     Tr rho_B^2 + (M-1)/d Tr rho_AB^2 - sum_theta Tr rho_thetaB^2.
     """
     arrays = _relation_arrays(rho.matrix[None], rho.dims, mubs)
+    arrays["gamma_min_eig"] = hermitian_eigenvalues(arrays.pop("gamma"))[:, 0]
     fields = {name: tuple(v[0].tolist()) if v.ndim == 2 else v[0].tolist() for name, v in arrays.items()}
     return RelationReport(
         d=mubs.d, D=rho.dims[1], M=mubs.M, equality_expected=(mubs.M == mubs.d + 1), **fields
@@ -383,15 +391,20 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
     ranks = [(dim, 1, 2)[t % 3] for t in range(trials)]
     # the pinch's (n, M, d, D, d, D) complex array is the largest intermediate
     chunk = max(1, _CHUNK_BYTES // (m * dim * dim * 16))
-    parts = []
+    complete = m == d + 1
+    gaps, gammas = [], []
     for start in range(0, trials, chunk):
         stop = start + chunk
         rho = _random_density_stack(dim, ranks[start:stop], trial_seeds[start:stop], dims=(d, big_d))
-        parts.append(_relation_arrays(rho, (d, big_d), mubs))
-    gaps, frobenius, min_eigs = (
-        np.concatenate([part[name] for part in parts])
-        for name in ("gap", "gamma_frobenius", "gamma_min_eig")
-    )
+        arrays = _relation_arrays(rho, (d, big_d), mubs)
+        gaps.append(arrays["gap"])
+        # gamma is checked for vanishing at M = d + 1 and for PSD below it;
+        # only the PSD check reads its eigenvalues
+        if complete:
+            gammas.append(arrays["gamma_frobenius"])
+        else:
+            gammas.append(hermitian_eigenvalues(arrays["gamma"])[:, 0])
+    gaps, gammas = np.concatenate(gaps), np.concatenate(gammas)
 
     def worst(name, values, lowest, bound):
         k = int(np.argmin(values) if lowest else np.argmax(values))
@@ -404,9 +417,9 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
         ("pt identities max deviation", pt.max_deviation, pt.tolerance, pt.passed, None),
         worst("relation gap min", gaps, True, -TOL_SPECTRAL),
     ]
-    if m == d + 1:
-        checks += [worst("gamma frobenius max", frobenius, False, TOL_SPECTRAL),
+    if complete:
+        checks += [worst("gamma frobenius max", gammas, False, TOL_SPECTRAL),
                    worst("relation |gap| max", np.abs(gaps), False, TOL_SPECTRAL)]
     else:
-        checks.append(worst("gamma min eigenvalue", min_eigs, True, -TOL_PSD))
+        checks.append(worst("gamma min eigenvalue", gammas, True, -TOL_PSD))
     return VerificationReport(d, big_d, m, trials, seed, tuple(checks))

@@ -14,6 +14,7 @@ from mubpurity.linalg import (
     partial_transpose,
     purity,
 )
+from mubpurity.tolerances import TOL_PSD
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -34,6 +35,21 @@ def _random_density_matrix(rng, n):
     g = _random_complex(rng, n)
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def _state_with_min_eigenvalue(k, lowest, seed):
+    """U diag(w) U^dagger for a random unitary U, unit trace, smallest eigenvalue ``lowest``."""
+    rng = _rng(seed)
+    u = np.linalg.qr(_random_complex(rng, k))[0]
+    w = rng.uniform(0.5, 1.5, k)
+    w[0] = 0.0
+    w *= (1.0 - lowest) / w.sum()
+    w[0] = lowest
+    m = (u * w) @ u.conj().T
+    m = (m + m.conj().T) / 2
+    eigs = np.linalg.eigvalsh(m)
+    assert abs(eigs[0] - lowest) <= 1e-3 * TOL_PSD and abs(np.trace(m) - 1.0) <= 1e-14
+    return m
 
 
 class TestTensor:
@@ -293,10 +309,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
 
-    @pytest.mark.parametrize("defect", ["non-hermitian", "trace", "negative", "nan", "inf"])
-    def test_stack_check_rejects_one_bad_state(self, defect):
+    @pytest.mark.parametrize("defect,k", [
+        *(pytest.param(defect, 3, id=defect) for defect in ("non-hermitian", "trace", "negative", "nan", "inf")),
+        *(pytest.param("past the PSD slack", k, id=f"past-psd-slack-{k}") for k in (3, 49, 121)),
+    ])
+    def test_stack_check_rejects_one_bad_state(self, defect, k):
         # a bad state inside a stack fails with the message it fails with alone
-        bad = np.eye(3, dtype=complex) / 3
+        bad = np.eye(k, dtype=complex) / k
         if defect == "non-hermitian":
             bad[0, 1] = 0.1
         elif defect == "trace":
@@ -305,11 +324,13 @@ class TestTypes:
             bad = np.diag([0.7, 0.5, -0.2]).astype(complex)
         elif defect == "nan":
             bad[2, 2] = np.nan
-        else:
+        elif defect == "inf":
             bad[1, 2] = np.inf
+        else:
+            bad = _state_with_min_eigenvalue(k, -1.1 * TOL_PSD, 17)
         with pytest.raises(ValueError) as alone:
-            DensityMatrix(bad, (3,))
-        good = _random_density_matrix(_rng(16), 3)
+            DensityMatrix(bad, (k,))
+        good = _random_density_matrix(_rng(16), k)
         _check_density_stack(np.stack([good, good]))
         for position in range(3):
             stack = [good, good]
@@ -317,6 +338,22 @@ class TestTypes:
             with pytest.raises(ValueError) as stacked:
                 _check_density_stack(np.stack(stack))
             assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("k", [3, 49, 121])
+    def test_psd_gate_sits_at_the_slack(self, k):
+        # an eigenvalue 10 % inside -TOL_PSD passes alone and at every position
+        # of a stack; 10 % beyond it fails with the unchanged message (and so
+        # in a stack, by test_stack_check_rejects_one_bad_state)
+        inside = _state_with_min_eigenvalue(k, -0.9 * TOL_PSD, 18)
+        DensityMatrix(inside, (k,))
+        good = _random_density_matrix(_rng(16), k)
+        for position in range(3):
+            stack = [good, good]
+            stack.insert(position, inside)
+            _check_density_stack(np.stack(stack))
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(_state_with_min_eigenvalue(k, -1.1 * TOL_PSD, 18), (k,))
+        assert str(alone.value) == "density matrix has a negative eigenvalue beyond tolerance"
 
     def test_immutable(self):
         rho = DensityMatrix(np.eye(2) / 2, (2,))

@@ -28,7 +28,6 @@ from mubpurity.linalg import (
 )
 from mubpurity.mub import MubValidationError, construct_mubs, load_mubs, save_mubs
 from mubpurity.relations import (
-    _relation_arrays,
     build_bipartite_basis,
     gamma_direct,
     gamma_via_projector,
@@ -38,7 +37,7 @@ from mubpurity.relations import (
 from mubpurity.states import random_density, rho_family
 from mubpurity.tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 from test_expsim import _forward_setting
-from test_relations import _report_fields, _stacked_row
+from test_relations import _report_arrays, _report_fields, _stacked_row
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SIMULATOR_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -108,7 +107,7 @@ def stacks(draw):
 def test_stacked_report_rows_equal_single_reports(case):
     mubs, states = case
     stack = np.stack([rho.matrix for rho in states])
-    arrays = _relation_arrays(stack, states[0].dims, mubs)
+    arrays = _report_arrays(stack, states[0].dims, mubs)
     for row, rho in enumerate(states):
         assert _stacked_row(arrays, row) == _report_fields(relation_report(rho, mubs))
 

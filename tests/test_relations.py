@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mubpurity import relations
+from mubpurity.cli import main
 from mubpurity.linalg import (
     DensityMatrix,
     frobenius_norm,
@@ -27,6 +28,7 @@ from mubpurity.relations import (
     verify_relations,
 )
 from mubpurity.states import _family_states, random_density, rho_family
+from mubpurity.tolerances import TOL_SPECTRAL
 
 BELL = DensityMatrix(
     np.array(
@@ -51,6 +53,24 @@ def _stacked_row(arrays, row):
         name: tuple(values[row].tolist()) if values.ndim == 2 else values[row].tolist()
         for name, values in arrays.items()
     }
+
+
+def _equivalent_set(d, m, seed):
+    """m bases of the complete set at prime d, rotated, reordered, permuted and rephased."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    haar = q * (np.diag(r) / np.abs(np.diag(r)))
+    # U|v> for every row vector v of the chosen bases
+    bases = construct_mubs(d, d + 1).bases[rng.permutation(d + 1)[:m]] @ haar.T
+    bases = np.stack([vecs[rng.permutation(d)] for vecs in bases])
+    return MubSet(bases * np.exp(2j * np.pi * rng.random((m, d, 1))))
+
+
+def _report_arrays(rho, dims, mubs):
+    # the kernel's fields, with gamma's smallest eigenvalues solved on the whole stack
+    arrays = _relation_arrays(rho, dims, mubs)
+    arrays["gamma_min_eig"] = hermitian_eigenvalues(arrays.pop("gamma"))[:, 0]
+    return arrays
 
 
 def _report_fields(rep):
@@ -124,6 +144,19 @@ class TestBipartiteBasis:
         dup = MubSet(np.stack([np.eye(2, dtype=complex)] * 2))
         with pytest.raises(MubValidationError):
             build_bipartite_basis(dup)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_complement_of_equivalent_sets(self, d):
+        # any M bases of a rotated complete set, in any order, with the
+        # vectors of each basis permuted and rephased, are MUBs too
+        for m in range(2, d + 2):
+            mubs = _equivalent_set(d, m, 100 * d + m)
+            basis = build_bipartite_basis(mubs)
+            assert basis.complement.shape == ((d - 1) * (d + 1 - m), d * d)
+            for big_d, seed in ((2, 1), (d, 2)):
+                rho = random_density(d * big_d, d * big_d, seed, dims=(d, big_d))
+                diff = gamma_direct(rho, mubs) - gamma_via_projector(rho, basis)
+                assert frobenius_norm(diff) <= TOL_SPECTRAL
 
     def test_near_bound_sets_build_or_fail_validation(self):
         # complete sets perturbed by eps*G, eps bisected to just inside the
@@ -443,7 +476,7 @@ class TestStackedReport:
         grid = np.linspace(0.0, np.pi / 2 if param == "alpha" else 1.0, 130)
         fixed = np.full(130, 0.6)
         alphas, xs = (grid, fixed) if param == "alpha" else (fixed, grid)
-        arrays = _relation_arrays(_family_states(alphas, xs), (2, 2), mubs)
+        arrays = _report_arrays(_family_states(alphas, xs), (2, 2), mubs)
         assert set(arrays) == set(_PER_STATE_FIELDS)
         for row, (alpha, x) in enumerate(zip(alphas.tolist(), xs.tolist())):
             rep = relation_report(rho_family(alpha, x), mubs)
@@ -453,14 +486,15 @@ class TestStackedReport:
     def test_large_states_rows_equal_single_reports(self, m):
         mubs = construct_mubs(7, m)
         states = [random_density(49, rank, seed, dims=(7, 7)) for rank, seed in [(49, 1), (1, 2), (2, 3)]]
-        arrays = _relation_arrays(np.stack([rho.matrix for rho in states]), (7, 7), mubs)
+        arrays = _report_arrays(np.stack([rho.matrix for rho in states]), (7, 7), mubs)
         for row, rho in enumerate(states):
             assert _stacked_row(arrays, row) == _report_fields(relation_report(rho, mubs))
 
     def test_shapes(self):
         mubs = construct_mubs(3, 2)
         stack = np.stack([random_density(6, 6, seed, dims=(3, 2)).matrix for seed in (1, 2, 3, 4)])
-        arrays = _relation_arrays(stack, (3, 2), mubs)
+        assert _relation_arrays(stack, (3, 2), mubs)["gamma"].shape == (4, 6, 6)
+        arrays = _report_arrays(stack, (3, 2), mubs)
         for name, values in arrays.items():
             expected = (4, 2) if name in ("purity_thetaB", "purity_B_given_theta") else (4,)
             assert values.shape == expected, name
@@ -526,6 +560,33 @@ class TestVerifyRelations:
         else:
             expected.append(worst("gamma min eigenvalue", [rep.gamma_min_eig for rep in reports], True, -1e-10))
         assert list(verify_relations(mubs, 7, 40, 12).checks[2:]) == expected
+
+    def test_eigensolves_run_only_for_the_psd_check(self, monkeypatch, tmp_path):
+        calls = {"gamma": 0, "numpy": 0}
+
+        def counted(key, solve):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return solve(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(relations, "hermitian_eigenvalues", counted("gamma", hermitian_eigenvalues))
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted("numpy", getattr(np.linalg, name)))
+        # at M = d + 1 gamma is checked for vanishing, and no state, basis or
+        # gamma needs a spectrum; sweep reads no gamma column
+        assert verify_relations(construct_mubs(3, 4), 2, 30, 5).passed
+        assert main(["sweep", "--param", "x", "--steps", "9", "--simulate", "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls == {"gamma": 0, "numpy": 0}
+        # below it, one gamma eigensolve per chunk, and the check reads the
+        # smallest eigenvalue of the single-state reports, bit for bit
+        report = verify_relations(construct_mubs(3, 3), 2, 30, 5)
+        assert calls == {"gamma": 1, "numpy": 1}
+        reports = [
+            relation_report(random_density(6, (6, 1, 2)[t % 3], seed, dims=(3, 2)), construct_mubs(3, 3))
+            for t, seed in enumerate(_seeds(5, 30))
+        ]
+        assert report.checks[-1][:2] == ("gamma min eigenvalue", min(rep.gamma_min_eig for rep in reports))
 
     @pytest.mark.parametrize("m", [2, 8])
     def test_trial_memory_is_bounded(self, m):
