@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,36 +44,21 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
 
 
-def _normalize_keep(keep: Iterable[int], n: int) -> list[int]:
-    idx = sorted(set(int(k) for k in keep))
-    if not idx:
-        raise ValueError("keep must name at least one subsystem")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ValueError(f"subsystem index out of range for {n} subsystems: {idx}")
-    return idx
-
-
-def partial_trace_matrix(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    """Trace out every subsystem not listed in ``keep``.
-
-    Kept subsystems retain their original order. Works on any square matrix
-    (density matrices, deviation matrices, generic operators) and on each
-    matrix of a (..., n, n) stack.
-    """
+def _two_factors(m, dims: Sequence[int]) -> np.ndarray:
+    """View an operator on ``dims = (d1, d2)``, or each of a stack, as a (..., d1, d2, d1, d2) array."""
     a = _as_stack(m)
-    dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    lead = a.shape[:-2]
-    if a.shape[-2:] != (total, total):
-        raise ValueError(f"matrix shape {a.shape} does not match dims {dims}")
-    idx = _normalize_keep(keep, len(dims))
-    t = a.reshape(lead + dims + dims)
-    nsub = len(dims)
-    for drop in sorted((i for i in range(len(dims)) if i not in idx), reverse=True):
-        t = np.trace(t, axis1=len(lead) + drop, axis2=len(lead) + drop + nsub)
-        nsub -= 1
-    size = int(np.prod([dims[k] for k in idx]))
-    return t.reshape(lead + (size, size))
+    if len(dims) != 2:
+        raise ValueError(f"expected two factors, got dims {tuple(dims)}")
+    d1, d2 = (int(d) for d in dims)
+    if a.shape[-2:] != (d1 * d2, d1 * d2):
+        raise ValueError(f"matrix shape {a.shape} does not match dims ({d1}, {d2})")
+    return a.reshape(a.shape[:-2] + (d1, d2, d1, d2))
+
+
+def partial_trace_matrix(m, dims: Sequence[int]) -> np.ndarray:
+    """Tr_A of any operator on ``dims = (dA, dB)``, or of each of a (..., n, n) stack: (..., dB, dB)."""
+    t = _two_factors(m, dims)
+    return np.trace(t, axis1=t.ndim - 4, axis2=t.ndim - 2)
 
 
 def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:
@@ -82,16 +67,13 @@ def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:
     ``subsystem`` is 0 for the left factor and 1 for the right one. The map
     is an entrywise permutation, hence an exact involution.
     """
-    a = _as_stack(m)
-    d1, d2 = (int(d) for d in dims)
-    if a.shape[-2:] != (d1 * d2, d1 * d2):
-        raise ValueError(f"matrix shape {a.shape} does not match dims ({d1}, {d2})")
+    t = _two_factors(m, dims)
     if subsystem not in (0, 1):
         raise ValueError("subsystem must be 0 or 1")
     # swap the row and the column index of the chosen factor
-    row = a.ndim - 2 + subsystem
-    t = a.reshape(a.shape[:-2] + (d1, d2, d1, d2)).swapaxes(row, row + 2)
-    return t.reshape(a.shape)
+    row = t.ndim - 4 + subsystem
+    n = t.shape[-4] * t.shape[-3]
+    return t.swapaxes(row, row + 2).reshape(t.shape[:-4] + (n, n))
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

@@ -84,13 +84,12 @@ class MubValidationReport:
     max_unbiasedness_deviation: float
     worst_orthonormality: tuple[int, int, int]  # basis label, vector i, vector j
     worst_unbiasedness: tuple[int, int, int, int]  # labels theta, tau, vector i, vector j
-    tolerance: float = TOL_STRUCTURAL
 
     @property
     def passed(self) -> bool:
         return (
-            self.max_orthonormality_deviation <= self.tolerance
-            and self.max_unbiasedness_deviation <= self.tolerance
+            self.max_orthonormality_deviation <= TOL_STRUCTURAL
+            and self.max_unbiasedness_deviation <= TOL_STRUCTURAL
         )
 
     def summary(self) -> str:
@@ -101,7 +100,7 @@ class MubValidationReport:
             f"(basis {t}, vectors {i},{j})\n"
             f"unbiasedness:   max deviation {self.max_unbiasedness_deviation:.3e} "
             f"(bases {th},{ta}, vectors {wi},{wj})\n"
-            f"result: {'PASS' if self.passed else 'FAIL'} at tolerance {self.tolerance:g}"
+            f"result: {'PASS' if self.passed else 'FAIL'} at tolerance {TOL_STRUCTURAL:g}"
         )
 
 

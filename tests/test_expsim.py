@@ -23,7 +23,7 @@ from mubpurity.expsim import (
     rescale,
     run_protocol,
 )
-from mubpurity.linalg import partial_trace_matrix, purity
+from mubpurity.linalg import purity
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import post_measurement_state, relation_report
 from mubpurity.states import _family_matrices, psi_alpha, random_density, rho_family
@@ -93,7 +93,7 @@ def _measure_block(dev, axis):
 def _ab_marginal(dev):
     """AB state of a register before readout: probe-ground block traced over A'B'."""
     block = np.asarray(dev)[: DIM // 2, : DIM // 2]
-    return partial_trace_matrix(block, (2, 2, 2, 2), keep=(0, 1))
+    return np.trace(block.reshape(4, 4, 4, 4), axis1=1, axis2=3)
 
 
 def _cswap_reference(control, q1, q2):

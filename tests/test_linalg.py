@@ -97,19 +97,16 @@ class TestTensor:
 class TestPartialTrace:
     def test_bell_marginal(self):
         rho = DensityMatrix(BELL, (2, 2))
-        for keep in ([0], [1]):
-            out = partial_trace_matrix(rho.matrix, rho.dims, keep)
-            assert out.shape == (2, 2)
-            assert np.abs(out - np.eye(2) / 2).max() <= 1e-14
+        out = partial_trace_matrix(rho.matrix, rho.dims)
+        assert out.shape == (2, 2)
+        assert np.abs(out - np.eye(2) / 2).max() <= 1e-14
 
     def test_product_factorization(self):
         rng = _rng(3)
         for _ in range(20):
             a = _random_density_matrix(rng, 2)
             b = _random_density_matrix(rng, 3)
-            rho = np.kron(a, b)
-            assert np.abs(partial_trace_matrix(rho, (2, 3), [0]) - a).max() <= 1e-14
-            assert np.abs(partial_trace_matrix(rho, (2, 3), [1]) - b).max() <= 1e-14
+            assert np.abs(partial_trace_matrix(np.kron(a, b), (2, 3)) - b).max() <= 1e-14
 
     def test_werner_marginal_direct_computation(self):
         # independent oracle: assemble the 4x4 family state and sum the
@@ -119,32 +116,33 @@ class TestPartialTrace:
         m = x * np.outer(psi, psi) + (1.0 - x) / 4.0 * np.eye(4)
         expected = m[0:2, 0:2] + m[2:4, 2:4]
         assert np.abs(expected - np.eye(2) / 2).max() <= 1e-15
-        out = partial_trace_matrix(m, (2, 2), [1])
+        out = partial_trace_matrix(m, (2, 2))
         assert np.abs(out - expected).max() <= 1e-14
 
-    def test_trace_preserved_three_factors(self):
-        rng = _rng(4)
-        m = _random_density_matrix(rng, 12)
-        out = partial_trace_matrix(m, (2, 3, 2), keep=(0, 2))
-        assert out.shape == (4, 4)
-        assert abs(np.trace(out) - np.trace(m)) <= 1e-13
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (5, 5)])
+    def test_equals_block_sum(self, dims):
+        # sum_a rho[(a, b), (a, b')], read off the diagonal dB x dB blocks
+        d, big_d = dims
+        m = _random_complex(_rng(9), d * big_d)
+        expected = sum(m[a * big_d : (a + 1) * big_d, a * big_d : (a + 1) * big_d] for a in range(d))
+        assert np.abs(partial_trace_matrix(m, dims) - expected).max() <= 1e-13
 
     def test_stack_rows_equal_single_matrices(self):
         rng = _rng(5)
         stack = np.stack([_random_density_matrix(rng, 12) for _ in range(4)])
-        for keep in ([0], [1, 2], [0, 2]):
-            out = partial_trace_matrix(stack, (2, 3, 2), keep)
+        for dims in ((3, 4), (4, 3)):
+            out = partial_trace_matrix(stack, dims)
             for row, m in enumerate(stack):
-                assert np.array_equal(out[row], partial_trace_matrix(m, (2, 3, 2), keep))
+                assert np.array_equal(out[row], partial_trace_matrix(m, dims))
         with pytest.raises(ValueError, match="does not match"):
-            partial_trace_matrix(stack, (2, 2), [0])
+            partial_trace_matrix(stack, (2, 2))
 
-    def test_invalid_subsystem(self):
-        rho = np.eye(4) / 4
-        with pytest.raises(ValueError):
-            partial_trace_matrix(rho, (2, 2), [2])
-        with pytest.raises(ValueError):
-            partial_trace_matrix(rho, (2, 2), [])
+
+@pytest.mark.parametrize("dims", [(4,), (2, 2, 1)])
+def test_two_factor_operators_reject_other_factor_counts(dims):
+    for op in (partial_trace_matrix, lambda m, dims: partial_transpose(m, dims, 1)):
+        with pytest.raises(ValueError, match=r"expected two factors, got dims"):
+            op(np.eye(4) / 4, dims)
 
 
 class TestPartialTranspose:

@@ -116,11 +116,11 @@ def test_stacked_report_rows_equal_single_reports(case):
 @given(cases())
 def test_pinch_preserves_trace_and_marginal(case):
     basis, rho = case
-    rho_b = partial_trace_matrix(rho.matrix, rho.dims, keep=(1,))
+    rho_b = partial_trace_matrix(rho.matrix, rho.dims)
     for theta in range(1, basis.M + 1):
         out = post_measurement_state(rho, basis.mubs, theta)
         assert abs(np.trace(out.matrix) - 1.0) <= TOL_STRUCTURAL
-        marginal = partial_trace_matrix(out.matrix, out.dims, keep=(1,))
+        marginal = partial_trace_matrix(out.matrix, out.dims)
         assert np.abs(marginal - rho_b).max() <= TOL_STRUCTURAL
 
 

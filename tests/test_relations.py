@@ -28,7 +28,7 @@ from mubpurity.relations import (
     verify_relations,
 )
 from mubpurity.states import _family_states, random_density, rho_family
-from mubpurity.tolerances import TOL_SPECTRAL
+from mubpurity.tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 
 BELL = DensityMatrix(
     np.array(
@@ -55,11 +55,16 @@ def _stacked_row(arrays, row):
     }
 
 
+def _haar(rng, n):
+    """A Haar-random n x n unitary: the phase-fixed Q factor of a complex Ginibre matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def _equivalent_set(d, m, seed):
     """m bases of the complete set at prime d, rotated, reordered, permuted and rephased."""
     rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    haar = q * (np.diag(r) / np.abs(np.diag(r)))
+    haar = _haar(rng, d)
     # U|v> for every row vector v of the chosen bases
     bases = construct_mubs(d, d + 1).bases[rng.permutation(d + 1)[:m]] @ haar.T
     bases = np.stack([vecs[rng.permutation(d)] for vecs in bases])
@@ -233,10 +238,10 @@ class TestPtIdentities:
         else:
             twisted[t, 1, 0] += 1e-6
         report = check_pt_identities(dataclasses.replace(basis, twisted=twisted))
-        assert report.theta_deviations[t] > report.tolerance
+        assert report.theta_deviations[t] > TOL_STRUCTURAL
         assert not report.passed
         others = [dev for k, dev in enumerate(report.theta_deviations) if k != t]
-        assert max(others) <= report.tolerance
+        assert max(others) <= TOL_STRUCTURAL
 
     def test_memory_is_one_basis_at_a_time(self):
         # at d = 17, M = 18 every basis at once peaks near 140 MB
@@ -293,10 +298,10 @@ class TestPostMeasurement:
         mubs = construct_mubs(2, 3)
         for seed in _seeds(31, 10):
             rho = random_density(4, 4, seed, dims=(2, 2))
-            marg = partial_trace_matrix(rho.matrix, rho.dims, [1])
+            marg = partial_trace_matrix(rho.matrix, rho.dims)
             for theta in range(1, mubs.M + 1):
                 out = post_measurement_state(rho, mubs, theta)
-                assert np.abs(partial_trace_matrix(out.matrix, out.dims, [1]) - marg).max() <= 1e-12
+                assert np.abs(partial_trace_matrix(out.matrix, out.dims) - marg).max() <= 1e-12
 
     @pytest.mark.parametrize("d,big_d", [(2, 1), (3, 2), (5, 3)])
     def test_matches_kron_reference(self, d, big_d):
@@ -309,7 +314,7 @@ class TestPostMeasurement:
                 expected = _pinch_by_kron(rho, mubs, theta)
                 assert np.abs(out.matrix - expected).max() <= 1e-12
                 # the report reads the same pinch from its blocks
-                marginal = partial_trace_matrix(expected, rho.dims, keep=(1,))
+                marginal = partial_trace_matrix(expected, rho.dims)
                 assert abs(rep.purity_thetaB[theta - 1] - purity(expected)) <= 1e-12
                 assert abs(rep.purity_B_given_theta[theta - 1] - purity(marginal)) <= 1e-12
 
@@ -607,3 +612,46 @@ class TestVerifyRelations:
     def test_rejects_empty_b_side_and_no_trials(self, big_d, trials, name):
         with pytest.raises(ValueError, match=f"need {name} >= 1"):
             verify_relations(construct_mubs(2, 3), big_d, trials, 0)
+
+
+class TestEquivalentSets:
+    """The paper's claims on every set of MUBs, not only the constructed prefixes."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_pt_identities_hold(self, d):
+        for m in range(2, d + 2):
+            report = check_pt_identities(build_bipartite_basis(_equivalent_set(d, m, 100 * d + m)))
+            assert report.passed, (m, report.max_deviation)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_relation_and_gamma_psd(self, d):
+        for m in range(2, d + 2):
+            mubs = _equivalent_set(d, m, 200 * d + m)
+            for big_d in (2, d):
+                dim = d * big_d
+                for k, seed in enumerate(_seeds(300 * d + 10 * m + big_d, 3)):
+                    rho = random_density(dim, (dim, 1, 2)[k], seed, dims=(d, big_d))
+                    rep = relation_report(rho, mubs)
+                    assert rep.gap >= -TOL_SPECTRAL
+                    if m == d + 1:
+                        assert abs(rep.gap) <= TOL_SPECTRAL
+                    else:
+                        assert rep.gamma_min_eig >= -TOL_PSD
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_local_unitary_covariance(self, d):
+        # the report of (V (x) W) rho (V (x) W)^dagger against the set V.b
+        # equals the report of rho against b
+        for m in range(2, d + 2):
+            mubs = _equivalent_set(d, m, 400 * d + m)
+            for big_d in (2, d):
+                rng = np.random.default_rng(500 * d + 10 * m + big_d)
+                v, w = _haar(rng, d), _haar(rng, big_d)
+                u = np.kron(v, w)
+                rho = random_density(d * big_d, d * big_d, 600 * d + 10 * m + big_d, dims=(d, big_d))
+                moved = DensityMatrix(u @ rho.matrix @ u.conj().T, rho.dims)
+                expected = _report_fields(relation_report(rho, mubs))
+                got = _report_fields(relation_report(moved, MubSet(mubs.bases @ v.T)))
+                for name, value in expected.items():
+                    diff = np.abs(np.subtract(got[name], value)).max()
+                    assert diff <= TOL_STRUCTURAL, (name, m, big_d, diff)
