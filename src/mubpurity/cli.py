@@ -96,24 +96,31 @@ def _emit(text: str, out: str | None, what: str) -> None:
         print(text, end="")
 
 
-def _basis_set(d: int, m: int, path: str | None, too_small: str, not_prime: str) -> MubSet:
-    """The basis set in ``path``; without one, the first m bases constructed at d.
+def _basis_set(d: int, m: int | None, path: str | None, too_small: str, not_prime: str) -> MubSet:
+    """The basis set in ``path``; without one, the first m bases constructed at d (all d + 1 for None).
 
-    d < 2 is a usage error with the message ``too_small``; a non-prime d
-    fails validation with the message ``not_prime``.
+    A loaded set must hold m bases unless m is None, a usage error naming
+    ``--m`` otherwise. d < 2 is a usage error with the message ``too_small``;
+    a non-prime d fails validation with the message ``not_prime``.
     """
     if path:
-        return load_mubs(path)
+        mubs = load_mubs(path)
+        if m is not None and m != mubs.M:
+            raise ValueError(f"--m {m} does not match the {mubs.M} bases in {path}")
+        return mubs
     if d < 2:
         raise ValueError(too_small)
     if not is_prime(d):
         raise MubValidationError(not_prime)
-    return construct_mubs(d, m)
+    return construct_mubs(d, d + 1 if m is None else m)
 
 
 def cmd_mub(ns) -> int:
-    mubs = _basis_set(ns.d, ns.m or ns.d + 1, ns.load, f"need --d >= 2, got {ns.d}",
+    mubs = _basis_set(ns.d, ns.m or None, ns.load, f"need --d >= 2, got {ns.d}",
                       f"d={ns.d} is not prime; supply a basis file via --load")
+    # only a loaded set can differ from --d
+    if mubs.d != ns.d:
+        raise ValueError(f"--d {ns.d} does not match the dimension {mubs.d} of {ns.load}")
     save_mubs(mubs, ns.out)
     print(f"wrote {mubs.M} bases of dimension {mubs.d} to {ns.out}")
     # the resolver's sets are validated already: an invalid one raised there
@@ -145,7 +152,7 @@ def cmd_relation(ns) -> int:
     else:
         rho, d = rho_family(ns.alpha, ns.x), 2
         label = f"family state alpha={ns.alpha!r} x={ns.x!r}"
-    mubs = _basis_set(d, ns.m or d + 1, ns.mubs, f"need an A-dimension >= 2, got {d}",
+    mubs = _basis_set(d, ns.m or None, ns.mubs, f"need an A-dimension >= 2, got {d}",
                       f"A-dimension {d} is not prime; supply --mubs")
     rep = relation_report(rho, mubs)
     _emit(_json_dumps(rep.to_json()), ns.out, f"relation report for {label}")

@@ -401,7 +401,7 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
     gaps, gammas = [], []
     for start in range(0, trials, chunk):
         stop = start + chunk
-        rho = _random_density_stack(dim, ranks[start:stop], trial_seeds[start:stop], dims=(d, big_d))
+        rho = _random_density_stack(dim, ranks[start:stop], trial_seeds[start:stop])
         arrays = _relation_arrays(rho, (d, big_d), mubs)
         gaps.append(arrays["gap"])
         # gamma is checked for vanishing at M = d + 1 and for PSD below it;

@@ -85,6 +85,23 @@ class TestMubCommand:
         assert "d >= 2" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--d", "3"], "--d 3 does not match the dimension 5 of {}"),
+        (["--d", "3", "--m", "2"], "--m 2 does not match the 6 bases in {}"),
+        (["--d", "5", "--m", "4"], "--m 4 does not match the 6 bases in {}"),
+    ])
+    def test_load_disagreeing_flag_exits_1(self, tmp_path, capsys, flags, message):
+        five = tmp_path / "m5.json"
+        assert main(["mub", "--d", "5", "--out", str(five)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x.json"
+        assert main(["mub", *flags, "--load", str(five), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(five)}\n"
+        assert not out.exists()
+        # flags that agree with the file still pass
+        assert main(["mub", "--d", "5", "--m", "6", "--load", str(five), "--out", str(out)]) == 0
+        assert out.read_bytes() == five.read_bytes()
+
 
 def _write_d_one_file(tmp_path):
     path = tmp_path / "d1.json"
@@ -231,6 +248,19 @@ class TestRelationCommand:
         captured = capsys.readouterr()
         assert captured.err == "error: state A-dimension 2 does not match basis dimension 5\n"
         assert "equality_expected" not in captured.out
+
+    def test_mubs_file_disagreeing_with_m_exits_1(self, tmp_path, capsys):
+        pair = tmp_path / "pair.json"
+        assert main(["mub", "--d", "2", "--m", "2", "--out", str(pair)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "rel.json"
+        assert main(["relation", "--mubs", str(pair), "--m", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --m 3 does not match the 2 bases in {pair}\n"
+        assert "equality_expected" not in captured.out
+        assert not out.exists()
+        assert main(["relation", "--mubs", str(pair), "--m", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["M"] == 2
 
 
 class TestSweepCommand:

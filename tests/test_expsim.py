@@ -26,7 +26,7 @@ from mubpurity.expsim import (
 from mubpurity.linalg import purity
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import post_measurement_state, relation_report
-from mubpurity.states import _family_matrices, psi_alpha, random_density, rho_family
+from mubpurity.states import _family_states, random_density, rho_family
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -226,16 +226,16 @@ class TestPrepare:
 
     def test_x_one_single_branch(self):
         # at x = 1 the state is exactly the pure projector: no mixed term was added
-        v = psi_alpha(np.pi / 4)
+        v = np.array([0, np.cos(np.pi / 8), -np.sin(np.pi / 8), 0])
         pure = np.outer(v, v.conj())
-        assert np.array_equal(_family_matrices(np.array([np.pi / 4]), np.array([1.0]))[0], pure)
+        assert np.array_equal(_family_states(np.pi / 4, 1.0)[0], pure)
         dev, reference = _prepare(np.pi / 4, 1.0)
         assert np.array_equal(dev[0], _pair_deviation(pure))
         assert reference == 2.0
 
     def test_x_zero_identity_branch(self):
         # at x = 0 the state is exactly I4/4: no pure term was added
-        assert np.array_equal(_family_matrices(np.array([np.pi / 2]), np.array([0.0]))[0], np.eye(4) / 4)
+        assert np.array_equal(_family_states(np.pi / 2, 0.0)[0], np.eye(4) / 4)
         dev, reference = _prepare(np.pi / 2, 0.0)
         assert np.array_equal(dev[0], np.kron(PAULI_Z, np.eye(16) / 16))
         assert reference == 2.0
@@ -244,7 +244,7 @@ class TestPrepare:
         # temporal averaging: the weighted sum of the four branch registers of
         # (x P + (1-x)/4 I)^(x2) is, by linearity, the register of rho itself
         rho = rho_family(np.pi / 2, 0.5).matrix
-        v = psi_alpha(np.pi / 2)
+        v = np.array([0, np.cos(np.pi / 4), -np.sin(np.pi / 4), 0])
         terms = (0.5 * np.outer(v, v.conj()), 0.5 / 4 * np.eye(4))
         branches = sum(_pair_deviation(first, second) for first in terms for second in terms)
         assert np.abs(branches - _pair_deviation(rho)).max() <= 1e-15
@@ -267,7 +267,7 @@ class TestPrepare:
         monkeypatch.setattr(expsim, "_read_panel", lambda rho, p: read.append(rho) or _read_panel(rho, p))
         alpha, x = np.array([0.2, 0.4]), np.array([0.5, 1.0])
         run_protocol(alpha, x)
-        assert len(checked) == 1 and np.array_equal(checked[0], _family_matrices(alpha, x))
+        assert len(checked) == 1 and np.array_equal(checked[0], _family_states(alpha, x))
         # the panel reads the stack that was checked, not a rebuilt copy
         assert len(read) == 1 and read[0] is checked[0]
 
@@ -461,10 +461,10 @@ class TestBatch:
     X = np.array([0.0, 0.3, 0.85, 1.0, 1.0, 0.0, 0.5])
 
     def test_stack_shapes(self):
-        rho = _family_matrices(self.ALPHA, self.X)
+        rho = _family_states(self.ALPHA, self.X)
         assert rho.shape == (len(self.X), 4, 4)
         for i, (alpha, x) in enumerate(zip(self.ALPHA.tolist(), self.X.tolist())):
-            single = _family_matrices(np.array([alpha]), np.array([x]))
+            single = _family_states(alpha, x)
             assert single.shape == (1, 4, 4)
             assert np.array_equal(rho[i], single[0])
             assert np.array_equal(rho[i], rho_family(alpha, x).matrix)

@@ -7,34 +7,36 @@ from mubpurity.relations import relation_report
 from mubpurity.states import (
     _family_states,
     _random_density_stack,
-    psi_alpha,
     random_density,
     rho_family,
 )
 
 
 class TestPsiAlpha:
+    """|psi_alpha><psi_alpha|, read as the family state at x = 1."""
+
     def test_alpha_zero_is_01(self):
-        v = psi_alpha(0.0)
-        assert np.array_equal(v, [0, 1, 0, 0])
+        p = rho_family(0.0, 1.0).matrix
+        assert np.array_equal(p, np.diag([0, 1, 0, 0]))
 
     def test_alpha_half_pi_is_singlet(self):
-        v = psi_alpha(np.pi / 2)
+        p = rho_family(np.pi / 2, 1.0).matrix
         s = 1 / np.sqrt(2)
-        assert np.allclose(v, [0, s, -s, 0], atol=1e-15)
+        assert np.allclose(p, np.outer([0, s, -s, 0], [0, s, -s, 0]), atol=1e-15)
 
     def test_alpha_quarter_pi(self):
-        v = psi_alpha(np.pi / 4)
-        assert v.shape == (4,) and abs(np.linalg.norm(v) - 1.0) <= 1e-15
-        assert abs(v[1] - np.cos(np.pi / 8)) <= 1e-15
-        assert abs(v[2] + np.sin(np.pi / 8)) <= 1e-15
-        assert abs(abs(v[1]) - 0.9238795325112867) <= 1e-12
-        assert abs(abs(v[2]) - 0.3826834323650898) <= 1e-12
+        p = rho_family(np.pi / 4, 1.0).matrix
+        assert p.shape == (4, 4) and abs(np.trace(p) - 1.0) <= 1e-15
+        assert abs(p[1, 1] - np.cos(np.pi / 8) ** 2) <= 1e-15
+        assert abs(p[2, 2] - np.sin(np.pi / 8) ** 2) <= 1e-15
+        assert abs(p[1, 2] + np.cos(np.pi / 8) * np.sin(np.pi / 8)) <= 1e-15
+        assert abs(np.sqrt(p[1, 1].real) - 0.9238795325112867) <= 1e-12
+        assert abs(np.sqrt(p[2, 2].real) - 0.3826834323650898) <= 1e-12
 
     def test_out_of_range(self):
         for bad in (-0.1, np.pi / 2 + 0.1):
-            with pytest.raises(ValueError):
-                psi_alpha(bad)
+            with pytest.raises(ValueError, match="alpha="):
+                rho_family(bad, 1.0)
 
 
 class TestRhoFamily:
@@ -102,7 +104,7 @@ class TestRandomDensity:
 class TestRandomDensityStack:
     def test_rows_equal_random_density(self):
         ranks, seeds = [12, 1, 2, 12, 5], [3, 1 << 63, 0, 17, 9]
-        stack = _random_density_stack(12, ranks, seeds, dims=(3, 4))
+        stack = _random_density_stack(12, ranks, seeds)
         assert stack.shape == (5, 12, 12)
         for row, (rank, seed) in enumerate(zip(ranks, seeds)):
             assert np.array_equal(stack[row], random_density(12, rank, seed, dims=(3, 4)).matrix)
@@ -119,14 +121,29 @@ class TestRandomDensityStack:
         (4, [4, 0], None, "rank=0"),
         (4, [5], None, "rank=5"),
         (0, [1], (0, 3), "rank=1, dim=0"),
-        (4, [4], (2, 3), "do not multiply"),
+        (4, [4], (2, 3), "does not match dims"),
         (1, [1], (-1, -1), "invalid dims"),
     ])
     def test_rank_and_dims_checked_as_random_density(self, dim, ranks, dims, match):
         with pytest.raises(ValueError, match=match):
-            _random_density_stack(dim, ranks, [0] * len(ranks), dims=dims)
-        with pytest.raises(ValueError, match=match):
             random_density(dim, ranks[-1], 0, dims=dims)
+        # both builders check the ranks; only random_density's DensityMatrix reads dims
+        if match.startswith("rank"):
+            with pytest.raises(ValueError, match=match):
+                _random_density_stack(dim, ranks, [0] * len(ranks))
+        else:
+            assert _random_density_stack(dim, ranks, [0]).shape == (1, dim, dim)
+
+    @pytest.mark.parametrize("dim,rank", [(4, 2.5), (4.9, 3), (4.9, 3.7), (float("nan"), 1), (4, float("inf"))])
+    def test_non_integral_dim_or_rank_rejected(self, dim, rank):
+        with pytest.raises(ValueError, match="must be an integer"):
+            random_density(dim, rank, 0)
+        with pytest.raises(ValueError, match="must be an integer"):
+            _random_density_stack(dim, [4, rank], [0, 1])
+
+    def test_integral_floats_accepted(self):
+        assert np.array_equal(random_density(4.0, 2.0, 5).matrix, random_density(4, 2, 5).matrix)
+        assert np.array_equal(_random_density_stack(4.0, [2.0], [5])[0], random_density(4, 2, 5).matrix)
 
 
 def _random_pure_state(dim, seed):
@@ -147,12 +164,17 @@ def test_random_pure_state():
 
 class TestFamilyStates:
     def test_rows_equal_rho_family(self):
-        alphas = np.linspace(0.0, np.pi / 2, 9)
-        xs = np.linspace(1.0, 0.0, 9)
-        stack = _family_states(alphas, xs)
-        assert stack.shape == (9, 4, 4)
-        for row, (alpha, x) in enumerate(zip(alphas.tolist(), xs.tolist())):
-            assert np.array_equal(stack[row], rho_family(alpha, x).matrix)
+        seeded = np.random.default_rng(16).uniform(size=(2, 12)) * [[np.pi / 2], [1.0]]
+        for alphas, xs in [
+            (np.linspace(0.0, np.pi / 2, 9), np.linspace(1.0, 0.0, 9)),
+            (seeded[0], seeded[1]),
+            (np.array([0.0, 0.0, np.pi / 2, np.pi / 2]), np.array([0.0, 1.0, 0.0, 1.0])),  # corners
+        ]:
+            stack = _family_states(alphas, xs)
+            assert stack.shape == (len(xs), 4, 4)
+            for row, (alpha, x) in enumerate(zip(alphas.tolist(), xs.tolist())):
+                assert np.array_equal(stack[row], rho_family(alpha, x).matrix)
+                assert np.array_equal(_family_states(alpha, x)[0], rho_family(alpha, x).matrix)
 
     def test_stack_checked_as_density_matrices(self, monkeypatch):
         import mubpurity.states as states
@@ -162,13 +184,20 @@ class TestFamilyStates:
         stack = _family_states(np.array([0.2, 0.4]), np.array([0.5, 1.0]))
         assert len(checked) == 1 and checked[0] is stack
 
-    @pytest.mark.parametrize("alpha,x", [(-0.1, 0.5), (1.6, 0.5), (0.3, 1.2), (0.3, -0.5), (2.0, 2.0)])
+    @pytest.mark.parametrize("alpha,x", [
+        (-0.1, 0.5), (1.6, 0.5), (0.3, 1.2), (0.3, -0.5), (2.0, 2.0),
+        (np.nan, 0.5), (0.3, np.nan), (np.nan, 3.0),
+    ])
     def test_range_messages_match_rho_family(self, alpha, x):
         with pytest.raises(ValueError) as alone:
             rho_family(alpha, x)
+        with pytest.raises(ValueError) as single:
+            _family_states(alpha, x)
         with pytest.raises(ValueError) as stacked:
             _family_states(np.array([0.1, alpha, 0.2]), np.array([0.5, x, 0.5]))
-        assert str(stacked.value) == str(alone.value)
+        assert str(stacked.value) == str(single.value) == str(alone.value)
+        # x is named whenever it is out of its domain
+        assert str(alone.value).startswith("x=" if not 0.0 <= x <= 1.0 else "alpha=")
 
     def test_shape_rule(self):
         for alpha, x in [
