@@ -198,7 +198,7 @@ def _sweep_rows(ns) -> list[dict]:
     columns.update({name: rep[name] for name in ("lhs", "rhs", "gap")})
     if ns.simulate:
         # raw and rescaled simulator columns, from one read of the checked grid
-        panel = _panel(alphas, xs, rho, noise, None)
+        panel = _panel(alphas, xs, rho, noise)
         for kind, values in (("raw", panel.raw), ("rescaled", panel.rescaled)):
             lhs, rhs = panel.relation_sides(use_raw=kind == "raw")
             columns.update({f"{kind}_{name}": values[name] for name in PANEL_FIELDS})

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import hermiticity_defect
+from .linalg import _as_int, hermiticity_defect
 from .states import _family_states
 from .tolerances import TOL_STRUCTURAL
 
@@ -95,7 +95,7 @@ def _check_deviation(dev: np.ndarray) -> None:
 
 
 def _check_qubit(q: int) -> int:
-    q = int(q)
+    q = _as_int("qubit index", q)
     if not 0 <= q < N_QUBITS:
         raise ValueError(f"qubit index {q} out of range 0..{N_QUBITS - 1}")
     return q
@@ -263,8 +263,8 @@ def calibration_factors(noise: NoiseModel = NOISELESS) -> dict[str, float]:
     """Per-setting attenuation measured on the maximally entangled reference.
 
     Reads every setting of the pure alpha = pi/2, x = 1 state with and
-    without noise; the ratio noisy/ideal is the attenuation divided out by
-    :func:`rescale`. All factors are 1 when noise is inactive.
+    without noise; the ratio noisy/ideal is the attenuation that the
+    rescaled panel divides out. All factors are 1 when noise is inactive.
     """
     if not noise.active:
         return {name: 1.0 for name in PANEL_FIELDS}
@@ -272,11 +272,6 @@ def calibration_factors(noise: NoiseModel = NOISELESS) -> dict[str, float]:
     ideal = _read_panel(rho, 0.0)
     noisy = _read_panel(rho, float(noise.p_depol))
     return {name: _check_factor(name, float(noisy[name][0] / ideal[name][0])) for name in PANEL_FIELDS}
-
-
-def rescale(raw: dict[str, float], calibration: dict[str, float]) -> dict[str, float]:
-    """Divide each raw panel value by its setting's attenuation factor."""
-    return {name: value / _check_factor(name, calibration[name]) for name, value in raw.items()}
 
 
 @dataclass(frozen=True)
@@ -311,34 +306,29 @@ class PurityPanel:
         }
 
 
-def run_protocol(
-    alpha,
-    x,
-    noise: NoiseModel = NOISELESS,
-    calibration: dict[str, float] | None = None,
-) -> PurityPanel:
+def run_protocol(alpha, x, noise: NoiseModel = NOISELESS) -> PurityPanel:
     """Measure the full eight-purity panel of one point or of a stack of points.
 
     ``alpha`` and ``x`` are two floats, or two equal-length 1-D arrays of
     points that are read together, one 4x4 state per point; the panel then
     holds arrays. Every point reads the same bits as a run of it alone.
     With noise active the raw values are attenuated; the rescaled ones
-    divide out the calibration factors (computed here if not supplied).
+    divide out the :func:`calibration_factors` of the noise.
     Noiseless runs return identical raw and rescaled panels.
     """
     alpha, x = np.array(alpha, dtype=float), np.array(x, dtype=float)
     rho = _family_states(alpha, x)
     if x.ndim == 0:
         alpha, x = float(alpha), float(x)
-    return _panel(alpha, x, rho, noise, calibration)
+    return _panel(alpha, x, rho, noise)
 
 
-def _panel(alpha, x, rho: np.ndarray, noise: NoiseModel, calibration: dict[str, float] | None) -> PurityPanel:
+def _panel(alpha, x, rho: np.ndarray, noise: NoiseModel) -> PurityPanel:
     """The panel of the checked state stack ``rho`` of the points alpha, x (floats or (n,) arrays)."""
     p = float(noise.p_depol) if noise.active else 0.0
     raw = _read_panel(rho, p)
     if np.ndim(x) == 0:
         raw = {name: float(value[0]) for name, value in raw.items()}
-    if calibration is None:
-        calibration = calibration_factors(noise)
-    return PurityPanel(alpha=alpha, x=x, noise_p=p, raw=raw, rescaled=rescale(raw, calibration))
+    factors = calibration_factors(noise)
+    rescaled = {name: value / factors[name] for name, value in raw.items()}
+    return PurityPanel(alpha=alpha, x=x, noise_p=p, raw=raw, rescaled=rescaled)

@@ -10,12 +10,36 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .tolerances import TOL_PSD, TOL_STRUCTURAL
+
+
+def _as_int(name: str, value) -> int:
+    """``value`` as an int if it is a real number of integral value (4 or 4.0, not True); ValueError otherwise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _from_pairs(data) -> np.ndarray:
+    """The complex array of nested [re, im] number pairs, with the bits Python's complex gives each pair."""
+    a = np.array(data)  # numpy raises ValueError on ragged nesting
+    if a.dtype.kind not in "iuf" or a.ndim < 1 or a.shape[-1] != 2:
+        raise ValueError(f"expected nested [re, im] number pairs, got {a.dtype} entries of shape {a.shape}")
+    return a.astype(float).view(complex)[..., 0]
+
+
+def _to_pairs(a: np.ndarray) -> np.ndarray:
+    """The (..., 2) float array of [re, im] pairs of a complex array, as :func:`_from_pairs` reads it."""
+    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(a.shape + (2,))
+
 
 def _as_stack(m) -> np.ndarray:
     """Coerce ``m`` to a finite complex array of one matrix or a (..., n, n) stack."""
@@ -49,7 +73,7 @@ def _two_factors(m, dims: Sequence[int]) -> np.ndarray:
     a = _as_stack(m)
     if len(dims) != 2:
         raise ValueError(f"expected two factors, got dims {tuple(dims)}")
-    d1, d2 = (int(d) for d in dims)
+    d1, d2 = (_as_int("dims", d) for d in dims)
     if a.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"matrix shape {a.shape} does not match dims ({d1}, {d2})")
     return a.reshape(a.shape[:-2] + (d1, d2, d1, d2))
@@ -124,8 +148,11 @@ class DensityMatrix:
 
     def __post_init__(self):
         a = as_matrix(self.matrix)
-        dims = tuple(int(d) for d in self.dims)
-        total = int(np.prod(dims))
+        try:
+            dims = tuple(_as_int(f"dims[{k}]", d) for k, d in enumerate(self.dims))
+        except TypeError:
+            raise ValueError(f"dims must be a sequence of integers, got {self.dims!r}") from None
+        total = math.prod(dims)
         if min(dims, default=0) < 1:
             raise ValueError(f"invalid dims {dims}")
         if a.shape != (total, total):
@@ -152,39 +179,24 @@ def purity(rho) -> float:
     return float(_purities(m))
 
 
-# JSON matrix format: {"rows": n, "cols": n, "data": [[re, im], ...]} row-major;
-# density matrices add "dims".
-
-def matrix_to_json(m) -> dict:
-    a = as_matrix(m)
-    data = [[float(z.real), float(z.imag)] for z in a.ravel()]
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = obj["data"]
-        if len(data) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-        m = flat.reshape(rows, cols)
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed matrix object: {exc}") from exc
-    return as_matrix(m)
-
+# JSON density matrix format, row-major:
+# {"rows": n, "cols": n, "data": [[re, im], ...], "dims": [d1, ...]}
 
 def density_to_json(rho: DensityMatrix) -> dict:
-    out = matrix_to_json(rho.matrix)
-    out["dims"] = [int(d) for d in rho.dims]
-    return out
+    data = _to_pairs(rho.matrix).reshape(-1, 2).tolist()
+    return {"rows": rho.dim, "cols": rho.dim, "data": data, "dims": list(rho.dims)}
 
 
 def density_from_json(obj: dict) -> DensityMatrix:
+    """The density matrix of an object in the format above; a malformed one raises ValueError."""
     try:
-        dims = tuple(int(d) for d in obj["dims"])
-    except KeyError:
-        raise ValueError("density matrix object must carry 'dims'") from None
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed dims: {exc}") from exc
-    return DensityMatrix(matrix_from_json(obj), dims)
+        rows, cols, data, dims = (obj[key] for key in ("rows", "cols", "data", "dims"))
+    except KeyError as exc:
+        raise ValueError(f"density matrix object must carry {exc}") from None
+    except TypeError:
+        raise ValueError(f"expected a density matrix object, got {type(obj).__name__}") from None
+    rows, cols = _as_int("rows", rows), _as_int("cols", cols)
+    flat = _from_pairs(data)
+    if flat.shape != (rows * cols,):
+        raise ValueError(f"expected {rows * cols} [re, im] pairs, got an array of shape {flat.shape + (2,)}")
+    return DensityMatrix(flat.reshape(rows, cols), dims)

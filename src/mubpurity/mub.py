@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import _as_int, _from_pairs, _to_pairs
 from .tolerances import TOL_STRUCTURAL
 
 # Basis order produced by construct_mubs(2, 3); basis labels are 1-based.
@@ -183,7 +184,7 @@ def save_mubs(mubs: MubSet, path) -> None:
     laid out level by level.
     """
     d, m = mubs.d, mubs.M
-    items = list(map(repr, np.stack([mubs.bases.real, mubs.bases.imag], axis=-1).ravel().tolist()))
+    items = list(map(repr, _to_pairs(mubs.bases).ravel().tolist()))
     # [re, im] pairs at depth 4, vectors at 3, bases at 2, the list of bases at 1
     for depth, size in ((4, 2), (3, d), (2, d), (1, m)):
         items = [_json_array(items[k : k + size], depth) for k in range(0, len(items), size)]
@@ -197,13 +198,8 @@ def load_mubs(path) -> MubSet:
     except (OSError, json.JSONDecodeError) as exc:
         raise MubValidationError(f"cannot read basis set from {path}: {exc}") from exc
     try:
-        d, m = int(obj["d"]), int(obj["M"])
-        raw = obj["bases"]
-        arr = np.array(
-            [[[complex(re, im) for re, im in vec] for vec in basis] for basis in raw],
-            dtype=complex,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        d, m, arr = _as_int("d", obj["d"]), _as_int("M", obj["M"]), _from_pairs(obj["bases"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise MubValidationError(f"malformed basis file {path}: {exc}") from exc
     if arr.shape != (m, d, d):
         raise MubValidationError(

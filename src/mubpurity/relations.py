@@ -26,6 +26,7 @@ import numpy as np
 
 from .linalg import (
     DensityMatrix,
+    _as_int,
     _purities,
     frobenius_norm,
     hermitian_eigenvalues,
@@ -223,9 +224,10 @@ def post_measurement_state(rho: DensityMatrix, mubs: MubSet, theta: int) -> Dens
     Returns sum_i |i><i| (x) <i|rho|i> for the vectors |i> of the chosen
     basis; the trace and the B marginal are preserved.
     """
-    if not 1 <= int(theta) <= mubs.M:
+    theta = _as_int("basis label", theta)
+    if not 1 <= theta <= mubs.M:
         raise ValueError(f"basis label {theta} out of range 1..{mubs.M}")
-    kets = mubs.bases[int(theta) - 1 : int(theta)]
+    kets = mubs.bases[theta - 1 : theta]
     blocks = _pinch_blocks(rho.matrix[None], rho.dims, kets)
     return DensityMatrix(_pinched_sum(kets, blocks)[0], rho.dims)
 

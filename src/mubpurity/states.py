@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, _check_density_stack
+from .linalg import DensityMatrix, _as_int, _check_density_stack
 
 
 def _psi_stack(alpha: np.ndarray) -> np.ndarray:
@@ -60,10 +60,7 @@ def rho_family(alpha: float, x: float) -> DensityMatrix:
 
 def _check_draw(dim, ranks) -> tuple[int, list[int]]:
     """(dim, ranks) as ints once each is an integer and every rank lies in 1..dim."""
-    for name, value in [("dim", dim), *(("rank", rank) for rank in ranks)]:
-        if not float(value).is_integer():
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    dim, ranks = int(dim), [int(rank) for rank in ranks]
+    dim, ranks = _as_int("dim", dim), [_as_int("rank", rank) for rank in ranks]
     for rank in ranks:
         if not 1 <= rank <= dim:
             raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")

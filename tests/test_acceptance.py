@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from mubpurity.expsim import PANEL_FIELDS, NoiseModel, calibration_factors, run_protocol
+from mubpurity.expsim import PANEL_FIELDS, NoiseModel, run_protocol
 from mubpurity.linalg import frobenius_norm, hermitian_eigenvalues
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import (
@@ -181,7 +181,7 @@ def test_criterion_7_simulator_matches_analytic_panel():
 def test_criterion_8_noise_and_rescaling():
     noise = NoiseModel(0.01)
     ideal = run_protocol(np.pi / 2, 1.0)
-    noisy = run_protocol(np.pi / 2, 1.0, noise, calibration=calibration_factors(noise))
+    noisy = run_protocol(np.pi / 2, 1.0, noise)
     attenuated = all(noisy.raw[name] < ideal.raw[name] for name in PANEL_FIELDS)
     worst_rel = max(
         abs(noisy.rescaled[name] - ideal.raw[name]) / ideal.raw[name]

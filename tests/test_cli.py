@@ -79,6 +79,17 @@ class TestMubCommand:
         assert main(["mub", "--d", "3", "--out", str(out)]) == 0
         assert load_mubs(out).M == 4
 
+    @pytest.mark.parametrize("field,value", [("d", 2.5), ("M", 3.9)])
+    def test_load_non_integral_count_exits_2(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(json.loads(_write_mub_file(tmp_path).read_text()) | {field: value}))
+        out = tmp_path / "o.json"
+        assert main(["mub", "--d", "2", "--load", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{field} must be an integer, got {value}" in err
+        assert not out.exists()
+
     def test_load_d_one_exits_2(self, tmp_path, capsys):
         path = _write_d_one_file(tmp_path)
         assert main(["mub", "--d", "1", "--load", str(path), "--out", str(tmp_path / "o.json")]) == 2
@@ -206,6 +217,21 @@ class TestRelationCommand:
         assert abs(obj["purity_AB"] - 1.0) <= 1e-12
         assert abs(obj["gap"]) <= 1e-9
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("dims", [2.5, 2.9], "dims[0] must be an integer, got 2.5"),
+        ("dims", None, "dims must be a sequence of integers, got None"),
+        ("rows", 4.9, "rows must be an integer, got 4.9"),
+    ])
+    def test_non_integral_state_sizes_exit_1(self, tmp_path, capsys, field, value, message):
+        from mubpurity.linalg import density_to_json
+        from mubpurity.states import random_density
+
+        state_path = tmp_path / "state.json"
+        obj = density_to_json(random_density(4, 4, 0, dims=(2, 2))) | {field: value}
+        state_path.write_text(json.dumps(obj))
+        assert main(["relation", "--state", str(state_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_x_exits_1(self):
         assert main(["relation", "--x", "1.5"]) == 1
 
@@ -323,7 +349,7 @@ class TestSweepCommand:
 
     def test_simulated_columns_match_per_point_runs(self, tmp_path):
         # 130 grid points are read in one call; each equals a run of that point alone
-        from mubpurity.expsim import PANEL_FIELDS, NoiseModel, calibration_factors, run_protocol
+        from mubpurity.expsim import PANEL_FIELDS, NoiseModel, run_protocol
 
         out = tmp_path / "s.csv"
         assert main(["sweep", "--param", "alpha", "--fixed", "0.4", "--steps", "130", "--simulate",
@@ -331,10 +357,9 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 131
         noise = NoiseModel(0.05)
-        calibration = calibration_factors(noise)
         for line in lines[1:]:
             row = dict(zip(lines[0].split(","), line.split(",")))
-            panel = run_protocol(float(row["alpha"]), float(row["x"]), noise, calibration=calibration)
+            panel = run_protocol(float(row["alpha"]), float(row["x"]), noise)
             for name in PANEL_FIELDS:
                 assert row[f"raw_{name}"] == repr(panel.raw[name])
                 assert row[f"rescaled_{name}"] == repr(panel.rescaled[name])

@@ -20,7 +20,6 @@ from mubpurity.expsim import (
     _setting_gates,
     apply_gate,
     calibration_factors,
-    rescale,
     run_protocol,
 )
 from mubpurity.linalg import purity
@@ -444,7 +443,7 @@ class TestRunProtocol:
         # the cached observables read what a fresh register run forward per setting reads
         noise = NoiseModel(p)
         for alpha, x in [(np.pi / 2, 1.0), (np.pi / 5, 0.3), (0.0, 0.0), (1.1, 0.85)]:
-            panel = run_protocol(alpha, x, noise, calibration={n: 1.0 for n in PANEL_FIELDS})
+            panel = run_protocol(alpha, x, noise)
             for n in PANEL_FIELDS:
                 assert abs(panel.raw[n] - _forward_setting(alpha, x, noise, n)) <= 1e-14
 
@@ -545,24 +544,11 @@ class TestNoiseAndRescaling:
             assert rel <= 0.02
 
     def test_rescaled_gap_smaller_on_alpha_sweep(self):
-        cal = calibration_factors(self.NOISE)
         for alpha in np.linspace(0.0, np.pi / 2, 5):
-            panel = run_protocol(float(alpha), 1.0, self.NOISE, calibration=cal)
+            panel = run_protocol(float(alpha), 1.0, self.NOISE)
             raw_lhs, raw_rhs = panel.relation_sides(use_raw=True)
             res_lhs, res_rhs = panel.relation_sides(use_raw=False)
             assert abs(res_lhs - res_rhs) < abs(raw_lhs - raw_rhs)
-
-    def test_identity_calibration_passthrough(self):
-        raw = {name: 0.5 for name in PANEL_FIELDS}
-        assert rescale(raw, {name: 1.0 for name in PANEL_FIELDS}) == raw
-
-    def test_rescale_rejects_bad_factor(self):
-        raw = {name: 0.5 for name in PANEL_FIELDS}
-        for bad in (0.0, -0.5, float("nan"), float("inf")):
-            factors = {name: 1.0 for name in PANEL_FIELDS}
-            factors["purity_AB"] = bad
-            with pytest.raises(ValueError):
-                rescale(raw, factors)
 
     @pytest.mark.parametrize("p", [0.0, 0.05])
     def test_calibration_matches_fresh_preparation_reference(self, p):
@@ -573,9 +559,13 @@ class TestNoiseAndRescaling:
             assert abs(factors[n] - expected) <= 1e-14
 
     def test_calibration_rejects_nan_factor(self, monkeypatch):
-        monkeypatch.setattr(expsim, "_read_panel", lambda rho, p: dict.fromkeys(PANEL_FIELDS, np.array([np.nan])))
-        with pytest.raises(ValueError):
-            calibration_factors(self.NOISE)
+        # a measured attenuation of 0, below 0, NaN or inf is rejected, never divided out
+        ideal = dict.fromkeys(PANEL_FIELDS, np.array([1.0]))
+        for bad in (0.0, -0.5, np.nan, np.inf):
+            noisy = ideal | {"purity_AB": np.array([bad])}
+            monkeypatch.setattr(expsim, "_read_panel", lambda rho, p: noisy if p else ideal)
+            with pytest.raises(ValueError, match="attenuation factor for purity_AB"):
+                calibration_factors(self.NOISE)
 
     def test_noiseless_factors_are_one(self):
         assert calibration_factors(NOISELESS) == {name: 1.0 for name in PANEL_FIELDS}

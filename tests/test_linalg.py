@@ -1,19 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
+from mubpurity.expsim import _SZ_PROBE_DIAG, apply_gate
 from mubpurity.linalg import (
     DensityMatrix,
     _check_density_stack,
+    _from_pairs,
     as_matrix,
     density_from_json,
     density_to_json,
     hermitian_eigenvalues,
-    matrix_from_json,
-    matrix_to_json,
     partial_trace_matrix,
     partial_transpose,
     purity,
 )
+from mubpurity.mub import MubSet, construct_mubs, load_mubs, save_mubs
+from mubpurity.relations import post_measurement_state
+from mubpurity.states import _random_density_stack, random_density
 from mubpurity.tolerances import TOL_PSD
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -360,13 +365,6 @@ class TestTypes:
 
 
 class TestJson:
-    def test_matrix_round_trip(self):
-        rng = _rng(13)
-        m = _random_complex(rng, 3)
-        obj = matrix_to_json(m)
-        assert obj["rows"] == 3 and obj["cols"] == 3 and len(obj["data"]) == 9
-        assert np.array_equal(matrix_from_json(obj), m)
-
     def test_density_round_trip(self):
         rng = _rng(14)
         rho = DensityMatrix(_random_density_matrix(rng, 6), (2, 3))
@@ -375,7 +373,94 @@ class TestJson:
         assert np.array_equal(back.matrix, rho.matrix)
 
     def test_malformed(self):
+        obj = density_to_json(DensityMatrix(np.eye(2) / 2, (2,)))
+        with pytest.raises(ValueError, match="expected 4 "):
+            density_from_json(obj | {"data": obj["data"][:1]})
+        with pytest.raises(ValueError, match="must carry 'dims'"):
+            density_from_json({key: value for key, value in obj.items() if key != "dims"})
+        with pytest.raises(ValueError, match="dims must be a sequence"):
+            density_from_json(obj | {"dims": None})
+
+
+class TestPairReader:
+    """Nested [re, im] pairs read array-first, with the bits of complex(re, im)."""
+
+    @staticmethod
+    def _by_complex(pairs):
+        if isinstance(pairs[0][0], list):
+            return [TestPairReader._by_complex(inner) for inner in pairs]
+        return [complex(re, im) for re, im in pairs]
+
+    @pytest.mark.parametrize("d", [5, 7, 11])
+    def test_saved_sets_read_as_complex(self, tmp_path, d):
+        path = tmp_path / "m.json"
+        save_mubs(construct_mubs(d, d + 1), path)
+        bases = json.loads(path.read_text())["bases"]
+        assert _from_pairs(bases).tobytes() == np.array(self._by_complex(bases)).tobytes()
+
+    def test_signed_zeros_kept(self):
+        pairs = [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1, -0.0]]
+        assert _from_pairs(pairs).tobytes() == np.array(self._by_complex(pairs)).tobytes()
+
+    @pytest.mark.parametrize("data", [
+        [[1.0, 0.0], [1.0]],
+        [[[1.0, 0.0]], [1.0, 0.0]],
+        [[1.0, 0.0, 0.0]],
+        [["1", "0"]],
+        [[1.0, "x"]],
+        [[1.0, None]],
+    ], ids=["ragged", "ragged-depth", "three-element", "strings", "string-entry", "null-entry"])
+    def test_rejects_malformed_pairs(self, data):
         with pytest.raises(ValueError):
-            matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
-        with pytest.raises(ValueError):
-            density_from_json(matrix_to_json(np.eye(2) / 2))
+            _from_pairs(data)
+
+
+def _density_object(**fields):
+    return density_to_json(DensityMatrix(np.eye(4) / 4, (4,))) | fields
+
+
+def _mub_file(tmp_path, **fields):
+    path = tmp_path / "m.json"
+    save_mubs(construct_mubs(3, 4), path)
+    path.write_text(json.dumps(json.loads(path.read_text()) | fields))
+    return path
+
+
+def _content(result):
+    if isinstance(result, DensityMatrix):
+        return result.matrix.tobytes(), result.dims, [type(d) for d in result.dims]
+    if isinstance(result, MubSet):
+        return result.bases.tobytes()
+    return result.tobytes()
+
+
+# Every entry point that reads a count from outside, with an integral value it accepts.
+INTEGER_ENTRY_POINTS = {
+    "DensityMatrix dims": (lambda v, tmp: DensityMatrix(np.eye(4) / 4, (v,)), 4),
+    "density JSON rows": (lambda v, tmp: density_from_json(_density_object(rows=v)), 4),
+    "density JSON cols": (lambda v, tmp: density_from_json(_density_object(cols=v)), 4),
+    "density JSON dims": (lambda v, tmp: density_from_json(_density_object(dims=[v])), 4),
+    "MUB file d": (lambda v, tmp: load_mubs(_mub_file(tmp, d=v)), 3),
+    "MUB file M": (lambda v, tmp: load_mubs(_mub_file(tmp, M=v)), 4),
+    "random_density dim": (lambda v, tmp: random_density(v, 2, 0), 4),
+    "random_density rank": (lambda v, tmp: random_density(4, v, 0), 4),
+    "random density stack dim": (lambda v, tmp: _random_density_stack(v, [2], [0]), 4),
+    "random density stack rank": (lambda v, tmp: _random_density_stack(4, [2, v], [0, 1]), 4),
+    "post_measurement_state basis label": (
+        lambda v, tmp: post_measurement_state(DensityMatrix(BELL, (2, 2)), construct_mubs(2, 3), v), 2),
+    "apply_gate qubit": (lambda v, tmp: apply_gate(np.diag(_SZ_PROBE_DIAG).astype(complex), ("RY", v, 0.3)), 1),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), None, "x", True])
+def test_integer_rule_rejects_non_integers(tmp_path, entry, bad):
+    read, _ = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="must be an integer"):
+        read(bad, tmp_path)
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_integer_rule_accepts_integral_floats(tmp_path, entry):
+    read, good = INTEGER_ENTRY_POINTS[entry]
+    assert _content(read(float(good), tmp_path)) == _content(read(good, tmp_path))

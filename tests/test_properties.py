@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mubpurity.expsim import NOISELESS, PANEL_FIELDS, NoiseModel, calibration_factors, run_protocol
@@ -151,9 +151,8 @@ def test_simulated_panel_matches_analytic(alpha, x):
 @given(alphas, xs, noise_ps, noise_ps)
 def test_raw_panel_does_not_increase_with_noise(alpha, x, p1, p2):
     lo, hi = sorted((p1, p2))
-    calibration = {name: 1.0 for name in PANEL_FIELDS}
-    less = run_protocol(alpha, x, NoiseModel(lo), calibration=calibration).raw
-    more = run_protocol(alpha, x, NoiseModel(hi), calibration=calibration).raw
+    less = run_protocol(alpha, x, NoiseModel(lo)).raw
+    more = run_protocol(alpha, x, NoiseModel(hi)).raw
     for name in PANEL_FIELDS:
         assert more[name] <= less[name] + TOL_STRUCTURAL
 
@@ -171,7 +170,7 @@ def test_rescaled_panel_recovers_noiseless(alpha, x, p):
 @given(alphas, xs, noise_ps)
 def test_observable_read_matches_forward_gates(alpha, x, p):
     noise = NoiseModel(p)
-    raw = run_protocol(alpha, x, noise, calibration=dict.fromkeys(PANEL_FIELDS, 1.0)).raw
+    raw = run_protocol(alpha, x, noise).raw
     factors = calibration_factors(noise)
     for name in PANEL_FIELDS:
         assert abs(raw[name] - _forward_setting(alpha, x, noise, name)) <= 1e-14
@@ -297,8 +296,15 @@ def broken_density_objects(draw):
     return obj
 
 
+def _density_object(**fields):
+    return density_to_json(random_density(4, 4, 0, dims=(2, 2))) | fields
+
+
 @LOADER_SETTINGS
 @given(obj=broken_density_objects())
+# dims that are not a sequence, which a bare iteration would turn into a TypeError
+@example(obj=_density_object(dims=None))
+@example(obj=_density_object(dims=3))
 def test_density_from_json_rejects_mutated_objects(obj):
     with pytest.raises(ValueError):
         density_from_json(json.loads(json.dumps(obj)))
