@@ -123,7 +123,7 @@ def cmd_mub(ns) -> int:
         raise ValueError(f"--d {ns.d} does not match the dimension {mubs.d} of {ns.load}")
     save_mubs(mubs, ns.out)
     print(f"wrote {mubs.M} bases of dimension {mubs.d} to {ns.out}")
-    # the resolver's sets are validated already: an invalid one raised there
+    # a MubSet is valid by construction: this prints its passing report
     print(validate_mubs(mubs).summary())
     return 0
 
@@ -146,12 +146,17 @@ def cmd_verify(ns) -> int:
 
 def cmd_relation(ns) -> int:
     if ns.state:
+        for flag, value in (("--alpha", ns.alpha), ("--x", ns.x)):
+            if value is not None:
+                raise ValueError(f"{flag} sets the family state and does not apply to --state")
         rho = density_from_json(json.loads(Path(ns.state).read_text()))
         d = rho.dims[0]
         label = f"state from {ns.state}"
     else:
-        rho, d = rho_family(ns.alpha, ns.x), 2
-        label = f"family state alpha={ns.alpha!r} x={ns.x!r}"
+        alpha = math.pi / 2 if ns.alpha is None else ns.alpha
+        x = 1.0 if ns.x is None else ns.x
+        rho, d = rho_family(alpha, x), 2
+        label = f"family state alpha={alpha!r} x={x!r}"
     mubs = _basis_set(d, ns.m or None, ns.mubs, f"need an A-dimension >= 2, got {d}",
                       f"A-dimension {d} is not prime; supply --mubs")
     rep = relation_report(rho, mubs)
@@ -248,8 +253,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("relation", help="relation report for one state")
-    p.add_argument("--alpha", type=parse_angle, default=math.pi / 2)
-    p.add_argument("--x", type=float, default=1.0)
+    p.add_argument("--alpha", type=parse_angle, default=None, help="family state (default pi/2)")
+    p.add_argument("--x", type=float, default=None, help="family state (default 1)")
     p.add_argument("--m", type=int, default=0, help="basis count (default: complete set)")
     p.add_argument("--state", type=str, default=None, help="density matrix JSON file")
     p.add_argument("--mubs", type=str, default=None, help="basis set JSON file")

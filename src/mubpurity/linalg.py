@@ -196,6 +196,9 @@ def density_from_json(obj: dict) -> DensityMatrix:
     except TypeError:
         raise ValueError(f"expected a density matrix object, got {type(obj).__name__}") from None
     rows, cols = _as_int("rows", rows), _as_int("cols", cols)
+    for name, size in (("rows", rows), ("cols", cols)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
     flat = _from_pairs(data)
     if flat.shape != (rows * cols,):
         raise ValueError(f"expected {rows * cols} [re, im] pairs, got an array of shape {flat.shape + (2,)}")

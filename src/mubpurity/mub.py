@@ -3,7 +3,7 @@
 A set of orthonormal bases of a d-dimensional space is mutually unbiased
 when every cross-basis overlap satisfies ``|<i|j>|^2 = 1/d``. For prime d a
 complete set of d+1 such bases is generated here; for other dimensions a
-set can be loaded from JSON and is validated on load.
+set can be loaded from JSON. Every :class:`MubSet` is validated.
 """
 
 from __future__ import annotations
@@ -45,10 +45,11 @@ class MubSet:
     """M orthonormal bases of a d-dimensional space.
 
     ``bases[t, i]`` is the i-th vector of basis t+1 (labels are 1-based,
-    and basis 1 is the computational basis for constructed sets). Only
-    structural checks run at construction; the unbiasedness invariant is
-    checked by :func:`validate_mubs` so that defective sets can be
-    inspected and reported.
+    and basis 1 is the computational basis for constructed sets). This is
+    the one place a set is accepted: past the shape checks (``ValueError``),
+    bases that are not orthonormal and mutually unbiased within
+    ``TOL_STRUCTURAL`` raise :class:`MubValidationError` with the failed
+    report. Every consumer trusts the type and checks the set no further.
     """
 
     bases: np.ndarray
@@ -67,6 +68,12 @@ class MubSet:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "bases", a)
+        report = validate_mubs(self)
+        if not report.passed:
+            raise MubValidationError(
+                f"not a set of mutually unbiased bases: orthonormality deviation "
+                f"{report.max_orthonormality_deviation:.3e}, unbiasedness deviation "
+                f"{report.max_unbiasedness_deviation:.3e}, tolerance {TOL_STRUCTURAL:g}", report)
 
     @property
     def d(self) -> int:
@@ -159,11 +166,7 @@ def construct_mubs(d: int, M: int) -> MubSet:
         a, j, s = np.ogrid[:d, :d, :d]
         rest = np.exp(2j * np.pi * ((a * s * s + j * s) % d) / d) / np.sqrt(d)
     bases = np.concatenate([np.eye(d, dtype=complex)[None], rest])
-    mubs = MubSet(bases[:M])
-    report = validate_mubs(mubs)
-    if not report.passed:
-        raise MubValidationError(f"constructed set failed validation:\n{report.summary()}", report)
-    return mubs
+    return MubSet(bases[:M])
 
 
 # MUB JSON schema:
@@ -192,7 +195,7 @@ def save_mubs(mubs: MubSet, path) -> None:
 
 
 def load_mubs(path) -> MubSet:
-    """Load and validate a basis set; raises MubValidationError on failure."""
+    """Load a basis set; a file that cannot be read or holds no valid set raises MubValidationError."""
     try:
         obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -206,12 +209,7 @@ def load_mubs(path) -> MubSet:
             f"basis file {path} declares (M={m}, d={d}) but has shape {arr.shape}"
         )
     try:
-        mubs = MubSet(arr)
+        return MubSet(arr)
     except ValueError as exc:
-        raise MubValidationError(f"invalid basis set in {path}: {exc}") from exc
-    report = validate_mubs(mubs)
-    if not report.passed:
-        raise MubValidationError(
-            f"basis set in {path} failed validation:\n{report.summary()}", report
-        )
-    return mubs
+        report = getattr(exc, "report", None)
+        raise MubValidationError(f"invalid basis set in {path}: {exc}", report) from exc

@@ -114,6 +114,32 @@ class TestMubCommand:
         assert out.read_bytes() == five.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["mub", "relation"])
+def test_biased_basis_file_exits_2_with_one_line(tmp_path, capsys, command):
+    # a d = 5 set with basis 3 replaced by basis 2: orthonormal, not unbiased
+    five = tmp_path / "m.json"
+    assert main(["mub", "--d", "5", "--out", str(five)]) == 0
+    obj = json.loads(five.read_text())
+    obj["bases"][2] = obj["bases"][1]
+    biased = tmp_path / "biased.json"
+    biased.write_text(json.dumps(obj))
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    if command == "mub":
+        argv = ["mub", "--d", "5", "--load", str(biased), "--out", str(out)]
+    else:
+        argv = ["relation", "--mubs", str(biased), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        rf"error: invalid basis set in {re.escape(str(biased))}: not a set of mutually unbiased bases: "
+        r"orthonormality deviation \S+, unbiasedness deviation 8\.000e-01, tolerance 1e-12\n",
+        captured.err,
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _write_d_one_file(tmp_path):
     path = tmp_path / "d1.json"
     path.write_text(json.dumps({"d": 1, "M": 2, "bases": [[[[1, 0]]], [[[1, 0]]]]}))
@@ -234,6 +260,27 @@ class TestRelationCommand:
 
     def test_bad_x_exits_1(self):
         assert main(["relation", "--x", "1.5"]) == 1
+
+    @pytest.mark.parametrize("flag,value", [("--alpha", "0.3"), ("--x", "0.2"), ("--x", "1")])
+    def test_family_flag_with_state_exits_1(self, tmp_path, capsys, flag, value):
+        # --alpha and --x set the family state, which a state file replaces;
+        # even the default value, given explicitly, is refused
+        from mubpurity.linalg import density_to_json
+        from mubpurity.states import random_density
+
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(density_to_json(random_density(4, 4, 0, dims=(2, 2)))))
+        out = tmp_path / "rel.json"
+        assert main(["relation", "--state", str(state_path), flag, value, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} sets the family state and does not apply to --state\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_family_defaults_are_pi_over_2_and_1(self, capsys):
+        assert main(["relation"]) == 0
+        default = capsys.readouterr().out
+        assert main(["relation", "--alpha", "pi/2", "--x", "1"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_d_one_basis_file_exits_2(self, tmp_path, capsys):
         from mubpurity.linalg import density_to_json

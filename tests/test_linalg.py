@@ -380,6 +380,12 @@ class TestJson:
             density_from_json({key: value for key, value in obj.items() if key != "dims"})
         with pytest.raises(ValueError, match="dims must be a sequence"):
             density_from_json(obj | {"dims": None})
+        # sizes below 1 are named before the pair count is compared, even
+        # when their product matches it
+        four = density_to_json(DensityMatrix(np.eye(4) / 4, (4,)))
+        for rows, cols, name, value in ((-4, -4, "rows", -4), (-2, -8, "rows", -2), (4, 0, "cols", 0)):
+            with pytest.raises(ValueError, match=rf"^{name} must be at least 1, got {value}$"):
+                density_from_json(four | {"rows": rows, "cols": cols})
 
 
 class TestPairReader:
@@ -453,7 +459,7 @@ INTEGER_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
-@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), None, "x", True])
+@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), None, "x", True, 4.9])
 def test_integer_rule_rejects_non_integers(tmp_path, entry, bad):
     read, _ = INTEGER_ENTRY_POINTS[entry]
     with pytest.raises(ValueError, match="must be an integer"):

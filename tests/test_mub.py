@@ -85,21 +85,21 @@ def test_construction_matches_row_loop(d):
         assert lead.imag == 0 and lead.real > 0
 
 
-def _validate_by_loop(mubs):
-    """Reference report, one basis and one pair at a time.
+def _validate_by_loop(bases):
+    """Reference report of an (M, d, d) array of bases, one basis and one pair at a time.
 
     The first maximum within a basis or pair is kept; across them a later
     maximum equal to the worst so far replaces it.
     """
-    d, m = mubs.d, mubs.M
+    m, d = bases.shape[:2]
     worst_on, worst_on_at, worst_ub, worst_ub_at = 0.0, (1, 0, 0), 0.0, (1, 2, 0, 0)
     for t in range(m):
-        dev = np.abs(mubs.bases[t].conj() @ mubs.bases[t].T - np.eye(d))
+        dev = np.abs(bases[t].conj() @ bases[t].T - np.eye(d))
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
         if dev[i, j] >= worst_on:
             worst_on, worst_on_at = float(dev[i, j]), (t + 1, int(i), int(j))
         for u in range(t + 1, m):
-            dev = np.abs(np.abs(mubs.bases[t].conj() @ mubs.bases[u].T) ** 2 - 1.0 / d)
+            dev = np.abs(np.abs(bases[t].conj() @ bases[u].T) ** 2 - 1.0 / d)
             i, j = np.unravel_index(int(dev.argmax()), dev.shape)
             if dev[i, j] >= worst_ub:
                 worst_ub, worst_ub_at = float(dev[i, j]), (t + 1, u + 1, int(i), int(j))
@@ -111,27 +111,45 @@ def test_validation_matches_pair_loop(d):
     rng = np.random.default_rng(d)
     for m in range(2, d + 2):
         mubs = construct_mubs(d, m)
-        assert validate_mubs(mubs) == _validate_by_loop(mubs)
-        # a stretched vector, a repeated basis, a perturbed set
+        assert validate_mubs(mubs) == _validate_by_loop(mubs.bases)
+        # a stretched vector, a repeated basis, a perturbed set: MubSet
+        # refuses each, with the report of the reference loop
         stretched = mubs.bases.copy()
         stretched[rng.integers(m), rng.integers(d)] *= 1.25
         repeated = mubs.bases.copy()
         repeated[-1] = repeated[0]
         noise = rng.standard_normal(mubs.bases.shape) + 1j * rng.standard_normal(mubs.bases.shape)
         for bases in (stretched, repeated, mubs.bases + 1e-3 * noise):
-            mutated = MubSet(bases)
-            assert validate_mubs(mutated) == _validate_by_loop(mutated)
+            with pytest.raises(MubValidationError) as exc:
+                MubSet(bases)
+            assert exc.value.report == _validate_by_loop(bases)
     # exact ties in every block: identical bases
-    same = MubSet(np.stack([np.eye(d, dtype=complex)] * 3))
-    assert validate_mubs(same) == _validate_by_loop(same)
+    same = np.stack([np.eye(d, dtype=complex)] * 3)
+    with pytest.raises(MubValidationError) as exc:
+        MubSet(same)
+    assert exc.value.report == _validate_by_loop(same)
 
 
 def test_duplicated_basis_fails():
-    dup = MubSet(np.stack([np.eye(3, dtype=complex)] * 2))
-    report = validate_mubs(dup)
+    with pytest.raises(MubValidationError) as exc:
+        MubSet(np.stack([np.eye(3, dtype=complex)] * 2))
+    report = exc.value.report
     assert not report.passed
     # identical bases are maximally biased: deviation 1 - 1/d
     assert abs(report.max_unbiasedness_deviation - (1 - 1 / 3)) <= 1e-12
+    # one line carrying both worst deviations and the tolerance
+    assert str(exc.value) == (
+        "not a set of mutually unbiased bases: orthonormality deviation 0.000e+00, "
+        "unbiasedness deviation 6.667e-01, tolerance 1e-12"
+    )
+
+
+def _unchecked_set(bases):
+    # save_mubs takes a MubSet, and MubSet refuses these arrays; a file of
+    # one is written through an instance made without __post_init__
+    mubs = object.__new__(MubSet)
+    object.__setattr__(mubs, "bases", np.asarray(bases, dtype=complex))
+    return mubs
 
 
 def test_construct_rejects_non_prime():
@@ -188,7 +206,7 @@ def test_saved_text_keeps_float_reprs(tmp_path):
             [[complex(-1e16, 0.0), complex(2.5, -5e-324)], [complex(0.0, 1e-07), -(0.1 + 0.2)]],
         ]
     )
-    mubs = MubSet(arr)
+    mubs = _unchecked_set(arr)
     path = tmp_path / "odd.json"
     save_mubs(mubs, path)
     text = path.read_text()
@@ -202,12 +220,14 @@ def test_load_rejects_unnormalized_vector(tmp_path):
     path = tmp_path / "bad.json"
     arr = mubs.bases.copy()
     arr[1, 0] *= 1.5
-    save_mubs(MubSet(arr), path)
+    save_mubs(_unchecked_set(arr), path)
     with pytest.raises(MubValidationError) as exc:
         load_mubs(path)
-    # report names the offending basis and vector
+    # report names the offending basis and vector, the message the file
     assert exc.value.report is not None
     assert exc.value.report.worst_orthonormality[:2] == (2, 0)
+    assert str(exc.value).startswith(f"invalid basis set in {path}: ")
+    assert "\n" not in str(exc.value)
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -14,7 +14,7 @@ from mubpurity.linalg import (
     partial_transpose,
     purity,
 )
-from mubpurity.mub import MubSet, MubValidationError, construct_mubs, validate_mubs
+from mubpurity.mub import MubSet, MubValidationError, construct_mubs
 from mubpurity.relations import (
     RelationReport,
     _constructed_states,
@@ -146,9 +146,10 @@ class TestBipartiteBasis:
             assert np.abs(p - comp.T @ comp.conj()).max() <= 1e-12
 
     def test_rejects_invalid_mubs(self):
-        dup = MubSet(np.stack([np.eye(2, dtype=complex)] * 2))
-        with pytest.raises(MubValidationError):
-            build_bipartite_basis(dup)
+        # the build takes a MubSet, and no MubSet holds a repeated basis
+        with pytest.raises(MubValidationError) as exc:
+            MubSet(np.stack([np.eye(2, dtype=complex)] * 2))
+        assert not exc.value.report.passed
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_complement_of_equivalent_sets(self, d):
@@ -165,8 +166,15 @@ class TestBipartiteBasis:
 
     def test_near_bound_sets_build_or_fail_validation(self):
         # complete sets perturbed by eps*G, eps bisected to just inside the
-        # bound of validate_mubs: the basis invariants may still fail, and
+        # bound MubSet accepts: the basis invariants may still fail, and
         # then as a validation failure, never as another exception
+        def accepted(bases):
+            try:
+                MubSet(bases)
+            except MubValidationError:
+                return False
+            return True
+
         raised = 0
         for d in (7, 11, 13):
             exact = construct_mubs(d, d + 1).bases
@@ -176,7 +184,7 @@ class TestBipartiteBasis:
                 lo, hi = 0.0, 1e-10
                 for _ in range(60):
                     mid = (lo + hi) / 2
-                    lo, hi = (mid, hi) if validate_mubs(MubSet(exact + mid * g)).passed else (lo, mid)
+                    lo, hi = (mid, hi) if accepted(exact + mid * g) else (lo, mid)
                 try:
                     build_bipartite_basis(MubSet(exact + lo * g))
                 except MubValidationError:
@@ -331,18 +339,13 @@ class TestPostMeasurement:
             post_measurement_state(BELL, mubs, 1)
 
     def test_non_orthonormal_basis_rejected(self):
-        # a pinch in a basis with a scaled vector does not keep the trace
+        # a basis with a scaled vector never reaches the pinch: MubSet
+        # refuses it and its report names the vector
         bases = construct_mubs(3, 3).bases.copy()
         bases[1, 2] *= 1.1
-        mubs = MubSet(bases)
-        rho = random_density(9, 9, 5, dims=(3, 3))
-        with pytest.raises(ValueError, match="pinched trace"):
-            relation_report(rho, mubs)
-        with pytest.raises(ValueError, match="pinched trace"):
-            gamma_direct(rho, mubs)
-        with pytest.raises(ValueError, match="pinched trace"):
-            post_measurement_state(rho, mubs, 2)
-        post_measurement_state(rho, mubs, 1)  # the intact bases still pinch
+        with pytest.raises(MubValidationError) as exc:
+            MubSet(bases)
+        assert exc.value.report.worst_orthonormality == (2, 2, 2)
 
 
 class TestGamma:
@@ -504,19 +507,6 @@ class TestStackedReport:
             expected = (4, 2) if name in ("purity_thetaB", "purity_B_given_theta") else (4,)
             assert values.shape == expected, name
 
-    def test_pinched_trace_checked_on_every_state(self):
-        # a scaled vector of basis 3 keeps the pinched trace of a state whose
-        # A side is orthogonal to it, so only the second state is off
-        bases = construct_mubs(3, 3).bases.copy()
-        bases[2, 0] *= 1.1
-        mubs = MubSet(bases)
-        ket = bases[2, 1] / np.linalg.norm(bases[2, 1])
-        blind = np.kron(np.outer(ket, ket.conj()), random_density(3, 3, 4).matrix)
-        _relation_arrays(blind[None], (3, 3), mubs)
-        stack = np.stack([blind, random_density(9, 9, 5, dims=(3, 3)).matrix])
-        with pytest.raises(ValueError, match="pinched trace"):
-            _relation_arrays(stack, (3, 3), mubs)
-
     def test_dimension_checked_on_stack(self):
         stack = np.stack([BELL.matrix, BELL.matrix])
         with pytest.raises(ValueError, match="does not match basis dimension"):
@@ -655,3 +645,58 @@ class TestEquivalentSets:
                 for name, value in expected.items():
                     diff = np.abs(np.subtract(got[name], value)).max()
                     assert diff <= TOL_STRUCTURAL, (name, m, big_d, diff)
+
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.diag([1, -1]).astype(complex),
+}
+
+
+def _two_qubit_set():
+    """The complete d = 4 set: the common eigenbases of five commuting classes of two-qubit Paulis.
+
+    The classes partition the 15 non-identity Paulis (Bandyopadhyay et al.,
+    Algorithmica 34, 512 (2002)). Two generators of a class commute, and
+    A + sqrt(2) B has the four distinct eigenvalues +-1 +- sqrt(2), so its
+    eigenvectors are the class's common eigenbasis.
+    """
+    classes = [("ZI", "IZ"), ("XI", "IX"), ("YI", "IY"), ("XZ", "YX"), ("YZ", "ZX")]
+    bases = []
+    for a, b in classes:
+        ops = [np.kron(_PAULI[p[0]], _PAULI[p[1]]) for p in (a, b)]
+        bases.append(np.linalg.eigh(ops[0] + np.sqrt(2) * ops[1])[1].T)
+    return np.stack(bases)
+
+
+def _qubit_qutrit_set():
+    """Three MUBs at d = 6: basis t holds the products of basis t at d = 2 and at d = 3."""
+    qubit, qutrit = construct_mubs(2, 3).bases, construct_mubs(3, 4).bases[:3]
+    return np.einsum("tia,tjb->tijab", qubit, qutrit).reshape(3, 6, 6)
+
+
+class TestNonPrimeSets:
+    """The paper's claims at d = 4 and d = 6, where construct_mubs builds no set."""
+
+    @pytest.mark.parametrize("d,m", [(4, 2), (4, 3), (4, 4), (4, 5), (6, 2), (6, 3)])
+    def test_relation_checks_hold(self, d, m):
+        mubs = MubSet((_two_qubit_set() if d == 4 else _qubit_qutrit_set())[:m])
+        basis = build_bipartite_basis(mubs)
+        assert basis.complement.shape == ((d - 1) * (d + 1 - m), d * d)
+        assert check_pt_identities(basis).max_deviation <= TOL_STRUCTURAL
+        for big_d in (2, d):
+            dim = d * big_d
+            for k, seed in enumerate(_seeds(700 * d + 10 * m + big_d, 3)):
+                rho = random_density(dim, (dim, 1, 2)[k], seed, dims=(d, big_d))
+                diff = gamma_direct(rho, mubs) - gamma_via_projector(rho, basis)
+                assert frobenius_norm(diff) <= TOL_SPECTRAL
+                rep = relation_report(rho, mubs)
+                assert rep.gap >= -TOL_SPECTRAL
+                assert rep.equality_expected == (m == d + 1)
+                if m == d + 1:
+                    assert abs(rep.gap) <= TOL_SPECTRAL
+                    assert rep.gamma_frobenius <= TOL_SPECTRAL
+                else:
+                    assert rep.gamma_min_eig >= -TOL_PSD

@@ -134,17 +134,6 @@ class TestRandomDensityStack:
         else:
             assert _random_density_stack(dim, ranks, [0]).shape == (1, dim, dim)
 
-    @pytest.mark.parametrize("dim,rank", [(4, 2.5), (4.9, 3), (4.9, 3.7), (float("nan"), 1), (4, float("inf"))])
-    def test_non_integral_dim_or_rank_rejected(self, dim, rank):
-        with pytest.raises(ValueError, match="must be an integer"):
-            random_density(dim, rank, 0)
-        with pytest.raises(ValueError, match="must be an integer"):
-            _random_density_stack(dim, [4, rank], [0, 1])
-
-    def test_integral_floats_accepted(self):
-        assert np.array_equal(random_density(4.0, 2.0, 5).matrix, random_density(4, 2, 5).matrix)
-        assert np.array_equal(_random_density_stack(4.0, [2.0], [5])[0], random_density(4, 2, 5).matrix)
-
 
 def _random_pure_state(dim, seed):
     """Seeded normalized complex Gaussian vector."""
