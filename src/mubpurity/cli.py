@@ -7,12 +7,14 @@ relation on seeded random states), ``relation`` (one relation report),
 ``sweep`` (parameter sweeps with CSV/JSON output), ``expsim`` (one
 simulated purity panel). ``mub``, ``verify`` and ``relation`` take
 their basis set from one resolver: the file of ``--load`` or ``--mubs``,
-else the construction at a prime d. Exit codes: 0 success, 1 usage error,
-2 verification/validation failure; ``main`` alone turns an error into its
-exit code and one ``error:`` line on stderr. Angles accept plain radians or
-pi fractions such as ``pi/2`` and ``3pi/8``. The seed of ``verify`` falls
-back to the ``PURITY_SEED`` environment variable, then to 0; ``sweep``
-accepts ``--seed`` but draws no random numbers.
+else ``construct_mubs``. The library owns the rules on d, M, trials and
+big_d, so those errors name its parameters (``need big_d >= 1``). Exit
+codes: 0 success, 1 usage error, 2 verification/validation failure;
+``main`` alone turns an error into its exit code and one ``error:`` line
+on stderr. Angles accept plain radians or pi fractions such as ``pi/2``
+and ``3pi/8``. The seed of ``verify`` falls back to the ``PURITY_SEED``
+environment variable, then to 0; ``sweep`` accepts ``--seed`` but draws
+no random numbers.
 """
 
 from __future__ import annotations
@@ -40,10 +42,8 @@ from .mub import (
     MubSet,
     MubValidationError,
     construct_mubs,
-    is_prime,
     load_mubs,
     save_mubs,
-    validate_mubs,
 )
 from .relations import _relation_arrays, relation_report, verify_relations
 from .states import _family_states, rho_family
@@ -96,47 +96,35 @@ def _emit(text: str, out: str | None, what: str) -> None:
         print(text, end="")
 
 
-def _basis_set(d: int, m: int | None, path: str | None, too_small: str, not_prime: str) -> MubSet:
+def _basis_set(d: int, m: int | None, path: str | None) -> MubSet:
     """The basis set in ``path``; without one, the first m bases constructed at d (all d + 1 for None).
 
     A loaded set must hold m bases unless m is None, a usage error naming
-    ``--m`` otherwise. d < 2 is a usage error with the message ``too_small``;
-    a non-prime d fails validation with the message ``not_prime``.
+    ``--m`` otherwise; ``construct_mubs`` decides which (d, m) can be built.
     """
     if path:
         mubs = load_mubs(path)
         if m is not None and m != mubs.M:
             raise ValueError(f"--m {m} does not match the {mubs.M} bases in {path}")
         return mubs
-    if d < 2:
-        raise ValueError(too_small)
-    if not is_prime(d):
-        raise MubValidationError(not_prime)
     return construct_mubs(d, d + 1 if m is None else m)
 
 
 def cmd_mub(ns) -> int:
-    mubs = _basis_set(ns.d, ns.m or None, ns.load, f"need --d >= 2, got {ns.d}",
-                      f"d={ns.d} is not prime; supply a basis file via --load")
+    mubs = _basis_set(ns.d, ns.m, ns.load)
     # only a loaded set can differ from --d
     if mubs.d != ns.d:
         raise ValueError(f"--d {ns.d} does not match the dimension {mubs.d} of {ns.load}")
     save_mubs(mubs, ns.out)
     print(f"wrote {mubs.M} bases of dimension {mubs.d} to {ns.out}")
-    # a MubSet is valid by construction: this prints its passing report
-    print(validate_mubs(mubs).summary())
+    print(mubs.report.summary())
     return 0
 
 
 def cmd_verify(ns) -> int:
     seed = _default_seed() if ns.seed is None else ns.seed
-    mubs = _basis_set(ns.d, ns.m, None, f"need --d >= 2, got {ns.d}", f"d={ns.d} is not prime")
-    big_d = ns.d if ns.big_d is None else ns.big_d
-    if ns.trials < 1:
-        raise ValueError(f"need --trials >= 1, got {ns.trials}")
-    if big_d < 1:
-        raise ValueError(f"need --big-d >= 1, got {big_d}")
-    report = verify_relations(mubs, big_d, ns.trials, seed)
+    mubs = _basis_set(ns.d, ns.m, None)
+    report = verify_relations(mubs, ns.d if ns.big_d is None else ns.big_d, ns.trials, seed)
     text = report.summary() + "\n"
     print(text, end="")
     if ns.out:
@@ -157,8 +145,7 @@ def cmd_relation(ns) -> int:
         x = 1.0 if ns.x is None else ns.x
         rho, d = rho_family(alpha, x), 2
         label = f"family state alpha={alpha!r} x={x!r}"
-    mubs = _basis_set(d, ns.m or None, ns.mubs, f"need an A-dimension >= 2, got {d}",
-                      f"A-dimension {d} is not prime; supply --mubs")
+    mubs = _basis_set(d, ns.m, ns.mubs)
     rep = relation_report(rho, mubs)
     _emit(_json_dumps(rep.to_json()), ns.out, f"relation report for {label}")
     print(
@@ -238,7 +225,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("mub", help="construct or load a basis set, validate, write JSON")
     p.add_argument("--d", type=int, required=True, help="dimension")
-    p.add_argument("--m", type=int, default=0, help="basis count (default d+1)")
+    p.add_argument("--m", type=int, default=None, help="basis count (default d+1)")
     p.add_argument("--load", type=str, default=None, help="load bases from a JSON file")
     p.add_argument("--out", type=str, required=True, help="output JSON path")
     p.set_defaults(func=cmd_mub)
@@ -255,7 +242,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("relation", help="relation report for one state")
     p.add_argument("--alpha", type=parse_angle, default=None, help="family state (default pi/2)")
     p.add_argument("--x", type=float, default=None, help="family state (default 1)")
-    p.add_argument("--m", type=int, default=0, help="basis count (default: complete set)")
+    p.add_argument("--m", type=int, default=None, help="basis count (default: complete set)")
     p.add_argument("--state", type=str, default=None, help="density matrix JSON file")
     p.add_argument("--mubs", type=str, default=None, help="basis set JSON file")
     p.add_argument("--out", type=str, default=None)

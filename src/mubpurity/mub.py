@@ -9,7 +9,7 @@ set can be loaded from JSON. Every :class:`MubSet` is validated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ PAULI_AXIS_LABELS = ("z", "x", "y")
 
 
 class MubValidationError(ValueError):
-    """Raised when a basis set fails orthonormality or unbiasedness checks."""
+    """Raised when a basis set fails orthonormality or unbiasedness, or cannot be constructed or read."""
 
     def __init__(self, message: str, report: "MubValidationReport | None" = None):
         super().__init__(message)
@@ -49,10 +49,12 @@ class MubSet:
     the one place a set is accepted: past the shape checks (``ValueError``),
     bases that are not orthonormal and mutually unbiased within
     ``TOL_STRUCTURAL`` raise :class:`MubValidationError` with the failed
-    report. Every consumer trusts the type and checks the set no further.
+    report. Every consumer trusts the type and checks the set no further;
+    ``report`` is the passing report the set was accepted on.
     """
 
     bases: np.ndarray
+    report: MubValidationReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.bases, dtype=complex)
@@ -74,6 +76,7 @@ class MubSet:
                 f"not a set of mutually unbiased bases: orthonormality deviation "
                 f"{report.max_orthonormality_deviation:.3e}, unbiasedness deviation "
                 f"{report.max_unbiasedness_deviation:.3e}, tolerance {TOL_STRUCTURAL:g}", report)
+        object.__setattr__(self, "report", report)
 
     @property
     def d(self) -> int:
@@ -144,18 +147,22 @@ def validate_mubs(mubs: MubSet) -> MubValidationReport:
 
 
 def construct_mubs(d: int, M: int) -> MubSet:
-    """Deterministic MUB construction for prime d.
+    """Deterministic MUB construction for prime d; the one rule for which (d, M) can be built.
 
-    Basis 1 is the computational basis. For odd prime d the remaining bases
-    have components ``omega**(a*s*s + j*s) / sqrt(d)`` with
-    ``omega = exp(2*pi*i/d)`` and a = 0..d-1; for d = 2 the quadratic form
-    degenerates, so the x and y eigenbases are used instead.
-    ``construct_mubs(d, M)`` is a prefix of ``construct_mubs(d, M')`` for
-    M < M'. The first amplitude of every vector is real and positive (1, or
-    the s = 0 component 1/sqrt(d)), so no phase needs fixing.
+    d < 2 or M outside 2..d+1 raises ``ValueError``, a non-prime d
+    :class:`MubValidationError`. Basis 1 is the computational basis. For
+    odd prime d the remaining bases have components
+    ``omega**(a*s*s + j*s) / sqrt(d)`` with ``omega = exp(2*pi*i/d)`` and
+    a = 0..d-1; for d = 2 the quadratic form degenerates, so the x and y
+    eigenbases are used instead. ``construct_mubs(d, M)`` is a prefix of
+    ``construct_mubs(d, M')`` for M < M'. The first amplitude of every
+    vector is real and positive (1, or the s = 0 component 1/sqrt(d)), so
+    no phase needs fixing.
     """
+    if d < 2:
+        raise ValueError(f"need d >= 2, got d={d}")
     if not is_prime(d):
-        raise ValueError(f"d={d} is not prime; use load_mubs to supply a basis set")
+        raise MubValidationError(f"d={d} is not prime; basis sets are constructed for prime d only")
     if not 2 <= M <= d + 1:
         raise ValueError(f"need 2 <= M <= d+1, got M={M}, d={d}")
     if d == 2:

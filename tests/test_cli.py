@@ -47,7 +47,8 @@ class TestMubCommand:
     def test_non_prime_exits_2(self, tmp_path, capsys):
         code = main(["mub", "--d", "6", "--m", "3", "--out", str(tmp_path / "x.json")])
         assert code == 2
-        assert "--load" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: d=6 is not prime; basis sets are constructed for prime d only\n")
 
     def test_load_round_trip(self, tmp_path):
         first = tmp_path / "a.json"
@@ -59,7 +60,7 @@ class TestMubCommand:
     @pytest.mark.parametrize("d", ["1", "0", "-3"])
     def test_d_below_two_exits_1(self, tmp_path, capsys, d):
         assert main(["mub", "--d", d, "--out", str(tmp_path / "m.json")]) == 1
-        assert "--d" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: need d >= 2, got d={d}\n"
         assert not (tmp_path / "m.json").exists()
 
     def test_load_invalid_exits_2(self, tmp_path):
@@ -140,6 +141,49 @@ def test_biased_basis_file_exits_2_with_one_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["mub", "mub --load", "relation --mubs"])
+def test_zero_m_exits_1_with_one_line(tmp_path, capsys, command):
+    # --m 0 asks for no bases; it is not the complete set
+    pair = tmp_path / "m.json"
+    assert main(["mub", "--d", "2", "--out", str(pair)]) == 0
+    capsys.readouterr()
+    argv, message = {
+        "mub": (["mub", "--d", "2"], "need 2 <= M <= d+1, got M=0, d=2"),
+        "mub --load": (["mub", "--d", "2", "--load", str(pair)], f"--m 0 does not match the 3 bases in {pair}"),
+        "relation --mubs": (["relation", "--mubs", str(pair)], f"--m 0 does not match the 3 bases in {pair}"),
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--m", "0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("load", [False, True])
+def test_mub_validates_the_set_once(tmp_path, capsys, monkeypatch, load):
+    from mubpurity import cli, mub
+
+    five = tmp_path / "m.json"
+    assert main(["mub", "--d", "5", "--out", str(five)]) == 0
+    first = capsys.readouterr().out
+    real, calls = mub.validate_mubs, []
+
+    def counted(mubs):
+        calls.append(mubs.M)
+        return real(mubs)
+
+    # the CLI's own name too, should it ever import the function again
+    for module in (mub, cli):
+        monkeypatch.setattr(module, "validate_mubs", counted, raising=False)
+    out = tmp_path / "o.json"
+    assert main(["mub", "--d", "5", *(["--load", str(five)] if load else []), "--out", str(out)]) == 0
+    assert calls == [6]
+    # the printed report is the one the set was accepted on
+    assert capsys.readouterr().out == first.replace(str(five), str(out))
+    assert out.read_bytes() == five.read_bytes()
+
+
 def _write_d_one_file(tmp_path):
     path = tmp_path / "d1.json"
     path.write_text(json.dumps({"d": 1, "M": 2, "bases": [[[[1, 0]]], [[[1, 0]]]]}))
@@ -179,21 +223,21 @@ class TestVerifyCommand:
     def test_zero_trials_exits_1(self, capsys):
         assert main(["verify", "--d", "2", "--m", "3", "--trials", "0"]) == 1
         captured = capsys.readouterr()
-        assert "--trials" in captured.err
+        assert captured.err == "error: need trials >= 1, got 0\n"
         assert "all checks passed" not in captured.out
 
     @pytest.mark.parametrize("d", ["1", "0", "-3"])
     def test_d_below_two_exits_1(self, capsys, d):
         assert main(["verify", "--d", d, "--m", "2", "--trials", "1"]) == 1
         captured = capsys.readouterr()
-        assert "--d" in captured.err
+        assert captured.err == f"error: need d >= 2, got d={d}\n"
         assert "all checks passed" not in captured.out
 
     def test_zero_big_d_exits_1(self, capsys):
         for big_d in ("0", "-1"):
             assert main(["verify", "--d", "2", "--m", "3", "--big-d", big_d, "--trials", "1"]) == 1
             captured = capsys.readouterr()
-            assert captured.err == f"error: need --big-d >= 1, got {big_d}\n"
+            assert captured.err == f"error: need big_d >= 1, got {big_d}\n"
             assert "all checks passed" not in captured.out
 
     def test_failed_trial_names_its_state_seed(self, capsys, monkeypatch):
@@ -302,8 +346,8 @@ class TestRelationCommand:
         state_path = tmp_path / "state.json"
         state_path.write_text(json.dumps(density_to_json(random_density(2, 2, 0, dims=(1, 2)))))
         assert main(["relation", "--state", str(state_path)]) == 1
-        # relation has no --d flag; the message names the state's A side
-        assert capsys.readouterr().err == "error: need an A-dimension >= 2, got 1\n"
+        # the A side is the d of construct_mubs
+        assert capsys.readouterr().err == "error: need d >= 2, got d=1\n"
 
     def test_family_state_reads_mubs_file(self, tmp_path, capsys):
         # --mubs applies to the family state too, through the same resolver

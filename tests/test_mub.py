@@ -38,6 +38,12 @@ def test_complete_sets_validate(d):
     assert report.max_unbiasedness_deviation <= 1e-12
 
 
+def test_set_keeps_the_report_it_was_accepted_on():
+    mubs = construct_mubs(5, 4)
+    assert mubs.report == validate_mubs(mubs) and mubs.report.passed
+    assert "report" not in repr(mubs)
+
+
 @pytest.mark.parametrize("d", [3, 5])
 def test_prefix_property(d):
     full = construct_mubs(d, d + 1)
@@ -153,8 +159,16 @@ def _unchecked_set(bases):
 
 
 def test_construct_rejects_non_prime():
-    with pytest.raises(ValueError, match="load_mubs"):
+    with pytest.raises(MubValidationError, match=r"^d=6 is not prime; basis sets are constructed for prime d only$"):
         construct_mubs(6, 3)
+
+
+@pytest.mark.parametrize("d", [1, 0, -3])
+def test_construct_rejects_d_below_two(d):
+    # a usage error, not a failed validation
+    with pytest.raises(ValueError, match=rf"^need d >= 2, got d={d}$") as exc:
+        construct_mubs(d, 2)
+    assert not isinstance(exc.value, MubValidationError)
 
 
 def test_construct_rejects_bad_m():

@@ -1,17 +1,17 @@
 """Property tests of the relation layer, the simulator and the JSON loaders.
 
-Relation-layer states are drawn over d in {2, 3, 5}, every M in [2, d+1],
-B-side dimension D in {1, 2, 3} and every rank, alone and in stacks of
-mixed ranks. Simulator panels are drawn over (alpha, x) in [0, pi/2] x
-[0, 1] and depolarizing p in [0, 0.3], and read against the forward
-gate-by-gate reference of tests/test_expsim.py. The
+Relation-layer states are drawn over d in {2, 3, 5, 7}, every M in
+[2, d+1], B-side dimension D in {1, 2, 3} and every rank, alone and in
+stacks of mixed ranks, against the constructed set or a rotated,
+reordered and rephased copy of it. Simulator panels are drawn over
+(alpha, x) in [0, pi/2] x [0, 1] and depolarizing p in [0, 0.3], and read
+against the forward gate-by-gate reference of tests/test_expsim.py. The
 loaders read valid files for d in {2, 3, 5, 7} and mutated copies of them.
 The examples are derandomized so the suite stays reproducible.
 """
 
 import json
 import math
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -37,25 +37,28 @@ from mubpurity.relations import (
 from mubpurity.states import random_density, rho_family
 from mubpurity.tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 from test_expsim import _forward_setting
-from test_relations import _report_arrays, _report_fields, _stacked_row
+from test_relations import _equivalent_set, _report_arrays, _report_fields, _stacked_row
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SIMULATOR_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
-@lru_cache(maxsize=None)
-def _basis(d, m):
-    return build_bipartite_basis(construct_mubs(d, m))
+def _set(draw, d, m):
+    # the constructed set, or by a drawn flag an equivalent one
+    if draw(st.booleans()):
+        return _equivalent_set(d, m, draw(st.integers(0, 2**32 - 1)))
+    return construct_mubs(d, m)
 
 
 @st.composite
 def cases(draw):
-    d = draw(st.sampled_from((2, 3, 5)))
+    d = draw(st.sampled_from((2, 3, 5, 7)))
     m = draw(st.integers(2, d + 1))
     big_d = draw(st.sampled_from((1, 2, 3)))
     rank = draw(st.integers(1, d * big_d))
     seed = draw(st.integers(0, 2**32 - 1))
-    return _basis(d, m), random_density(d * big_d, rank, seed, dims=(d, big_d))
+    basis = build_bipartite_basis(_set(draw, d, m))
+    return basis, random_density(d * big_d, rank, seed, dims=(d, big_d))
 
 
 @PROPERTY_SETTINGS
@@ -92,14 +95,14 @@ def test_gamma_psd_or_vanishing(case):
 
 @st.composite
 def stacks(draw):
-    d = draw(st.sampled_from((2, 3, 5)))
+    d = draw(st.sampled_from((2, 3, 5, 7)))
     m = draw(st.integers(2, d + 1))
     big_d = draw(st.sampled_from((1, 2, 3)))
     points = draw(st.lists(
         st.tuples(st.integers(1, d * big_d), st.integers(0, 2**32 - 1)), min_size=1, max_size=6
     ))
     states = [random_density(d * big_d, rank, seed, dims=(d, big_d)) for rank, seed in points]
-    return construct_mubs(d, m), states
+    return _set(draw, d, m), states
 
 
 @PROPERTY_SETTINGS

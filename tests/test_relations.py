@@ -671,18 +671,25 @@ def _two_qubit_set():
     return np.stack(bases)
 
 
-def _qubit_qutrit_set():
-    """Three MUBs at d = 6: basis t holds the products of basis t at d = 2 and at d = 3."""
-    qubit, qutrit = construct_mubs(2, 3).bases, construct_mubs(3, 4).bases[:3]
-    return np.einsum("tia,tjb->tijab", qubit, qutrit).reshape(3, 6, 6)
+def _product_set(d1, d2):
+    """min(M1, M2) MUBs at d1*d2 for primes d1, d2: basis t holds the products of basis t at d1 and at d2.
+
+    (Klappenecker and Roetteler, quant-ph/0309120.)
+    """
+    m = min(d1, d2) + 1
+    first, second = construct_mubs(d1, m).bases, construct_mubs(d2, m).bases
+    return np.einsum("tia,tjb->tijab", first, second).reshape(m, d1 * d2, d1 * d2)
 
 
 class TestNonPrimeSets:
-    """The paper's claims at d = 4 and d = 6, where construct_mubs builds no set."""
+    """The paper's claims at d = 4, 6, 10 and 15, where construct_mubs builds no set."""
 
-    @pytest.mark.parametrize("d,m", [(4, 2), (4, 3), (4, 4), (4, 5), (6, 2), (6, 3)])
+    @pytest.mark.parametrize("d,m", [
+        (4, 2), (4, 3), (4, 4), (4, 5), (6, 2), (6, 3), (10, 2), (10, 3), (15, 2), (15, 3), (15, 4),
+    ])
     def test_relation_checks_hold(self, d, m):
-        mubs = MubSet((_two_qubit_set() if d == 4 else _qubit_qutrit_set())[:m])
+        factors = {6: (2, 3), 10: (2, 5), 15: (3, 5)}
+        mubs = MubSet((_two_qubit_set() if d == 4 else _product_set(*factors[d]))[:m])
         basis = build_bipartite_basis(mubs)
         assert basis.complement.shape == ((d - 1) * (d + 1 - m), d * d)
         assert check_pt_identities(basis).max_deviation <= TOL_STRUCTURAL
