@@ -136,11 +136,12 @@ def _check_density_stack(a: np.ndarray) -> None:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on labeled factors.
 
     ``dims`` lists the subsystem dimensions, leftmost factor first.
+    Instances compare and hash by identity.
     """
 
     matrix: np.ndarray

@@ -40,7 +40,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MubSet:
     """M orthonormal bases of a d-dimensional space.
 
@@ -50,11 +50,12 @@ class MubSet:
     bases that are not orthonormal and mutually unbiased within
     ``TOL_STRUCTURAL`` raise :class:`MubValidationError` with the failed
     report. Every consumer trusts the type and checks the set no further;
-    ``report`` is the passing report the set was accepted on.
+    ``report`` is the passing report the set was accepted on. Sets compare
+    and hash by identity.
     """
 
     bases: np.ndarray
-    report: MubValidationReport = field(init=False, repr=False, compare=False)
+    report: MubValidationReport = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.bases, dtype=complex)
@@ -167,45 +168,57 @@ def construct_mubs(d: int, M: int) -> MubSet:
         raise ValueError(f"need 2 <= M <= d+1, got M={M}, d={d}")
     if d == 2:
         s = 1.0 / np.sqrt(2.0)
-        rest = np.array([[[s, s], [s, -s]], [[s, 1j * s], [s, -1j * s]]], dtype=complex)
+        rest = np.array([[[s, s], [s, -s]], [[s, 1j * s], [s, -1j * s]]], dtype=complex)[: M - 1]
     else:
-        # rest[a, j, s] = omega**(a*s*s + j*s) / sqrt(d)
-        a, j, s = np.ogrid[:d, :d, :d]
+        # rest[a, j, s] = omega**(a*s*s + j*s) / sqrt(d), for the M - 1 bases returned
+        a, j, s = np.ogrid[: M - 1, :d, :d]
         rest = np.exp(2j * np.pi * ((a * s * s + j * s) % d) / d) / np.sqrt(d)
-    bases = np.concatenate([np.eye(d, dtype=complex)[None], rest])
-    return MubSet(bases[:M])
+    return MubSet(np.concatenate([np.eye(d, dtype=complex)[None], rest]))
 
 
 # MUB JSON schema:
 # {"d": n, "M": m, "bases": [[[ [re, im], ... d amplitudes ] x d vectors] x M]}
 
-def _json_array(items: list[str], depth: int) -> str:
-    # one array at nesting depth `depth`, laid out as json.dumps(indent=2) does
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+# The text between numbers is one of five fixed strings: json.dumps(indent=2)
+# writes the numbers at depth 5, and after a number 0 to 4 arrays close (its
+# pair, vector, basis and the list of bases) before the next one opens.
+_SEPARATORS = (
+    ",\n          ",
+    "\n        ],\n        [\n          ",
+    "\n        ]\n      ],\n      [\n        [\n          ",
+    "\n        ]\n      ]\n    ],\n    [\n      [\n        [\n          ",
+    "\n        ]\n      ]\n    ]\n  ]\n}\n",
+)
 
 
 def save_mubs(mubs: MubSet, path) -> None:
     """Write the set in the schema above.
 
     The text is exactly ``json.dumps(obj, indent=2) + "\\n"`` of the schema
-    object, written without json's pure-Python indenting encoder: every
-    float is its ``repr``, as json writes finite floats, and the arrays are
-    laid out level by level.
+    object. Every float is written as its ``repr``, as json writes finite
+    floats, but ``repr`` runs once per distinct bit pattern (a constructed
+    set holds at most 2d + 2 distinct components; -0.0 and 0.0 stay apart),
+    and the text is one join of the numbers and the separators between them.
     """
     d, m = mubs.d, mubs.M
-    items = list(map(repr, _to_pairs(mubs.bases).ravel().tolist()))
-    # [re, im] pairs at depth 4, vectors at 3, bases at 2, the list of bases at 1
-    for depth, size in ((4, 2), (3, d), (2, d), (1, m)):
-        items = [_json_array(items[k : k + size], depth) for k in range(0, len(items), size)]
-    Path(path).write_text(f'{{\n  "d": {d},\n  "M": {m},\n  "bases": {items[0]}\n}}\n')
+    bits = _to_pairs(mubs.bases).ravel().view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    table = list(map(repr, distinct.view(float).tolist())) + list(_SEPARATORS)
+    # how many arrays close after each number: every 2nd, 2d-th, 2d*d-th and the last
+    ends = np.arange(1, bits.size + 1)
+    closing = sum(ends % size == 0 for size in (2, 2 * d, 2 * d * d, bits.size))
+    order = np.empty(2 * bits.size, dtype=np.intp)
+    order[0::2] = inverse
+    order[1::2] = len(distinct) + closing
+    head = f'{{\n  "d": {d},\n  "M": {m},\n  "bases": [\n    [\n      [\n        [\n          '
+    Path(path).write_text(head + "".join(map(table.__getitem__, order.tolist())))
 
 
 def load_mubs(path) -> MubSet:
     """Load a basis set; a file that cannot be read or holds no valid set raises MubValidationError."""
     try:
         obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MubValidationError(f"cannot read basis set from {path}: {exc}") from exc
     try:
         d, m, arr = _as_int("d", obj["d"]), _as_int("M", obj["M"]), _from_pairs(obj["bases"])

@@ -41,7 +41,7 @@ from .tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 _CHUNK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteBasis:
     """Orthonormal basis of the d*d space built from a MUB set.
 
@@ -50,7 +50,8 @@ class BipartiteBasis:
     the same state ``phi``. ``complement`` holds the (d-1)(d+1-M) states
     completing the basis as rows, shape (p, d*d), and ``projector`` projects
     onto their span. ``gram_deviation`` is max|G - I| of the Gram matrix G
-    of all d*d states, measured when the basis was built.
+    of all d*d states, measured when the basis was built. Instances compare
+    and hash by identity.
     """
 
     twisted: np.ndarray

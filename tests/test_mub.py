@@ -13,6 +13,7 @@ from mubpurity.mub import (
     save_mubs,
     validate_mubs,
 )
+from test_relations import _equivalent_set
 
 
 def test_is_prime():
@@ -200,11 +201,22 @@ def _json_reference(mubs):
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _saved_sets(d):
+    # constructed sets repeat a few amplitudes many times; a rotated complete
+    # set repeats none, so the writer formats every number of it
+    sets = [construct_mubs(d, 2), construct_mubs(d, d + 1)]
+    if d <= 7:
+        rotated = _equivalent_set(d, d + 1, d)
+        bits = rotated.bases.view(float)
+        assert np.unique(bits.view(np.uint64)).size == bits.size
+        sets.append(rotated)
+    return sets
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
 def test_saved_text_is_json_dumps(tmp_path, d):
     path, again = tmp_path / "mubs.json", tmp_path / "again.json"
-    for m in (2, d + 1):
-        mubs = construct_mubs(d, m)
+    for mubs in _saved_sets(d):
         save_mubs(mubs, path)
         assert path.read_bytes() == _json_reference(mubs).encode()
         save_mubs(load_mubs(path), again)
@@ -248,6 +260,13 @@ def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
     with pytest.raises(MubValidationError):
+        load_mubs(path)
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(MubValidationError, match=rf"^cannot read basis set from {path}: 'utf-8' codec"):
         load_mubs(path)
 
 

@@ -707,3 +707,20 @@ class TestNonPrimeSets:
                     assert rep.gamma_frobenius <= TOL_SPECTRAL
                 else:
                     assert rep.gamma_min_eig >= -TOL_PSD
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: construct_mubs(5, 4),
+        lambda: DensityMatrix(np.eye(4) / 4, (2, 2)),
+        lambda: build_bipartite_basis(construct_mubs(3, 2)),
+    ],
+    ids=["MubSet", "DensityMatrix", "BipartiteBasis"],
+)
+def test_array_types_compare_and_hash_by_identity(make):
+    # field-wise == of arrays is ambiguous, so these types compare by identity
+    a, b = make(), make()
+    assert a == a and not (a != a)
+    assert a != b and not (a == b)
+    assert {a: 1, b: 2}[a] == 1
