@@ -22,7 +22,8 @@ builds and checks; out-of-domain points fail there with the message of
 Sites for noise: a one-parameter depolarizing channel acts on every qubit
 touched by a controlled-SWAP, immediately after the gate. Rescaling divides
 each measured value by the attenuation observed on a reference state whose
-ideal panel is read by the same pipeline without noise.
+ideal panel is read by the same pipeline without noise; that attenuation
+must be (1 - p)**k for a setting with k controlled-SWAPs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _as_int, hermiticity_defect
+from .linalg import hermiticity_defect
 from .states import _family_states
 from .tolerances import TOL_STRUCTURAL
 
@@ -94,13 +95,6 @@ def _check_deviation(dev: np.ndarray) -> None:
         raise RuntimeError("deviation lost hermiticity")
 
 
-def _check_qubit(q: int) -> int:
-    q = _as_int("qubit index", q)
-    if not 0 <= q < N_QUBITS:
-        raise ValueError(f"qubit index {q} out of range 0..{N_QUBITS - 1}")
-    return q
-
-
 def _ry(theta: float) -> np.ndarray:
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
@@ -127,30 +121,24 @@ def _depolarize(dev: np.ndarray, qubit: int, p: float) -> np.ndarray:
     return out.reshape(dev.shape)
 
 
-def apply_gate(dev: np.ndarray, gate: tuple) -> np.ndarray:
-    """One gate descriptor applied to a (..., DIM, DIM) array; the input is not changed.
+def _apply_gate(dev: np.ndarray, gate: tuple) -> np.ndarray:
+    """One gate descriptor of :func:`_setting_gates` applied to a (..., DIM, DIM) array.
 
     Descriptors: ("RY", qubit, angle), ("RX", qubit, angle),
     ("CSWAP", control, q1, q2), ("DEPHASE", qubit), ("DEPOL", qubit, p).
     Unitary gates conjugate every matrix; DEPHASE pinches the qubit in the
     computational basis; DEPOL is the depolarizing channel of strength p
-    on the qubit. The result is checked for finite entries, zero trace and
-    hermiticity.
+    on the qubit. The input is not changed. The descriptors are trusted;
+    the result is checked for finite entries, zero trace and hermiticity.
     """
-    dev = np.asarray(dev, dtype=complex)
-    if dev.ndim < 2 or dev.shape[-2:] != (DIM, DIM):
-        raise ValueError(f"expected (..., {DIM}, {DIM}) matrices, got shape {dev.shape}")
-    kind = str(gate[0]).upper()
+    kind = gate[0]
     if kind in ("RY", "RX"):
         _, qubit, angle = gate
-        qubit = _check_qubit(qubit)
-        r = (_ry if kind == "RY" else _rx)(float(angle))
+        r = (_ry if kind == "RY" else _rx)(angle)
         u = np.kron(np.kron(np.eye(2 ** qubit), r), np.eye(2 ** (N_QUBITS - 1 - qubit)))
         out = u @ dev @ u.conj().T
     elif kind == "CSWAP":
-        control, q1, q2 = (_check_qubit(v) for v in gate[1:])
-        if len({control, q1, q2}) != 3:
-            raise ValueError(f"CSWAP qubits must be distinct, got {control},{q1},{q2}")
+        _, control, q1, q2 = gate
         # flip q1 and q2 where control is 1 and they differ; entry (i, j) of
         # the result is entry (perm[i], perm[j])
         flip = _QUBIT_BITS[control] & (_QUBIT_BITS[q1] ^ _QUBIT_BITS[q2])
@@ -158,16 +146,10 @@ def apply_gate(dev: np.ndarray, gate: tuple) -> np.ndarray:
         perm = np.arange(DIM) ^ (flip * mask)
         out = dev[..., perm[:, None], perm[None, :]]
     elif kind == "DEPHASE":
-        _, qubit = gate
-        out = np.where(_DEPHASE_KEEP[_check_qubit(qubit)], dev, 0.0)
-    elif kind == "DEPOL":
+        out = np.where(_DEPHASE_KEEP[gate[1]], dev, 0.0)
+    else:  # DEPOL
         _, qubit, p = gate
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"depolarizing probability {p!r} outside [0, 1]")
-        out = _depolarize(dev, _check_qubit(qubit), p)
-    else:
-        raise ValueError(f"unknown gate kind {gate[0]!r}")
+        out = _depolarize(dev, qubit, p)
     _check_deviation(out)
     return out
 
@@ -187,10 +169,6 @@ def _setting_gates(axis: str | None, which: str, p: float) -> tuple[tuple, ...]:
     ``which="B"``) and rotate the coherence back. With p > 0 each CSWAP is
     followed by depolarizing on its three qubits.
     """
-    if axis is not None and axis not in _PRE_ROTATION:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    if which not in ("AB", "B"):
-        raise ValueError(f"which must be 'AB' or 'B', got {which!r}")
     gates = [] if axis is None else [("DEPHASE", q) for q in (_A, _A2)]
     rotation = _PRE_ROTATION.get(axis)
     if rotation is not None:
@@ -215,7 +193,7 @@ def _pull_back(w: np.ndarray, gates) -> np.ndarray:
     for gate in reversed(gates):
         if gate[0] in ("RY", "RX"):
             gate = (gate[0], gate[1], -gate[2])
-        w = apply_gate(w, gate)
+        w = _apply_gate(w, gate)
     return w
 
 
@@ -252,26 +230,32 @@ def _read_panel(rho: np.ndarray, p: float) -> dict[str, np.ndarray]:
     }
 
 
-def _check_factor(name: str, factor: float) -> float:
-    # written as "not <" so that NaN is rejected along with 0, negatives and inf
-    if not 0.0 < factor < np.inf:
-        raise ValueError(f"attenuation factor for {name} must be positive and finite, got {factor!r}")
-    return factor
-
-
 def calibration_factors(noise: NoiseModel = NOISELESS) -> dict[str, float]:
     """Per-setting attenuation measured on the maximally entangled reference.
 
     Reads every setting of the pure alpha = pi/2, x = 1 state with and
     without noise; the ratio noisy/ideal is the attenuation that the
     rescaled panel divides out. All factors are 1 when noise is inactive.
+    The noise scales V_s by (1 - p) per CSWAP of the setting, so a factor
+    off (1 - p)**k by more than TOL_STRUCTURAL relative, k the setting's
+    CSWAP count, raises ``ValueError``; so does every factor at p = 1,
+    where the signal is gone.
     """
     if not noise.active:
         return {name: 1.0 for name in PANEL_FIELDS}
+    p = float(noise.p_depol)
     rho = _family_states(np.pi / 2, 1.0)
     ideal = _read_panel(rho, 0.0)
-    noisy = _read_panel(rho, float(noise.p_depol))
-    return {name: _check_factor(name, float(noisy[name][0] / ideal[name][0])) for name in PANEL_FIELDS}
+    noisy = _read_panel(rho, p)
+    factors = {}
+    for name in PANEL_FIELDS:
+        k = len(_SETTINGS[name][1])  # one CSWAP per letter of the readout
+        factor, expected = float(noisy[name][0] / ideal[name][0]), (1.0 - p) ** k
+        # written as "not <=" so that NaN, inf and a lost signal (expected 0) fail too
+        if not abs(factor - expected) <= TOL_STRUCTURAL * expected:
+            raise ValueError(f"attenuation factor for {name} is {factor!r}, not (1 - p)**{k} = {expected!r}")
+        factors[name] = factor
+    return factors
 
 
 @dataclass(frozen=True)

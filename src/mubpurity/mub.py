@@ -9,6 +9,7 @@ set can be loaded from JSON. Every :class:`MubSet` is validated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,17 +28,6 @@ class MubValidationError(ValueError):
     def __init__(self, message: str, report: "MubValidationReport | None" = None):
         super().__init__(message)
         self.report = report
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +152,7 @@ def construct_mubs(d: int, M: int) -> MubSet:
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
-    if not is_prime(d):
+    if any(d % k == 0 for k in range(2, math.isqrt(d) + 1)):
         raise MubValidationError(f"d={d} is not prime; basis sets are constructed for prime d only")
     if not 2 <= M <= d + 1:
         raise ValueError(f"need 2 <= M <= d+1, got M={M}, d={d}")

@@ -579,6 +579,21 @@ class TestExpsimCommand:
         for name, value in obj["raw"].items():
             assert value < obj["rescaled"][name]
 
+    def test_lost_signal_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # at --noise 1 the probe signal is gone, so no rescaled panel exists
+        commands = {
+            "p1.json": ["expsim", "--alpha", "pi/2", "--x", "0.5", "--noise", "1"],
+            "p1.csv": ["sweep", "--param", "x", "--steps", "5", "--simulate", "--noise", "1"],
+        }
+        for name, argv in commands.items():
+            out = tmp_path / name
+            assert main([*argv, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.fullmatch(r"error: attenuation factor for purity_AB .*\n", captured.err)
+            assert not out.exists()
+        assert main(["expsim", "--alpha", "pi/2", "--x", "0.5", "--noise", "0.99"]) == 0
+
     def test_bad_params_exit_1(self):
         assert main(["expsim", "--alpha", "pi", "--x", "1"]) == 1
         assert main(["expsim", "--alpha", "0", "--x", "2"]) == 1

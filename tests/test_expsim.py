@@ -12,13 +12,13 @@ from mubpurity.expsim import (
     NOISELESS,
     PANEL_FIELDS,
     NoiseModel,
+    _apply_gate,
     _check_deviation,
     _depolarize,
     _observable,
     _pull_back,
     _read_panel,
     _setting_gates,
-    apply_gate,
     calibration_factors,
     run_protocol,
 )
@@ -69,7 +69,7 @@ def _prepare(alpha, x):
 
 def _forward(dev, gates):
     for gate in gates:
-        dev = apply_gate(dev, gate)
+        dev = _apply_gate(dev, gate)
     return dev
 
 
@@ -129,7 +129,7 @@ def _random_deviation(seed):
 class TestGates:
     def test_ry_pi_twice_is_identity(self):
         dev = _pair_deviation(rho_family(0.7, 0.8).matrix)
-        out = apply_gate(apply_gate(dev, ("RY", 1, np.pi)), ("RY", 1, np.pi))
+        out = _apply_gate(_apply_gate(dev, ("RY", 1, np.pi)), ("RY", 1, np.pi))
         assert np.abs(out - dev).max() <= 1e-12
 
     def test_cswap_control_zero_is_identity(self):
@@ -139,7 +139,7 @@ class TestGates:
         dev = np.kron(np.diag([1.0, 0.0]), np.kron(block, np.eye(4) / 4))
         dev = dev - np.trace(dev) * np.eye(DIM) / DIM
         before = dev.copy()
-        out = apply_gate(dev, ("CSWAP", 0, 1, 2))
+        out = _apply_gate(dev, ("CSWAP", 0, 1, 2))
         # control bit 0 sector untouched
         assert np.abs(out[:16, :16] - before[:16, :16]).max() <= 1e-14
         assert np.array_equal(dev, before)  # the input is not changed
@@ -150,7 +150,7 @@ class TestGates:
         dev = np.kron(PAULI_Z, np.kron(PAULI_X, rest)) + np.kron(
             PAULI_Z, np.kron(PAULI_Z, rest)
         )
-        out = apply_gate(dev, ("DEPHASE", 1))
+        out = _apply_gate(dev, ("DEPHASE", 1))
         expected = np.kron(PAULI_Z, np.kron(PAULI_Z, rest))
         assert np.abs(out - expected).max() <= 1e-14
 
@@ -159,7 +159,7 @@ class TestGates:
         before = purity(dev)
         dev = _forward(dev, [("RY", 2, 0.4), ("RX", 3, -1.1), ("CSWAP", 0, 1, 3)])
         assert abs(purity(dev) - before) <= 1e-12
-        dev = apply_gate(dev, ("DEPHASE", 1))
+        dev = _apply_gate(dev, ("DEPHASE", 1))
         assert purity(dev) <= before + 1e-12
 
     def test_trace_stays_zero(self):
@@ -167,17 +167,8 @@ class TestGates:
         gates = [("RY", 0, np.pi / 2), ("CSWAP", 0, 1, 3), ("DEPOL", 0, 0.05), ("DEPOL", 1, 0.05),
                  ("DEPOL", 3, 0.05), ("DEPHASE", 2), ("RX", 4, 0.3)]
         for gate in gates:
-            dev = apply_gate(dev, gate)
+            dev = _apply_gate(dev, gate)
             assert abs(np.trace(dev[0])) <= 1e-12
-
-    def test_bad_qubit_index(self):
-        dev = _prepare(0.0, 1.0)[0]
-        for bad in [("RY", 5, 0.1), ("CSWAP", 0, 1, 1), ("HADAMARD", 0), ("DEPOL", 5, 0.1),
-                    ("DEPOL", 1, 1.5), ("DEPHASE", -1)]:
-            with pytest.raises(ValueError):
-                apply_gate(dev, bad)
-        with pytest.raises(ValueError, match="expected"):
-            apply_gate(np.zeros((4, 4)), ("DEPHASE", 1))
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
     def test_stack_of_any_shape_is_gated_matrix_by_matrix(self, shape):
@@ -185,16 +176,16 @@ class TestGates:
         dev = np.array([_random_deviation(20 + k) for k in range(count)]).reshape(shape + (DIM, DIM))
         before = dev.copy()
         for gate in [("RY", 2, 0.4), ("RX", 0, -1.1), ("CSWAP", 0, 2, 4), ("DEPHASE", 3), ("DEPOL", 1, 0.2)]:
-            out = apply_gate(dev, gate)
+            out = _apply_gate(dev, gate)
             assert out.shape == dev.shape
-            singles = [apply_gate(m, gate) for m in dev.reshape(-1, DIM, DIM)]
+            singles = [_apply_gate(m, gate) for m in dev.reshape(-1, DIM, DIM)]
             assert np.array_equal(out.reshape(-1, DIM, DIM), np.array(singles))
             assert np.array_equal(dev, before)
 
     @pytest.mark.parametrize("qubits", [(0, 1, 3), (0, 2, 4), (2, 0, 4), (4, 3, 1)])
     def test_cswap_matches_dense_unitary(self, qubits):
         dev = _random_deviation(sum(qubits))
-        out = apply_gate(dev, ("CSWAP",) + qubits)
+        out = _apply_gate(dev, ("CSWAP",) + qubits)
         u = _cswap_reference(*qubits)
         assert np.array_equal(u @ u.T, np.eye(DIM))
         assert np.array_equal(out, u @ dev @ u.T)
@@ -204,16 +195,16 @@ class TestGates:
         dev = _random_deviation(10 + qubit)
         for p in (0.0, 0.05, 1.0):
             assert np.array_equal(_depolarize(dev, qubit, p), _depolarize_reference(dev, qubit, p))
-            assert np.array_equal(apply_gate(dev, ("DEPOL", qubit, p)), _depolarize_reference(dev, qubit, p))
+            assert np.array_equal(_apply_gate(dev, ("DEPOL", qubit, p)), _depolarize_reference(dev, qubit, p))
 
     def test_nan_angle_rejected(self):
         dev = _prepare(np.pi / 2, 1.0)[0]
         with pytest.raises(RuntimeError):
-            apply_gate(dev, ("RY", 1, float("nan")))
+            _apply_gate(dev, ("RY", 1, float("nan")))
 
     def test_non_finite_deviation_rejected(self):
         with pytest.raises(RuntimeError):
-            apply_gate(np.full((DIM, DIM), np.nan), ("DEPHASE", 1))
+            _apply_gate(np.full((DIM, DIM), np.nan), ("DEPHASE", 1))
         dev = np.zeros((DIM, DIM), dtype=complex)
         dev[0, 1] = dev[1, 0] = np.inf
         with pytest.raises(RuntimeError):
@@ -309,10 +300,6 @@ class TestMeasureBlock:
             py = purity(_ab_marginal(_measure_block(dev, "y")))
             assert abs(px - py) <= 1e-10
 
-    def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            _setting_gates("w", "AB", 0.0)
-
 
 class TestSwapTestReadout:
     def test_pure_pair(self):
@@ -337,10 +324,6 @@ class TestSwapTestReadout:
         assert abs(_forward_read(dev, 2.0, None, "AB")[0] - expected) <= 1e-10
         read = np.einsum("abcd,ca,db->", _observable("purity_AB", 0.0), rho1, rho2).real / 2.0
         assert abs(read - expected) <= 1e-10
-
-    def test_bad_which(self):
-        with pytest.raises(ValueError):
-            _setting_gates(None, "C", 0.0)
 
 
 class TestObservables:
@@ -408,6 +391,50 @@ class TestObservables:
         assert kinds == ["RY", "CSWAP", "DEPOL", "DEPOL", "DEPOL", "CSWAP", "DEPOL", "DEPOL", "DEPOL", "RY"]
         assert [g[1] for g in gates if g[0] == "DEPOL"] == [0, 1, 3, 0, 2, 4]
         assert "DEPOL" not in [g[0] for g in _setting_gates("x", "B", 0.0)]
+
+
+# The swap test's two-copy observables on A B A' B', as (2,)*8 tensors with
+# rows a b c d and columns e f g h: SWAP_AA' SWAP_BB' exchanges the copies,
+# SWAP_BB' the B qubits alone.
+_I2 = np.eye(2)
+_COPY_SWAP = np.einsum("ag,bh,ce,df->abcdefgh", _I2, _I2, _I2, _I2).reshape(16, 16)
+_B_SWAP = np.einsum("ae,bh,cg,df->abcdefgh", _I2, _I2, _I2, _I2).reshape(16, 16)
+
+
+def _two_copy_pinch(op, axis):
+    """op pinched on A and A' in the eigenbasis of the Pauli ``axis``."""
+    basis = MUBS.bases[AXIS_TO_THETA[axis] - 1]
+    projectors = [np.outer(v, v.conj()) for v in basis]
+    kraus = [np.kron(np.kron(pa, _I2), np.kron(pa2, _I2)) for pa in projectors for pa2 in projectors]
+    return sum(k @ op @ k for k in kraus)
+
+
+def _sym(op):
+    """The part of a 16x16 op that Tr(op rho (x) rho) reads: Hermitian, averaged over the copy exchange."""
+    h = (op + op.conj().T) / 2
+    return (h + _COPY_SWAP @ h @ _COPY_SWAP) / 2
+
+
+class TestCertificate:
+    """Each setting's observable as an operator identity, so the panel claims hold for every state."""
+
+    @pytest.mark.parametrize("name", PANEL_FIELDS)
+    def test_ideal_observable_is_the_pinched_swap(self, name):
+        # Tr(V_s(0) rho (x) rho) / 2 = Tr(E_s rho (x) rho): the purity of rho, or of its
+        # B marginal, after the setting's pinch of A
+        axis, which = _SETTINGS[name]
+        e = _COPY_SWAP if which == "AB" else _B_SWAP
+        if axis is not None:
+            e = _two_copy_pinch(e, axis)
+        v = _observable(name, 0.0).reshape(16, 16)
+        assert np.abs(_sym(v / 2) - _sym(e)).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", PANEL_FIELDS)
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.2])
+    def test_noise_scales_the_observable_per_cswap(self, name, p):
+        # V_s(p) = (1 - p)**k V_s(0) with k CSWAPs, so rescaling is exact for every state
+        k = 2 if _SETTINGS[name][1] == "AB" else 1
+        assert np.abs(_observable(name, p) - (1 - p) ** k * _observable(name, 0.0)).max() <= 1e-15
 
 
 class TestRunProtocol:
@@ -566,6 +593,27 @@ class TestNoiseAndRescaling:
             monkeypatch.setattr(expsim, "_read_panel", lambda rho, p: noisy if p else ideal)
             with pytest.raises(ValueError, match="attenuation factor for purity_AB"):
                 calibration_factors(self.NOISE)
+
+    def test_calibration_rejects_factor_off_closed_form(self, monkeypatch):
+        # an unattenuated signal at p = 0.01, or one off (1 - p)**k by 1e-9 relative
+        ideal = dict.fromkeys(PANEL_FIELDS, np.array([1.0]))
+        exact = {name: np.array([0.99 ** len(which)]) for name, (_, which) in _SETTINGS.items()}
+        for bad in (1.0, 0.99**2 * (1 + 1e-9)):
+            noisy = exact | {"purity_AB": np.array([bad])}
+            monkeypatch.setattr(expsim, "_read_panel", lambda rho, p: noisy if p else ideal)
+            with pytest.raises(ValueError, match="attenuation factor for purity_AB"):
+                calibration_factors(self.NOISE)
+
+    def test_lost_signal_is_rejected(self):
+        # at p = 1 every factor is 0 up to rounding: nothing can be divided out
+        with pytest.raises(ValueError, match="attenuation factor for purity_AB"):
+            calibration_factors(NoiseModel(1.0))
+        with pytest.raises(ValueError, match="attenuation factor for purity_AB"):
+            run_protocol(np.pi / 2, 0.5, NoiseModel(1.0))
+        factors = calibration_factors(NoiseModel(0.99))
+        for name in PANEL_FIELDS:
+            expected = 0.01 ** len(_SETTINGS[name][1])
+            assert abs(factors[name] - expected) <= 1e-12 * expected
 
     def test_noiseless_factors_are_one(self):
         assert calibration_factors(NOISELESS) == {name: 1.0 for name in PANEL_FIELDS}

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from mubpurity.expsim import _SZ_PROBE_DIAG, apply_gate
 from mubpurity.linalg import (
     DensityMatrix,
     _check_density_stack,
@@ -454,7 +453,6 @@ INTEGER_ENTRY_POINTS = {
     "random density stack rank": (lambda v, tmp: _random_density_stack(4, [2, v], [0, 1]), 4),
     "post_measurement_state basis label": (
         lambda v, tmp: post_measurement_state(DensityMatrix(BELL, (2, 2)), construct_mubs(2, 3), v), 2),
-    "apply_gate qubit": (lambda v, tmp: apply_gate(np.diag(_SZ_PROBE_DIAG).astype(complex), ("RY", v, 0.3)), 1),
 }
 
 

@@ -8,7 +8,6 @@ from mubpurity.mub import (
     MubValidationError,
     MubValidationReport,
     construct_mubs,
-    is_prime,
     load_mubs,
     save_mubs,
     validate_mubs,
@@ -17,7 +16,13 @@ from test_relations import _equivalent_set
 
 
 def test_is_prime():
-    assert [n for n in range(14) if is_prime(n)] == [2, 3, 5, 7, 11, 13]
+    # construct_mubs owns the primality rule: it builds every prime d and refuses every other
+    for d in range(2, 14):
+        if d in (2, 3, 5, 7, 11, 13):
+            assert construct_mubs(d, 2).d == d
+        else:
+            with pytest.raises(MubValidationError, match=f"d={d} is not prime"):
+                construct_mubs(d, 2)
 
 
 def test_d2_pauli_triple():
