@@ -45,7 +45,7 @@ from .mub import (
     load_mubs,
     save_mubs,
 )
-from .relations import _relation_arrays, relation_report, verify_relations
+from .relations import _check_bipartite_input, _relation_arrays, relation_report, verify_relations
 from .states import _family_states, rho_family
 
 _PI_RE = re.compile(r"^([+-]?(?:\d+(?:\.\d*)?|\.\d+)?)\*?pi(?:/(\d+(?:\.\d*)?))?$")
@@ -138,7 +138,9 @@ def cmd_relation(ns) -> int:
             if value is not None:
                 raise ValueError(f"{flag} sets the family state and does not apply to --state")
         rho = density_from_json(json.loads(Path(ns.state).read_text()))
+        # the basis set is resolved at d, which only a bipartite state has
         d = rho.dims[0]
+        _check_bipartite_input(rho.dims, d)
         label = f"state from {ns.state}"
     else:
         alpha = math.pi / 2 if ns.alpha is None else ns.alpha

@@ -20,7 +20,10 @@ builds and checks; out-of-domain points fail there with the message of
 ``rho_family``, which names x when both values are out.
 
 Sites for noise: a one-parameter depolarizing channel acts on every qubit
-touched by a controlled-SWAP, immediately after the gate. Rescaling divides
+touched by a controlled-SWAP, immediately after the gate. Only the probe's
+site reaches the read: at the A, B, A' and B' sites the pulled-back
+observable is the identity on that qubit, which the channel fixes, so the
+panel cannot detect a dropped swapped-qubit site. Rescaling divides
 each measured value by the attenuation observed on a reference state whose
 ideal panel is read by the same pipeline without noise; that attenuation
 must be (1 - p)**k for a setting with k controlled-SWAPs.

@@ -43,19 +43,18 @@ _CHUNK_BYTES = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class BipartiteBasis:
-    """Orthonormal basis of the d*d space built from a MUB set.
+    """The entangled states built from a MUB set, and the projector onto their complement.
 
     ``twisted[t, k]`` is the phase-twisted maximally entangled state of
     basis t+1 and twist k = 0..d-1, shape (M, d, d*d); every k = 0 row is
-    the same state ``phi``. ``complement`` holds the (d-1)(d+1-M) states
-    completing the basis as rows, shape (p, d*d), and ``projector`` projects
-    onto their span. ``gram_deviation`` is max|G - I| of the Gram matrix G
-    of all d*d states, measured when the basis was built. Instances compare
-    and hash by identity.
+    the same state ``phi``. The 1 + M(d-1) distinct states are orthonormal,
+    and ``projector`` = I - sum_v |v><v| over them projects onto the
+    (d-1)(d+1-M)-dimensional rest of the d*d space. ``gram_deviation`` is
+    max|G - I| of the Gram matrix G of the constructed states, measured
+    when the basis was built. Instances compare and hash by identity.
     """
 
     twisted: np.ndarray
-    complement: np.ndarray
     projector: np.ndarray
     mubs: MubSet
     gram_deviation: float
@@ -79,18 +78,15 @@ def _constructed_states(twisted: np.ndarray) -> np.ndarray:
 
 
 def build_bipartite_basis(mubs: MubSet) -> BipartiteBasis:
-    """Construct the entangled basis states, their complement and its projector.
+    """Construct the entangled basis states and the projector onto their orthogonal complement.
 
     The second factor of every constructed state carries the complex
     conjugate (taken in the computational basis) of the first factor's
-    vector. The projector is I - sum_v |v><v| over the constructed states v.
-    The complement is an orthonormal basis of the orthogonal complement of
-    their span: the trailing columns of the complete QR factor of the
-    (d*d, 1 + M(d-1)) matrix whose columns are the v. At M = d + 1 the v
-    already span the space, so the complement is empty and no factorization
-    runs. ``mubs`` was validated when it was made; the invariants of the
-    derived states (pairwise orthonormality, projector idempotency and
-    rank, agreement of the projector with its complement states) are
+    vector. The projector is P = I - sum_v |v><v| over the constructed
+    states v; it is the orthogonal projector onto the complement of their
+    span exactly when the v are orthonormal, and vanishes at M = d + 1.
+    ``mubs`` was validated when it was made; the invariants of the derived
+    states (pairwise orthonormality, projector idempotency and trace) are
     verified before returning, and a failed one raises :class:`MubValidationError`.
     """
     d, m = mubs.d, mubs.M
@@ -101,30 +97,21 @@ def build_bipartite_basis(mubs: MubSet) -> BipartiteBasis:
 
     span = _constructed_states(twisted)
     projector = np.eye(d * d, dtype=complex) - span.T @ span.conj()
-    if len(span) == d * d:
-        complement = np.empty((0, d * d), dtype=complex)
-    else:
-        complement = np.linalg.qr(span.T, mode="complete")[0][:, len(span):].T
-    gram_dev = _check_basis_invariants(span, complement, projector, d, m)
-    return BipartiteBasis(twisted, complement, projector, mubs, gram_dev)
+    gram_dev = _check_basis_invariants(span, projector, d, m)
+    return BipartiteBasis(twisted, projector, mubs, gram_dev)
 
 
-def _check_basis_invariants(
-    span: np.ndarray, complement: np.ndarray, projector: np.ndarray, d: int, m: int
-) -> float:
-    """max|G - I| of the Gram matrix G of all d*d states; a failed invariant is a MubValidationError."""
-    states = np.concatenate([span, complement])
-    gram = states.conj() @ states.T
-    gram_dev = float(np.abs(gram - np.eye(states.shape[0])).max())
+def _check_basis_invariants(span: np.ndarray, projector: np.ndarray, d: int, m: int) -> float:
+    """max|G - I| of the Gram matrix G of the constructed states; a failed invariant is a MubValidationError."""
+    gram = span.conj() @ span.T
+    gram_dev = float(np.abs(gram - np.eye(len(span))).max())
     if gram_dev > TOL_STRUCTURAL:
         raise MubValidationError(f"basis states not orthonormal: max deviation {gram_dev:.3e}")
-    if float(np.abs(projector - complement.T @ complement.conj()).max()) > TOL_STRUCTURAL:
-        raise MubValidationError("projector disagrees with the sum over complement states")
     if frobenius_norm(projector @ projector - projector) > TOL_PSD:
         raise MubValidationError("projector is not idempotent within tolerance")
     p_expected = (d - 1) * (d + 1 - m)
     if abs(np.trace(projector).real - p_expected) > TOL_SPECTRAL:
-        raise MubValidationError(f"projector rank disagrees with the complement count {p_expected}")
+        raise MubValidationError(f"projector trace disagrees with p = (d-1)(d+1-M) = {p_expected}")
     return gram_dev
 
 

@@ -349,6 +349,26 @@ class TestRelationCommand:
         # the A side is the d of construct_mubs
         assert capsys.readouterr().err == "error: need d >= 2, got d=1\n"
 
+    @pytest.mark.parametrize("dims,code,message", [
+        ((4,), 1, "expected a bipartite state, got dims (4,)"),
+        ((4, 1, 1), 1, "expected a bipartite state, got dims (4, 1, 1)"),
+        ((5,), 1, "expected a bipartite state, got dims (5,)"),
+        ((6, 1), 2, "d=6 is not prime; basis sets are constructed for prime d only"),
+    ])
+    def test_state_dims_decide_the_exit(self, tmp_path, capsys, dims, code, message):
+        # a state without two factors has no d, so the primality of its
+        # first factor does not decide the exit
+        from mubpurity.linalg import density_to_json
+        from mubpurity.states import random_density
+
+        dim = int(np.prod(dims))
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(density_to_json(random_density(dim, dim, 0, dims=dims))))
+        assert main(["relation", "--state", str(state_path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_family_state_reads_mubs_file(self, tmp_path, capsys):
         # --mubs applies to the family state too, through the same resolver
         assert main(["relation", "--mubs", str(tmp_path / "missing.json")]) == 2
