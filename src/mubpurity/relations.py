@@ -37,7 +37,8 @@ from .mub import MubSet, MubValidationError
 from .states import _random_density_stack
 from .tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 
-# byte budget of the largest per-chunk intermediate of verify_relations
+# byte budget of verify_relations' chunk of trials, counted as M state-sized
+# complex arrays per state
 _CHUNK_BYTES = 1 << 20
 
 
@@ -141,30 +142,31 @@ def check_pt_identities(basis: BipartiteBasis) -> PtIdentityReport:
     """Verify the partial-transpose rewrites of the constructed projectors.
 
     The stored twisted states are checked against the stored MUB vectors
-    one basis at a time: each pass holds a few (d*d, d*d) matrices of one
-    basis, so the peak memory is O(d**4) at any M. The pinch and the twist
-    sum are each one BLAS matrix product.
+    one basis at a time. The partial transpose only permutes entries, so it
+    moves to the right-hand side at no cost to the Frobenius norm, where
+    every term has rank at most d: each basis's deviation is the norm of one
+    (d*d, 2d) @ (2d, d*d) product, and phi's of one (d*d, 2) @ (2, d*d).
+    That product is the only (d*d, d*d) array alive at any M.
     """
     d = basis.d
-    n = d * d
     phi = basis.phi
     phi_dev = 0.0
     theta_devs = []
     for t, (vecs, twists) in enumerate(zip(basis.mubs.bases, basis.twisted[:, 1:])):
         # the rows of vecs are the vectors |i> of the basis; with
-        # q[a, e] = sum_i <a|i><i|e>, the swap sum_ij |i><j| (x) |j><i| has
-        # entries swap[ab, ce] = q[a, e] q[b, c]
+        # q[a, e] = sum_i <a|i><i|e>, the partially transposed swap
+        # sum_ij |i><j| (x) |j><i| is vec(q) vec(q^T)^T
         q = vecs.T @ vecs.conj()
-        swap = np.multiply.outer(q, q).transpose(0, 2, 3, 1).reshape(n, n)
-        # the pinch sum_i P_i (x) P_i is w^T w* with w[i, ab] = <a|i><b|i>
-        w = (vecs[:, :, None] * vecs[:, None, :]).reshape(d, n)
-        pinch = w.T @ w.conj()
-        lhs = partial_transpose(twists.T @ twists.conj(), (d, d), subsystem=1)
+        swap_left, swap_right = q.reshape(-1, 1) / d, q.T.reshape(1, -1)
         if t == 0:
             # phi's identity uses the swap of basis 1
-            phi_pt = partial_transpose(np.outer(phi, phi.conj()), (d, d), subsystem=1)
-            phi_dev = frobenius_norm(phi_pt - swap / d)
-        theta_devs.append(frobenius_norm(lhs - (pinch - swap / d)))
+            phi_dev = frobenius_norm(np.hstack([phi[:, None], -swap_left]) @ np.vstack([phi.conj(), swap_right]))
+        # the partially transposed pinch sum_i P_i (x) P_i is u^T u* with
+        # u[i, ab] = <a|i><i|b>
+        u = (vecs[:, :, None] * vecs.conj()[:, None, :]).reshape(d, d * d)
+        left = np.hstack([twists.T, -u.T, swap_left])
+        right = np.vstack([twists.conj(), u.conj(), swap_right])
+        theta_devs.append(frobenius_norm(left @ right))
     return PtIdentityReport(phi_dev, tuple(theta_devs))
 
 
@@ -176,26 +178,35 @@ def _check_bipartite_input(dims: tuple[int, ...], d: int) -> int:
     return dims[1]
 
 
-def _pinch_blocks(rho: np.ndarray, dims: tuple[int, ...], bases: np.ndarray) -> np.ndarray:
-    """``blocks[n, t, i] = <i_t|rho_n|i_t>``, shape (n, k, d, D, D), for n states and k bases.
-
-    ``rho`` is an (n, d*D, d*D) stack on ``dims``. Basis t pinches rho_n into
-    sum_i |i_t><i_t| (x) blocks[n, t, i]; the rows of a :class:`MubSet` are
-    orthonormal, so the pinch keeps the trace.
-    """
+def _basis_pairs(bases: np.ndarray) -> np.ndarray:
+    """``pairs[t, i, a*d + c] = <i_t|a><c|i_t>`` of k bases: read as (k*d, d*d), it pinches a realigned state."""
     k, d = bases.shape[:2]
+    return (bases.conj()[:, :, :, None] * bases[:, :, None, :]).reshape(k, d, d * d)
+
+
+def _pinch_blocks(rho: np.ndarray, dims: tuple[int, ...], pairs: np.ndarray) -> np.ndarray:
+    """``blocks[n, t, i] = <i_t|rho_n|i_t>``, shape (n, k, d, D, D), for n states and the k bases of ``pairs``.
+
+    ``rho`` is an (n, d*D, d*D) stack on ``dims`` and ``pairs`` comes from
+    :func:`_basis_pairs`. Each state is read realigned,
+    R[(a, c), (b, e)] = rho[ab, ce], which makes the pinch of every basis
+    one (k*d, d*d) @ (d*d, D*D) product per state. Basis t pinches rho_n
+    into sum_i |i_t><i_t| (x) blocks[n, t, i]; the rows of a
+    :class:`MubSet` are orthonormal, so the pinch keeps the trace.
+    """
+    k, d = pairs.shape[:2]
     big_d = _check_bipartite_input(dims, d)
-    n = len(rho)
-    # one (d, d) @ (d, D*d*D) product per state and basis
-    half = (bases.conj() @ rho.reshape(n, 1, d, -1)).reshape(n, k, d, big_d, d, big_d)
-    return np.einsum("ntibce,tic->ntibe", half, bases)
+    realigned = rho.reshape(-1, d, big_d, d, big_d).transpose(0, 1, 3, 2, 4).reshape(-1, d * d, big_d * big_d)
+    return (pairs.reshape(k * d, -1) @ realigned).reshape(-1, k, d, big_d, big_d)
 
 
-def _pinched_sum(bases: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """sum_t sum_i |i_t><i_t| (x) blocks[n, t, i] of each state, as an (n, d*D, d*D) stack."""
+def _pinched_sum(pairs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_t sum_i |i_t><i_t| (x) blocks[n, t, i] of each state, as an (n, d*D, d*D) stack.
+
+    Its realignment is pairs^H @ blocks, one product per state.
+    """
     n, k, d, big_d = blocks.shape[:4]
-    proj = np.einsum("tia,tic->tiac", bases, bases.conj()).reshape(k * d, d * d)
-    out = (proj.T @ blocks.reshape(n, k * d, -1)).reshape(n, d, d, big_d, big_d)
+    out = (pairs.reshape(k * d, -1).conj().T @ blocks.reshape(n, k * d, -1)).reshape(n, d, d, big_d, big_d)
     return out.transpose(0, 1, 3, 2, 4).reshape(n, d * big_d, d * big_d)
 
 
@@ -208,9 +219,9 @@ def post_measurement_state(rho: DensityMatrix, mubs: MubSet, theta: int) -> Dens
     theta = _as_int("basis label", theta)
     if not 1 <= theta <= mubs.M:
         raise ValueError(f"basis label {theta} out of range 1..{mubs.M}")
-    kets = mubs.bases[theta - 1 : theta]
-    blocks = _pinch_blocks(rho.matrix[None], rho.dims, kets)
-    return DensityMatrix(_pinched_sum(kets, blocks)[0], rho.dims)
+    pairs = _basis_pairs(mubs.bases[theta - 1 : theta])
+    blocks = _pinch_blocks(rho.matrix[None], rho.dims, pairs)
+    return DensityMatrix(_pinched_sum(pairs, blocks)[0], rho.dims)
 
 
 def _gamma_terms(
@@ -220,10 +231,11 @@ def _gamma_terms(
 
     All three carry the leading axis of the (n, d*D, d*D) stack ``rho``.
     """
-    blocks = _pinch_blocks(rho, dims, mubs.bases)
+    pairs = _basis_pairs(mubs.bases)
+    blocks = _pinch_blocks(rho, dims, pairs)
     d, m = mubs.d, mubs.M
     rho_b = partial_trace_matrix(rho, dims)
-    g = np.kron(np.eye(d), rho_b) + (m - 1) / d * rho - _pinched_sum(mubs.bases, blocks)
+    g = np.kron(np.eye(d), rho_b) + (m - 1) / d * rho - _pinched_sum(pairs, blocks)
     return rho_b, blocks, g
 
 
@@ -363,7 +375,7 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
     Trial t draws a state of rank d*big_d, 1 or 2 (cycling) from the t-th
     seed of ``SeedSequence(seed)``. The trials are drawn and read as checked
     stacks, one :func:`_relation_arrays` call per chunk; the chunk holds as
-    many states as keep its pinch intermediate within ``_CHUNK_BYTES``, so
+    many states as fit M state-sized arrays each into ``_CHUNK_BYTES``, so
     the state intermediates stay bounded at any trial count; the per-trial
     seeds and results still grow linearly with it. A state check reports its
     first worst trial.
@@ -378,7 +390,9 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
     trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)]
     dim = d * big_d
     ranks = [(dim, 1, 2)[t % 3] for t in range(trials)]
-    # the pinch's (n, M, d, D, d, D) complex array is the largest intermediate
+    # a chunk's working set (the stack, its realignment, the (n, M*d, D*D)
+    # pinch blocks, the pinched sum and gamma) measures 3.3 to 9 state-sized
+    # arrays per state, so a chunk of several states peaks under 3 MiB
     chunk = max(1, _CHUNK_BYTES // (m * dim * dim * 16))
     complete = m == d + 1
     gaps, gammas = [], []

@@ -323,20 +323,23 @@ class TestPostMeasurement:
                 out = post_measurement_state(rho, mubs, theta)
                 assert np.abs(partial_trace_matrix(out.matrix, out.dims) - marg).max() <= 1e-12
 
-    @pytest.mark.parametrize("d,big_d", [(2, 1), (3, 2), (5, 3)])
+    @pytest.mark.parametrize("d,big_d", [(2, 1), (3, 2), (5, 3), (2, 5), (3, 4)])
     def test_matches_kron_reference(self, d, big_d):
-        mubs = construct_mubs(d, d + 1)
-        for seed in _seeds(300 + 10 * d + big_d, 5):
-            rho = random_density(d * big_d, d * big_d, seed, dims=(d, big_d))
-            rep = relation_report(rho, mubs)
-            for theta in range(1, mubs.M + 1):
-                out = post_measurement_state(rho, mubs, theta)
-                expected = _pinch_by_kron(rho, mubs, theta)
-                assert np.abs(out.matrix - expected).max() <= 1e-12
-                # the report reads the same pinch from its blocks
-                marginal = partial_trace_matrix(expected, rho.dims)
-                assert abs(rep.purity_thetaB[theta - 1] - purity(expected)) <= 1e-12
-                assert abs(rep.purity_B_given_theta[theta - 1] - purity(marginal)) <= 1e-12
+        # the realigned pinch against the term-by-term sum, on B sides
+        # smaller and larger than A, for the constructed set and a rotated,
+        # rephased one
+        for mubs in (construct_mubs(d, d + 1), _equivalent_set(d, d + 1, 40 * d + big_d)):
+            for seed in _seeds(300 + 10 * d + big_d, 5):
+                rho = random_density(d * big_d, d * big_d, seed, dims=(d, big_d))
+                rep = relation_report(rho, mubs)
+                for theta in range(1, mubs.M + 1):
+                    out = post_measurement_state(rho, mubs, theta)
+                    expected = _pinch_by_kron(rho, mubs, theta)
+                    assert np.abs(out.matrix - expected).max() <= 1e-12
+                    # the report reads the same pinch from its blocks
+                    marginal = partial_trace_matrix(expected, rho.dims)
+                    assert abs(rep.purity_thetaB[theta - 1] - purity(expected)) <= 1e-12
+                    assert abs(rep.purity_B_given_theta[theta - 1] - purity(marginal)) <= 1e-12
 
     def test_theta_out_of_range(self):
         mubs = construct_mubs(2, 3)
@@ -474,6 +477,21 @@ class TestRelationReport:
             # measuring A never changes the B marginal purity
             for p in rep.purity_B_given_theta:
                 assert abs(p - rep.purity_B) <= 1e-12
+
+    def test_memory_is_a_few_states(self):
+        # the pinch holds the realigned state and the (M*d, D*D) blocks;
+        # an (M, d, D, d, D) intermediate, M times the state, would peak
+        # near 24 MiB here
+        mubs = construct_mubs(17, 18)
+        rho = random_density(289, 289, 17, dims=(17, 17))
+        relation_report(rho, mubs)  # warm every lazily built numpy path first
+        tracemalloc.start()
+        try:
+            relation_report(rho, mubs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_json_fields(self):
         rep = relation_report(BELL, construct_mubs(2, 3))
