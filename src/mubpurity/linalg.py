@@ -112,15 +112,37 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
+def _psd_rows(a: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a Hermitian (n, k, k) stack has every eigenvalue above -TOL_PSD, as an (n,) bool array.
+
+    Decided without an eigensolve: a Hermitian matrix has a Cholesky factor
+    exactly when it is positive definite, so ``a + TOL_PSD I`` factors
+    exactly when every eigenvalue of ``a`` exceeds -TOL_PSD. The
+    factorization is backward stable, so rounding moves that bound by far
+    less than the slack. It reads one triangle only, so the caller checks
+    hermiticity first. The whole stack is factored in one call; only when
+    that fails is each matrix factored alone, to tell which ones fail.
+    """
+    shifted = a + TOL_PSD * np.eye(a.shape[-1])
+    try:
+        np.linalg.cholesky(shifted)
+        return np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    rows = np.ones(len(a), dtype=bool)
+    for k, m in enumerate(shifted):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            rows[k] = False
+    return rows
+
+
 def _check_density_stack(a: np.ndarray) -> None:
     """Reject an (n, k, k) stack unless every matrix is finite, Hermitian, unit-trace and PSD.
 
-    PSD means no eigenvalue below -TOL_PSD. The checks run in that order, and
-    the last one decides it without an eigensolve: a Hermitian matrix has a
-    Cholesky factor exactly when it is positive definite, so ``a + TOL_PSD I``
-    factors exactly when every eigenvalue of ``a`` exceeds -TOL_PSD. The
-    factorization is backward stable, so rounding moves that bound by far
-    less than the slack.
+    The checks run in that order; PSD means no eigenvalue below -TOL_PSD,
+    as :func:`_psd_rows` decides it.
     """
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
@@ -130,10 +152,8 @@ def _check_density_stack(a: np.ndarray) -> None:
     off = np.abs(traces - 1.0) > TOL_STRUCTURAL
     if off.any():
         raise ValueError(f"trace {complex(traces[off.argmax()])!r} is not 1 within tolerance")
-    try:
-        np.linalg.cholesky(a + TOL_PSD * np.eye(a.shape[-1]))
-    except np.linalg.LinAlgError:
-        raise ValueError("density matrix has a negative eigenvalue beyond tolerance") from None
+    if not _psd_rows(a).all():
+        raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,10 +179,23 @@ class DensityMatrix:
         if a.shape != (total, total):
             raise ValueError(f"matrix shape {a.shape} does not match dims {dims}")
         _check_density_stack(a[None])
+        self._freeze(a, dims)
+
+    def _freeze(self, a: np.ndarray, dims: tuple[int, ...]) -> None:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "dims", dims)
+
+    @classmethod
+    def _checked(cls, a: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
+        """The density matrix of a (k, k) array that a state builder has already checked, on int ``dims`` that fit it.
+
+        Nothing is checked again; the matrix is copied as the constructor copies it.
+        """
+        rho = object.__new__(cls)
+        rho._freeze(a, dims)
+        return rho
 
     @property
     def dim(self) -> int:

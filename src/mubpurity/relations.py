@@ -15,7 +15,26 @@ with equality whenever M = d + 1. Both sides are tied to the operator
 which vanishes at M = d + 1 and is positive semidefinite for M <= d. The
 module computes gamma both from that definition and through an independent
 projector/partial-transpose route, which serves as a cross-check.
-:func:`verify_relations` checks all of these claims on seeded random states.
+
+:func:`verify_relations` certifies the PSD claim for every state at once.
+gamma = (Phi (x) id_B)(rho) for the linear map
+
+    Phi(X) = Tr(X) I + (M-1)/d * X - sum_theta sum_i <i|X|i> |i><i|,
+
+whose Choi matrix J = d * gamma(|Omega><Omega|), with
+|Omega> = sum_a |aa>/sqrt(d), equals the complement projector P (Choi,
+Linear Algebra Appl. 10, 285 (1975); Jamiolkowski, Rep. Math. Phys. 3,
+275 (1972)). The map X -> Tr(X) I has Choi matrix I, so if
+lambda_min(J) >= -eps, then J + eps I is a PSD Choi matrix, that of
+Phi + eps Tr(.) I, which is therefore completely positive; for every state
+rho and every D
+
+    gamma(rho) >= -eps (I_A (x) rho_B) >= -eps I.
+
+A check of J at -TOL_PSD thus bounds every gamma at the bound each trial
+is gated at, and the gap Tr(gamma rho) is then at least -TOL_PSD. At
+M = d + 1, J = 0 makes gamma vanish identically. The checks also run on
+seeded random states.
 """
 
 from __future__ import annotations
@@ -27,9 +46,11 @@ import numpy as np
 from .linalg import (
     DensityMatrix,
     _as_int,
+    _psd_rows,
     _purities,
     frobenius_norm,
     hermitian_eigenvalues,
+    hermiticity_defect,
     partial_trace_matrix,
     partial_transpose,
 )
@@ -37,9 +58,10 @@ from .mub import MubSet, MubValidationError
 from .states import _random_density_stack
 from .tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 
-# byte budget of verify_relations' chunk of trials, counted as M state-sized
-# complex arrays per state
+# byte budget of verify_relations' chunk of trials, counted as its measured
+# working set of _CHUNK_ARRAYS + M/d state-sized complex arrays per state
 _CHUNK_BYTES = 1 << 20
+_CHUNK_ARRAYS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,8 +365,11 @@ def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
 class VerificationReport:
     """The checks of :func:`verify_relations`, one ``(name, value, bound, passed, state_seed)`` each.
 
-    ``state_seed`` seeds the random state attaining ``value``; it is None
-    for the checks of the basis itself.
+    ``state_seed`` seeds the random state attaining ``value``, or for the
+    PSD gate the first state it rejects; it is None for the checks of the
+    basis itself and for a passing gate. ``gram_deviation`` is the basis's
+    Gram deviation, an observation and not a check: the build raises above
+    ``TOL_STRUCTURAL``, so a report exists only when it lies below.
     """
 
     d: int
@@ -352,6 +377,7 @@ class VerificationReport:
     M: int
     trials: int
     seed: int
+    gram_deviation: float
     checks: tuple[tuple[str, float, float, bool, int | None], ...]
 
     @property
@@ -359,7 +385,10 @@ class VerificationReport:
         return all(check[3] for check in self.checks)
 
     def summary(self) -> str:
-        lines = [f"verify d={self.d} M={self.M} D={self.D} trials={self.trials} seed={self.seed}"]
+        lines = [
+            f"verify d={self.d} M={self.M} D={self.D} trials={self.trials} seed={self.seed}",
+            f"gram max deviation: {self.gram_deviation!r} (basis build raises above {TOL_STRUCTURAL!r})",
+        ]
         for name, value, bound, passed, state_seed in self.checks:
             line = f"{name}: {value!r} (bound {bound!r}) {'PASS' if passed else 'FAIL'}"
             if not passed and state_seed is not None:
@@ -369,16 +398,47 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _choi_matrix(mubs: MubSet) -> np.ndarray:
+    """J = d * gamma(|Omega><Omega|) at dims (d, d), the Choi matrix of gamma's map (module docstring)."""
+    d = mubs.d
+    # d |Omega><Omega| = sum_ab |aa><bb|, and gamma is linear in the state
+    omega = np.eye(d, dtype=complex).reshape(1, d * d)
+    return _gamma_terms((omega.T @ omega)[None], (d, d), mubs)[2][0]
+
+
+def _certificate(basis: BipartiteBasis) -> list[tuple[str, float, float, bool, None]]:
+    """The checks of the Choi matrix J: J = P within TOL_STRUCTURAL, then J >= -TOL_PSD below M = d + 1, or J = 0 at it."""
+    d = basis.d
+    choi = _choi_matrix(basis.mubs)
+    route = float(np.abs(choi - basis.projector).max())
+    checks = [("choi vs projector max deviation", route, TOL_STRUCTURAL, route <= TOL_STRUCTURAL, None)]
+    if basis.M == d + 1:
+        norm = frobenius_norm(choi)
+        checks.append(("choi frobenius", norm, TOL_SPECTRAL, norm <= TOL_SPECTRAL, None))
+    else:
+        low = float(hermitian_eigenvalues(choi)[0])
+        checks.append(("choi min eigenvalue", low, -TOL_PSD, low >= -TOL_PSD, None))
+    return checks
+
+
 def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> VerificationReport:
-    """Check the basis of ``mubs`` and the relation on ``trials`` >= 1 random states on (d, big_d >= 1).
+    """Check the basis of ``mubs``, certify gamma from its Choi matrix, and check ``trials`` >= 1 random states on (d, big_d >= 1).
+
+    The certificate is read once per call (module docstring): J must equal
+    the stored projector, the second gamma route; below M = d + 1 its
+    smallest eigenvalue, the call's only eigensolve, must reach -TOL_PSD,
+    which bounds gamma(rho) below by -TOL_PSD I for every state and every
+    D; at M = d + 1 its norm must vanish.
 
     Trial t draws a state of rank d*big_d, 1 or 2 (cycling) from the t-th
     seed of ``SeedSequence(seed)``. The trials are drawn and read as checked
-    stacks, one :func:`_relation_arrays` call per chunk; the chunk holds as
-    many states as fit M state-sized arrays each into ``_CHUNK_BYTES``, so
-    the state intermediates stay bounded at any trial count; the per-trial
-    seeds and results still grow linearly with it. A state check reports its
-    first worst trial.
+    stacks, one :func:`_relation_arrays` call per chunk, so the state
+    intermediates stay bounded at any trial count; the per-trial seeds and
+    results still grow linearly with it. Each trial's gamma must be
+    Hermitian within TOL_PSD (a ValueError otherwise) and its relation gap
+    must equal Tr(gamma rho); below M = d + 1 each gamma must pass the
+    Cholesky PSD gate at -TOL_PSD, and at M = d + 1 it and the gap must
+    vanish. A state check reports its first worst trial.
     """
     if big_d < 1:
         raise ValueError(f"need big_d >= 1, got {big_d}")
@@ -387,42 +447,46 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
     d, m = mubs.d, mubs.M
     basis = build_bipartite_basis(mubs)
     pt = check_pt_identities(basis)
+    checks = [("pt identities max deviation", pt.max_deviation, TOL_STRUCTURAL, pt.passed, None)]
+    checks += _certificate(basis)
+
     trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)]
     dim = d * big_d
     ranks = [(dim, 1, 2)[t % 3] for t in range(trials)]
     # a chunk's working set (the stack, its realignment, the (n, M*d, D*D)
-    # pinch blocks, the pinched sum and gamma) measures 3.3 to 9 state-sized
-    # arrays per state, so a chunk of several states peaks under 3 MiB
-    chunk = max(1, _CHUNK_BYTES // (m * dim * dim * 16))
+    # pinch blocks, the pinched sum, gamma and the gate's shifted copy)
+    # measures about 4 + M/d state-sized arrays per state, so a chunk of
+    # several states peaks under 1.8 MiB
+    chunk = max(1, _CHUNK_BYTES * d // ((_CHUNK_ARRAYS * d + m) * dim * dim * 16))
     complete = m == d + 1
-    gaps, gammas = [], []
+    gaps, defects, gammas = [], [], []
     for start in range(0, trials, chunk):
         stop = start + chunk
         rho = _random_density_stack(dim, ranks[start:stop], trial_seeds[start:stop])
         arrays = _relation_arrays(rho, (d, big_d), mubs)
+        g = arrays["gamma"]
+        if hermiticity_defect(g) > TOL_PSD:
+            raise ValueError("gamma is not Hermitian within tolerance")
         gaps.append(arrays["gap"])
-        # gamma is checked for vanishing at M = d + 1 and for PSD below it;
-        # only the PSD check reads its eigenvalues
-        if complete:
-            gammas.append(arrays["gamma_frobenius"])
-        else:
-            gammas.append(hermitian_eigenvalues(arrays["gamma"])[:, 0])
-    gaps, gammas = np.concatenate(gaps), np.concatenate(gammas)
+        defects.append(np.abs(arrays["gap"] - arrays["gamma_expectation"]))
+        # gamma must vanish at M = d + 1 and pass the PSD gate below it
+        gammas.append(arrays["gamma_frobenius"] if complete else _psd_rows(g))
+    gaps, defects, gammas = np.concatenate(gaps), np.concatenate(defects), np.concatenate(gammas)
 
     def worst(name, values, lowest, bound):
         k = int(np.argmin(values) if lowest else np.argmax(values))
         value = float(values[k])
         return name, value, bound, (value >= bound) if lowest else (value <= bound), trial_seeds[k]
 
-    gram = basis.gram_deviation
-    checks = [
-        ("gram max deviation", gram, TOL_STRUCTURAL, gram <= TOL_STRUCTURAL, None),
-        ("pt identities max deviation", pt.max_deviation, TOL_STRUCTURAL, pt.passed, None),
+    checks += [
         worst("relation gap min", gaps, True, -TOL_SPECTRAL),
+        worst("gap vs Tr(gamma rho) max deviation", defects, False, TOL_SPECTRAL),
     ]
     if complete:
         checks += [worst("gamma frobenius max", gammas, False, TOL_SPECTRAL),
                    worst("relation |gap| max", np.abs(gaps), False, TOL_SPECTRAL)]
     else:
-        checks.append(worst("gamma min eigenvalue", gammas, True, -TOL_PSD))
-    return VerificationReport(d, big_d, m, trials, seed, tuple(checks))
+        failed = int((~gammas).sum())
+        first = trial_seeds[int(np.argmin(gammas))] if failed else None
+        checks.append(("gamma psd gate failures", failed, 0, failed == 0, first))
+    return VerificationReport(d, big_d, m, trials, seed, basis.gram_deviation, tuple(checks))

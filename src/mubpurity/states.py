@@ -55,7 +55,7 @@ def rho_family(alpha: float, x: float) -> DensityMatrix:
     Purity is (1 + 3 x^2)/4 for every alpha (eigenvalues x + (1-x)/4 once
     and (1-x)/4 three times).
     """
-    return DensityMatrix(_family_states(float(alpha), float(x))[0], (2, 2))
+    return DensityMatrix._checked(_family_states(float(alpha), float(x))[0], (2, 2))
 
 
 def _check_draw(dim, ranks) -> tuple[int, list[int]]:

@@ -204,7 +204,10 @@ class TestVerifyCommand:
 
     def test_incomplete_set_passes(self, capsys):
         assert main(["verify", "--d", "3", "--m", "2", "--trials", "20", "--seed", "1"]) == 0
-        assert "gamma min eigenvalue" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "\nchoi min eigenvalue: " in out
+        assert "\ngamma psd gate failures: 0 (bound 0) PASS\n" in out
+        assert "gamma min eigenvalue" not in out
 
     def test_rectangular_b_side(self):
         assert main(["verify", "--d", "2", "--m", "2", "--big-d", "3",
@@ -247,10 +250,11 @@ class TestVerifyCommand:
         real, seen = relations._relation_arrays, []
 
         def one_bad_gap(rho, dims, mubs):
-            # trial 4 gets gap -1 in whichever chunk holds it
+            # trial 4 gets gap -1 in whichever chunk holds it, and Tr(gamma
+            # rho) with it, so that only the gap check fails
             arrays = real(rho, dims, mubs)
             if len(seen) <= 4 < len(seen) + len(rho):
-                arrays["gap"][4 - len(seen)] = -1.0
+                arrays["gap"][4 - len(seen)] = arrays["gamma_expectation"][4 - len(seen)] = -1.0
             seen.extend(rho)
             return arrays
 
@@ -258,7 +262,9 @@ class TestVerifyCommand:
         assert main(["verify", "--d", "3", "--m", "3", "--big-d", "2", "--trials", "6", "--seed", "5"]) == 2
         lines = capsys.readouterr().out.splitlines()
         seed = int(np.random.SeedSequence(5).generate_state(6, dtype=np.uint64)[4])
-        assert [line for line in lines[1:-1] if not line.endswith("PASS")] == [
+        # line 1 is the Gram observation, which carries no verdict
+        assert lines[1].startswith("gram max deviation: ")
+        assert [line for line in lines[2:-1] if not line.endswith("PASS")] == [
             f"relation gap min: -1.0 (bound -1e-09) FAIL [state seed {seed}]"
         ]
         assert lines[-1] == "VERIFICATION FAILED"

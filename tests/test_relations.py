@@ -8,6 +8,7 @@ from mubpurity import relations
 from mubpurity.cli import main
 from mubpurity.linalg import (
     DensityMatrix,
+    _psd_rows,
     frobenius_norm,
     hermitian_eigenvalues,
     partial_trace_matrix,
@@ -17,6 +18,7 @@ from mubpurity.linalg import (
 from mubpurity.mub import MubSet, MubValidationError, construct_mubs
 from mubpurity.relations import (
     RelationReport,
+    _choi_matrix,
     _constructed_states,
     _relation_arrays,
     build_bipartite_basis,
@@ -543,28 +545,60 @@ class TestStackedReport:
             _relation_arrays(stack, (2, 2), construct_mubs(3, 2))
 
 
+def _gate_matches_spectrum(mubs, big_d, seeds):
+    """Assert that the PSD gate decides each trial's gamma as its smallest eigenvalue does, at the bound and off it.
+
+    Each gamma is also moved to put its smallest eigenvalue 10 % inside and
+    10 % beyond -TOL_PSD, where only a gate at the slack gets both right.
+    """
+    d = mubs.d
+    dim = d * big_d
+    stack = np.stack([random_density(dim, (dim, 1, 2)[t % 3], seed).matrix for t, seed in enumerate(seeds)])
+    g = _relation_arrays(stack, (d, big_d), mubs)["gamma"]
+    low = np.array([relation_report(DensityMatrix(rho, (d, big_d)), mubs).gamma_min_eig for rho in stack])
+    assert np.array_equal(_psd_rows(g), low >= -TOL_PSD)
+    eye = np.eye(dim)
+    for target, verdict in ((-0.9 * TOL_PSD, True), (-1.1 * TOL_PSD, False)):
+        moved = g + (target - low)[:, None, None] * eye
+        assert np.array_equal(_psd_rows(moved), np.full(len(seeds), verdict)), target
+
+
 class TestVerifyRelations:
     @pytest.mark.parametrize("m,state_checks", [
-        (4, ["relation gap min", "gamma frobenius max", "relation |gap| max"]),
-        (3, ["relation gap min", "gamma min eigenvalue"]),
+        (4, ["choi frobenius", "relation gap min", "gap vs Tr(gamma rho) max deviation",
+             "gamma frobenius max", "relation |gap| max"]),
+        (3, ["choi min eigenvalue", "relation gap min", "gap vs Tr(gamma rho) max deviation",
+             "gamma psd gate failures"]),
     ])
     def test_report_reads_the_library_checks(self, m, state_checks):
         mubs = construct_mubs(3, m)
         report = verify_relations(mubs, 2, 4, 9)
         basis = build_bipartite_basis(mubs)
         assert [check[0] for check in report.checks] == [
-            "gram max deviation", "pt identities max deviation", *state_checks
+            "pt identities max deviation", "choi vs projector max deviation", *state_checks
         ]
-        assert report.checks[0][1] == basis.gram_deviation
-        assert report.checks[1][1] == check_pt_identities(basis).max_deviation
-        assert [check[4] for check in report.checks[:2]] == [None, None]
-        assert all(check[4] in _seeds(9, 4) for check in report.checks[2:])
+        assert report.gram_deviation == basis.gram_deviation
+        assert report.checks[0][1] == check_pt_identities(basis).max_deviation
+        # the basis and certificate checks name no state, nor does a passing gate
+        assert [check[4] for check in report.checks[:3]] == [None, None, None]
+        sampled = [check for check in report.checks[3:] if check[0] != "gamma psd gate failures"]
+        assert all(check[4] in _seeds(9, 4) for check in sampled)
         assert report.passed and report.summary().endswith("\nall checks passed")
+
+    def test_gram_deviation_is_an_observation(self):
+        report = verify_relations(construct_mubs(3, 3), 2, 2, 9)
+        lines = report.summary().splitlines()
+        assert lines[1] == f"gram max deviation: {report.gram_deviation!r} (basis build raises above 1e-12)"
+        # the build raises above the bound, so no report can fail on it
+        beyond = dataclasses.replace(report, gram_deviation=1.0)
+        assert beyond.passed
+        assert beyond.summary().splitlines()[1] == "gram max deviation: 1.0 (basis build raises above 1e-12)"
 
     @pytest.mark.parametrize("m", [2, 8])
     def test_chunked_read_equals_per_trial_reports(self, m):
         mubs = construct_mubs(7, m)
-        assert relations._CHUNK_BYTES // (m * 49 * 49 * 16) < 40  # the trials span several chunks
+        # the trials span several chunks
+        assert relations._CHUNK_BYTES * 7 // ((relations._CHUNK_ARRAYS * 7 + m) * 49 * 49 * 16) < 40
         seeds = _seeds(12, 40)
         reports = [
             relation_report(random_density(49, (49, 1, 2)[t % 3], seed, dims=(7, 7)), mubs)
@@ -578,13 +612,82 @@ class TestVerifyRelations:
             return name, values[k], bound, passed, seeds[k]
 
         gaps = [rep.gap for rep in reports]
-        expected = [worst("relation gap min", gaps, True, -1e-9)]
+        expected = [
+            worst("relation gap min", gaps, True, -1e-9),
+            worst("gap vs Tr(gamma rho) max deviation",
+                  [abs(rep.gap - rep.gamma_expectation) for rep in reports], False, 1e-9),
+        ]
         if m == 8:
             expected += [worst("gamma frobenius max", [rep.gamma_frobenius for rep in reports], False, 1e-9),
                          worst("relation |gap| max", [abs(gap) for gap in gaps], False, 1e-9)]
         else:
-            expected.append(worst("gamma min eigenvalue", [rep.gamma_min_eig for rep in reports], True, -1e-10))
-        assert list(verify_relations(mubs, 7, 40, 12).checks[2:]) == expected
+            # every trial's smallest eigenvalue clears the bound, and the gate passes them all
+            assert min(rep.gamma_min_eig for rep in reports) >= -1e-10
+            expected.append(("gamma psd gate failures", 0, 0, True, None))
+        assert list(verify_relations(mubs, 7, 40, 12).checks[3:]) == expected
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_gate_verdicts_equal_the_spectrum(self, d):
+        for m in range(2, d + 1):
+            for big_d in (2, d):
+                _gate_matches_spectrum(construct_mubs(d, m), big_d, _seeds(800 * d + 10 * m + big_d, 6))
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_choi_matrix_is_the_projector(self, d):
+        # on constructed and on equivalent sets, at every M
+        for m in range(2, d + 2):
+            for mubs in (construct_mubs(d, m), _equivalent_set(d, m, 900 * d + m)):
+                basis = build_bipartite_basis(mubs)
+                choi = _choi_matrix(mubs)
+                assert np.abs(choi - basis.projector).max() <= TOL_STRUCTURAL
+                if m == d + 1:
+                    assert frobenius_norm(choi) <= TOL_SPECTRAL
+                else:
+                    assert hermitian_eigenvalues(choi)[0] >= -TOL_PSD
+                report = verify_relations(mubs, 2, 3, m)
+                assert report.checks[1][:2] == ("choi vs projector max deviation", np.abs(choi - basis.projector).max())
+                assert report.passed
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_choi_route_catches_the_conjugated_projector(self, d):
+        # the conjugated projector is idempotent with the right trace, so
+        # the build accepts it; J tells it apart wherever P is complex (the
+        # constructed P is real at M = 2 and zero at M = d + 1)
+        for m in range(3, d + 1):
+            mubs = construct_mubs(d, m)
+            assert np.abs(_choi_matrix(mubs) - build_bipartite_basis(mubs).projector.conj()).max() > 0.1
+
+    def test_failed_gate_names_the_first_rejected_trial(self, monkeypatch):
+        real, seen = relations._relation_arrays, []
+
+        def negated(rho, dims, mubs):
+            # trials 4 and 7 get -gamma, which has eigenvalues far below -TOL_PSD
+            arrays = real(rho, dims, mubs)
+            for t in (4, 7):
+                if len(seen) <= t < len(seen) + len(rho):
+                    arrays["gamma"][t - len(seen)] *= -1
+            seen.extend(rho)
+            return arrays
+
+        monkeypatch.setattr(relations, "_relation_arrays", negated)
+        report = verify_relations(construct_mubs(3, 3), 3, 9, 4)
+        assert report.checks[-1] == ("gamma psd gate failures", 2, 0, False, _seeds(4, 9)[4])
+        assert not report.passed
+        assert report.summary().splitlines()[-2] == (
+            f"gamma psd gate failures: 2 (bound 0) FAIL [state seed {_seeds(4, 9)[4]}]"
+        )
+
+    def test_non_hermitian_gamma_is_an_error(self, monkeypatch):
+        real = relations._relation_arrays
+
+        def skewed(rho, dims, mubs):
+            arrays = real(rho, dims, mubs)
+            arrays["gamma"][:, 0, 1] += 2 * TOL_PSD
+            return arrays
+
+        monkeypatch.setattr(relations, "_relation_arrays", skewed)
+        with pytest.raises(ValueError, match="gamma is not Hermitian within tolerance"):
+            verify_relations(construct_mubs(3, 4), 2, 3, 1)
 
     def test_eigensolves_run_only_for_the_psd_check(self, monkeypatch, tmp_path):
         calls = {"gamma": 0, "numpy": 0}
@@ -596,22 +699,32 @@ class TestVerifyRelations:
             return wrapper
 
         monkeypatch.setattr(relations, "hermitian_eigenvalues", counted("gamma", hermitian_eigenvalues))
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, counted("numpy", getattr(np.linalg, name)))
-        # at M = d + 1 gamma is checked for vanishing, and no state, basis or
-        # gamma needs a spectrum; sweep reads no gamma column
-        assert verify_relations(construct_mubs(3, 4), 2, 30, 5).passed
+        # the default budget reads 30 trials in one chunk at d = 3, D = 2,
+        # a budget of one byte in chunks of one state
+        budgets = (relations._CHUNK_BYTES, 1)
+        # at M = d + 1 gamma and J are checked for vanishing, and no state,
+        # basis, J or gamma needs a spectrum; sweep reads no gamma column
+        for budget in budgets:
+            monkeypatch.setattr(relations, "_CHUNK_BYTES", budget)
+            for trials in (1, 30):
+                assert verify_relations(construct_mubs(3, 4), 2, trials, 5).passed
         assert main(["sweep", "--param", "x", "--steps", "9", "--simulate", "--out", str(tmp_path / "s.csv")]) == 0
         assert calls == {"gamma": 0, "numpy": 0}
-        # below it, one gamma eigensolve per chunk, and the check reads the
-        # smallest eigenvalue of the single-state reports, bit for bit
-        report = verify_relations(construct_mubs(3, 3), 2, 30, 5)
-        assert calls == {"gamma": 1, "numpy": 1}
-        reports = [
-            relation_report(random_density(6, (6, 1, 2)[t % 3], seed, dims=(3, 2)), construct_mubs(3, 3))
-            for t, seed in enumerate(_seeds(5, 30))
-        ]
-        assert report.checks[-1][:2] == ("gamma min eigenvalue", min(rep.gamma_min_eig for rep in reports))
+        # below it, exactly one eigensolve per call, of J, whatever the trial
+        # count and chunking; the gate decides every trial without one
+        mubs = construct_mubs(3, 3)
+        for budget in budgets:
+            monkeypatch.setattr(relations, "_CHUNK_BYTES", budget)
+            for trials in (1, 30):
+                calls.update(gamma=0, numpy=0)
+                report = verify_relations(mubs, 2, trials, 5)
+                assert calls == {"gamma": 1, "numpy": 1}
+                assert report.passed
+        name, low = report.checks[2][:2]
+        assert name == "choi min eigenvalue"
+        assert abs(low - np.linalg.eigvalsh(build_bipartite_basis(mubs).projector)[0]) <= TOL_STRUCTURAL
 
     @pytest.mark.parametrize("m", [2, 8])
     def test_trial_memory_is_bounded(self, m):
@@ -711,15 +824,31 @@ def _product_set(d1, d2):
     return np.einsum("tia,tjb->tijab", first, second).reshape(m, d1 * d2, d1 * d2)
 
 
+_NON_PRIME = [(4, 2), (4, 3), (4, 4), (4, 5), (6, 2), (6, 3), (10, 2), (10, 3), (15, 2), (15, 3), (15, 4)]
+
+
+def _non_prime_set(d, m):
+    factors = {6: (2, 3), 10: (2, 5), 15: (3, 5)}
+    return MubSet((_two_qubit_set() if d == 4 else _product_set(*factors[d]))[:m])
+
+
 class TestNonPrimeSets:
     """The paper's claims at d = 4, 6, 10 and 15, where construct_mubs builds no set."""
 
-    @pytest.mark.parametrize("d,m", [
-        (4, 2), (4, 3), (4, 4), (4, 5), (6, 2), (6, 3), (10, 2), (10, 3), (15, 2), (15, 3), (15, 4),
-    ])
+    @pytest.mark.parametrize("d,m", _NON_PRIME)
+    def test_certificate_and_gate(self, d, m):
+        mubs = _non_prime_set(d, m)
+        basis = build_bipartite_basis(mubs)
+        assert np.abs(_choi_matrix(mubs) - basis.projector).max() <= TOL_STRUCTURAL
+        report = verify_relations(mubs, 2, 6, 1000 * d + m)
+        assert report.passed, report.summary()
+        if m <= d:
+            for big_d in (2, d):
+                _gate_matches_spectrum(mubs, big_d, _seeds(1100 * d + 10 * m + big_d, 3))
+
+    @pytest.mark.parametrize("d,m", _NON_PRIME)
     def test_relation_checks_hold(self, d, m):
-        factors = {6: (2, 3), 10: (2, 5), 15: (3, 5)}
-        mubs = MubSet((_two_qubit_set() if d == 4 else _product_set(*factors[d]))[:m])
+        mubs = _non_prime_set(d, m)
         basis = build_bipartite_basis(mubs)
         _assert_projector_facts(basis)
         assert check_pt_identities(basis).max_deviation <= TOL_STRUCTURAL

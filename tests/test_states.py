@@ -70,6 +70,21 @@ class TestRhoFamily:
             rho_family(2.0, 0.5)
 
 
+    def test_state_checked_once(self, monkeypatch):
+        import mubpurity.linalg as linalg
+        import mubpurity.states as states
+
+        checked = []
+        real = linalg._check_density_stack
+        for module in (linalg, states):
+            monkeypatch.setattr(module, "_check_density_stack", lambda a: checked.append(a) or real(a))
+        rho = rho_family(0.3, 0.6)
+        assert len(checked) == 1 and np.array_equal(checked[0][0], rho.matrix)
+        # the trusted state is still a frozen copy on int dims
+        assert rho.dims == (2, 2) and not rho.matrix.flags.writeable
+        assert not np.shares_memory(rho.matrix, checked[0])
+
+
 class TestRandomDensity:
     def test_rank_one_is_pure(self):
         assert abs(purity(random_density(4, 1, 7)) - 1.0) <= 1e-12
