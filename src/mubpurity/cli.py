@@ -36,7 +36,7 @@ from .expsim import (
     _panel,
     run_protocol,
 )
-from .linalg import density_from_json
+from .linalg import _float_reprs, density_from_json
 from .mub import (
     PAULI_AXIS_LABELS,
     MubSet,
@@ -157,8 +157,14 @@ def cmd_relation(ns) -> int:
     return 0
 
 
-def _sweep_rows(ns) -> list[dict]:
-    """The sweep's rows; only the grid is checked here, the library checks alpha, x and noise."""
+@functools.cache
+def _two_qubit_mubs() -> MubSet:
+    """The basis set of the two-qubit family, built and validated once (a MubSet is immutable)."""
+    return construct_mubs(2, 3)
+
+
+def _sweep_columns(ns) -> dict[str, np.ndarray]:
+    """The sweep's (steps,) columns by name; only the grid is checked here, the library checks alpha, x and noise."""
     # the noise model is built first, so a bad --noise fails whether or not the sweep simulates
     noise = NoiseModel(ns.noise)
     start = 0.0 if ns.start is None else ns.start
@@ -173,7 +179,7 @@ def _sweep_rows(ns) -> list[dict]:
         raise ValueError("sweep range must satisfy from < to")
     if not math.isfinite(stop - start):
         raise ValueError(f"sweep span --to minus --from must be finite, got {stop - start!r}")
-    mubs = construct_mubs(2, 3)  # the two-qubit family
+    mubs = _two_qubit_mubs()
     grid, other = np.linspace(start, stop, ns.steps), np.full(ns.steps, fixed)
     alphas, xs = (grid, other) if ns.param == "alpha" else (other, grid)
     rho = _family_states(alphas, xs)
@@ -197,18 +203,30 @@ def _sweep_rows(ns) -> list[dict]:
             lhs, rhs = panel.relation_sides(use_raw=kind == "raw")
             columns.update({f"{kind}_{name}": values[name] for name in PANEL_FIELDS})
             columns.update({f"{kind}_lhs": lhs, f"{kind}_rhs": rhs, f"{kind}_gap": lhs - rhs})
-    values = [v.tolist() for v in columns.values()]
-    return [dict(zip(columns, point)) for point in zip(*values)]
+    return columns
+
+
+def _csv_text(columns: dict[str, np.ndarray]) -> str:
+    """The CSV of the columns: a header and one line per row, each cell the ``str`` of its value as a Python scalar.
+
+    Every float column is formatted in one :func:`_float_reprs` call, so
+    ``repr`` (which is ``str`` on a float) runs once per distinct value.
+    """
+    floats = [name for name, v in columns.items() if v.dtype.kind == "f"]
+    cells = dict(zip(floats, _float_reprs(np.stack([columns[name] for name in floats])).tolist()))
+    cells.update({name: list(map(str, v.tolist())) for name, v in columns.items() if name not in cells})
+    lines = [",".join(columns), *map(",".join, zip(*(cells[name] for name in columns)))]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_sweep(ns) -> int:
-    rows = _sweep_rows(ns)
+    columns = _sweep_columns(ns)
     if ns.format == "csv":
-        lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(columns)
     else:
-        text = _json_dumps(rows)
-    _emit(text, ns.out, f"{len(rows)} sweep rows")
+        values = [v.tolist() for v in columns.values()]
+        text = _json_dumps([dict(zip(columns, point)) for point in zip(*values)])
+    _emit(text, ns.out, f"{ns.steps} sweep rows")
     return 0
 
 

@@ -14,10 +14,12 @@ self-adjoint up to the sign of a rotation angle, so the probe observable
 is propagated backwards through each setting once per noise level. Tracing
 its probe against sigma_z leaves a 16x16 observable V_s on the two copies,
 so a setting's value is Re Tr(V_s rho (x) rho) / (2 Tr(rho)^2), read
-against the 4x4 rho of each (alpha, x) point; the 32x32 register itself is
-never built. The states are the stack that ``states._family_states``
-builds and checks; out-of-domain points fail there with the message of
-``rho_family``, which names x when both values are out.
+against the 4x4 rho of each (alpha, x) point; one contraction reads the
+eight stacked V_s against every point at once, and the 32x32 register
+itself is never built. The states are the stack that
+``states._family_states`` builds and checks; out-of-domain points fail
+there with the message of ``rho_family``, which names x when both values
+are out.
 
 Sites for noise: a one-parameter depolarizing channel acts on every qubit
 touched by a controlled-SWAP, immediately after the gate. Only the probe's
@@ -218,6 +220,17 @@ def _observable(name: str, p: float) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=8)
+def _panel_observables(p: float) -> np.ndarray:
+    """The V_s of the eight settings at strength p, in PANEL_FIELDS order, as a read-only (8, 4, 4, 4, 4) array.
+
+    The cache holds up to eight noise levels.
+    """
+    v = np.stack([_observable(name, p) for name in PANEL_FIELDS])
+    v.setflags(write=False)
+    return v
+
+
 def _read_panel(rho: np.ndarray, p: float) -> dict[str, np.ndarray]:
     """All eight settings of an (n, 4, 4) state stack at depolarizing strength p, as (n,) arrays.
 
@@ -225,12 +238,11 @@ def _read_panel(rho: np.ndarray, p: float) -> dict[str, np.ndarray]:
     """
     # the probe signal Tr(sigma_z^probe dev) of the unread register dev
     reference = 2.0 * np.trace(rho, axis1=1, axis2=2).real ** 2
-    # one einsum per point, whatever the stack size: a stacked point reads
-    # the same bits as a point alone
-    return {
-        name: np.einsum("abcd,nca,ndb->n", _observable(name, p), rho, rho).real / reference
-        for name in PANEL_FIELDS
-    }
+    # one einsum for all settings and points, with no intermediate: each
+    # (setting, point) entry is summed alone, in the order of a setting read
+    # by itself, so a stacked point reads the same bits as a point alone
+    values = np.einsum("sabcd,nca,ndb->sn", _panel_observables(p), rho, rho).real / reference
+    return dict(zip(PANEL_FIELDS, values))
 
 
 def calibration_factors(noise: NoiseModel = NOISELESS) -> dict[str, float]:

@@ -41,6 +41,19 @@ def _to_pairs(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=complex).view(float).reshape(a.shape + (2,))
 
 
+def _float_reprs(a: np.ndarray) -> np.ndarray:
+    """The ``repr`` of every float of a float array, as an object array of ``str`` of its shape.
+
+    Each text is the ``repr`` (and ``str``) of the value as a Python float,
+    which json also writes for a finite float, but ``repr`` runs once per
+    distinct bit pattern, so -0.0 and 0.0 stay apart.
+    """
+    a = np.asarray(a, dtype=float)
+    distinct, inverse = np.unique(a.view(np.uint64), return_inverse=True)
+    table = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return table[inverse.reshape(a.shape)]
+
+
 def _as_stack(m) -> np.ndarray:
     """Coerce ``m`` to a finite complex array of one matrix or a (..., n, n) stack."""
     a = np.asarray(m, dtype=complex)
@@ -62,10 +75,14 @@ def frobenius_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
+def _hermiticity_defects(a: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation of each matrix of a (..., n, n) array from its adjoint, over the leading shape."""
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
 def hermiticity_defect(m) -> float:
     """Largest entrywise deviation of a matrix, or of any matrix of a stack, from its adjoint."""
-    a = np.asarray(m)
-    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
+    return float(_hermiticity_defects(np.asarray(m)).max())
 
 
 def _two_factors(m, dims: Sequence[int]) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _as_int, _from_pairs, _to_pairs
+from .linalg import _as_int, _float_reprs, _from_pairs, _to_pairs
 from .tolerances import TOL_STRUCTURAL
 
 # Basis order produced by construct_mubs(2, 3); basis labels are 1-based.
@@ -191,17 +191,16 @@ def save_mubs(mubs: MubSet, path) -> None:
     and the text is one join of the numbers and the separators between them.
     """
     d, m = mubs.d, mubs.M
-    bits = _to_pairs(mubs.bases).ravel().view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    table = list(map(repr, distinct.view(float).tolist())) + list(_SEPARATORS)
+    texts = _float_reprs(_to_pairs(mubs.bases)).ravel()
     # how many arrays close after each number: every 2nd, 2d-th, 2d*d-th and the last
-    ends = np.arange(1, bits.size + 1)
-    closing = sum(ends % size == 0 for size in (2, 2 * d, 2 * d * d, bits.size))
-    order = np.empty(2 * bits.size, dtype=np.intp)
-    order[0::2] = inverse
-    order[1::2] = len(distinct) + closing
+    closing = np.zeros(texts.size, dtype=np.intp)
+    for size in (2, 2 * d, 2 * d * d, texts.size):
+        closing[size - 1 :: size] += 1
+    parts = np.empty(2 * texts.size, dtype=object)
+    parts[0::2] = texts
+    parts[1::2] = np.array(_SEPARATORS, dtype=object)[closing]
     head = f'{{\n  "d": {d},\n  "M": {m},\n  "bases": [\n    [\n      [\n        [\n          '
-    Path(path).write_text(head + "".join(map(table.__getitem__, order.tolist())))
+    Path(path).write_text(head + "".join(parts.tolist()))
 
 
 def load_mubs(path) -> MubSet:

@@ -550,6 +550,46 @@ class TestSweepCommand:
         grid = checked[0]
         assert reported[0] is grid and simulated[0] is grid
 
+    @staticmethod
+    def _row_text(columns):
+        # one dict per row and str of every cell, as the CSV was once written
+        rows = [dict(zip(columns, point)) for point in zip(*(v.tolist() for v in columns.values()))]
+        return "\n".join([",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]) + "\n"
+
+    @pytest.mark.parametrize("noise", ["0", "0.01"])
+    @pytest.mark.parametrize("param", ["alpha", "x"])
+    def test_csv_from_columns_equals_row_text(self, tmp_path, param, noise):
+        from mubpurity import cli
+
+        args = ["sweep", "--param", param, "--steps", "21", "--simulate", "--noise", noise]
+        columns = cli._sweep_columns(cli._build_parser().parse_args([*args, "--out", "unused"]))
+        assert cli._csv_text(columns) == self._row_text(columns)
+        assert main([*args, "--out", str(tmp_path / "s.csv")]) == 0
+        assert (tmp_path / "s.csv").read_text() == self._row_text(columns)
+
+    def test_csv_keeps_signed_zeros_repeats_and_ints(self):
+        from mubpurity import cli
+
+        columns = {
+            "a": np.array([0.0, -0.0, 0.1, 0.1, -0.0]),
+            "n": np.array([2, -3, 2, 0, 10**12]),
+            "b": np.array([0.1, 1e-300, -0.0, 0.30000000000000004, 0.0]),
+            "c": np.array([np.inf, -np.inf, np.nan, 1.0, -1.0]),
+        }
+        text = cli._csv_text(columns)
+        assert text == self._row_text(columns)
+        assert text.splitlines()[1:3] == ["0.0,2,0.1,inf", "-0.0,-3,1e-300,-inf"]
+
+    def test_basis_set_built_once(self, tmp_path, monkeypatch):
+        from mubpurity import cli
+
+        args = ["sweep", "--param", "x", "--steps", "3", "--out", str(tmp_path / "s.csv")]
+        assert main(args) == 0
+        first = (tmp_path / "s.csv").read_bytes()
+        monkeypatch.setattr(cli, "construct_mubs", lambda *a: pytest.fail("basis set built again"))
+        assert main(args) == 0
+        assert (tmp_path / "s.csv").read_bytes() == first
+
     @pytest.mark.parametrize("flag,value", [("--to", "inf"), ("--from", "-inf"), ("--from", "nan")])
     def test_non_finite_bound_exits_1(self, tmp_path, capsys, flag, value):
         # rejected before the grid is built: no numpy warning, no nan point

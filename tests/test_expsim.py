@@ -539,6 +539,17 @@ class TestBatch:
             with pytest.raises(ValueError, match="equal length"):
                 run_protocol(alpha, x)
 
+    @pytest.mark.parametrize("p", [0.0, 0.05])
+    def test_one_read_equals_per_setting_reads(self, p):
+        # the eight settings in one contraction read the bits of each setting read alone
+        rho = _family_states(self.ALPHA, self.X)
+        reference = 2.0 * np.trace(rho, axis1=1, axis2=2).real ** 2
+        panel = _read_panel(rho, p)
+        assert list(panel) == list(PANEL_FIELDS)
+        for name in PANEL_FIELDS:
+            alone = np.einsum("abcd,nca,ndb->n", _observable(name, p), rho, rho).real / reference
+            assert np.array_equal(panel[name].view(np.uint64), alone.view(np.uint64)), name
+
     def test_check_rejects_one_bad_point_in_a_stack(self):
         stack = np.array([_prepare(a, x)[0][0] for a, x in zip(self.ALPHA.tolist(), self.X.tolist())])
         _check_deviation(stack)

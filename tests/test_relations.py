@@ -566,9 +566,9 @@ def _gate_matches_spectrum(mubs, big_d, seeds):
 class TestVerifyRelations:
     @pytest.mark.parametrize("m,state_checks", [
         (4, ["choi frobenius", "relation gap min", "gap vs Tr(gamma rho) max deviation",
-             "gamma frobenius max", "relation |gap| max"]),
+             "gamma hermiticity max deviation", "gamma frobenius max", "relation |gap| max"]),
         (3, ["choi min eigenvalue", "relation gap min", "gap vs Tr(gamma rho) max deviation",
-             "gamma psd gate failures"]),
+             "gamma hermiticity max deviation", "gamma psd gate failures"]),
     ])
     def test_report_reads_the_library_checks(self, m, state_checks):
         mubs = construct_mubs(3, m)
@@ -600,10 +600,9 @@ class TestVerifyRelations:
         # the trials span several chunks
         assert relations._CHUNK_BYTES * 7 // ((relations._CHUNK_ARRAYS * 7 + m) * 49 * 49 * 16) < 40
         seeds = _seeds(12, 40)
-        reports = [
-            relation_report(random_density(49, (49, 1, 2)[t % 3], seed, dims=(7, 7)), mubs)
-            for t, seed in enumerate(seeds)
-        ]
+        states = [random_density(49, (49, 1, 2)[t % 3], seed, dims=(7, 7)) for t, seed in enumerate(seeds)]
+        reports = [relation_report(rho, mubs) for rho in states]
+        skews = [float(np.abs(g - g.conj().T).max()) for g in (gamma_direct(rho, mubs) for rho in states)]
 
         def worst(name, values, lowest, bound):
             # first trial attaining the extreme value
@@ -616,6 +615,7 @@ class TestVerifyRelations:
             worst("relation gap min", gaps, True, -1e-9),
             worst("gap vs Tr(gamma rho) max deviation",
                   [abs(rep.gap - rep.gamma_expectation) for rep in reports], False, 1e-9),
+            worst("gamma hermiticity max deviation", skews, False, 1e-10),
         ]
         if m == 8:
             expected += [worst("gamma frobenius max", [rep.gamma_frobenius for rep in reports], False, 1e-9),
@@ -677,17 +677,31 @@ class TestVerifyRelations:
             f"gamma psd gate failures: 2 (bound 0) FAIL [state seed {_seeds(4, 9)[4]}]"
         )
 
-    def test_non_hermitian_gamma_is_an_error(self, monkeypatch):
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_non_hermitian_gamma_fails_verification(self, monkeypatch, capsys, m):
+        # a skewed gamma is a failed check (exit 2) naming its worst trial, not a usage error (exit 1)
         real = relations._relation_arrays
+        skew = {1: 2 * TOL_PSD, 2: 3 * TOL_PSD}  # trial -> added skew; trial 0 stays Hermitian
+        seen = []
 
         def skewed(rho, dims, mubs):
             arrays = real(rho, dims, mubs)
-            arrays["gamma"][:, 0, 1] += 2 * TOL_PSD
+            for row in range(len(rho)):
+                arrays["gamma"][row, 0, 1] += skew.get(len(seen) + row, 0.0)
+            seen.extend(rho)
             return arrays
 
         monkeypatch.setattr(relations, "_relation_arrays", skewed)
-        with pytest.raises(ValueError, match="gamma is not Hermitian within tolerance"):
-            verify_relations(construct_mubs(3, 4), 2, 3, 1)
+        report = verify_relations(construct_mubs(3, m), 2, 3, 1)
+        name, value, bound, passed, state_seed = report.checks[5]
+        assert (name, bound, passed, state_seed) == ("gamma hermiticity max deviation", TOL_PSD, False, _seeds(1, 3)[2])
+        assert abs(value - 3 * TOL_PSD) <= 1e-15
+        assert not report.passed
+        seen.clear()
+        assert main(["verify", "--d", "3", "--m", str(m), "--big-d", "2", "--trials", "3", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert f"gamma hermiticity max deviation: {value!r} (bound 1e-10) FAIL [state seed {_seeds(1, 3)[2]}]\n" in captured.out
+        assert captured.out.endswith("\nVERIFICATION FAILED\n") and captured.err == ""
 
     def test_eigensolves_run_only_for_the_psd_check(self, monkeypatch, tmp_path):
         calls = {"gamma": 0, "numpy": 0}
