@@ -21,14 +21,14 @@ itself is never built. The states are the stack that
 there with the message of ``rho_family``, which names x when both values
 are out.
 
-Sites for noise: a one-parameter depolarizing channel acts on every qubit
-touched by a controlled-SWAP, immediately after the gate. Only the probe's
-site reaches the read: at the A, B, A' and B' sites the pulled-back
-observable is the identity on that qubit, which the channel fixes, so the
-panel cannot detect a dropped swapped-qubit site. Rescaling divides
-each measured value by the attenuation observed on a reference state whose
-ideal panel is read by the same pipeline without noise; that attenuation
-must be (1 - p)**k for a setting with k controlled-SWAPs.
+Sites for noise: a one-parameter depolarizing channel acts on the probe
+immediately after each controlled-SWAP. The swapped qubits need no site:
+at the A, B, A' and B' sites the pulled-back observable is the identity on
+that qubit, which the channel fixes, so adding them would change no read
+(``test_probe_noise_reads_the_six_site_panel`` checks this). Rescaling
+divides each measured value by the attenuation observed on a reference
+state whose ideal panel is read by the same pipeline without noise; that
+attenuation must be (1 - p)**k for a setting with k controlled-SWAPs.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def _setting_gates(axis: str | None, which: str, p: float) -> tuple[tuple, ...]:
     Readout: create probe coherence, apply CSWAP(probe; A, A') and
     CSWAP(probe; B, B') for ``which="AB"`` (only the BB' gate for
     ``which="B"``) and rotate the coherence back. With p > 0 each CSWAP is
-    followed by depolarizing on its three qubits.
+    followed by depolarizing on the probe.
     """
     gates = [] if axis is None else [("DEPHASE", q) for q in (_A, _A2)]
     rotation = _PRE_ROTATION.get(axis)
@@ -183,7 +183,7 @@ def _setting_gates(axis: str | None, which: str, p: float) -> tuple[tuple, ...]:
     for pair in ((_A, _A2), (_B, _B2)) if which == "AB" else ((_B, _B2),):
         gates.append(("CSWAP", _PROBE) + pair)
         if p > 0.0:
-            gates += [("DEPOL", q, p) for q in (_PROBE,) + pair]
+            gates.append(("DEPOL", _PROBE, p))
     gates.append(("RY", _PROBE, -np.pi / 2))
     return tuple(gates)
 
@@ -202,37 +202,22 @@ def _pull_back(w: np.ndarray, gates) -> np.ndarray:
     return w
 
 
-@lru_cache(maxsize=64)
 def _observable(name: str, p: float) -> np.ndarray:
-    """V_s of one panel setting, as a read-only (4, 4, 4, 4) array.
+    """V_s of one panel setting, as a (4, 4, 4, 4) array.
 
     W_s is sigma_z^probe pulled back through the setting's gates; V_s =
     W_s[:16, :16] - W_s[16:, 16:] is its partial trace against the probe's
     sigma_z, so Tr(W_s sigma_z (x) R) = Tr(V_s R) for any R on A B A' B'.
     Entry [a, b, c, d] is row (a, b), column (c, d) of V_s, with a, c on
-    A B and b, d on A' B'. The cache holds the eight settings of up to eight
-    noise levels.
+    A B and b, d on A' B'.
     """
     w = _pull_back(np.diag(_SZ_PROBE_DIAG).astype(complex), _setting_gates(*_SETTINGS[name], p))
     half = DIM // 2
-    v = (w[:half, :half] - w[half:, half:]).reshape(4, 4, 4, 4)
-    v.setflags(write=False)
-    return v
+    return (w[:half, :half] - w[half:, half:]).reshape(4, 4, 4, 4)
 
 
-@lru_cache(maxsize=8)
-def _panel_observables(p: float) -> np.ndarray:
-    """The V_s of the eight settings at strength p, in PANEL_FIELDS order, as a read-only (8, 4, 4, 4, 4) array.
-
-    The cache holds up to eight noise levels.
-    """
-    v = np.stack([_observable(name, p) for name in PANEL_FIELDS])
-    v.setflags(write=False)
-    return v
-
-
-def _read_panel(rho: np.ndarray, p: float) -> dict[str, np.ndarray]:
-    """All eight settings of an (n, 4, 4) state stack at depolarizing strength p, as (n,) arrays.
+def _read_panel(rho: np.ndarray, observables: np.ndarray) -> dict[str, np.ndarray]:
+    """All eight settings of an (n, 4, 4) state stack, as (n,) arrays, read with an (8, 4, 4, 4, 4) V_s stack.
 
     The stack is read as given: callers take it from :func:`_family_states`, which checks it.
     """
@@ -241,36 +226,46 @@ def _read_panel(rho: np.ndarray, p: float) -> dict[str, np.ndarray]:
     # one einsum for all settings and points, with no intermediate: each
     # (setting, point) entry is summed alone, in the order of a setting read
     # by itself, so a stacked point reads the same bits as a point alone
-    values = np.einsum("sabcd,nca,ndb->sn", _panel_observables(p), rho, rho).real / reference
+    values = np.einsum("sabcd,nca,ndb->sn", observables, rho, rho).real / reference
     return dict(zip(PANEL_FIELDS, values))
 
 
-def calibration_factors(noise: NoiseModel = NOISELESS) -> dict[str, float]:
-    """Per-setting attenuation measured on the maximally entangled reference.
+@lru_cache(maxsize=8)
+def _noise_level(p: float) -> tuple[np.ndarray, dict[str, float]]:
+    """The read-only (8, 4, 4, 4, 4) V_s stack at strength p, in PANEL_FIELDS order, and its :func:`calibration_factors`.
 
-    Reads every setting of the pure alpha = pi/2, x = 1 state with and
-    without noise; the ratio noisy/ideal is the attenuation that the
-    rescaled panel divides out. All factors are 1 when noise is inactive.
-    The noise scales V_s by (1 - p) per CSWAP of the setting, so a factor
-    off (1 - p)**k by more than TOL_STRUCTURAL relative, k the setting's
-    CSWAP count, raises ``ValueError``; so does every factor at p = 1,
-    where the signal is gone.
+    A level whose calibration raises is not cached; the cache holds up to eight levels.
     """
-    if not noise.active:
-        return {name: 1.0 for name in PANEL_FIELDS}
-    p = float(noise.p_depol)
+    observables = np.stack([_observable(name, p) for name in PANEL_FIELDS])
+    observables.setflags(write=False)
+    factors = dict.fromkeys(PANEL_FIELDS, 1.0)
+    if p == 0.0:
+        return observables, factors
     rho = _family_states(np.pi / 2, 1.0)
-    ideal = _read_panel(rho, 0.0)
-    noisy = _read_panel(rho, p)
-    factors = {}
+    ideal = _read_panel(rho, _noise_level(0.0)[0])
+    noisy = _read_panel(rho, observables)
     for name in PANEL_FIELDS:
         k = len(_SETTINGS[name][1])  # one CSWAP per letter of the readout
         factor, expected = float(noisy[name][0] / ideal[name][0]), (1.0 - p) ** k
-        # written as "not <=" so that NaN, inf and a lost signal (expected 0) fail too
-        if not abs(factor - expected) <= TOL_STRUCTURAL * expected:
+        # written as "not <=" so that NaN and inf fail too
+        if expected == 0.0 or not abs(factor - expected) <= TOL_STRUCTURAL * expected:
             raise ValueError(f"attenuation factor for {name} is {factor!r}, not (1 - p)**{k} = {expected!r}")
         factors[name] = factor
-    return factors
+    return observables, factors
+
+
+def calibration_factors(noise: NoiseModel = NOISELESS) -> dict[str, float]:
+    """Per-setting attenuation measured on the maximally entangled reference, as a new dict.
+
+    Each factor is the ratio noisy/ideal of the setting read on the pure
+    alpha = pi/2, x = 1 state, measured once per noise level; all are 1 when
+    noise is inactive. A factor off (1 - p)**k by more than TOL_STRUCTURAL
+    relative, k the setting's CSWAP count, raises ``ValueError``, and so does
+    every factor where (1 - p)**k is 0 (at p = 1 the signal is gone).
+    """
+    if not noise.active:
+        return dict.fromkeys(PANEL_FIELDS, 1.0)
+    return dict(_noise_level(float(noise.p_depol))[1])
 
 
 @dataclass(frozen=True)
@@ -325,9 +320,9 @@ def run_protocol(alpha, x, noise: NoiseModel = NOISELESS) -> PurityPanel:
 def _panel(alpha, x, rho: np.ndarray, noise: NoiseModel) -> PurityPanel:
     """The panel of the checked state stack ``rho`` of the points alpha, x (floats or (n,) arrays)."""
     p = float(noise.p_depol) if noise.active else 0.0
-    raw = _read_panel(rho, p)
+    observables, factors = _noise_level(p)
+    raw = _read_panel(rho, observables)
     if np.ndim(x) == 0:
         raw = {name: float(value[0]) for name, value in raw.items()}
-    factors = calibration_factors(noise)
     rescaled = {name: value / factors[name] for name, value in raw.items()}
     return PurityPanel(alpha=alpha, x=x, noise_p=p, raw=raw, rescaled=rescaled)

@@ -436,7 +436,7 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
     D; at M = d + 1 its norm must vanish.
 
     Trial t draws a state of rank d*big_d, 1 or 2 (cycling) from the t-th
-    seed of ``SeedSequence(seed)``. The trials are drawn and read as checked
+    seed of ``SeedSequence(seed >= 0)``. The trials are drawn and read as checked
     stacks, one :func:`_relation_arrays` call per chunk, so the state
     intermediates stay bounded at any trial count; the per-trial seeds and
     results still grow linearly with it. Each trial's relation gap must
@@ -449,6 +449,8 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
         raise ValueError(f"need big_d >= 1, got {big_d}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     d, m = mubs.d, mubs.M
     basis = build_bipartite_basis(mubs)
     pt = check_pt_identities(basis)

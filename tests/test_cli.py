@@ -229,6 +229,15 @@ class TestVerifyCommand:
         assert captured.err == "error: need trials >= 1, got 0\n"
         assert "all checks passed" not in captured.out
 
+    def test_negative_seed_exits_1(self, capsys, monkeypatch):
+        assert main(["verify", "--d", "2", "--m", "3", "--trials", "1", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: need seed >= 0, got -1\n"
+        assert "all checks passed" not in captured.out
+        monkeypatch.setenv("PURITY_SEED", "-1")
+        assert main(["verify", "--d", "2", "--m", "3", "--trials", "1"]) == 1
+        assert capsys.readouterr().err == "error: need seed >= 0, got -1\n"
+
     @pytest.mark.parametrize("d", ["1", "0", "-3"])
     def test_d_below_two_exits_1(self, capsys, d):
         assert main(["verify", "--d", d, "--m", "2", "--trials", "1"]) == 1
@@ -542,13 +551,28 @@ class TestSweepCommand:
         monkeypatch.setattr(states, "_check_density_stack", checked.append)
         report, read = cli._relation_arrays, expsim._read_panel
         monkeypatch.setattr(cli, "_relation_arrays", lambda rho, *a: reported.append(rho) or report(rho, *a))
-        monkeypatch.setattr(expsim, "_read_panel", lambda rho, p: simulated.append(rho) or read(rho, p))
+        monkeypatch.setattr(expsim, "_read_panel", lambda rho, v: simulated.append(rho) or read(rho, v))
         args = ["sweep", "--param", "x", "--steps", "7", "--simulate", "--noise", noise]
-        assert main([*args, "--out", str(tmp_path / "s.csv")]) == 0
-        # the grid, then the calibration reference when noise is on
-        assert [len(rho) for rho in checked] == ([7] if noise == "0" else [7, 1])
-        grid = checked[0]
-        assert reported[0] is grid and simulated[0] is grid
+        expsim._noise_level.cache_clear()
+        for _ in range(2):
+            assert main([*args, "--out", str(tmp_path / "s.csv")]) == 0
+        # each run's grid; the calibration reference once per noise level, when noise is on
+        assert [len(rho) for rho in checked] == ([7, 7] if noise == "0" else [7, 1, 7])
+        grids = [rho for rho in checked if len(rho) == 7]
+        # each run reads the stack it checked, in its analytic and its simulated columns
+        assert all(r is g for r, g in zip(reported, grids, strict=True))
+        assert all(r is g for r, g in zip([rho for rho in simulated if len(rho) == 7], grids, strict=True))
+
+    def test_cold_and_warm_noise_level_write_the_same_csv(self, tmp_path):
+        import mubpurity.expsim as expsim
+
+        args = ["sweep", "--param", "alpha", "--steps", "21", "--simulate", "--noise", "0.01"]
+        expsim._noise_level.cache_clear()
+        assert main([*args, "--out", str(tmp_path / "cold.csv")]) == 0
+        misses = expsim._noise_level.cache_info().misses
+        assert main([*args, "--out", str(tmp_path / "warm.csv")]) == 0
+        assert expsim._noise_level.cache_info().misses == misses  # nothing was built or calibrated again
+        assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
     @staticmethod
     def _row_text(columns):

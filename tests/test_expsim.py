@@ -15,6 +15,7 @@ from mubpurity.expsim import (
     _apply_gate,
     _check_deviation,
     _depolarize,
+    _noise_level,
     _observable,
     _pull_back,
     _read_panel,
@@ -71,6 +72,16 @@ def _forward(dev, gates):
     for gate in gates:
         dev = _apply_gate(dev, gate)
     return dev
+
+
+def _six_site_gates(axis, which, p):
+    """A setting's gates with depolarizing on all three qubits of each CSWAP, right after it."""
+    gates = []
+    for gate in _setting_gates(axis, which, 0.0):
+        gates.append(gate)
+        if gate[0] == "CSWAP":
+            gates += [("DEPOL", q, p) for q in gate[1:]]
+    return gates
 
 
 def _forward_read(dev, reference, axis, which, p=0.0):
@@ -254,7 +265,7 @@ class TestPrepare:
 
         checked, read = [], []
         monkeypatch.setattr(states, "_check_density_stack", checked.append)
-        monkeypatch.setattr(expsim, "_read_panel", lambda rho, p: read.append(rho) or _read_panel(rho, p))
+        monkeypatch.setattr(expsim, "_read_panel", lambda rho, v: read.append(rho) or _read_panel(rho, v))
         alpha, x = np.array([0.2, 0.4]), np.array([0.5, 1.0])
         run_protocol(alpha, x)
         assert len(checked) == 1 and np.array_equal(checked[0], _family_states(alpha, x))
@@ -337,7 +348,7 @@ class TestObservables:
         dev = np.array([_pair_deviation(r) for r in rho])
         reference = _probe_signal(dev)
         assert np.abs(reference - 2.0 * scale**2).max() <= 1e-14
-        panel = _read_panel(rho, p)
+        panel = _read_panel(rho, _noise_level(p)[0])
         for name, (axis, which) in _SETTINGS.items():
             assert np.abs(panel[name] - _forward_read(dev, reference, axis, which, p)).max() <= 1e-14
 
@@ -360,37 +371,44 @@ class TestObservables:
         assert abs(np.trace(_pull_back(w, gates) @ dev) - forward) <= 1e-13
 
     def test_observables_are_hermitian_traceless_and_frozen(self):
-        for name, (axis, which) in _SETTINGS.items():
+        stack = _noise_level(0.05)[0]
+        assert stack.shape == (len(PANEL_FIELDS), 4, 4, 4, 4) and not stack.flags.writeable
+        for v, (axis, which) in zip(stack, _SETTINGS.values()):
             w = _pull_back(np.diag(_SZ_PROBE_DIAG).astype(complex), _setting_gates(axis, which, 0.05))
             assert abs(np.trace(w)) <= 1e-12
             assert np.abs(w - w.conj().T).max() <= 1e-12
-            v = _observable(name, 0.05)
             # the probe's sigma_z traced out of W_s
             assert np.array_equal(v.reshape(16, 16), w[:16, :16] - w[16:, 16:])
-            assert not v.flags.writeable
 
     def test_every_gate_of_a_build_is_checked(self, monkeypatch):
         checked = []
         monkeypatch.setattr(expsim, "_check_deviation", checked.append)
-        _observable.cache_clear()
         w = _observable("purity_xB", 0.125)
-        assert len(checked) == len(_setting_gates("x", "AB", 0.125)) == 16
+        assert len(checked) == len(_setting_gates("x", "AB", 0.125)) == 12
         assert np.array_equal(checked[-1][:16, :16] - checked[-1][16:, 16:], w.reshape(16, 16))
-        _observable.cache_clear()
 
     def test_cache_is_bounded(self):
-        maxsize = _observable.cache_info().maxsize
+        maxsize = _noise_level.cache_info().maxsize
         assert maxsize is not None
-        for p in np.linspace(0.0, 0.3, maxsize // len(PANEL_FIELDS) + 3):
+        for p in np.linspace(0.0, 0.3, maxsize + 3):
             calibration_factors(NoiseModel(float(p)))
-        assert _observable.cache_info().currsize <= maxsize
+        assert _noise_level.cache_info().currsize <= maxsize
 
     def test_noise_sites_follow_each_cswap(self):
         gates = _setting_gates(None, "AB", 0.01)
-        kinds = [g[0] for g in gates]
-        assert kinds == ["RY", "CSWAP", "DEPOL", "DEPOL", "DEPOL", "CSWAP", "DEPOL", "DEPOL", "DEPOL", "RY"]
-        assert [g[1] for g in gates if g[0] == "DEPOL"] == [0, 1, 3, 0, 2, 4]
+        assert [g[0] for g in gates] == ["RY", "CSWAP", "DEPOL", "CSWAP", "DEPOL", "RY"]
+        assert [g[1] for g in gates if g[0] == "DEPOL"] == [0, 0]
         assert "DEPOL" not in [g[0] for g in _setting_gates("x", "B", 0.0)]
+
+    @pytest.mark.parametrize("p", [0.01, 0.2])
+    def test_probe_noise_reads_the_six_site_panel(self, p):
+        # depolarizing A, B, A' and B' too changes no read: the observable pulled back
+        # to each of those sites is the identity on the depolarized qubit
+        dev = np.array([_random_deviation(70 + k) for k in range(4)]) / DIM
+        for axis, which in _SETTINGS.values():
+            probe_only = _probe_signal(_forward(dev, _setting_gates(axis, which, p)))
+            six_sites = _probe_signal(_forward(dev, _six_site_gates(axis, which, p)))
+            assert np.abs(probe_only - six_sites).max() <= 1e-14
 
 
 # The swap test's two-copy observables on A B A' B', as (2,)*8 tensors with
@@ -544,7 +562,7 @@ class TestBatch:
         # the eight settings in one contraction read the bits of each setting read alone
         rho = _family_states(self.ALPHA, self.X)
         reference = 2.0 * np.trace(rho, axis1=1, axis2=2).real ** 2
-        panel = _read_panel(rho, p)
+        panel = _read_panel(rho, _noise_level(p)[0])
         assert list(panel) == list(PANEL_FIELDS)
         for name in PANEL_FIELDS:
             alone = np.einsum("abcd,nca,ndb->n", _observable(name, p), rho, rho).real / reference
@@ -563,6 +581,19 @@ class TestBatch:
             bad[4, i, j] += delta
             with pytest.raises(RuntimeError, match=message):
                 _check_deviation(bad)
+
+
+@pytest.fixture
+def cold_levels():
+    """An empty noise-level cache before and after the test, so a patched read is what calibrates."""
+    _noise_level.cache_clear()
+    yield
+    _noise_level.cache_clear()
+
+
+def _patch_reference_reads(monkeypatch, ideal, noisy):
+    """Make the calibration read ``ideal`` with the noiseless V_s stack and ``noisy`` with any other."""
+    monkeypatch.setattr(expsim, "_read_panel", lambda rho, v: ideal if v is _noise_level(0.0)[0] else noisy)
 
 
 class TestNoiseAndRescaling:
@@ -596,24 +627,43 @@ class TestNoiseAndRescaling:
             expected = _forward_setting(np.pi / 2, 1.0, noise, n) / _forward_setting(np.pi / 2, 1.0, NOISELESS, n)
             assert abs(factors[n] - expected) <= 1e-14
 
-    def test_calibration_rejects_nan_factor(self, monkeypatch):
+    def test_calibration_rejects_nan_factor(self, cold_levels, monkeypatch):
         # a measured attenuation of 0, below 0, NaN or inf is rejected, never divided out
         ideal = dict.fromkeys(PANEL_FIELDS, np.array([1.0]))
         for bad in (0.0, -0.5, np.nan, np.inf):
-            noisy = ideal | {"purity_AB": np.array([bad])}
-            monkeypatch.setattr(expsim, "_read_panel", lambda rho, p: noisy if p else ideal)
+            _patch_reference_reads(monkeypatch, ideal, ideal | {"purity_AB": np.array([bad])})
             with pytest.raises(ValueError, match="attenuation factor for purity_AB"):
                 calibration_factors(self.NOISE)
 
-    def test_calibration_rejects_factor_off_closed_form(self, monkeypatch):
+    def test_calibration_rejects_factor_off_closed_form(self, cold_levels, monkeypatch):
         # an unattenuated signal at p = 0.01, or one off (1 - p)**k by 1e-9 relative
         ideal = dict.fromkeys(PANEL_FIELDS, np.array([1.0]))
         exact = {name: np.array([0.99 ** len(which)]) for name, (_, which) in _SETTINGS.items()}
         for bad in (1.0, 0.99**2 * (1 + 1e-9)):
-            noisy = exact | {"purity_AB": np.array([bad])}
-            monkeypatch.setattr(expsim, "_read_panel", lambda rho, p: noisy if p else ideal)
+            _patch_reference_reads(monkeypatch, ideal, exact | {"purity_AB": np.array([bad])})
             with pytest.raises(ValueError, match="attenuation factor for purity_AB"):
                 calibration_factors(self.NOISE)
+
+    def test_exact_zero_read_at_p_one_is_rejected(self, cold_levels, monkeypatch):
+        # a read of exactly 0 matches (1 - p)**k = 0 exactly, but nothing can be divided out
+        _patch_reference_reads(monkeypatch, dict.fromkeys(PANEL_FIELDS, np.array([1.0])),
+                               dict.fromkeys(PANEL_FIELDS, np.array([0.0])))
+        for _ in range(2):  # a failed level is not cached: every call raises
+            with pytest.raises(ValueError, match="attenuation factor for purity_AB is 0.0"):
+                calibration_factors(NoiseModel(1.0))
+
+    def test_calibration_runs_once_per_level(self, cold_levels, monkeypatch):
+        reads = []
+        monkeypatch.setattr(expsim, "_read_panel", lambda rho, v: reads.append(len(rho)) or _read_panel(rho, v))
+        noise, alpha, x = NoiseModel(0.03), np.array([0.2, 0.4]), np.array([0.5, 1.0])
+        first = run_protocol(alpha, x, noise)
+        assert reads == [1, 1, 2]  # the reference, noiseless and noisy, then the points
+        # the caller's dict is its own: changing it changes no later panel
+        calibration_factors(noise)["purity_AB"] = 0.5
+        second = run_protocol(alpha, x, noise)
+        assert reads == [1, 1, 2, 2]
+        for name in PANEL_FIELDS:
+            assert np.array_equal(first.rescaled[name], second.rescaled[name])
 
     def test_lost_signal_is_rejected(self):
         # at p = 1 every factor is 0 up to rounding: nothing can be divided out

@@ -760,6 +760,10 @@ class TestVerifyRelations:
         with pytest.raises(ValueError, match=f"need {name} >= 1"):
             verify_relations(construct_mubs(2, 3), big_d, trials, 0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^need seed >= 0, got -1$"):
+            verify_relations(construct_mubs(2, 3), 2, 1, -1)
+
 
 class TestEquivalentSets:
     """The paper's claims on every set of MUBs, not only the constructed prefixes."""
