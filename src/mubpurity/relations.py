@@ -31,10 +31,18 @@ rho and every D
 
     gamma(rho) >= -eps (I_A (x) rho_B) >= -eps I.
 
-A check of J at -TOL_PSD thus bounds every gamma at the bound each trial
-is gated at, and the gap Tr(gamma rho) is then at least -TOL_PSD. At
-M = d + 1, J = 0 makes gamma vanish identically. The checks also run on
-seeded random states.
+A Cholesky factorization of J + TOL_PSD I, the gate each trial's gamma
+passes too, exists exactly when lambda_min(J) > -TOL_PSD. One
+factorization of J thus bounds every gamma at the bound each trial is
+gated at, and the gap Tr(gamma rho) is then at least -TOL_PSD. At
+M = d + 1, J = 0 makes gamma vanish identically, and a small J bounds
+every gamma: for every state rho and every D
+
+    ||gamma(rho)||_1 <= ||Phi||_diamond <= ||J||_1 <= d ||J||_F
+
+(Watrous, The Theory of Quantum Information, CUP 2018, ch. 3; the last
+step holds because J is d^2 x d^2). The checks also run on seeded random
+states.
 """
 
 from __future__ import annotations
@@ -260,8 +268,8 @@ def _gamma_terms(
     n, big_d = rho_b.shape[:2]
     # I_A (x) rho_B: rho_B in each diagonal block
     eye_rho_b = np.zeros((n, d, big_d, d, big_d), dtype=complex)
-    for a in range(d):
-        eye_rho_b[:, a, :, a, :] = rho_b
+    diagonal = np.arange(d)
+    eye_rho_b[:, diagonal, :, diagonal, :] = rho_b
     g = eye_rho_b.reshape(rho.shape) + (m - 1) / d * rho - _pinched_sum(pairs, blocks)
     return rho_b, blocks, g
 
@@ -372,9 +380,11 @@ class VerificationReport:
 
     ``state_seed`` seeds the random state attaining ``value``, or for the
     PSD gate the first state it rejects; it is None for the checks of the
-    basis itself and for a passing gate. ``gram_deviation`` is the basis's
-    Gram deviation, an observation and not a check: the build raises above
-    ``TOL_STRUCTURAL``, so a report exists only when it lies below.
+    basis itself and for a passing gate. Two fields are observations and
+    not checks. ``gram_deviation`` is the basis's Gram deviation: the build
+    raises above ``TOL_STRUCTURAL``, so a report exists only when it lies
+    below. ``choi_floor`` is Weyl's lower bound on the smallest eigenvalue
+    of the Choi matrix J, read from the Gram and J-vs-P deviations.
     """
 
     d: int
@@ -383,6 +393,7 @@ class VerificationReport:
     trials: int
     seed: int
     gram_deviation: float
+    choi_floor: float
     checks: tuple[tuple[str, float, float, bool, int | None], ...]
 
     @property
@@ -393,6 +404,7 @@ class VerificationReport:
         lines = [
             f"verify d={self.d} M={self.M} D={self.D} trials={self.trials} seed={self.seed}",
             f"gram max deviation: {self.gram_deviation!r} (basis build raises above {TOL_STRUCTURAL!r})",
+            f"choi min eigenvalue floor: {self.choi_floor!r} (Weyl, from the gram and choi vs projector deviations)",
         ]
         for name, value, bound, passed, state_seed in self.checks:
             line = f"{name}: {value!r} (bound {bound!r}) {'PASS' if passed else 'FAIL'}"
@@ -411,29 +423,44 @@ def _choi_matrix(mubs: MubSet) -> np.ndarray:
     return _gamma_terms((omega.T @ omega)[None], (d, d), mubs)[2][0]
 
 
-def _certificate(basis: BipartiteBasis) -> list[tuple[str, float, float, bool, None]]:
-    """The checks of the Choi matrix J: J = P within TOL_STRUCTURAL, then J >= -TOL_PSD below M = d + 1, or J = 0 at it."""
-    d = basis.d
+def _certificate(basis: BipartiteBasis) -> tuple[float, list[tuple[str, float, float, bool, None]]]:
+    """Weyl's floor under lambda_min(J), and the checks of the Choi matrix J.
+
+    J must equal P within TOL_STRUCTURAL. Below M = d + 1, J must be
+    Hermitian within TOL_PSD, since the gate reads one triangle, and pass
+    the Cholesky PSD gate at -TOL_PSD; at M = d + 1 it must vanish. The
+    floor is an observation: P = I - S^T S* over the k = 1 + M(d-1)
+    constructed states S has the eigenvalues 1 - spec(G) of their Gram
+    matrix G, and 1, so Weyl's inequality (Math. Ann. 71, 441 (1912)) gives
+    lambda_min(J) >= -k max|G - I| - d^2 max|J - P|, up to the rounding of
+    P's product.
+    """
+    d, m = basis.d, basis.M
     choi = _choi_matrix(basis.mubs)
     route = float(np.abs(choi - basis.projector).max())
+    floor = -(1 + m * (d - 1)) * basis.gram_deviation - d * d * route
     checks = [("choi vs projector max deviation", route, TOL_STRUCTURAL, route <= TOL_STRUCTURAL, None)]
-    if basis.M == d + 1:
+    if m == d + 1:
         norm = frobenius_norm(choi)
         checks.append(("choi frobenius", norm, TOL_SPECTRAL, norm <= TOL_SPECTRAL, None))
     else:
-        low = float(hermitian_eigenvalues(choi)[0])
-        checks.append(("choi min eigenvalue", low, -TOL_PSD, low >= -TOL_PSD, None))
-    return checks
+        skew = float(_hermiticity_defects(choi))
+        failed = int(not _psd_rows(choi[None])[0])
+        checks += [("choi hermiticity max deviation", skew, TOL_PSD, skew <= TOL_PSD, None),
+                   ("choi psd gate failures", failed, 0, failed == 0, None)]
+    return floor, checks
 
 
 def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> VerificationReport:
     """Check the basis of ``mubs``, certify gamma from its Choi matrix, and check ``trials`` >= 1 random states on (d, big_d >= 1).
 
     The certificate is read once per call (module docstring): J must equal
-    the stored projector, the second gamma route; below M = d + 1 its
-    smallest eigenvalue, the call's only eigensolve, must reach -TOL_PSD,
-    which bounds gamma(rho) below by -TOL_PSD I for every state and every
-    D; at M = d + 1 its norm must vanish.
+    the stored projector, the second gamma route; below M = d + 1 it must
+    be Hermitian and pass the Cholesky PSD gate at -TOL_PSD, which bounds
+    gamma(rho) below by -TOL_PSD I for every state and every D; at
+    M = d + 1 its norm must vanish, which bounds the trace norm of every
+    gamma(rho) by d * TOL_SPECTRAL. The call runs no eigensolve: every PSD
+    decision, of J and of each trial, is the one gate's.
 
     Trial t draws a state of rank d*big_d, 1 or 2 (cycling) from the t-th
     seed of ``SeedSequence(seed >= 0)``. The trials are drawn and read as checked
@@ -455,7 +482,8 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
     basis = build_bipartite_basis(mubs)
     pt = check_pt_identities(basis)
     checks = [("pt identities max deviation", pt.max_deviation, TOL_STRUCTURAL, pt.passed, None)]
-    checks += _certificate(basis)
+    choi_floor, certificate = _certificate(basis)
+    checks += certificate
 
     trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)]
     dim = d * big_d
@@ -497,4 +525,4 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
         failed = int((~gammas).sum())
         first = trial_seeds[int(np.argmin(gammas))] if failed else None
         checks.append(("gamma psd gate failures", failed, 0, failed == 0, first))
-    return VerificationReport(d, big_d, m, trials, seed, basis.gram_deviation, tuple(checks))
+    return VerificationReport(d, big_d, m, trials, seed, basis.gram_deviation, choi_floor, tuple(checks))

@@ -4,8 +4,9 @@ Three buckets, used consistently by the library and its tests:
 
 * ``TOL_STRUCTURAL`` -- exact algebraic identities checked entrywise
   (hermiticity, unit trace, orthonormality, unbiasedness).
-* ``TOL_PSD`` -- slack on positive-semidefiniteness and on hermiticity of
-  eigensolver inputs.
+* ``TOL_PSD`` -- slack on positive-semidefiniteness, and on hermiticity of
+  the inputs to an eigensolver or to the Cholesky PSD gate, which read one
+  triangle.
 * ``TOL_SPECTRAL`` -- accumulated-error bound for spectral sums, projector
   ranks and relation gaps.
 """

@@ -205,9 +205,12 @@ class TestVerifyCommand:
     def test_incomplete_set_passes(self, capsys):
         assert main(["verify", "--d", "3", "--m", "2", "--trials", "20", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert "\nchoi min eigenvalue: " in out
+        assert "\nchoi min eigenvalue floor: " in out
+        assert "\nchoi hermiticity max deviation: " in out
+        # J passes the same gate as every trial, and no line reads an eigensolve
+        assert "\nchoi psd gate failures: 0 (bound 0) PASS\n" in out
         assert "\ngamma psd gate failures: 0 (bound 0) PASS\n" in out
-        assert "gamma min eigenvalue" not in out
+        assert "min eigenvalue:" not in out
 
     def test_rectangular_b_side(self):
         assert main(["verify", "--d", "2", "--m", "2", "--big-d", "3",
@@ -271,9 +274,10 @@ class TestVerifyCommand:
         assert main(["verify", "--d", "3", "--m", "3", "--big-d", "2", "--trials", "6", "--seed", "5"]) == 2
         lines = capsys.readouterr().out.splitlines()
         seed = int(np.random.SeedSequence(5).generate_state(6, dtype=np.uint64)[4])
-        # line 1 is the Gram observation, which carries no verdict
+        # lines 1 and 2 are the Gram and Choi floor observations, which carry no verdict
         assert lines[1].startswith("gram max deviation: ")
-        assert [line for line in lines[2:-1] if not line.endswith("PASS")] == [
+        assert lines[2].startswith("choi min eigenvalue floor: ")
+        assert [line for line in lines[3:-1] if not line.endswith("PASS")] == [
             f"relation gap min: -1.0 (bound -1e-09) FAIL [state seed {seed}]"
         ]
         assert lines[-1] == "VERIFICATION FAILED"

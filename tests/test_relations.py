@@ -563,12 +563,27 @@ def _gate_matches_spectrum(mubs, big_d, seeds):
         assert np.array_equal(_psd_rows(moved), np.full(len(seeds), verdict)), target
 
 
+def _choi_gate_matches_spectrum(mubs):
+    """Assert that the PSD gate decides J, and J - 2 TOL_PSD I, as their smallest eigenvalues do, and that Weyl's floor holds.
+
+    J is PSD with a null space below M = d + 1, so the gate passes it and
+    fails the shifted J, whose smallest eigenvalue is near -2 TOL_PSD.
+    """
+    choi = _choi_matrix(mubs)
+    floor = relations._certificate(build_bipartite_basis(mubs))[0]
+    for shift, verdict in ((0, True), (2 * TOL_PSD, False)):
+        moved = choi - shift * np.eye(len(choi))
+        low = np.linalg.eigvalsh(moved)[0]
+        assert _psd_rows(moved[None])[0] == (low >= -TOL_PSD) == verdict, shift
+        assert low >= floor - shift
+
+
 class TestVerifyRelations:
     @pytest.mark.parametrize("m,state_checks", [
         (4, ["choi frobenius", "relation gap min", "gap vs Tr(gamma rho) max deviation",
              "gamma hermiticity max deviation", "gamma frobenius max", "relation |gap| max"]),
-        (3, ["choi min eigenvalue", "relation gap min", "gap vs Tr(gamma rho) max deviation",
-             "gamma hermiticity max deviation", "gamma psd gate failures"]),
+        (3, ["choi hermiticity max deviation", "choi psd gate failures", "relation gap min",
+             "gap vs Tr(gamma rho) max deviation", "gamma hermiticity max deviation", "gamma psd gate failures"]),
     ])
     def test_report_reads_the_library_checks(self, m, state_checks):
         mubs = construct_mubs(3, m)
@@ -579,9 +594,17 @@ class TestVerifyRelations:
         ]
         assert report.gram_deviation == basis.gram_deviation
         assert report.checks[0][1] == check_pt_identities(basis).max_deviation
+        # Weyl's floor from the k = 1 + M(d-1) constructed states and the d^2 x d^2 J
+        assert report.choi_floor == -(1 + 2 * m) * basis.gram_deviation - 9 * report.checks[1][1]
+        assert report.summary().splitlines()[2] == (
+            f"choi min eigenvalue floor: {report.choi_floor!r} (Weyl, from the gram and choi vs projector deviations)"
+        )
         # the basis and certificate checks name no state, nor does a passing gate
-        assert [check[4] for check in report.checks[:3]] == [None, None, None]
-        sampled = [check for check in report.checks[3:] if check[0] != "gamma psd gate failures"]
+        fixed = 3 if m == 4 else 4
+        assert [check[4] for check in report.checks[:fixed]] == [None] * fixed
+        if m == 3:
+            assert report.checks[3] == ("choi psd gate failures", 0, 0, True, None)
+        sampled = [check for check in report.checks[fixed:] if check[0] != "gamma psd gate failures"]
         assert all(check[4] in _seeds(9, 4) for check in sampled)
         assert report.passed and report.summary().endswith("\nall checks passed")
 
@@ -624,7 +647,8 @@ class TestVerifyRelations:
             # every trial's smallest eigenvalue clears the bound, and the gate passes them all
             assert min(rep.gamma_min_eig for rep in reports) >= -1e-10
             expected.append(("gamma psd gate failures", 0, 0, True, None))
-        assert list(verify_relations(mubs, 7, 40, 12).checks[3:]) == expected
+        # after the PT check and J's two checks at M = d + 1, or three below it
+        assert list(verify_relations(mubs, 7, 40, 12).checks[3 if m == 8 else 4:]) == expected
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_gate_verdicts_equal_the_spectrum(self, d):
@@ -648,14 +672,91 @@ class TestVerifyRelations:
                 assert report.checks[1][:2] == ("choi vs projector max deviation", np.abs(choi - basis.projector).max())
                 assert report.passed
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+    def test_gate_decides_choi_as_its_spectrum(self, d):
+        # on constructed and on unitarily rotated sets, at every M <= d
+        v = _haar(np.random.default_rng(1300 + d), d)
+        for m in range(2, d + 1):
+            mubs = construct_mubs(d, m)
+            _choi_gate_matches_spectrum(mubs)
+            _choi_gate_matches_spectrum(MubSet(mubs.bases @ v.T))
+
+    def test_choi_norm_bounds_every_gamma(self):
+        # (Phi (x) id)(rho)[xu, yv] = sum_ab J[xa, yb] rho[au, bv] for the Choi
+        # matrix J of Phi; on seeded random J and states,
+        # ||(Phi (x) id)(rho)||_1 <= ||J||_1 <= d ||J||_F
+        def apply(choi, rho, d, big_d):
+            out = np.einsum("xayb,aubv->xuyv", choi.reshape(d, d, d, d), rho.reshape(d, big_d, d, big_d))
+            return out.reshape(d * big_d, d * big_d)
+
+        def trace_norm(m):
+            return np.linalg.svd(m, compute_uv=False).sum()
+
+        rng = np.random.default_rng(2018)
+        for d, big_d in ((2, 1), (2, 3), (3, 2), (3, 3), (5, 2)):
+            dim = d * big_d
+            # J read as a map is gamma's, so the bound holds for gamma at d * ||J||_F
+            rho = random_density(dim, dim, d + big_d, dims=(d, big_d))
+            mubs = construct_mubs(d, d)
+            assert np.abs(apply(_choi_matrix(mubs), rho.matrix, d, big_d) - gamma_direct(rho, mubs)).max() <= TOL_STRUCTURAL
+            for t in range(20):
+                choi = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+                rho = random_density(dim, (dim, 1)[t % 2], int(rng.integers(2**32)), dims=(d, big_d))
+                bound = trace_norm(choi)
+                assert trace_norm(apply(choi, rho.matrix, d, big_d)) <= bound * (1 + 1e-12)
+                assert bound <= d * frobenius_norm(choi) * (1 + 1e-12)
+            # the last step is tight: the transpose map's J is the swap, with ||J||_1 = d^2 = d ||J||_F
+            swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+            assert abs(trace_norm(swap) - d * frobenius_norm(swap)) <= 1e-12 * d * d
+
     @pytest.mark.parametrize("d", [3, 5, 7])
-    def test_choi_route_catches_the_conjugated_projector(self, d):
+    def test_choi_route_catches_the_conjugated_projector(self, monkeypatch, d):
         # the conjugated projector is idempotent with the right trace, so
         # the build accepts it; J tells it apart wherever P is complex (the
-        # constructed P is real at M = 2 and zero at M = d + 1)
+        # constructed P is real at M = 2 and zero at M = d + 1), and only
+        # the J-vs-P line fails: J itself still passes the gate
+        real = relations.build_bipartite_basis
+
+        def conjugated(mubs):
+            basis = real(mubs)
+            return dataclasses.replace(basis, projector=basis.projector.conj())
+
+        monkeypatch.setattr(relations, "build_bipartite_basis", conjugated)
         for m in range(3, d + 1):
             mubs = construct_mubs(d, m)
-            assert np.abs(_choi_matrix(mubs) - build_bipartite_basis(mubs).projector.conj()).max() > 0.1
+            assert np.abs(_choi_matrix(mubs) - real(mubs).projector.conj()).max() > 0.1
+            report = verify_relations(mubs, 2, 2, m)
+            assert [check[0] for check in report.checks if not check[3]] == ["choi vs projector max deviation"]
+
+    @pytest.mark.parametrize("fault,line", [
+        ("skewed", "choi hermiticity max deviation"),
+        ("shifted", "choi psd gate failures"),
+    ])
+    def test_faulty_choi_fails_verification(self, monkeypatch, capsys, fault, line):
+        # J skewed by 2 TOL_PSD in the triangle the gate does not read, or
+        # shifted by -2 TOL_PSD I, is a failed check (exit 2), not a usage
+        # error (exit 1); both also move J off P
+        real = relations._choi_matrix
+
+        def faulty(mubs):
+            choi = real(mubs)
+            if fault == "skewed":
+                choi[0, 1] += 2 * TOL_PSD
+            else:
+                choi -= 2 * TOL_PSD * np.eye(len(choi))
+            return choi
+
+        monkeypatch.setattr(relations, "_choi_matrix", faulty)
+        assert main(["verify", "--d", "3", "--m", "2", "--big-d", "2", "--trials", "3", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        failed = [text for text in captured.out.splitlines() if text.endswith(" FAIL")]
+        assert [text.split(":")[0] for text in failed] == ["choi vs projector max deviation", line]
+        if fault == "skewed":
+            assert abs(float(failed[1].split()[4]) - 2 * TOL_PSD) <= 1e-15
+            assert failed[1].endswith(" (bound 1e-10) FAIL")
+        else:
+            assert failed[1] == "choi psd gate failures: 1 (bound 0) FAIL"
+        assert captured.out.endswith("\nVERIFICATION FAILED\n") and captured.err == ""
 
     def test_failed_gate_names_the_first_rejected_trial(self, monkeypatch):
         real, seen = relations._relation_arrays, []
@@ -693,7 +794,7 @@ class TestVerifyRelations:
 
         monkeypatch.setattr(relations, "_relation_arrays", skewed)
         report = verify_relations(construct_mubs(3, m), 2, 3, 1)
-        name, value, bound, passed, state_seed = report.checks[5]
+        name, value, bound, passed, state_seed = report.checks[-3 if m == 4 else -2]
         assert (name, bound, passed, state_seed) == ("gamma hermiticity max deviation", TOL_PSD, False, _seeds(1, 3)[2])
         assert abs(value - 3 * TOL_PSD) <= 1e-15
         assert not report.passed
@@ -703,42 +804,38 @@ class TestVerifyRelations:
         assert f"gamma hermiticity max deviation: {value!r} (bound 1e-10) FAIL [state seed {_seeds(1, 3)[2]}]\n" in captured.out
         assert captured.out.endswith("\nVERIFICATION FAILED\n") and captured.err == ""
 
-    def test_eigensolves_run_only_for_the_psd_check(self, monkeypatch, tmp_path):
-        calls = {"gamma": 0, "numpy": 0}
+    def test_verify_runs_no_eigensolve(self, monkeypatch, tmp_path):
+        solves, gated = [], []
 
-        def counted(key, solve):
+        def counted(name, solve):
             def wrapper(*args, **kwargs):
-                calls[key] += 1
+                solves.append(name)
                 return solve(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(relations, "hermitian_eigenvalues", counted("gamma", hermitian_eigenvalues))
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-            monkeypatch.setattr(np.linalg, name, counted("numpy", getattr(np.linalg, name)))
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        gate = relations._psd_rows
+        monkeypatch.setattr(relations, "_psd_rows", lambda a: gated.append(a.shape) or gate(a))
         # the default budget reads 30 trials in one chunk at d = 3, D = 2,
         # a budget of one byte in chunks of one state
-        budgets = (relations._CHUNK_BYTES, 1)
-        # at M = d + 1 gamma and J are checked for vanishing, and no state,
-        # basis, J or gamma needs a spectrum; sweep reads no gamma column
-        for budget in budgets:
+        for budget in (relations._CHUNK_BYTES, 1):
             monkeypatch.setattr(relations, "_CHUNK_BYTES", budget)
-            for trials in (1, 30):
-                assert verify_relations(construct_mubs(3, 4), 2, trials, 5).passed
+            for m in (2, 3, 4):
+                for trials in (1, 30):
+                    gated.clear()
+                    assert verify_relations(construct_mubs(3, m), 2, trials, 5).passed
+                    # below M = d + 1 the one gate decides J, then every
+                    # trial in its chunk; at it, J and gamma must vanish
+                    if m == 4:
+                        assert gated == []
+                    else:
+                        assert gated[0] == (1, 9, 9)
+                        assert [shape[1:] for shape in gated[1:]] == [(6, 6)] * (len(gated) - 1)
+                        assert sum(shape[0] for shape in gated[1:]) == trials
+        # sweep reads no gamma column
         assert main(["sweep", "--param", "x", "--steps", "9", "--simulate", "--out", str(tmp_path / "s.csv")]) == 0
-        assert calls == {"gamma": 0, "numpy": 0}
-        # below it, exactly one eigensolve per call, of J, whatever the trial
-        # count and chunking; the gate decides every trial without one
-        mubs = construct_mubs(3, 3)
-        for budget in budgets:
-            monkeypatch.setattr(relations, "_CHUNK_BYTES", budget)
-            for trials in (1, 30):
-                calls.update(gamma=0, numpy=0)
-                report = verify_relations(mubs, 2, trials, 5)
-                assert calls == {"gamma": 1, "numpy": 1}
-                assert report.passed
-        name, low = report.checks[2][:2]
-        assert name == "choi min eigenvalue"
-        assert abs(low - np.linalg.eigvalsh(build_bipartite_basis(mubs).projector)[0]) <= TOL_STRUCTURAL
+        assert solves == []
 
     @pytest.mark.parametrize("m", [2, 8])
     def test_trial_memory_is_bounded(self, m):
@@ -861,6 +958,7 @@ class TestNonPrimeSets:
         report = verify_relations(mubs, 2, 6, 1000 * d + m)
         assert report.passed, report.summary()
         if m <= d:
+            _choi_gate_matches_spectrum(mubs)
             for big_d in (2, d):
                 _gate_matches_spectrum(mubs, big_d, _seeds(1100 * d + 10 * m + big_d, 3))
 
