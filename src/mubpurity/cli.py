@@ -2,19 +2,14 @@
 
 Each subcommand parses its arguments, calls the library once and formats
 the result: ``mub`` (generate/validate basis sets), ``verify`` (the report
-of ``verify_relations``, which makes every check of the basis and of the
-relation on seeded random states), ``relation`` (one relation report),
-``sweep`` (parameter sweeps with CSV/JSON output), ``expsim`` (one
-simulated purity panel). ``mub``, ``verify`` and ``relation`` take
-their basis set from one resolver: the file of ``--load`` or ``--mubs``,
-else ``construct_mubs``. The library owns the rules on d, M, trials and
-big_d, so those errors name its parameters (``need big_d >= 1``). Exit
-codes: 0 success, 1 usage error, 2 verification/validation failure;
-``main`` alone turns an error into its exit code and one ``error:`` line
-on stderr. Angles accept plain radians or pi fractions such as ``pi/2``
-and ``3pi/8``. The seed of ``verify`` falls back to the ``PURITY_SEED``
-environment variable, then to 0; ``sweep`` accepts ``--seed`` but draws
-no random numbers.
+of ``verify_relations``), ``relation`` (one relation report), ``sweep``
+(parameter sweeps with CSV/JSON output), ``expsim`` (one simulated purity
+panel). ``mub``, ``verify`` and ``relation`` take their basis set from one
+resolver: the file of ``--load`` or ``--mubs``, else ``construct_mubs``.
+The library owns the rules on d, M, trials and big_d, so those errors name
+its parameters. ``main`` alone turns an error into its exit code and one
+``error:`` line on stderr; the README states the codes, the angle syntax
+and the seed fallback of ``verify``.
 """
 
 from __future__ import annotations
@@ -298,7 +293,7 @@ def main(argv=None) -> int:
     except MubValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

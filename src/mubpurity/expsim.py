@@ -2,43 +2,54 @@
 
 Register layout: qubit 0 is the probe, qubits 1-4 are A, B, A', B'. The
 register is the traceless deviation sigma_z^probe (x) rho (x) rho of two
-copies of the depolarized family state. Each of the eight panel
-settings is a fixed gate sequence: an optional pinch of A and A' in one
-Pauli basis, then controlled-SWAPs conditioned on the probe. With both
-pair swaps the probe signal returns Tr(rho rho'), with the BB' swap alone
-Tr(rho_B rho'_B) (the swap-test estimator of Ekert et al., PRL 88, 217901
-(2002)).
+copies of the depolarized family state. Each of the eight panel settings
+is a fixed tuple of gate descriptors: ("RY", q, angle) and ("RX", q,
+angle) rotate qubit q, ("DEPHASE", q) pinches it in the computational
+basis, ("CSWAP", control, q1, q2) swaps q1 and q2 where the control is 1,
+and ("DEPOL", q, p) depolarizes q with strength p. A setting may pinch A
+and A' in one Pauli basis (x: rotate by -pi/2 about y, dephase, rotate
+back; y: the same by +pi/2 about x; z: dephase), then rotates the probe
+into coherence, applies CSWAP(probe; A, A') and CSWAP(probe; B, B') ("AB"
+readout: Tr(rho rho')) or the BB' gate alone ("B": Tr(rho_B rho'_B)), and
+rotates the probe back: the swap-test estimator of Ekert et al., PRL 88,
+217901 (2002).
 
 The panel is read in the Heisenberg picture. Every gate is unital and
 self-adjoint up to the sign of a rotation angle, so the probe observable
-is propagated backwards through each setting once per noise level. Tracing
-its probe against sigma_z leaves a 16x16 observable V_s on the two copies,
-so a setting's value is Re Tr(V_s rho (x) rho) / (2 Tr(rho)^2), read
-against the 4x4 rho of each (alpha, x) point; one contraction reads the
-eight stacked V_s against every point at once, and the 32x32 register
-itself is never built. The states are the stack that
-``states._family_states`` builds and checks; out-of-domain points fail
-there with the message of ``rho_family``, which names x when both values
-are out.
+is propagated backwards through each setting once per noise level, and
+checked for finite entries, zero trace and hermiticity after every gate.
+Tracing its probe against sigma_z leaves a 16x16 observable V_s on the two
+copies, so a setting's value is Re Tr(V_s rho (x) rho) / (2 Tr(rho)^2),
+read against the 4x4 rho of each (alpha, x) point. One contraction reads
+the eight stacked V_s against every point, summing each (setting, point)
+entry alone, so a point reads the same bits in a stack as alone; the
+32x32 register is never built, and the read checks nothing: the states are
+the stack that ``states._family_states`` builds and checks.
 
 Sites for noise: a one-parameter depolarizing channel acts on the probe
 immediately after each controlled-SWAP. The swapped qubits need no site:
 at the A, B, A' and B' sites the pulled-back observable is the identity on
 that qubit, which the channel fixes, so adding them would change no read
 (``test_probe_noise_reads_the_six_site_panel`` checks this). Rescaling
-divides each measured value by the attenuation observed on a reference
-state whose ideal panel is read by the same pipeline without noise; that
-attenuation must be (1 - p)**k for a setting with k controlled-SWAPs.
+divides each measured value by the attenuation observed on the reference
+state alpha = pi/2, x = 1, whose ideal panel is read by the same pipeline
+without noise. The noise scales V_s by exactly (1 - p)**k for a setting
+with k controlled-SWAPs (2 for "AB", 1 for "B"), so rescaling is exact for
+every state, and the observed attenuation must be that constant. Each
+noise level's eight V_s and checked factors are built once per process
+and kept as one record, up to eight levels; a level whose calibration
+fails is not kept.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import hermiticity_defect
+from .linalg import _hermiticity_defects
 from .states import _family_states
 from .tolerances import TOL_STRUCTURAL
 
@@ -71,17 +82,20 @@ _SETTINGS = dict(
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-qubit depolarizing probability applied after each controlled-SWAP."""
+    """The probe's depolarizing probability after each controlled-SWAP, stored as a Python float in [0, 1].
+
+    -0.0 is stored as 0.0; a bool, a non-real value or one outside [0, 1] raises ``ValueError``.
+    """
 
     p_depol: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= float(self.p_depol) <= 1.0:
-            raise ValueError(f"p_depol={self.p_depol!r} outside [0, 1]")
-
-    @property
-    def active(self) -> bool:
-        return self.p_depol > 0.0
+        if isinstance(self.p_depol, bool) or not isinstance(self.p_depol, numbers.Real):
+            raise ValueError(f"p_depol must be a real number, got {self.p_depol!r}")
+        p = float(self.p_depol) + 0.0  # -0.0 + 0.0 is 0.0
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p_depol={p!r} outside [0, 1]")
+        object.__setattr__(self, "p_depol", p)
 
 
 NOISELESS = NoiseModel()
@@ -96,7 +110,7 @@ def _check_deviation(dev: np.ndarray) -> None:
     worst = int(np.abs(trace).argmax())
     if abs(trace[worst]) > TOL_STRUCTURAL:
         raise RuntimeError(f"deviation trace drifted to {trace[worst]!r}")
-    if hermiticity_defect(dev) > TOL_STRUCTURAL:
+    if _hermiticity_defects(dev).max() > TOL_STRUCTURAL:
         raise RuntimeError("deviation lost hermiticity")
 
 
@@ -127,15 +141,7 @@ def _depolarize(dev: np.ndarray, qubit: int, p: float) -> np.ndarray:
 
 
 def _apply_gate(dev: np.ndarray, gate: tuple) -> np.ndarray:
-    """One gate descriptor of :func:`_setting_gates` applied to a (..., DIM, DIM) array.
-
-    Descriptors: ("RY", qubit, angle), ("RX", qubit, angle),
-    ("CSWAP", control, q1, q2), ("DEPHASE", qubit), ("DEPOL", qubit, p).
-    Unitary gates conjugate every matrix; DEPHASE pinches the qubit in the
-    computational basis; DEPOL is the depolarizing channel of strength p
-    on the qubit. The input is not changed. The descriptors are trusted;
-    the result is checked for finite entries, zero trace and hermiticity.
-    """
+    """A trusted gate descriptor (module docstring) applied to a (..., DIM, DIM) array, as a new, checked array."""
     kind = gate[0]
     if kind in ("RY", "RX"):
         _, qubit, angle = gate
@@ -164,16 +170,7 @@ _PRE_ROTATION = {"x": ("RY", -np.pi / 2), "y": ("RX", np.pi / 2), "z": None}
 
 
 def _setting_gates(axis: str | None, which: str, p: float) -> tuple[tuple, ...]:
-    """The gate sequence of one setting, in time order.
-
-    Measurement block (axis None: none): pinch A and A' in the Pauli basis
-    of ``axis``. x: rotate by -pi/2 about y, dephase, rotate back; y:
-    rotate by +pi/2 about x, dephase, rotate back; z: dephase only.
-    Readout: create probe coherence, apply CSWAP(probe; A, A') and
-    CSWAP(probe; B, B') for ``which="AB"`` (only the BB' gate for
-    ``which="B"``) and rotate the coherence back. With p > 0 each CSWAP is
-    followed by depolarizing on the probe.
-    """
+    """The gate descriptors of one setting (module docstring) in time order; with p > 0 a DEPOL of the probe follows each CSWAP."""
     gates = [] if axis is None else [("DEPHASE", q) for q in (_A, _A2)]
     rotation = _PRE_ROTATION.get(axis)
     if rotation is not None:
@@ -191,9 +188,8 @@ def _setting_gates(axis: str | None, which: str, p: float) -> tuple[tuple, ...]:
 def _pull_back(w: np.ndarray, gates) -> np.ndarray:
     """The observable w propagated backwards through a gate sequence.
 
-    Tr(result dev) equals Tr(w dev') where dev' is dev after the gates. The
-    adjoint of each gate is the gate itself with its rotation angle negated
-    (CSWAP, DEPHASE and DEPOL are self-adjoint), applied in reverse order.
+    Tr(result dev) equals Tr(w dev') for dev' the gates' output; each gate's
+    adjoint is itself with its rotation angle negated, applied in reverse.
     """
     for gate in reversed(gates):
         if gate[0] in ("RY", "RX"):
@@ -217,10 +213,7 @@ def _observable(name: str, p: float) -> np.ndarray:
 
 
 def _read_panel(rho: np.ndarray, observables: np.ndarray) -> dict[str, np.ndarray]:
-    """All eight settings of an (n, 4, 4) state stack, as (n,) arrays, read with an (8, 4, 4, 4, 4) V_s stack.
-
-    The stack is read as given: callers take it from :func:`_family_states`, which checks it.
-    """
+    """All eight settings of a checked (n, 4, 4) state stack, as (n,) arrays, read with an (8, 4, 4, 4, 4) V_s stack."""
     # the probe signal Tr(sigma_z^probe dev) of the unread register dev
     reference = 2.0 * np.trace(rho, axis1=1, axis2=2).real ** 2
     # one einsum for all settings and points, with no intermediate: each
@@ -232,10 +225,7 @@ def _read_panel(rho: np.ndarray, observables: np.ndarray) -> dict[str, np.ndarra
 
 @lru_cache(maxsize=8)
 def _noise_level(p: float) -> tuple[np.ndarray, dict[str, float]]:
-    """The read-only (8, 4, 4, 4, 4) V_s stack at strength p, in PANEL_FIELDS order, and its :func:`calibration_factors`.
-
-    A level whose calibration raises is not cached; the cache holds up to eight levels.
-    """
+    """The record of noise level p: the read-only (8, 4, 4, 4, 4) V_s stack in PANEL_FIELDS order, and its calibration factors."""
     observables = np.stack([_observable(name, p) for name in PANEL_FIELDS])
     observables.setflags(write=False)
     factors = dict.fromkeys(PANEL_FIELDS, 1.0)
@@ -255,17 +245,13 @@ def _noise_level(p: float) -> tuple[np.ndarray, dict[str, float]]:
 
 
 def calibration_factors(noise: NoiseModel = NOISELESS) -> dict[str, float]:
-    """Per-setting attenuation measured on the maximally entangled reference, as a new dict.
+    """The attenuation noisy/ideal of each setting on the reference state (module docstring), as a new dict.
 
-    Each factor is the ratio noisy/ideal of the setting read on the pure
-    alpha = pi/2, x = 1 state, measured once per noise level; all are 1 when
-    noise is inactive. A factor off (1 - p)**k by more than TOL_STRUCTURAL
-    relative, k the setting's CSWAP count, raises ``ValueError``, and so does
-    every factor where (1 - p)**k is 0 (at p = 1 the signal is gone).
+    A factor off (1 - p)**k by more than TOL_STRUCTURAL relative raises
+    ``ValueError``, and so does every factor where (1 - p)**k is 0 (at
+    p = 1 the signal is gone). At p = 0 every factor is 1.
     """
-    if not noise.active:
-        return dict.fromkeys(PANEL_FIELDS, 1.0)
-    return dict(_noise_level(float(noise.p_depol))[1])
+    return dict(_noise_level(noise.p_depol)[1])
 
 
 @dataclass(frozen=True)
@@ -301,14 +287,10 @@ class PurityPanel:
 
 
 def run_protocol(alpha, x, noise: NoiseModel = NOISELESS) -> PurityPanel:
-    """Measure the full eight-purity panel of one point or of a stack of points.
+    """The eight-purity panel, raw and divided by the :func:`calibration_factors` of ``noise``.
 
     ``alpha`` and ``x`` are two floats, or two equal-length 1-D arrays of
-    points that are read together, one 4x4 state per point; the panel then
-    holds arrays. Every point reads the same bits as a run of it alone.
-    With noise active the raw values are attenuated; the rescaled ones
-    divide out the :func:`calibration_factors` of the noise.
-    Noiseless runs return identical raw and rescaled panels.
+    points read in one contraction; the panel then holds arrays.
     """
     alpha, x = np.array(alpha, dtype=float), np.array(x, dtype=float)
     rho = _family_states(alpha, x)
@@ -319,10 +301,9 @@ def run_protocol(alpha, x, noise: NoiseModel = NOISELESS) -> PurityPanel:
 
 def _panel(alpha, x, rho: np.ndarray, noise: NoiseModel) -> PurityPanel:
     """The panel of the checked state stack ``rho`` of the points alpha, x (floats or (n,) arrays)."""
-    p = float(noise.p_depol) if noise.active else 0.0
-    observables, factors = _noise_level(p)
+    observables, factors = _noise_level(noise.p_depol)
     raw = _read_panel(rho, observables)
     if np.ndim(x) == 0:
         raw = {name: float(value[0]) for name, value in raw.items()}
     rescaled = {name: value / factors[name] for name, value in raw.items()}
-    return PurityPanel(alpha=alpha, x=x, noise_p=p, raw=raw, rescaled=rescaled)
+    return PurityPanel(alpha=alpha, x=x, noise_p=noise.p_depol, raw=raw, rescaled=rescaled)

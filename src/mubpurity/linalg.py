@@ -80,11 +80,6 @@ def _hermiticity_defects(a: np.ndarray) -> np.ndarray:
     return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation of a matrix, or of any matrix of a stack, from its adjoint."""
-    return float(_hermiticity_defects(np.asarray(m)).max())
-
-
 def _two_factors(m, dims: Sequence[int]) -> np.ndarray:
     """View an operator on ``dims = (d1, d2)``, or each of a stack, as a (..., d1, d2, d1, d2) array."""
     a = _as_stack(m)
@@ -124,7 +119,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     A stacked matrix gets the same bits as the matrix alone.
     """
     a = _as_stack(m)
-    if hermiticity_defect(a) > TOL_PSD:
+    if _hermiticity_defects(a).max() > TOL_PSD:
         raise ValueError("input is not Hermitian within tolerance")
     return np.linalg.eigvalsh(a)
 
@@ -163,7 +158,7 @@ def _check_density_stack(a: np.ndarray) -> None:
     """
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    if hermiticity_defect(a) > TOL_STRUCTURAL:
+    if _hermiticity_defects(a).max() > TOL_STRUCTURAL:
         raise ValueError("density matrix is not Hermitian within tolerance")
     traces = np.trace(a, axis1=1, axis2=2)
     off = np.abs(traces - 1.0) > TOL_STRUCTURAL

@@ -12,9 +12,27 @@ with equality whenever M = d + 1. Both sides are tied to the operator
 
     gamma = I_A (x) rho_B + (M-1)/d * rho_AB - sum_theta rho_thetaB,
 
-which vanishes at M = d + 1 and is positive semidefinite for M <= d. The
-module computes gamma both from that definition and through an independent
-projector/partial-transpose route, which serves as a cross-check.
+which vanishes at M = d + 1 and is positive semidefinite for M <= d, and
+the gap lhs - rhs equals Tr(gamma rho). The module computes gamma both
+from that definition and through an independent projector/partial-transpose
+route, which serves as a cross-check.
+
+The pinch reads each state realigned, R[(a, c), (b, e)] = rho[ab, ce]
+(Chen and Wu, Quantum Inf. Comput. 3, 193 (2003)). With the (k*d, d*d)
+basis-pair matrix Pi[t*d + i, a*d + c] = <i_t|a><c|i_t> of k bases,
+formed once per call, the blocks <i_t|rho|i_t> of every basis are one
+product Pi @ R per state, and the sum of the pinched states is
+Pi^H @ blocks, realigned back; the pinch keeps the trace, as a MubSet's
+rows are orthonormal. Tr rho_thetaB^2 = sum_i Tr <i|rho|i>^2 and the B
+marginal sum_i <i|rho|i> are read from the blocks, and besides the state
+only R and the blocks, M/d times the state, are alive: relation_report at
+d = D = 29, M = 30 peaks at 55 MiB under tracemalloc.
+
+The kernels (pinch, gamma, purities, report) take an (n, d*D, d*D) stack
+of states and return every report field with a leading state axis, and
+gamma in place of gamma_min_eig, which only relation_report solves. Each
+row has the same bits as a stack of that state alone; relation_report,
+gamma_direct and post_measurement_state are the n = 1 slice.
 
 :func:`verify_relations` certifies the PSD claim for every state at once.
 gamma = (Phi (x) id_B)(rho) for the linear map
@@ -41,8 +59,28 @@ every gamma: for every state rho and every D
     ||gamma(rho)||_1 <= ||Phi||_diamond <= ||J||_1 <= d ||J||_F
 
 (Watrous, The Theory of Quantum Information, CUP 2018, ch. 3; the last
-step holds because J is d^2 x d^2). The checks also run on seeded random
-states.
+step holds because J is d^2 x d^2). The gate reads one triangle, so J and
+every gamma must also be Hermitian within TOL_PSD, and the call runs no
+eigensolve. P = I - S^T S* over the k = 1 + M(d-1) constructed states S
+has the eigenvalues 1 - spec(G) of their Gram matrix G, and 1, so Weyl's
+inequality (Math. Ann. 71, 441 (1912)) gives the observed floor
+lambda_min(J) >= -k max|G - I| - d^2 max|J - P|, up to the rounding of P's
+product.
+
+verify_relations checks once per call that J equals P, the paper's
+two-route cross-check, and that J passes the gate (vanishes at M = d + 1);
+on each seeded random state, that the gap is at least -TOL_SPECTRAL and
+equals Tr(gamma rho), and that gamma passes the gate (at M = d + 1,
+vanishes with the gap). The states are drawn and read in chunks, each one
+checked stack and one kernel call whose gammas pass the gate in one
+stacked factorization; only the per-trial seeds and results grow with the
+trial count (one 200-trial stack at d = D = 29 would take gigabytes). A
+budget of 1 MiB sets the chunk size against the chunk's measured working
+set (the stack, its realignment, the pinch blocks, the pinched sum, gamma
+and the gate's shifted copy), about 4 + M/d state-sized complex arrays per
+state, so a chunk of several states peaks under 1.8 MiB (tracemalloc, d
+up to 13, D in {1, 2, d}). At d = D = 7 a chunk holds 6 states at M = 2
+and 5 at M = 8; from d = D = 13 on it holds one.
 """
 
 from __future__ import annotations
@@ -66,8 +104,7 @@ from .mub import MubSet, MubValidationError
 from .states import _random_density_stack
 from .tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 
-# byte budget of verify_relations' chunk of trials, counted as its measured
-# working set of _CHUNK_ARRAYS + M/d state-sized complex arrays per state
+# the chunk budget and working set of verify_relations (module docstring)
 _CHUNK_BYTES = 1 << 20
 _CHUNK_ARRAYS = 4
 
@@ -76,13 +113,15 @@ _CHUNK_ARRAYS = 4
 class BipartiteBasis:
     """The entangled states built from a MUB set, and the projector onto their complement.
 
-    ``twisted[t, k]`` is the phase-twisted maximally entangled state of
-    basis t+1 and twist k = 0..d-1, shape (M, d, d*d); every k = 0 row is
-    the same state ``phi``. The 1 + M(d-1) distinct states are orthonormal,
-    and ``projector`` = I - sum_v |v><v| over them projects onto the
-    (d-1)(d+1-M)-dimensional rest of the d*d space. ``gram_deviation`` is
+    ``twisted[t, k]`` = d^{-1/2} sum_i omega^{k i} |i_t>|i_t*>, omega =
+    exp(2 pi i / d), is the row vector of basis t+1 and twist k, shape
+    (M, d, d*d); every k = 0 row is the same state ``phi``. The 1 + M(d-1)
+    distinct states are orthonormal, and ``projector`` = I - sum_v |v><v|
+    over them projects onto the p = (d-1)(d+1-M)-dimensional rest of the
+    d*d space; no complement states are stored. ``gram_deviation`` is
     max|G - I| of the Gram matrix G of the constructed states, measured
-    when the basis was built. Instances compare and hash by identity.
+    when the basis was built. ``d`` and ``M`` are those of ``mubs``.
+    Instances compare and hash by identity.
     """
 
     twisted: np.ndarray
@@ -109,16 +148,11 @@ def _constructed_states(twisted: np.ndarray) -> np.ndarray:
 
 
 def build_bipartite_basis(mubs: MubSet) -> BipartiteBasis:
-    """Construct the entangled basis states and the projector onto their orthogonal complement.
+    """The :class:`BipartiteBasis` of a set, conjugating in the computational basis.
 
-    The second factor of every constructed state carries the complex
-    conjugate (taken in the computational basis) of the first factor's
-    vector. The projector is P = I - sum_v |v><v| over the constructed
-    states v; it is the orthogonal projector onto the complement of their
-    span exactly when the v are orthonormal, and vanishes at M = d + 1.
-    ``mubs`` was validated when it was made; the invariants of the derived
-    states (pairwise orthonormality, projector idempotency and trace) are
-    verified before returning, and a failed one raises :class:`MubValidationError`.
+    ``mubs`` was validated when it was made; the derived states'
+    orthonormality and the projector's idempotency and trace p are checked,
+    and a failed one raises :class:`MubValidationError`.
     """
     d, m = mubs.d, mubs.M
     phases = np.exp(2j * np.pi / d * (np.outer(np.arange(d), np.arange(d)) % d))
@@ -215,14 +249,9 @@ def _basis_pairs(bases: np.ndarray) -> np.ndarray:
 
 
 def _pinch_blocks(rho: np.ndarray, dims: tuple[int, ...], pairs: np.ndarray) -> np.ndarray:
-    """``blocks[n, t, i] = <i_t|rho_n|i_t>``, shape (n, k, d, D, D), for n states and the k bases of ``pairs``.
+    """``blocks[n, t, i] = <i_t|rho_n|i_t>``, shape (n, k, d, D, D), of an (n, d*D, d*D) stack on ``dims``.
 
-    ``rho`` is an (n, d*D, d*D) stack on ``dims`` and ``pairs`` comes from
-    :func:`_basis_pairs`. Each state is read realigned,
-    R[(a, c), (b, e)] = rho[ab, ce], which makes the pinch of every basis
-    one (k*d, d*d) @ (d*d, D*D) product per state. Basis t pinches rho_n
-    into sum_i |i_t><i_t| (x) blocks[n, t, i]; the rows of a
-    :class:`MubSet` are orthonormal, so the pinch keeps the trace.
+    ``pairs`` comes from :func:`_basis_pairs`; the product is Pi @ R (module docstring).
     """
     k, d = pairs.shape[:2]
     big_d = _check_bipartite_input(dims, d)
@@ -231,10 +260,7 @@ def _pinch_blocks(rho: np.ndarray, dims: tuple[int, ...], pairs: np.ndarray) -> 
 
 
 def _pinched_sum(pairs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """sum_t sum_i |i_t><i_t| (x) blocks[n, t, i] of each state, as an (n, d*D, d*D) stack.
-
-    Its realignment is pairs^H @ blocks, one product per state.
-    """
+    """sum_t sum_i |i_t><i_t| (x) blocks[n, t, i] of each state, as an (n, d*D, d*D) stack, from Pi^H @ blocks."""
     n, k, d, big_d = blocks.shape[:4]
     out = (pairs.reshape(k * d, -1).conj().T @ blocks.reshape(n, k * d, -1)).reshape(n, d, d, big_d, big_d)
     return out.transpose(0, 1, 3, 2, 4).reshape(n, d * big_d, d * big_d)
@@ -275,11 +301,7 @@ def _gamma_terms(
 
 
 def gamma_direct(rho: DensityMatrix, mubs: MubSet) -> np.ndarray:
-    """The measurement-defect operator from its definition.
-
-    gamma = I_A (x) rho_B + (M-1)/d * rho - sum_theta rho_thetaB. Hermitian;
-    zero when M = d+1, positive semidefinite when M <= d.
-    """
+    """The measurement-defect operator gamma from its definition (module docstring)."""
     return _gamma_terms(rho.matrix[None], rho.dims, mubs)[2][0]
 
 
@@ -326,13 +348,9 @@ class RelationReport:
 
 
 def _relation_arrays(rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet) -> dict[str, np.ndarray]:
-    """Every per-state :class:`RelationReport` field of an (n, d*D, d*D) stack of states, and gamma.
+    """Every per-state :class:`RelationReport` field of a checked (n, d*D, d*D) stack, with ``gamma`` for ``gamma_min_eig``.
 
-    ``purity_thetaB`` and ``purity_B_given_theta`` have shape (n, M), every
-    other field shape (n,). ``gamma_min_eig`` is left to the callers that
-    read it: they solve the eigenvalues of the (n, d*D, d*D) stack
-    ``gamma``. The caller checks the states; each row has the same bits as
-    a stack of that state alone.
+    ``purity_thetaB`` and ``purity_B_given_theta`` have shape (n, M), every other field shape (n,).
     """
     rho_b, blocks, g = _gamma_terms(rho, dims, mubs)
     d, m = mubs.d, mubs.M
@@ -358,14 +376,7 @@ def _relation_arrays(rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet) -> di
 
 
 def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
-    """Evaluate every quantity entering the conservation relation.
-
-    lhs = sum_theta (Tr rho_B^2 - Tr rho_thetaB^2) and
-    rhs = (M-1) (Tr rho_B^2 - Tr rho_AB^2 / d); their gap is nonnegative up
-    to rounding and vanishes when M = d+1. ``gamma_expectation`` is the
-    contraction Tr(gamma rho), which equals
-    Tr rho_B^2 + (M-1)/d Tr rho_AB^2 - sum_theta Tr rho_thetaB^2.
-    """
+    """Every purity of the relation, both its sides and their gap, and gamma's Tr(gamma rho), min eigenvalue and norm."""
     arrays = _relation_arrays(rho.matrix[None], rho.dims, mubs)
     arrays["gamma_min_eig"] = hermitian_eigenvalues(arrays.pop("gamma"))[:, 0]
     fields = {name: tuple(v[0].tolist()) if v.ndim == 2 else v[0].tolist() for name, v in arrays.items()}
@@ -378,13 +389,9 @@ def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
 class VerificationReport:
     """The checks of :func:`verify_relations`, one ``(name, value, bound, passed, state_seed)`` each.
 
-    ``state_seed`` seeds the random state attaining ``value``, or for the
-    PSD gate the first state it rejects; it is None for the checks of the
-    basis itself and for a passing gate. Two fields are observations and
-    not checks. ``gram_deviation`` is the basis's Gram deviation: the build
-    raises above ``TOL_STRUCTURAL``, so a report exists only when it lies
-    below. ``choi_floor`` is Weyl's lower bound on the smallest eigenvalue
-    of the Choi matrix J, read from the Gram and J-vs-P deviations.
+    ``state_seed`` seeds the trial attaining ``value`` (for the gate, the
+    first it rejects), else None. ``gram_deviation`` and ``choi_floor``
+    (module docstring) are observations, not checks.
     """
 
     d: int
@@ -424,17 +431,7 @@ def _choi_matrix(mubs: MubSet) -> np.ndarray:
 
 
 def _certificate(basis: BipartiteBasis) -> tuple[float, list[tuple[str, float, float, bool, None]]]:
-    """Weyl's floor under lambda_min(J), and the checks of the Choi matrix J.
-
-    J must equal P within TOL_STRUCTURAL. Below M = d + 1, J must be
-    Hermitian within TOL_PSD, since the gate reads one triangle, and pass
-    the Cholesky PSD gate at -TOL_PSD; at M = d + 1 it must vanish. The
-    floor is an observation: P = I - S^T S* over the k = 1 + M(d-1)
-    constructed states S has the eigenvalues 1 - spec(G) of their Gram
-    matrix G, and 1, so Weyl's inequality (Math. Ann. 71, 441 (1912)) gives
-    lambda_min(J) >= -k max|G - I| - d^2 max|J - P|, up to the rounding of
-    P's product.
-    """
+    """Weyl's floor under lambda_min(J), and the checks of the Choi matrix J (module docstring)."""
     d, m = basis.d, basis.M
     choi = _choi_matrix(basis.mubs)
     route = float(np.abs(choi - basis.projector).max())
@@ -452,32 +449,17 @@ def _certificate(basis: BipartiteBasis) -> tuple[float, list[tuple[str, float, f
 
 
 def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> VerificationReport:
-    """Check the basis of ``mubs``, certify gamma from its Choi matrix, and check ``trials`` >= 1 random states on (d, big_d >= 1).
+    """Check the basis of ``mubs``, certify gamma from its Choi matrix, and check ``trials`` random states on (d, big_d).
 
-    The certificate is read once per call (module docstring): J must equal
-    the stored projector, the second gamma route; below M = d + 1 it must
-    be Hermitian and pass the Cholesky PSD gate at -TOL_PSD, which bounds
-    gamma(rho) below by -TOL_PSD I for every state and every D; at
-    M = d + 1 its norm must vanish, which bounds the trace norm of every
-    gamma(rho) by d * TOL_SPECTRAL. The call runs no eigensolve: every PSD
-    decision, of J and of each trial, is the one gate's.
-
+    ``big_d``, ``trials`` and ``seed`` are integers, at least 1, 1 and 0.
     Trial t draws a state of rank d*big_d, 1 or 2 (cycling) from the t-th
-    seed of ``SeedSequence(seed >= 0)``. The trials are drawn and read as checked
-    stacks, one :func:`_relation_arrays` call per chunk, so the state
-    intermediates stay bounded at any trial count; the per-trial seeds and
-    results still grow linearly with it. Each trial's relation gap must
-    equal Tr(gamma rho) and its gamma must be Hermitian within TOL_PSD;
-    below M = d + 1 each gamma must pass the Cholesky PSD gate at -TOL_PSD,
-    and at M = d + 1 it and the gap must vanish. A state check reports its
-    first worst trial.
+    seed of ``SeedSequence(seed)``; the checks are those of the module
+    docstring, and a state check reports its first worst trial.
     """
-    if big_d < 1:
-        raise ValueError(f"need big_d >= 1, got {big_d}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"need seed >= 0, got {seed}")
+    big_d, trials, seed = (_as_int(name, v) for name, v in (("big_d", big_d), ("trials", trials), ("seed", seed)))
+    for name, value, low in (("big_d", big_d, 1), ("trials", trials, 1), ("seed", seed, 0)):
+        if value < low:
+            raise ValueError(f"need {name} >= {low}, got {value}")
     d, m = mubs.d, mubs.M
     basis = build_bipartite_basis(mubs)
     pt = check_pt_identities(basis)
@@ -488,10 +470,6 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
     trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)]
     dim = d * big_d
     ranks = [(dim, 1, 2)[t % 3] for t in range(trials)]
-    # a chunk's working set (the stack, its realignment, the (n, M*d, D*D)
-    # pinch blocks, the pinched sum, gamma and the gate's shifted copy)
-    # measures about 4 + M/d state-sized arrays per state, so a chunk of
-    # several states peaks under 1.8 MiB
     chunk = max(1, _CHUNK_BYTES * d // ((_CHUNK_ARRAYS * d + m) * dim * dim * 16))
     complete = m == d + 1
     gaps, defects, skews, gammas = [], [], [], []

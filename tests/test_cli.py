@@ -764,6 +764,30 @@ class TestUsageErrors:
         assert "invalid parse_angle value" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_allocation_failure_exits_1_with_one_line(self, tmp_path):
+        # d = 1000003 asks for terabytes; the cap on the child's address space
+        # makes numpy fail at once, whatever memory the machine has
+        import resource
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = tmp_path / "big.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mubpurity", "mub", "--d", "1000003", "--m", "2", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_bad_seed_environment(self, monkeypatch, capsys):
         monkeypatch.setenv("PURITY_SEED", "abc")
         assert main(["verify", "--d", "2", "--m", "3", "--trials", "1"]) == 1

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -91,8 +92,7 @@ def _forward_read(dev, reference, axis, which, p=0.0):
 
 def _forward_setting(alpha, x, noise, name):
     """One panel entry from a fresh preparation of one point, run forward."""
-    p = noise.p_depol if noise.active else 0.0
-    return float(_forward_read(*_prepare(alpha, x), *_SETTINGS[name], p)[0])
+    return float(_forward_read(*_prepare(alpha, x), *_SETTINGS[name], noise.p_depol)[0])
 
 
 def _measure_block(dev, axis):
@@ -679,11 +679,22 @@ class TestNoiseAndRescaling:
     def test_noiseless_factors_are_one(self):
         assert calibration_factors(NOISELESS) == {name: 1.0 for name in PANEL_FIELDS}
 
+    def test_noise_level_is_a_python_float(self):
+        zero = NoiseModel(-0.0).p_depol
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        p = NoiseModel(np.float32(0.1)).p_depol
+        assert type(p) is float and p == float(np.float32(0.1))
+
+    @pytest.mark.parametrize("p", ["0.5", True])
+    def test_bool_or_non_real_noise_rejected(self, p):
+        with pytest.raises(ValueError, match="p_depol"):
+            NoiseModel(p)
+
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
         with pytest.raises(ValueError):
             NoiseModel(1.5)
-        assert NoiseModel(0.3).active and not NoiseModel(0.0).active and not NOISELESS.active
+        assert NoiseModel(0.3).p_depol == 0.3 and NoiseModel(0.0).p_depol == NOISELESS.p_depol == 0.0
         with pytest.raises(TypeError):
             NoiseModel(0.3, enabled=False)  # noise is on exactly when p_depol > 0

@@ -177,7 +177,7 @@ def test_observable_read_matches_forward_gates(alpha, x, p):
     factors = calibration_factors(noise)
     for name in PANEL_FIELDS:
         assert abs(raw[name] - _forward_setting(alpha, x, noise, name)) <= 1e-14
-        if noise.active:
+        if noise.p_depol > 0.0:
             forward = _forward_setting(np.pi / 2, 1.0, noise, name) / _forward_setting(np.pi / 2, 1.0, NOISELESS, name)
             assert abs(factors[name] - forward) <= 1e-14
 
