@@ -1,0 +1,121 @@
+"""Mutation gate: each historical bug, put back into a copy of the code, must fail its tests.
+
+Run from any directory, with the test extras installed:
+
+    python mutants/run.py
+
+The checkout's ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
+temporary directory, and the repository itself is never edited. The
+mutants' test files first run once unmutated and must pass. Then, for each
+mutant, the script checks that its pattern occurs exactly once in its file,
+so code that moved fails loudly, writes the mutated file and runs the
+mutant's test files with ``pytest -x -q -p no:cacheprovider`` on one BLAS
+thread. Only pytest's exit code 1, a failed test, kills the mutant; a
+collection error (2) or a pass (0) lets it survive. One line is printed per
+mutant, and the script exits 1 on any survivor. The script itself needs
+only the standard library.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    pattern: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+RELATIONS, LINALG, EXPSIM, MUB = (f"src/mubpurity/{m}.py" for m in ("relations", "linalg", "expsim", "mub"))
+
+MUTANTS = (
+    Mutant("pinched sum without the conjugate of Pi", RELATIONS,
+           "pairs.reshape(k * d, -1).conj().T @ blocks", "pairs.reshape(k * d, -1).T @ blocks",
+           ("tests/test_relations.py",)),
+    # _pinched_sum realigns back with the same transpose, hence the context
+    Mutant("pinch blocks read without the realignment", RELATIONS,
+           "realigned = rho.reshape(-1, d, big_d, d, big_d).transpose(0, 1, 3, 2, 4)",
+           "realigned = rho.reshape(-1, d, big_d, d, big_d).transpose(0, 1, 2, 3, 4)",
+           ("tests/test_relations.py",)),
+    Mutant("purity read as Tr(m m^T)", LINALG,
+           '"...ab,...ba->..."', '"...ab,...ab->..."', ("tests/test_linalg.py",)),
+    Mutant("projector from the conjugated span", RELATIONS,
+           "span.T @ span.conj()", "span.conj().T @ span", ("tests/test_relations.py",)),
+    Mutant("PSD gate shifted by 0.8 TOL_PSD", LINALG,
+           "shifted = a + TOL_PSD *", "shifted = a + 0.8 * TOL_PSD *", ("tests/test_linalg.py",)),
+    Mutant("PSD gate shifted by 1.2 TOL_PSD", LINALG,
+           "shifted = a + TOL_PSD *", "shifted = a + 1.2 * TOL_PSD *", ("tests/test_linalg.py",)),
+    Mutant("depolarizing without the 1/2", EXPSIM,
+           "mixed = p * (traced * 0.5)", "mixed = p * traced", ("tests/test_expsim.py",)),
+    Mutant("calibration reads the ideal panel as the noisy one", EXPSIM,
+           "noisy = _read_panel(rho, observables)", "noisy = _read_panel(rho, _noise_level(0.0)[0])",
+           ("tests/test_expsim.py",)),
+    Mutant("calibration accepts a factor where (1 - p)**k is 0", EXPSIM,
+           "if expected == 0.0 or not abs(", "if not abs(", ("tests/test_expsim.py",)),
+    Mutant("construct_mubs takes M unread", MUB,
+           'd, M = _as_int("d", d), _as_int("M", M)', 'd = _as_int("d", d)', ("tests/test_linalg.py",)),
+    Mutant("float texts deduplicated by value, merging -0.0 and 0.0", LINALG,
+           "np.unique(a.view(np.uint64), return_inverse=True)", "np.unique(a, return_inverse=True)",
+           ("tests/test_mub.py",)),
+)
+
+
+def _pytest(work: Path, tests, env: dict) -> tuple[int, str]:
+    """pytest's exit code, and the id of the first test that failed ("" if none did)."""
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    proc = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
+    failed = [line.split(" - ")[0].split(" ", 1)[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    return proc.returncode, failed[0] if failed else ""
+
+
+def main() -> int:
+    root = Path(__file__).resolve().parents[1]
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(root / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(root / "pyproject.toml", work)
+        # no bytecode: a mutant of the same size and second as its original would leave a stale .pyc
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        files = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        code, _ = _pytest(work, files, env)
+        if code != 0:
+            print(f"unmutated tests fail (pytest exit {code}): {' '.join(files)}")
+            return 1
+        for mutant in MUTANTS:
+            path = work / mutant.path
+            original = path.read_text()
+            count = original.count(mutant.pattern)
+            if count != 1:
+                print(f"{mutant.name}: ERROR, pattern occurs {count} times in {mutant.path}")
+                failures += 1
+                continue
+            path.write_text(original.replace(mutant.pattern, mutant.replacement))
+            start = time.perf_counter()
+            try:
+                code, killer = _pytest(work, mutant.tests, env)
+            finally:
+                path.write_text(original)
+            killed = code == 1
+            failures += not killed
+            verdict = f"killed by {killer}" if killed else f"SURVIVED {' '.join(mutant.tests)} (pytest exit {code})"
+            print(f"{time.perf_counter() - start:5.1f} s  {mutant.name}: {verdict}")
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

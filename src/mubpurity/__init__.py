@@ -4,7 +4,6 @@ from .expsim import (
     PANEL_FIELDS,
     NoiseModel,
     PurityPanel,
-    calibration_factors,
     run_protocol,
 )
 from .linalg import (
@@ -13,7 +12,6 @@ from .linalg import (
     hermitian_eigenvalues,
     partial_trace_matrix,
     partial_transpose,
-    purity,
 )
 from .mub import (
     MubSet,
@@ -31,7 +29,6 @@ from .relations import (
     check_pt_identities,
     gamma_direct,
     gamma_via_projector,
-    post_measurement_state,
     relation_report,
     verify_relations,
 )
@@ -50,7 +47,6 @@ __all__ = [
     "PurityPanel",
     "RelationReport",
     "build_bipartite_basis",
-    "calibration_factors",
     "check_pt_identities",
     "construct_mubs",
     "density_from_json",
@@ -60,8 +56,6 @@ __all__ = [
     "load_mubs",
     "partial_trace_matrix",
     "partial_transpose",
-    "post_measurement_state",
-    "purity",
     "random_density",
     "relation_report",
     "rho_family",

@@ -66,9 +66,10 @@ def parse_angle(text: str) -> float:
 
 def _default_seed() -> int:
     env = os.environ.get("PURITY_SEED") or "0"
-    if not re.fullmatch(r"\s*[+-]?\d(?:_?\d)*\s*", env):  # what int() accepts
-        raise ValueError(f"PURITY_SEED={env!r} is not an integer")
-    return int(env)
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"PURITY_SEED={env!r} is not an integer") from None
 
 
 class _Parser(argparse.ArgumentParser):

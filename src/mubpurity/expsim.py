@@ -98,9 +98,6 @@ class NoiseModel:
         object.__setattr__(self, "p_depol", p)
 
 
-NOISELESS = NoiseModel()
-
-
 def _check_deviation(dev: np.ndarray) -> None:
     """Reject a (..., DIM, DIM) array with a non-finite entry, trace drift or lost hermiticity."""
     dev = dev.reshape(-1, DIM, DIM)
@@ -225,7 +222,12 @@ def _read_panel(rho: np.ndarray, observables: np.ndarray) -> dict[str, np.ndarra
 
 @lru_cache(maxsize=8)
 def _noise_level(p: float) -> tuple[np.ndarray, dict[str, float]]:
-    """The record of noise level p: the read-only (8, 4, 4, 4, 4) V_s stack in PANEL_FIELDS order, and its calibration factors."""
+    """The record of noise level p: the read-only (8, 4, 4, 4, 4) V_s stack in PANEL_FIELDS order, and its calibration factors.
+
+    Each factor is noisy/ideal on the reference state, 1 at p = 0 (module
+    docstring). One off (1 - p)**k by more than TOL_STRUCTURAL relative, or
+    any where (1 - p)**k is 0 (at p = 1), raises ``ValueError``.
+    """
     observables = np.stack([_observable(name, p) for name in PANEL_FIELDS])
     observables.setflags(write=False)
     factors = dict.fromkeys(PANEL_FIELDS, 1.0)
@@ -242,16 +244,6 @@ def _noise_level(p: float) -> tuple[np.ndarray, dict[str, float]]:
             raise ValueError(f"attenuation factor for {name} is {factor!r}, not (1 - p)**{k} = {expected!r}")
         factors[name] = factor
     return observables, factors
-
-
-def calibration_factors(noise: NoiseModel = NOISELESS) -> dict[str, float]:
-    """The attenuation noisy/ideal of each setting on the reference state (module docstring), as a new dict.
-
-    A factor off (1 - p)**k by more than TOL_STRUCTURAL relative raises
-    ``ValueError``, and so does every factor where (1 - p)**k is 0 (at
-    p = 1 the signal is gone). At p = 0 every factor is 1.
-    """
-    return dict(_noise_level(noise.p_depol)[1])
 
 
 @dataclass(frozen=True)
@@ -286,8 +278,8 @@ class PurityPanel:
         }
 
 
-def run_protocol(alpha, x, noise: NoiseModel = NOISELESS) -> PurityPanel:
-    """The eight-purity panel, raw and divided by the :func:`calibration_factors` of ``noise``.
+def run_protocol(alpha, x, noise: NoiseModel = NoiseModel()) -> PurityPanel:
+    """The eight-purity panel, raw and divided by the calibration factors of ``noise`` (:func:`_noise_level`).
 
     ``alpha`` and ``x`` are two floats, or two equal-length 1-D arrays of
     points read in one contraction; the panel then holds arrays.

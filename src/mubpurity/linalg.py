@@ -64,13 +64,6 @@ def _as_stack(m) -> np.ndarray:
     return a
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a finite complex 2-D array."""
-    if np.ndim(m) != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {np.shape(m)}")
-    return _as_stack(m)
-
-
 def frobenius_norm(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
@@ -180,7 +173,7 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        a = as_matrix(self.matrix)
+        a = _as_stack(self.matrix)
         try:
             dims = tuple(_as_int(f"dims[{k}]", d) for k, d in enumerate(self.dims))
         except TypeError:
@@ -217,12 +210,6 @@ class DensityMatrix:
 def _purities(m: np.ndarray) -> np.ndarray:
     """Tr(m^2) of each matrix of a (..., k, k) stack, as a real array of the leading shape."""
     return np.einsum("...ab,...ba->...", m, m).real
-
-
-def purity(rho) -> float:
-    """Tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho)
-    return float(_purities(m))
 
 
 # JSON density matrix format, row-major:

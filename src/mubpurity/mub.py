@@ -140,16 +140,17 @@ def validate_mubs(mubs: MubSet) -> MubValidationReport:
 def construct_mubs(d: int, M: int) -> MubSet:
     """Deterministic MUB construction for prime d; the one rule for which (d, M) can be built.
 
-    d < 2 or M outside 2..d+1 raises ``ValueError``, a non-prime d
-    :class:`MubValidationError`. Basis 1 is the computational basis. For
-    odd prime d the remaining bases have components
-    ``omega**(a*s*s + j*s) / sqrt(d)`` with ``omega = exp(2*pi*i/d)`` and
-    a = 0..d-1; for d = 2 the quadratic form degenerates, so the x and y
-    eigenbases are used instead. ``construct_mubs(d, M)`` is a prefix of
-    ``construct_mubs(d, M')`` for M < M'. The first amplitude of every
-    vector is real and positive (1, or the s = 0 component 1/sqrt(d)), so
-    no phase needs fixing.
+    d and M follow the integer rule (3.0 reads as 3); d < 2 or M outside
+    2..d+1 raises ``ValueError``, a non-prime d :class:`MubValidationError`.
+    Basis 1 is the computational basis. For odd prime d the remaining
+    bases have components ``omega**(a*s*s + j*s) / sqrt(d)`` with
+    ``omega = exp(2*pi*i/d)`` and a = 0..d-1; for d = 2 the quadratic form
+    degenerates, so the x and y eigenbases are used instead.
+    ``construct_mubs(d, M)`` is a prefix of ``construct_mubs(d, M')`` for
+    M < M'. The first amplitude of every vector is real and positive (1,
+    or the s = 0 component 1/sqrt(d)), so no phase needs fixing.
     """
+    d, M = _as_int("d", d), _as_int("M", M)
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
     if any(d % k == 0 for k in range(2, math.isqrt(d) + 1)):

@@ -31,8 +31,8 @@ d = D = 29, M = 30 peaks at 55 MiB under tracemalloc.
 The kernels (pinch, gamma, purities, report) take an (n, d*D, d*D) stack
 of states and return every report field with a leading state axis, and
 gamma in place of gamma_min_eig, which only relation_report solves. Each
-row has the same bits as a stack of that state alone; relation_report,
-gamma_direct and post_measurement_state are the n = 1 slice.
+row has the same bits as a stack of that state alone; relation_report
+and gamma_direct are the n = 1 slice.
 
 :func:`verify_relations` certifies the PSD claim for every state at once.
 gamma = (Phi (x) id_B)(rho) for the linear map
@@ -264,20 +264,6 @@ def _pinched_sum(pairs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     n, k, d, big_d = blocks.shape[:4]
     out = (pairs.reshape(k * d, -1).conj().T @ blocks.reshape(n, k * d, -1)).reshape(n, d, d, big_d, big_d)
     return out.transpose(0, 1, 3, 2, 4).reshape(n, d * big_d, d * big_d)
-
-
-def post_measurement_state(rho: DensityMatrix, mubs: MubSet, theta: int) -> DensityMatrix:
-    """State after a non-selective measurement of side A in basis ``theta`` (1-based).
-
-    Returns sum_i |i><i| (x) <i|rho|i> for the vectors |i> of the chosen
-    basis; the trace and the B marginal are preserved.
-    """
-    theta = _as_int("basis label", theta)
-    if not 1 <= theta <= mubs.M:
-        raise ValueError(f"basis label {theta} out of range 1..{mubs.M}")
-    pairs = _basis_pairs(mubs.bases[theta - 1 : theta])
-    blocks = _pinch_blocks(rho.matrix[None], rho.dims, pairs)
-    return DensityMatrix(_pinched_sum(pairs, blocks)[0], rho.dims)
 
 
 def _gamma_terms(

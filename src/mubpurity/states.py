@@ -95,9 +95,3 @@ def random_density(dim: int, rank: int, seed, dims=None) -> DensityMatrix:
     """
     dim, (rank,) = _check_draw(dim, [rank])
     return DensityMatrix(_ginibre(dim, rank, seed), (dim,) if dims is None else dims)
-
-
-__all__ = [
-    "rho_family",
-    "random_density",
-]

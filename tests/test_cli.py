@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mubpurity.cli import main, parse_angle
+from mubpurity.cli import _default_seed, main, parse_angle
 from mubpurity.mub import load_mubs
 
 
@@ -794,3 +794,21 @@ class TestUsageErrors:
         assert "PURITY_SEED" in capsys.readouterr().err
         # an explicit seed does not read the environment
         assert main(["verify", "--d", "2", "--m", "3", "--trials", "1", "--seed", "3"]) == 0
+
+    # PURITY_SEED reads as int() reads it: surrounding whitespace, a sign,
+    # single underscores between digits and any Unicode decimal digit; no
+    # base prefix, exponent or fraction
+    SEED_TEXTS = {
+        **dict.fromkeys(["0", "7", " 7 ", "+7", "-7", "-0", "007", "1_000", "\t12\n", "\xa07", "\u0663",
+                         "\uff11\uff12", "18446744073709551615"], True),
+        **dict.fromkeys(["1__0", "_1", "1_", "0x10", "1e3", "1.0", "abc", "+", "- 7", "7 7", "0b1", "\xbd"], False),
+    }
+
+    @pytest.mark.parametrize("text", SEED_TEXTS)
+    def test_seed_environment_reads_as_int(self, monkeypatch, capsys, text):
+        monkeypatch.setenv("PURITY_SEED", text)
+        if self.SEED_TEXTS[text]:
+            assert _default_seed() == int(text)
+        else:
+            assert main(["verify", "--d", "2", "--m", "3", "--trials", "1"]) == 1
+            assert capsys.readouterr().err == f"error: PURITY_SEED={text!r} is not an integer\n"

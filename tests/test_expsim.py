@@ -10,7 +10,6 @@ from mubpurity.expsim import (
     _SZ_PROBE_DIAG,
     DIM,
     N_QUBITS,
-    NOISELESS,
     PANEL_FIELDS,
     NoiseModel,
     _apply_gate,
@@ -21,13 +20,12 @@ from mubpurity.expsim import (
     _pull_back,
     _read_panel,
     _setting_gates,
-    calibration_factors,
     run_protocol,
 )
-from mubpurity.linalg import purity
 from mubpurity.mub import construct_mubs
-from mubpurity.relations import post_measurement_state, relation_report
+from mubpurity.relations import relation_report
 from mubpurity.states import _family_states, random_density, rho_family
+from test_relations import _pinch, _purity
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -167,11 +165,11 @@ class TestGates:
 
     def test_unitary_preserves_purity_dephase_contracts(self):
         dev = _prepare(np.pi / 3, 0.6)[0][0]
-        before = purity(dev)
+        before = _purity(dev)
         dev = _forward(dev, [("RY", 2, 0.4), ("RX", 3, -1.1), ("CSWAP", 0, 1, 3)])
-        assert abs(purity(dev) - before) <= 1e-12
+        assert abs(_purity(dev) - before) <= 1e-12
         dev = _apply_gate(dev, ("DEPHASE", 1))
-        assert purity(dev) <= before + 1e-12
+        assert _purity(dev) <= before + 1e-12
 
     def test_trace_stays_zero(self):
         dev = _prepare(np.pi / 2, 0.5)[0]
@@ -292,23 +290,21 @@ class TestMeasureBlock:
     def test_matches_analytic_pinch(self, axis):
         for alpha, x in [(np.pi / 2, 1.0), (np.pi / 3, 0.6), (0.0, 1.0)]:
             dev = _measure_block(_prepare(alpha, x)[0], axis)
-            expected = post_measurement_state(
-                rho_family(alpha, x), MUBS, AXIS_TO_THETA[axis]
-            ).matrix
+            expected = _pinch(rho_family(alpha, x), MUBS, AXIS_TO_THETA[axis]).matrix
             assert np.abs(_ab_marginal(dev[0]) - expected).max() <= 1e-10
 
     def test_x_block_halves_product_purity(self):
         rho_b = np.array([[0.8, 0.1], [0.1, 0.2]], dtype=complex)
         pair = np.kron(np.diag([1.0, 0.0]).astype(complex), rho_b)
-        before = purity(pair)
-        after = purity(_ab_marginal(_measure_block(_pair_deviation(pair), "x")))
+        before = _purity(pair)
+        after = _purity(_ab_marginal(_measure_block(_pair_deviation(pair), "x")))
         assert abs(after - before / 2) <= 1e-10
 
     def test_y_equals_x_for_singlet_family(self):
         for x in (0.25, 0.75):
             dev = _prepare(np.pi / 2, x)[0][0]
-            px = purity(_ab_marginal(_measure_block(dev, "x")))
-            py = purity(_ab_marginal(_measure_block(dev, "y")))
+            px = _purity(_ab_marginal(_measure_block(dev, "x")))
+            py = _purity(_ab_marginal(_measure_block(dev, "y")))
             assert abs(px - py) <= 1e-10
 
 
@@ -391,7 +387,7 @@ class TestObservables:
         maxsize = _noise_level.cache_info().maxsize
         assert maxsize is not None
         for p in np.linspace(0.0, 0.3, maxsize + 3):
-            calibration_factors(NoiseModel(float(p)))
+            _noise_level(float(p))
         assert _noise_level.cache_info().currsize <= maxsize
 
     def test_noise_sites_follow_each_cswap(self):
@@ -622,9 +618,9 @@ class TestNoiseAndRescaling:
     @pytest.mark.parametrize("p", [0.0, 0.05])
     def test_calibration_matches_fresh_preparation_reference(self, p):
         noise = NoiseModel(p)
-        factors = calibration_factors(noise)
+        factors = _noise_level(noise.p_depol)[1]
         for n in PANEL_FIELDS:
-            expected = _forward_setting(np.pi / 2, 1.0, noise, n) / _forward_setting(np.pi / 2, 1.0, NOISELESS, n)
+            expected = _forward_setting(np.pi / 2, 1.0, noise, n) / _forward_setting(np.pi / 2, 1.0, NoiseModel(), n)
             assert abs(factors[n] - expected) <= 1e-14
 
     def test_calibration_rejects_nan_factor(self, cold_levels, monkeypatch):
@@ -633,7 +629,7 @@ class TestNoiseAndRescaling:
         for bad in (0.0, -0.5, np.nan, np.inf):
             _patch_reference_reads(monkeypatch, ideal, ideal | {"purity_AB": np.array([bad])})
             with pytest.raises(ValueError, match="attenuation factor for purity_AB"):
-                calibration_factors(self.NOISE)
+                run_protocol(np.pi / 2, 0.5, self.NOISE)
 
     def test_calibration_rejects_factor_off_closed_form(self, cold_levels, monkeypatch):
         # an unattenuated signal at p = 0.01, or one off (1 - p)**k by 1e-9 relative
@@ -642,7 +638,7 @@ class TestNoiseAndRescaling:
         for bad in (1.0, 0.99**2 * (1 + 1e-9)):
             _patch_reference_reads(monkeypatch, ideal, exact | {"purity_AB": np.array([bad])})
             with pytest.raises(ValueError, match="attenuation factor for purity_AB"):
-                calibration_factors(self.NOISE)
+                run_protocol(np.pi / 2, 0.5, self.NOISE)
 
     def test_exact_zero_read_at_p_one_is_rejected(self, cold_levels, monkeypatch):
         # a read of exactly 0 matches (1 - p)**k = 0 exactly, but nothing can be divided out
@@ -650,7 +646,7 @@ class TestNoiseAndRescaling:
                                dict.fromkeys(PANEL_FIELDS, np.array([0.0])))
         for _ in range(2):  # a failed level is not cached: every call raises
             with pytest.raises(ValueError, match="attenuation factor for purity_AB is 0.0"):
-                calibration_factors(NoiseModel(1.0))
+                run_protocol(np.pi / 2, 0.5, NoiseModel(1.0))
 
     def test_calibration_runs_once_per_level(self, cold_levels, monkeypatch):
         reads = []
@@ -658,8 +654,6 @@ class TestNoiseAndRescaling:
         noise, alpha, x = NoiseModel(0.03), np.array([0.2, 0.4]), np.array([0.5, 1.0])
         first = run_protocol(alpha, x, noise)
         assert reads == [1, 1, 2]  # the reference, noiseless and noisy, then the points
-        # the caller's dict is its own: changing it changes no later panel
-        calibration_factors(noise)["purity_AB"] = 0.5
         second = run_protocol(alpha, x, noise)
         assert reads == [1, 1, 2, 2]
         for name in PANEL_FIELDS:
@@ -668,16 +662,16 @@ class TestNoiseAndRescaling:
     def test_lost_signal_is_rejected(self):
         # at p = 1 every factor is 0 up to rounding: nothing can be divided out
         with pytest.raises(ValueError, match="attenuation factor for purity_AB"):
-            calibration_factors(NoiseModel(1.0))
+            run_protocol(np.pi / 2, 1.0, NoiseModel(1.0))
         with pytest.raises(ValueError, match="attenuation factor for purity_AB"):
             run_protocol(np.pi / 2, 0.5, NoiseModel(1.0))
-        factors = calibration_factors(NoiseModel(0.99))
+        factors = _noise_level(0.99)[1]
         for name in PANEL_FIELDS:
             expected = 0.01 ** len(_SETTINGS[name][1])
             assert abs(factors[name] - expected) <= 1e-12 * expected
 
     def test_noiseless_factors_are_one(self):
-        assert calibration_factors(NOISELESS) == {name: 1.0 for name in PANEL_FIELDS}
+        assert _noise_level(NoiseModel().p_depol)[1] == {name: 1.0 for name in PANEL_FIELDS}
 
     def test_noise_level_is_a_python_float(self):
         zero = NoiseModel(-0.0).p_depol
@@ -695,6 +689,6 @@ class TestNoiseAndRescaling:
             NoiseModel(-0.1)
         with pytest.raises(ValueError):
             NoiseModel(1.5)
-        assert NoiseModel(0.3).p_depol == 0.3 and NoiseModel(0.0).p_depol == NOISELESS.p_depol == 0.0
+        assert NoiseModel(0.3).p_depol == 0.3 and NoiseModel(0.0).p_depol == NoiseModel().p_depol == 0.0
         with pytest.raises(TypeError):
             NoiseModel(0.3, enabled=False)  # noise is on exactly when p_depol > 0

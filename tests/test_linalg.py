@@ -5,18 +5,17 @@ import pytest
 
 from mubpurity.linalg import (
     DensityMatrix,
+    _as_stack,
     _check_density_stack,
     _from_pairs,
-    as_matrix,
+    _purities,
     density_from_json,
     density_to_json,
     hermitian_eigenvalues,
     partial_trace_matrix,
     partial_transpose,
-    purity,
 )
 from mubpurity.mub import MubSet, construct_mubs, load_mubs, save_mubs
-from mubpurity.relations import post_measurement_state
 from mubpurity.states import _random_density_stack, random_density
 from mubpurity.tolerances import TOL_PSD
 
@@ -94,8 +93,8 @@ class TestTensor:
 
     def test_rejects_nan(self):
         bad = np.array([[np.nan, 0], [0, 1]])
-        with pytest.raises(ValueError):
-            as_matrix(bad)
+        with pytest.raises(ValueError, match="finite"):
+            _as_stack(bad)
 
 
 class TestPartialTrace:
@@ -261,14 +260,14 @@ class TestPurity:
     def test_maximally_mixed(self):
         for d in (2, 3, 4):
             rho = DensityMatrix(np.eye(d) / d, (d,))
-            assert abs(purity(rho) - 1.0 / d) <= 1e-12
+            assert abs(_purities(rho.matrix) - 1.0 / d) <= 1e-12
 
     def test_pure_projector(self):
         rng = _rng(11)
         v = _random_complex(rng, 4, 1).ravel()
         v /= np.linalg.norm(v)
         rho = DensityMatrix(np.outer(v, v.conj()), (4,))
-        assert abs(purity(rho) - 1.0) <= 1e-12
+        assert abs(_purities(rho.matrix) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("x", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_family_closed_form(self, x):
@@ -277,13 +276,14 @@ class TestPurity:
         assert abs(expected - (1 + 3 * x * x) / 4) <= 1e-15
         psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
         m = x * np.outer(psi, psi) + (1 - x) / 4 * np.eye(4)
-        assert abs(purity(DensityMatrix(m, (2, 2))) - expected) <= 1e-12
+        assert abs(_purities(DensityMatrix(m, (2, 2)).matrix) - expected) <= 1e-12
 
     def test_matches_squared_eigenvalues(self):
         rng = _rng(12)
         m = _random_density_matrix(rng, 6)
         w = hermitian_eigenvalues(m)
-        assert abs(purity(m) - (w**2).sum()) <= 1e-10
+        assert abs(_purities(m) - (w**2).sum()) <= 1e-10
+        assert abs(_purities(m) - np.trace(m @ m).real) <= 1e-14
 
 
 class TestTypes:
@@ -451,8 +451,8 @@ INTEGER_ENTRY_POINTS = {
     "random_density rank": (lambda v, tmp: random_density(4, v, 0), 4),
     "random density stack dim": (lambda v, tmp: _random_density_stack(v, [2], [0]), 4),
     "random density stack rank": (lambda v, tmp: _random_density_stack(4, [2, v], [0, 1]), 4),
-    "post_measurement_state basis label": (
-        lambda v, tmp: post_measurement_state(DensityMatrix(BELL, (2, 2)), construct_mubs(2, 3), v), 2),
+    "construct_mubs d": (lambda v, tmp: construct_mubs(v, 3), 5),
+    "construct_mubs M": (lambda v, tmp: construct_mubs(5, v), 3),
 }
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mubpurity.expsim import NOISELESS, PANEL_FIELDS, NoiseModel, calibration_factors, run_protocol
+from mubpurity.expsim import PANEL_FIELDS, NoiseModel, _noise_level, run_protocol
 from mubpurity.linalg import (
     density_from_json,
     density_to_json,
@@ -31,13 +31,12 @@ from mubpurity.relations import (
     build_bipartite_basis,
     gamma_direct,
     gamma_via_projector,
-    post_measurement_state,
     relation_report,
 )
 from mubpurity.states import random_density, rho_family
 from mubpurity.tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 from test_expsim import _forward_setting
-from test_relations import _equivalent_set, _report_arrays, _report_fields, _stacked_row
+from test_relations import _equivalent_set, _pinch, _report_arrays, _report_fields, _stacked_row
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SIMULATOR_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -121,7 +120,7 @@ def test_pinch_preserves_trace_and_marginal(case):
     basis, rho = case
     rho_b = partial_trace_matrix(rho.matrix, rho.dims)
     for theta in range(1, basis.M + 1):
-        out = post_measurement_state(rho, basis.mubs, theta)
+        out = _pinch(rho, basis.mubs, theta)
         assert abs(np.trace(out.matrix) - 1.0) <= TOL_STRUCTURAL
         marginal = partial_trace_matrix(out.matrix, out.dims)
         assert np.abs(marginal - rho_b).max() <= TOL_STRUCTURAL
@@ -174,11 +173,11 @@ def test_rescaled_panel_recovers_noiseless(alpha, x, p):
 def test_observable_read_matches_forward_gates(alpha, x, p):
     noise = NoiseModel(p)
     raw = run_protocol(alpha, x, noise).raw
-    factors = calibration_factors(noise)
+    factors = _noise_level(noise.p_depol)[1]
     for name in PANEL_FIELDS:
         assert abs(raw[name] - _forward_setting(alpha, x, noise, name)) <= 1e-14
         if noise.p_depol > 0.0:
-            forward = _forward_setting(np.pi / 2, 1.0, noise, name) / _forward_setting(np.pi / 2, 1.0, NOISELESS, name)
+            forward = _forward_setting(np.pi / 2, 1.0, noise, name) / _forward_setting(np.pi / 2, 1.0, NoiseModel(), name)
             assert abs(factors[name] - forward) <= 1e-14
 
 

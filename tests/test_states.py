@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mubpurity.linalg import hermitian_eigenvalues, purity
+from mubpurity.linalg import hermitian_eigenvalues
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import relation_report
 from mubpurity.states import (
@@ -10,6 +10,7 @@ from mubpurity.states import (
     random_density,
     rho_family,
 )
+from test_relations import _purity
 
 
 class TestPsiAlpha:
@@ -44,16 +45,16 @@ class TestRhoFamily:
         for alpha in (0.0, 0.9, np.pi / 2):
             rho = rho_family(alpha, 0.0)
             assert np.abs(rho.matrix - np.eye(4) / 4).max() <= 1e-15
-            assert abs(purity(rho) - 0.25) <= 1e-12
+            assert abs(_purity(rho.matrix) - 0.25) <= 1e-12
 
     def test_x_one_pure(self):
         for alpha in (0.0, 0.3, np.pi / 2):
-            assert abs(purity(rho_family(alpha, 1.0)) - 1.0) <= 1e-12
+            assert abs(_purity(rho_family(alpha, 1.0).matrix) - 1.0) <= 1e-12
 
     def test_purity_closed_form_grid(self):
         for x in np.linspace(0.0, 1.0, 21):
             expected = (x + (1 - x) / 4) ** 2 + 3 * ((1 - x) / 4) ** 2
-            assert abs(purity(rho_family(np.pi / 2, float(x))) - expected) <= 1e-12
+            assert abs(_purity(rho_family(np.pi / 2, float(x)).matrix) - expected) <= 1e-12
             assert abs(expected - (1 + 3 * x * x) / 4) <= 1e-14
 
     def test_singlet_family_isotropy(self):
@@ -87,7 +88,7 @@ class TestRhoFamily:
 
 class TestRandomDensity:
     def test_rank_one_is_pure(self):
-        assert abs(purity(random_density(4, 1, 7)) - 1.0) <= 1e-12
+        assert abs(_purity(random_density(4, 1, 7).matrix) - 1.0) <= 1e-12
 
     def test_determinism(self):
         a = random_density(4, 4, 123)
