@@ -36,7 +36,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-RELATIONS, LINALG, EXPSIM, MUB = (f"src/mubpurity/{m}.py" for m in ("relations", "linalg", "expsim", "mub"))
+RELATIONS, LINALG, EXPSIM, MUB, STATES = (
+    f"src/mubpurity/{m}.py" for m in ("relations", "linalg", "expsim", "mub", "states")
+)
 
 MUTANTS = (
     Mutant("pinched sum without the conjugate of Pi", RELATIONS,
@@ -67,6 +69,15 @@ MUTANTS = (
     Mutant("float texts deduplicated by value, merging -0.0 and 0.0", LINALG,
            "np.unique(a.view(np.uint64), return_inverse=True)", "np.unique(a, return_inverse=True)",
            ("tests/test_mub.py",)),
+    # the checks the builders dropped: each fact must still be caught by a test
+    Mutant("phi dropped from the constructed states", RELATIONS,
+           "twisted[0, :1]", "twisted[0, :0]", ("tests/test_relations.py",)),
+    Mutant("Ginibre state left unnormalized", STATES,
+           "m /= np.trace(m).real", "m *= 1.0", ("tests/test_states.py",)),
+    Mutant("family state mixed with (1 - x)/2", STATES,
+           "(1.0 - x) / 4.0", "(1.0 - x) / 2.0", ("tests/test_states.py",)),
+    Mutant("indefinite Ginibre draw", STATES,
+           "g @ g.conj().T", "g @ g.conj().T - 1e-3 * np.eye(dim)", ("tests/test_states.py",)),
 )
 
 

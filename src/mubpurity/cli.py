@@ -122,9 +122,10 @@ def cmd_verify(ns) -> int:
     mubs = _basis_set(ns.d, ns.m, None)
     report = verify_relations(mubs, ns.d if ns.big_d is None else ns.big_d, ns.trials, seed)
     text = report.summary() + "\n"
-    print(text, end="")
+    # written first, so an unwritable --out prints no report
     if ns.out:
         Path(ns.out).write_text(text)
+    print(text, end="")
     return 0 if report.passed else 2
 
 
@@ -193,7 +194,7 @@ def _sweep_columns(ns) -> dict[str, np.ndarray]:
     columns.update({f"purity_{ax}B": axis[ax] for ax in ("x", "y", "z")})
     columns.update({name: rep[name] for name in ("lhs", "rhs", "gap")})
     if ns.simulate:
-        # raw and rescaled simulator columns, from one read of the checked grid
+        # raw and rescaled simulator columns, from one read of the grid's states
         panel = _panel(alphas, xs, rho, noise)
         for kind, values in (("raw", panel.raw), ("rescaled", panel.rescaled)):
             lhs, rhs = panel.relation_sides(use_raw=kind == "raw")

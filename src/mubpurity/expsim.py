@@ -24,7 +24,7 @@ read against the 4x4 rho of each (alpha, x) point. One contraction reads
 the eight stacked V_s against every point, summing each (setting, point)
 entry alone, so a point reads the same bits in a stack as alone; the
 32x32 register is never built, and the read checks nothing: the states are
-the stack that ``states._family_states`` builds and checks.
+those ``states._family_states`` builds, valid once (alpha, x) is in range.
 
 Sites for noise: a one-parameter depolarizing channel acts on the probe
 immediately after each controlled-SWAP. The swapped qubits need no site:
@@ -210,7 +210,7 @@ def _observable(name: str, p: float) -> np.ndarray:
 
 
 def _read_panel(rho: np.ndarray, observables: np.ndarray) -> dict[str, np.ndarray]:
-    """All eight settings of a checked (n, 4, 4) state stack, as (n,) arrays, read with an (8, 4, 4, 4, 4) V_s stack."""
+    """All eight settings of an (n, 4, 4) state stack, as (n,) arrays, read with an (8, 4, 4, 4, 4) V_s stack."""
     # the probe signal Tr(sigma_z^probe dev) of the unread register dev
     reference = 2.0 * np.trace(rho, axis1=1, axis2=2).real ** 2
     # one einsum for all settings and points, with no intermediate: each
@@ -292,7 +292,7 @@ def run_protocol(alpha, x, noise: NoiseModel = NoiseModel()) -> PurityPanel:
 
 
 def _panel(alpha, x, rho: np.ndarray, noise: NoiseModel) -> PurityPanel:
-    """The panel of the checked state stack ``rho`` of the points alpha, x (floats or (n,) arrays)."""
+    """The panel of the state stack ``rho`` that ``_family_states`` built at the points alpha, x (floats or (n,) arrays)."""
     observables, factors = _noise_level(noise.p_depol)
     raw = _read_panel(rho, observables)
     if np.ndim(x) == 0:

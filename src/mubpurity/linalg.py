@@ -143,29 +143,13 @@ def _psd_rows(a: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _check_density_stack(a: np.ndarray) -> None:
-    """Reject an (n, k, k) stack unless every matrix is finite, Hermitian, unit-trace and PSD.
-
-    The checks run in that order; PSD means no eigenvalue below -TOL_PSD,
-    as :func:`_psd_rows` decides it.
-    """
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    if _hermiticity_defects(a).max() > TOL_STRUCTURAL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    traces = np.trace(a, axis1=1, axis2=2)
-    off = np.abs(traces - 1.0) > TOL_STRUCTURAL
-    if off.any():
-        raise ValueError(f"trace {complex(traces[off.argmax()])!r} is not 1 within tolerance")
-    if not _psd_rows(a).all():
-        raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on labeled factors.
 
-    ``dims`` lists the subsystem dimensions, leftmost factor first.
+    ``dims`` lists the subsystem dimensions, leftmost factor first. The
+    matrix must be finite, Hermitian and unit-trace within TOL_STRUCTURAL,
+    and PSD as :func:`_psd_rows` decides it; a read-only copy is stored.
     Instances compare and hash by identity.
     """
 
@@ -183,24 +167,17 @@ class DensityMatrix:
             raise ValueError(f"invalid dims {dims}")
         if a.shape != (total, total):
             raise ValueError(f"matrix shape {a.shape} does not match dims {dims}")
-        _check_density_stack(a[None])
-        self._freeze(a, dims)
-
-    def _freeze(self, a: np.ndarray, dims: tuple[int, ...]) -> None:
+        if _hermiticity_defects(a) > TOL_STRUCTURAL:
+            raise ValueError("density matrix is not Hermitian within tolerance")
+        trace = np.trace(a)
+        if abs(trace - 1.0) > TOL_STRUCTURAL:
+            raise ValueError(f"trace {complex(trace)!r} is not 1 within tolerance")
+        if not _psd_rows(a[None])[0]:
+            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "dims", dims)
-
-    @classmethod
-    def _checked(cls, a: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
-        """The density matrix of a (k, k) array that a state builder has already checked, on int ``dims`` that fit it.
-
-        Nothing is checked again; the matrix is copied as the constructor copies it.
-        """
-        rho = object.__new__(cls)
-        rho._freeze(a, dims)
-        return rho
 
     @property
     def dim(self) -> int:

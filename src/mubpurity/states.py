@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, _as_int, _check_density_stack
+from .linalg import DensityMatrix, _as_int
 
 
 def _psi_stack(alpha: np.ndarray) -> np.ndarray:
@@ -20,11 +20,12 @@ def _psi_stack(alpha: np.ndarray) -> np.ndarray:
 
 
 def _family_states(alpha, x) -> np.ndarray:
-    """The checked (n, 4, 4) stack x |psi_alpha><psi_alpha| + (1-x)/4 I4 at two floats or two equal-length 1-D arrays.
+    """The (n, 4, 4) stack x |psi_alpha><psi_alpha| + (1-x)/4 I4 at two floats or two equal-length 1-D arrays.
 
     Two floats give a stack of one. The first point outside the domain
-    fails, naming x when both of its values are bad; every state is built
-    with the same bits as in a stack of one.
+    fails, naming x when both of its values are bad; inside it, every state
+    is a density matrix by construction and is not checked. Each is
+    built with the same bits as in a stack of one.
     """
     alpha, x = np.array(alpha, dtype=float), np.array(x, dtype=float)
     if alpha.ndim == 0 and x.ndim == 0:
@@ -44,9 +45,7 @@ def _family_states(alpha, x) -> np.ndarray:
         raise ValueError(f"alpha={float(alpha[i])!r} outside [0, pi/2]")
     v = _psi_stack(alpha)
     pure = v[:, :, None] * v[:, None, :].conj()
-    rho = x[:, None, None] * pure + ((1.0 - x) / 4.0)[:, None, None] * np.eye(4)
-    _check_density_stack(rho)
-    return rho
+    return x[:, None, None] * pure + ((1.0 - x) / 4.0)[:, None, None] * np.eye(4)
 
 
 def rho_family(alpha: float, x: float) -> DensityMatrix:
@@ -55,7 +54,7 @@ def rho_family(alpha: float, x: float) -> DensityMatrix:
     Purity is (1 + 3 x^2)/4 for every alpha (eigenvalues x + (1-x)/4 once
     and (1-x)/4 three times).
     """
-    return DensityMatrix._checked(_family_states(float(alpha), float(x))[0], (2, 2))
+    return DensityMatrix(_family_states(float(alpha), float(x))[0], (2, 2))
 
 
 def _check_draw(dim, ranks) -> tuple[int, list[int]]:
@@ -68,7 +67,7 @@ def _check_draw(dim, ranks) -> tuple[int, list[int]]:
 
 
 def _ginibre(dim: int, rank: int, seed) -> np.ndarray:
-    """g g^dagger / Tr(g g^dagger) for a seeded complex Gaussian (dim, rank) matrix g; unchecked."""
+    """g g^dagger / Tr(g g^dagger) for a seeded complex Gaussian (dim, rank) matrix g: a density matrix by construction."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
@@ -77,14 +76,12 @@ def _ginibre(dim: int, rank: int, seed) -> np.ndarray:
 
 
 def _random_density_stack(dim: int, ranks, seeds) -> np.ndarray:
-    """The checked (n, dim, dim) stack of seeded random states, state i of rank ``ranks[i]``.
+    """The (n, dim, dim) stack of seeded random states, state i of rank ``ranks[i]``; only the ranks are checked.
 
     Row i has the bits of ``random_density(dim, ranks[i], seeds[i]).matrix``.
     """
     dim, ranks = _check_draw(dim, ranks)
-    stack = np.stack([_ginibre(dim, rank, seed) for rank, seed in zip(ranks, seeds, strict=True)])
-    _check_density_stack(stack)
-    return stack
+    return np.stack([_ginibre(dim, rank, seed) for rank, seed in zip(ranks, seeds, strict=True)])
 
 
 def random_density(dim: int, rank: int, seed, dims=None) -> DensityMatrix:

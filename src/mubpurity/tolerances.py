@@ -7,8 +7,8 @@ Three buckets, used consistently by the library and its tests:
 * ``TOL_PSD`` -- slack on positive-semidefiniteness, and on hermiticity of
   the inputs to an eigensolver or to the Cholesky PSD gate, which read one
   triangle.
-* ``TOL_SPECTRAL`` -- accumulated-error bound for spectral sums, projector
-  ranks and relation gaps.
+* ``TOL_SPECTRAL`` -- accumulated-error bound for spectral sums and
+  relation gaps.
 """
 
 TOL_STRUCTURAL = 1e-12

@@ -226,6 +226,14 @@ class TestVerifyCommand:
         assert capsys.readouterr().out == first
         assert (tmp_path / "r.txt").read_bytes() == first_file
 
+    def test_unwritable_out_exits_1_before_the_report(self, capsys, tmp_path):
+        # --out is written before the report is printed, so no report claims a pass
+        assert main(["verify", "--d", "3", "--m", "2", "--trials", "3", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert "Is a directory" in captured.err
+
     def test_zero_trials_exits_1(self, capsys):
         assert main(["verify", "--d", "2", "--m", "3", "--trials", "0"]) == 1
         captured = capsys.readouterr()
@@ -549,10 +557,12 @@ class TestSweepCommand:
     def test_grid_checked_once(self, tmp_path, monkeypatch, noise):
         import mubpurity.cli as cli
         import mubpurity.expsim as expsim
-        import mubpurity.states as states
+        from mubpurity.states import _family_states
 
+        # _family_states checks the points' range and builds their states
         checked, reported, simulated = [], [], []
-        monkeypatch.setattr(states, "_check_density_stack", checked.append)
+        for module in (cli, expsim):
+            monkeypatch.setattr(module, "_family_states", lambda *a: checked.append(_family_states(*a)) or checked[-1])
         report, read = cli._relation_arrays, expsim._read_panel
         monkeypatch.setattr(cli, "_relation_arrays", lambda rho, *a: reported.append(rho) or report(rho, *a))
         monkeypatch.setattr(expsim, "_read_panel", lambda rho, v: simulated.append(rho) or read(rho, v))
@@ -563,7 +573,7 @@ class TestSweepCommand:
         # each run's grid; the calibration reference once per noise level, when noise is on
         assert [len(rho) for rho in checked] == ([7, 7] if noise == "0" else [7, 1, 7])
         grids = [rho for rho in checked if len(rho) == 7]
-        # each run reads the stack it checked, in its analytic and its simulated columns
+        # each run reads the one stack it built, in its analytic and its simulated columns
         assert all(r is g for r, g in zip(reported, grids, strict=True))
         assert all(r is g for r, g in zip([rho for rho in simulated if len(rho) == 7], grids, strict=True))
 

@@ -259,15 +259,14 @@ class TestPrepare:
             run_protocol(0.1, 1.5)
 
     def test_prepared_stack_checked_once(self, monkeypatch):
-        import mubpurity.states as states
-
+        # _family_states checks the points' range and builds their states
         checked, read = [], []
-        monkeypatch.setattr(states, "_check_density_stack", checked.append)
+        monkeypatch.setattr(expsim, "_family_states", lambda *a: checked.append(_family_states(*a)) or checked[-1])
         monkeypatch.setattr(expsim, "_read_panel", lambda rho, v: read.append(rho) or _read_panel(rho, v))
         alpha, x = np.array([0.2, 0.4]), np.array([0.5, 1.0])
         run_protocol(alpha, x)
         assert len(checked) == 1 and np.array_equal(checked[0], _family_states(alpha, x))
-        # the panel reads the stack that was checked, not a rebuilt copy
+        # the panel reads the stack that was built, not a rebuilt copy
         assert len(read) == 1 and read[0] is checked[0]
 
     def test_memory_stays_bounded(self):

@@ -6,8 +6,8 @@ import pytest
 from mubpurity.linalg import (
     DensityMatrix,
     _as_stack,
-    _check_density_stack,
     _from_pairs,
+    _psd_rows,
     _purities,
     density_from_json,
     density_to_json,
@@ -315,8 +315,8 @@ class TestTypes:
         *(pytest.param(defect, 3, id=defect) for defect in ("non-hermitian", "trace", "negative", "nan", "inf")),
         *(pytest.param("past the PSD slack", k, id=f"past-psd-slack-{k}") for k in (3, 49, 121)),
     ])
-    def test_stack_check_rejects_one_bad_state(self, defect, k):
-        # a bad state inside a stack fails with the message it fails with alone
+    def test_density_matrix_rejects_each_defect(self, defect, k):
+        # the one state check: each defect fails it with its own message
         bad = np.eye(k, dtype=complex) / k
         if defect == "non-hermitian":
             bad[0, 1] = 0.1
@@ -332,27 +332,24 @@ class TestTypes:
             bad = _state_with_min_eigenvalue(k, -1.1 * TOL_PSD, 17)
         with pytest.raises(ValueError) as alone:
             DensityMatrix(bad, (k,))
-        good = _random_density_matrix(_rng(16), k)
-        _check_density_stack(np.stack([good, good]))
-        for position in range(3):
-            stack = [good, good]
-            stack.insert(position, bad)
-            with pytest.raises(ValueError) as stacked:
-                _check_density_stack(np.stack(stack))
-            assert str(stacked.value) == str(alone.value)
+        assert str(alone.value) == {
+            "non-hermitian": "density matrix is not Hermitian within tolerance",
+            "trace": "trace (1.5+0j) is not 1 within tolerance",
+            "nan": "matrix entries must be finite",
+            "inf": "matrix entries must be finite",
+        }.get(defect, "density matrix has a negative eigenvalue beyond tolerance")
 
     @pytest.mark.parametrize("k", [3, 49, 121])
     def test_psd_gate_sits_at_the_slack(self, k):
         # an eigenvalue 10 % inside -TOL_PSD passes alone and at every position
-        # of a stack; 10 % beyond it fails with the unchanged message (and so
-        # in a stack, by test_stack_check_rejects_one_bad_state)
+        # of a stack through the gate; 10 % beyond it fails with the PSD message
         inside = _state_with_min_eigenvalue(k, -0.9 * TOL_PSD, 18)
         DensityMatrix(inside, (k,))
         good = _random_density_matrix(_rng(16), k)
         for position in range(3):
             stack = [good, good]
             stack.insert(position, inside)
-            _check_density_stack(np.stack(stack))
+            assert _psd_rows(np.stack(stack)).all()
         with pytest.raises(ValueError) as alone:
             DensityMatrix(_state_with_min_eigenvalue(k, -1.1 * TOL_PSD, 18), (k,))
         assert str(alone.value) == "density matrix has a negative eigenvalue beyond tolerance"

@@ -164,6 +164,22 @@ class TestBipartiteBasis:
             assert frobenius_norm(p @ p - p) <= 1e-10
             _assert_projector_facts(basis)
 
+    def test_rejects_states_off_orthonormal(self, monkeypatch, capsys):
+        # phi's first amplitude moved by 1e-11 puts the Gram matrix about
+        # 1e-11 off I, beyond TOL_STRUCTURAL: the build's one check fires
+        real = relations._constructed_states
+
+        def moved(twisted):
+            span = real(twisted).copy()
+            span[0, 0] += 1e-11
+            return span
+
+        monkeypatch.setattr(relations, "_constructed_states", moved)
+        with pytest.raises(MubValidationError, match=r"^basis states not orthonormal: max deviation \d\.\d{3}e-11$") as exc:
+            build_bipartite_basis(construct_mubs(3, 2))
+        assert main(["verify", "--d", "3", "--m", "2", "--trials", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
     def test_rejects_invalid_mubs(self):
         # the build takes a MubSet, and no MubSet holds a repeated basis
         with pytest.raises(MubValidationError) as exc:
@@ -714,10 +730,10 @@ class TestVerifyRelations:
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_choi_route_catches_the_conjugated_projector(self, monkeypatch, d):
-        # the conjugated projector is idempotent with the right trace, so
-        # the build accepts it; J tells it apart wherever P is complex (the
-        # constructed P is real at M = 2 and zero at M = d + 1), and only
-        # the J-vs-P line fails: J itself still passes the gate
+        # the conjugated projector is idempotent with the right trace, and
+        # the build checks only the Gram matrix; J tells it apart wherever P
+        # is complex (the constructed P is real at M = 2 and zero at
+        # M = d + 1), and only the J-vs-P line fails: J still passes the gate
         real = relations.build_bipartite_basis
 
         def conjugated(mubs):

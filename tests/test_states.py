@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mubpurity.linalg import hermitian_eigenvalues
+from mubpurity.linalg import DensityMatrix, hermitian_eigenvalues
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import relation_report
 from mubpurity.states import (
@@ -73,16 +73,17 @@ class TestRhoFamily:
 
     def test_state_checked_once(self, monkeypatch):
         import mubpurity.linalg as linalg
-        import mubpurity.states as states
 
+        # the builder checks the range only; DensityMatrix runs the one PSD gate
         checked = []
-        real = linalg._check_density_stack
-        for module in (linalg, states):
-            monkeypatch.setattr(module, "_check_density_stack", lambda a: checked.append(a) or real(a))
+        real = linalg._psd_rows
+        monkeypatch.setattr(linalg, "_psd_rows", lambda a: checked.append(a) or real(a))
         rho = rho_family(0.3, 0.6)
         assert len(checked) == 1 and np.array_equal(checked[0][0], rho.matrix)
-        # the trusted state is still a frozen copy on int dims
-        assert rho.dims == (2, 2) and not rho.matrix.flags.writeable
+        assert np.array_equal(rho.matrix, _family_states(0.3, 0.6)[0])
+        # a frozen copy on int dims
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+        assert not rho.matrix.flags.writeable
         assert not np.shares_memory(rho.matrix, checked[0])
 
 
@@ -125,13 +126,12 @@ class TestRandomDensityStack:
         for row, (rank, seed) in enumerate(zip(ranks, seeds)):
             assert np.array_equal(stack[row], random_density(12, rank, seed, dims=(3, 4)).matrix)
 
-    def test_stack_checked_as_density_matrices(self, monkeypatch):
-        import mubpurity.states as states
-
-        checked = []
-        monkeypatch.setattr(states, "_check_density_stack", checked.append)
-        stack = _random_density_stack(4, [4, 1], [1, 2])
-        assert len(checked) == 1 and checked[0] is stack
+    def test_stack_checked_as_density_matrices(self):
+        # the builder checks the ranks only; every row is a density matrix by construction
+        for dim in (1, 2, 7):
+            ranks = [1 + t % dim for t in range(12)]
+            for row in _random_density_stack(dim, ranks, range(12)):
+                DensityMatrix(row, (dim,))
 
     @pytest.mark.parametrize("dim,ranks,dims,match", [
         (4, [4, 0], None, "rank=0"),
@@ -181,13 +181,11 @@ class TestFamilyStates:
                 assert np.array_equal(stack[row], rho_family(alpha, x).matrix)
                 assert np.array_equal(_family_states(alpha, x)[0], rho_family(alpha, x).matrix)
 
-    def test_stack_checked_as_density_matrices(self, monkeypatch):
-        import mubpurity.states as states
-
-        checked = []
-        monkeypatch.setattr(states, "_check_density_stack", checked.append)
-        stack = _family_states(np.array([0.2, 0.4]), np.array([0.5, 1.0]))
-        assert len(checked) == 1 and checked[0] is stack
+    def test_stack_checked_as_density_matrices(self):
+        # the builder checks the range only; every state inside it, corners included, is a density matrix
+        alphas, xs = (a.ravel() for a in np.meshgrid(np.linspace(0.0, np.pi / 2, 9), np.linspace(0.0, 1.0, 11)))
+        for row in _family_states(alphas, xs):
+            DensityMatrix(row, (2, 2))
 
     @pytest.mark.parametrize("alpha,x", [
         (-0.1, 0.5), (1.6, 0.5), (0.3, 1.2), (0.3, -0.5), (2.0, 2.0),
