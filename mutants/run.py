@@ -6,14 +6,14 @@ Run from any directory, with the test extras installed:
 
 The checkout's ``src/``, ``tests/`` and ``pyproject.toml`` are copied to a
 temporary directory, and the repository itself is never edited. The
-mutants' test files first run once unmutated and must pass. Then, for each
-mutant, the script checks that its pattern occurs exactly once in its file,
-so code that moved fails loudly, writes the mutated file and runs the
-mutant's test files with ``pytest -x -q -p no:cacheprovider`` on one BLAS
-thread. Only pytest's exit code 1, a failed test, kills the mutant; a
-collection error (2) or a pass (0) lets it survive. One line is printed per
-mutant, and the script exits 1 on any survivor. The script itself needs
-only the standard library.
+mutants' tests (test files, or the one test that must kill a mutant) first
+run once unmutated and must pass. Then, for each mutant, the script checks
+that its pattern occurs exactly once in its file, so code that moved fails
+loudly, writes the mutated file and runs the mutant's tests with ``pytest
+-x -q -p no:cacheprovider`` on one BLAS thread. Only pytest's exit code 1,
+a failed test, kills the mutant; a collection error (2) or a pass (0) lets
+it survive. One line is printed per mutant, and the script exits 1 on any
+survivor. The script itself needs only the standard library.
 """
 
 from __future__ import annotations
@@ -40,15 +40,20 @@ RELATIONS, LINALG, EXPSIM, MUB, STATES = (
     f"src/mubpurity/{m}.py" for m in ("relations", "linalg", "expsim", "mub", "states")
 )
 
+GAMMA_BY_KRON = "tests/test_relations.py::TestGamma::test_matches_kron_definition"
+
 MUTANTS = (
+    # the realigned gamma: each mutant names the one test that must kill it
     Mutant("pinched sum without the conjugate of Pi", RELATIONS,
-           "pairs.reshape(k * d, -1).conj().T @ blocks", "pairs.reshape(k * d, -1).T @ blocks",
-           ("tests/test_relations.py",)),
-    # _pinched_sum realigns back with the same transpose, hence the context
+           "pairs.conj().T @ blocks", "pairs.T @ blocks", (GAMMA_BY_KRON,)),
+    # gamma is realigned back with the same transpose, hence the context
     Mutant("pinch blocks read without the realignment", RELATIONS,
-           "realigned = rho.reshape(-1, d, big_d, d, big_d).transpose(0, 1, 3, 2, 4)",
-           "realigned = rho.reshape(-1, d, big_d, d, big_d).transpose(0, 1, 2, 3, 4)",
-           ("tests/test_relations.py",)),
+           "four.transpose(0, 1, 3, 2, 4)", "four.transpose(0, 1, 2, 3, 4)",
+           ("tests/test_relations.py::TestPostMeasurement::test_matches_kron_reference",)),
+    Mutant("rho_B added on the rows :: d, not the rows (a, a)", RELATIONS,
+           "g[:, :: d + 1]", "g[:, :: d]", (GAMMA_BY_KRON,)),
+    Mutant("gamma scaled by M/d, not (M-1)/d", RELATIONS,
+           "(m - 1) / d", "m / d", ("tests/test_relations.py::TestGamma::test_complete_set_vanishes_d2",)),
     Mutant("purity read as Tr(m m^T)", LINALG,
            '"...ab,...ba->..."', '"...ab,...ab->..."', ("tests/test_linalg.py",)),
     Mutant("projector from the conjugated span", RELATIONS,

@@ -134,7 +134,11 @@ def cmd_relation(ns) -> int:
         for flag, value in (("--alpha", ns.alpha), ("--x", ns.x)):
             if value is not None:
                 raise ValueError(f"{flag} sets the family state and does not apply to --state")
-        rho = density_from_json(json.loads(Path(ns.state).read_text()))
+        try:
+            obj = json.loads(Path(ns.state).read_text())
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            raise ValueError(f"cannot read state from {ns.state}: {exc}") from exc
+        rho = density_from_json(obj)
         # the basis set is resolved at d, which only a bipartite state has
         d = rho.dims[0]
         _check_bipartite_input(rho.dims, d)

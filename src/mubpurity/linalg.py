@@ -84,10 +84,14 @@ def _two_factors(m, dims: Sequence[int]) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (d1, d2, d1, d2))
 
 
+def _partial_trace(t: np.ndarray) -> np.ndarray:
+    """Tr over the left factor of a (..., d1, d2, d1, d2) view, unchecked: (..., d2, d2)."""
+    return np.trace(t, axis1=t.ndim - 4, axis2=t.ndim - 2)
+
+
 def partial_trace_matrix(m, dims: Sequence[int]) -> np.ndarray:
     """Tr_A of any operator on ``dims = (dA, dB)``, or of each of a (..., n, n) stack: (..., dB, dB)."""
-    t = _two_factors(m, dims)
-    return np.trace(t, axis1=t.ndim - 4, axis2=t.ndim - 2)
+    return _partial_trace(_two_factors(m, dims))
 
 
 def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:

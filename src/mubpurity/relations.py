@@ -17,22 +17,27 @@ the gap lhs - rhs equals Tr(gamma rho). The module computes gamma both
 from that definition and through an independent projector/partial-transpose
 route, which serves as a cross-check.
 
-The pinch reads each state realigned, R[(a, c), (b, e)] = rho[ab, ce]
-(Chen and Wu, Quantum Inf. Comput. 3, 193 (2003)). With the (k*d, d*d)
-basis-pair matrix Pi[t*d + i, a*d + c] = <i_t|a><c|i_t> of k bases,
-formed once per call, the blocks <i_t|rho|i_t> of every basis are one
-product Pi @ R per state, and the sum of the pinched states is
-Pi^H @ blocks, realigned back; the pinch keeps the trace, as a MubSet's
-rows are orthonormal. Tr rho_thetaB^2 = sum_i Tr <i|rho|i>^2 and the B
-marginal sum_i <i|rho|i> are read from the blocks, and besides the state
-only R and the blocks, M/d times the state, are alive: relation_report at
+gamma is assembled in the realigned layout R[(a, c), (b, e)] = rho[ab, ce]
+(Chen and Wu, Quantum Inf. Comput. 3, 193 (2003)). With the (M*d, d*d)
+basis-pair matrix Pi[t*d + i, a*d + c] = <i_t|a><c|i_t>, formed once per
+call, the blocks <i_t|rho|i_t> of every basis are one product Pi @ R per
+state; realigned, sum_theta rho_thetaB is Pi^H @ blocks and I_A (x) rho_B
+is rho_B on the d rows (a, a). So gamma_R = (M-1)/d R - Pi^H @ blocks,
+plus rho_B on the rows (a, a), is built in a copy of R and realigned back
+once. The pinch keeps the trace, as a MubSet's rows are orthonormal.
+Tr rho_thetaB^2 = sum_i Tr <i|rho|i>^2 and the B marginal sum_i <i|rho|i>
+are read from the blocks. Besides the state, the blocks, M/d times the
+state, and at most two state-sized arrays are alive: relation_report at
 d = D = 29, M = 30 peaks at 55 MiB under tracemalloc.
 
-The kernels (pinch, gamma, purities, report) take an (n, d*D, d*D) stack
-of states and return every report field with a leading state axis, and
-gamma in place of gamma_min_eig, which only relation_report solves. Each
-row has the same bits as a stack of that state alone; relation_report
-and gamma_direct are the n = 1 slice.
+The kernel takes an (n, d*D, d*D) stack of states and returns the report
+fields every caller reads, gamma and the blocks, each with a leading
+state axis; relation_report alone derives purity_B_given_theta,
+gamma_min_eig and gamma_frobenius. Each row has the same bits as a stack
+of that state alone; relation_report and gamma_direct are the n = 1
+slice. The kernel checks no array it is given: states are checked where
+they enter (DensityMatrix, the state builders and the Choi matrix's
+Omega).
 
 :func:`verify_relations` certifies the PSD claim for every state at once.
 gamma = (Phi (x) id_B)(rho) for the linear map
@@ -76,10 +81,11 @@ read in chunks, each one stack of states valid by construction and one
 kernel call whose gammas pass the gate in one stacked factorization; only
 the per-trial seeds and results grow with the trial count (one 200-trial
 stack at d = D = 29 would take gigabytes). A budget of 1 MiB sets the
-chunk size against the chunk's measured working set (the stack, its
-realignment, the pinch blocks, the pinched sum, gamma and the gate's
-shifted copy), about 4 + M/d state-sized complex arrays per state, so a
-chunk of several states peaks under 1.8 MiB (tracemalloc, d up to 13, D in
+chunk size against the chunk's measured working set, about 4 + M/d
+state-sized complex arrays per state (4.15 to 4.97 at d = D = 11 and 13):
+the stack, the blocks, gamma, and two more (the hermiticity check's
+adjoint and difference, the gate's shifted copy and factor). A chunk of
+several states peaks under 1.8 MiB (tracemalloc, d up to 13, D in
 {1, 2, d}). At d = D = 7 a chunk holds 6 states at M = 2 and 5 at M = 8;
 from d = D = 13 on it holds one.
 """
@@ -94,11 +100,11 @@ from .linalg import (
     DensityMatrix,
     _as_int,
     _hermiticity_defects,
+    _partial_trace,
     _psd_rows,
     _purities,
     frobenius_norm,
     hermitian_eigenvalues,
-    partial_trace_matrix,
     partial_transpose,
 )
 from .mub import MubSet, MubValidationError
@@ -232,48 +238,29 @@ def _check_bipartite_input(dims: tuple[int, ...], d: int) -> int:
     return dims[1]
 
 
-def _basis_pairs(bases: np.ndarray) -> np.ndarray:
-    """``pairs[t, i, a*d + c] = <i_t|a><c|i_t>`` of k bases: read as (k*d, d*d), it pinches a realigned state."""
-    k, d = bases.shape[:2]
-    return (bases.conj()[:, :, :, None] * bases[:, :, None, :]).reshape(k, d, d * d)
-
-
-def _pinch_blocks(rho: np.ndarray, dims: tuple[int, ...], pairs: np.ndarray) -> np.ndarray:
-    """``blocks[n, t, i] = <i_t|rho_n|i_t>``, shape (n, k, d, D, D), of an (n, d*D, d*D) stack on ``dims``.
-
-    ``pairs`` comes from :func:`_basis_pairs`; the product is Pi @ R (module docstring).
-    """
-    k, d = pairs.shape[:2]
-    big_d = _check_bipartite_input(dims, d)
-    realigned = rho.reshape(-1, d, big_d, d, big_d).transpose(0, 1, 3, 2, 4).reshape(-1, d * d, big_d * big_d)
-    return (pairs.reshape(k * d, -1) @ realigned).reshape(-1, k, d, big_d, big_d)
-
-
-def _pinched_sum(pairs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """sum_t sum_i |i_t><i_t| (x) blocks[n, t, i] of each state, as an (n, d*D, d*D) stack, from Pi^H @ blocks."""
-    n, k, d, big_d = blocks.shape[:4]
-    out = (pairs.reshape(k * d, -1).conj().T @ blocks.reshape(n, k * d, -1)).reshape(n, d, d, big_d, big_d)
-    return out.transpose(0, 1, 3, 2, 4).reshape(n, d * big_d, d * big_d)
-
-
 def _gamma_terms(
     rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho_B, the pinch blocks of all M bases, gamma) from the definition of gamma.
+    """(rho_B, the pinch blocks of all M bases, gamma) of an (n, d*D, d*D) stack ``rho`` on ``dims``, from gamma's definition.
 
-    All three carry the leading axis of the (n, d*D, d*D) stack ``rho``.
+    ``blocks[n, t, i] = <i_t|rho_n|i_t>``, shape (n, M, d, D, D), is Pi @ R,
+    and gamma is assembled in the realigned layout (module docstring).
     """
-    pairs = _basis_pairs(mubs.bases)
-    blocks = _pinch_blocks(rho, dims, pairs)
     d, m = mubs.d, mubs.M
-    rho_b = partial_trace_matrix(rho, dims)
-    n, big_d = rho_b.shape[:2]
-    # I_A (x) rho_B: rho_B in each diagonal block
-    eye_rho_b = np.zeros((n, d, big_d, d, big_d), dtype=complex)
-    diagonal = np.arange(d)
-    eye_rho_b[:, diagonal, :, diagonal, :] = rho_b
-    g = eye_rho_b.reshape(rho.shape) + (m - 1) / d * rho - _pinched_sum(pairs, blocks)
-    return rho_b, blocks, g
+    big_d = _check_bipartite_input(dims, d)
+    # pairs[t*d + i, a*d + c] = <i_t|a><c|i_t>, the (M*d, d*d) matrix Pi
+    pairs = (mubs.bases.conj()[:, :, :, None] * mubs.bases[:, :, None, :]).reshape(m * d, d * d)
+    four = rho.reshape(-1, d, big_d, d, big_d)
+    rho_b = _partial_trace(four)
+    # R, copied even where the reshape alone would not copy, as gamma is assembled in it
+    g = four.transpose(0, 1, 3, 2, 4).copy().reshape(-1, d * d, big_d * big_d)
+    blocks = pairs @ g
+    # gamma_R = (M-1)/d R + rho_B on the rows (a, a) - Pi^H (Pi R)
+    g *= (m - 1) / d
+    g[:, :: d + 1] += rho_b.reshape(-1, 1, big_d * big_d)
+    g -= pairs.conj().T @ blocks
+    g = g.reshape(-1, d, d, big_d, big_d).transpose(0, 1, 3, 2, 4).reshape(rho.shape)
+    return rho_b, blocks.reshape(-1, m, d, big_d, big_d), g
 
 
 def gamma_direct(rho: DensityMatrix, mubs: MubSet) -> np.ndarray:
@@ -324,16 +311,17 @@ class RelationReport:
 
 
 def _relation_arrays(rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet) -> dict[str, np.ndarray]:
-    """Every per-state :class:`RelationReport` field of an (n, d*D, d*D) stack of states, with ``gamma`` for ``gamma_min_eig``.
+    """The :class:`RelationReport` fields every caller reads, of an (n, d*D, d*D) stack of states, with ``gamma`` and the pinch ``blocks``.
 
-    ``purity_thetaB`` and ``purity_B_given_theta`` have shape (n, M), every other field shape (n,).
+    ``purity_thetaB`` has shape (n, M), ``gamma`` (n, d*D, d*D), ``blocks``
+    (n, M, d, D, D) and every other field (n,); :func:`relation_report`
+    derives its other fields from gamma and the blocks.
     """
     rho_b, blocks, g = _gamma_terms(rho, dims, mubs)
     d, m = mubs.d, mubs.M
     p_ab = _purities(rho)
     p_b = _purities(rho_b)
-    # Tr rho_thetaB^2 = sum_i Tr blocks[t, i]^2, and the B marginal of
-    # rho_thetaB is sum_i blocks[t, i]
+    # Tr rho_thetaB^2 = sum_i Tr blocks[t, i]^2
     p_theta = _purities(blocks).sum(axis=2)
     lhs = (p_b[:, None] - p_theta).sum(axis=1)
     rhs = (m - 1) * (p_b - p_ab / d)
@@ -341,20 +329,28 @@ def _relation_arrays(rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet) -> di
         "purity_AB": p_ab,
         "purity_B": p_b,
         "purity_thetaB": p_theta,
-        "purity_B_given_theta": _purities(blocks.sum(axis=2)),
         "lhs": lhs,
         "rhs": rhs,
         "gap": lhs - rhs,
         "gamma_expectation": np.einsum("nab,nba->n", g, rho).real,
         "gamma": g,
-        "gamma_frobenius": np.linalg.norm(g.reshape(len(g), -1), axis=1),
+        "blocks": blocks,
     }
+
+
+def _frobenius_rows(g: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of an (n, k, k) stack."""
+    return np.linalg.norm(g.reshape(len(g), -1), axis=1)
 
 
 def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
     """Every purity of the relation, both its sides and their gap, and gamma's Tr(gamma rho), min eigenvalue and norm."""
     arrays = _relation_arrays(rho.matrix[None], rho.dims, mubs)
-    arrays["gamma_min_eig"] = hermitian_eigenvalues(arrays.pop("gamma"))[:, 0]
+    g, blocks = arrays.pop("gamma"), arrays.pop("blocks")
+    # the B marginal of rho_thetaB is sum_i blocks[t, i]
+    arrays["purity_B_given_theta"] = _purities(blocks.sum(axis=2))
+    arrays["gamma_min_eig"] = hermitian_eigenvalues(g)[:, 0]
+    arrays["gamma_frobenius"] = _frobenius_rows(g)
     fields = {name: tuple(v[0].tolist()) if v.ndim == 2 else v[0].tolist() for name, v in arrays.items()}
     return RelationReport(
         d=mubs.d, D=rho.dims[1], M=mubs.M, equality_expected=(mubs.M == mubs.d + 1), **fields
@@ -458,7 +454,7 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
         defects.append(np.abs(arrays["gap"] - arrays["gamma_expectation"]))
         skews.append(_hermiticity_defects(g))
         # gamma must vanish at M = d + 1 and pass the PSD gate below it
-        gammas.append(arrays["gamma_frobenius"] if complete else _psd_rows(g))
+        gammas.append(_frobenius_rows(g) if complete else _psd_rows(g))
     gaps, defects, skews, gammas = (np.concatenate(a) for a in (gaps, defects, skews, gammas))
 
     def worst(name, values, lowest, bound):

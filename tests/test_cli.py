@@ -396,6 +396,21 @@ class TestRelationCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("content,cause", [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        (None, "[Errno 2] No such file or directory"),
+    ])
+    def test_unreadable_state_file_exits_1_naming_it(self, tmp_path, capsys, content, cause):
+        state_path = tmp_path / "state.json"
+        if content is not None:
+            state_path.write_bytes(content)
+        assert main(["relation", "--state", str(state_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read state from {state_path}: {cause}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_family_state_reads_mubs_file(self, tmp_path, capsys):
         # --mubs applies to the family state too, through the same resolver
         assert main(["relation", "--mubs", str(tmp_path / "missing.json")]) == 2

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mubpurity import relations
+from mubpurity import linalg, relations
 from mubpurity.cli import main
 from mubpurity.linalg import (
     DensityMatrix,
     _psd_rows,
+    _purities,
     frobenius_norm,
     hermitian_eigenvalues,
     partial_trace_matrix,
@@ -72,9 +73,13 @@ def _equivalent_set(d, m, seed):
 
 
 def _report_arrays(rho, dims, mubs):
-    # the kernel's fields, with gamma's smallest eigenvalues solved on the whole stack
+    # every report field of a stack, derived from the kernel's gamma and
+    # blocks as relation_report derives them from its one-state stack
     arrays = _relation_arrays(rho, dims, mubs)
-    arrays["gamma_min_eig"] = hermitian_eigenvalues(arrays.pop("gamma"))[:, 0]
+    g, blocks = arrays.pop("gamma"), arrays.pop("blocks")
+    arrays["purity_B_given_theta"] = _purities(blocks.sum(axis=2))
+    arrays["gamma_min_eig"] = hermitian_eigenvalues(g)[:, 0]
+    arrays["gamma_frobenius"] = np.linalg.norm(g.reshape(len(g), -1), axis=1)
     return arrays
 
 
@@ -88,10 +93,11 @@ def _purity(m):
 
 
 def _pinch(rho, mubs, theta):
-    # the pinch by basis theta (1-based): the kernels' one-basis slice
-    pairs = relations._basis_pairs(mubs.bases[theta - 1 : theta])
-    blocks = relations._pinch_blocks(rho.matrix[None], rho.dims, pairs)
-    return DensityMatrix(relations._pinched_sum(pairs, blocks)[0], rho.dims)
+    # the pinch by basis theta (1-based): sum_i |i><i| (x) <i|rho|i>, a kron
+    # sum over the kernel's blocks of that basis
+    blocks = relations._gamma_terms(rho.matrix[None], rho.dims, mubs)[1][0, theta - 1]
+    kets = mubs.bases[theta - 1]
+    return DensityMatrix(sum(np.kron(np.outer(k, k.conj()), b) for k, b in zip(kets, blocks)), rho.dims)
 
 
 def _pinch_by_kron(rho, mubs, theta):
@@ -417,6 +423,24 @@ class TestGamma:
             diff = gamma_direct(rho, mubs) - gamma_via_projector(rho, basis)
             assert frobenius_norm(diff) <= 1e-10
 
+    @pytest.mark.parametrize("d,big_d", [(d, big_d) for d in (2, 3, 5, 7) for big_d in sorted({1, 2, d})])
+    def test_matches_kron_definition(self, d, big_d):
+        # the realigned assembly against I_A (x) rho_B + (M-1)/d rho - sum_theta rho_thetaB,
+        # each term built by kron products, at every M and on a stack of three ranks
+        dim = d * big_d
+        states = [random_density(dim, rank, seed, dims=(d, big_d))
+                  for rank, seed in zip((dim, 1, 2), _seeds(70 * d + big_d, 3))]
+        bras = [np.kron(np.eye(d)[a].reshape(1, d), np.eye(big_d)) for a in range(d)]
+        for m in range(2, d + 2):
+            mubs = construct_mubs(d, m)
+            stacked = _relation_arrays(np.stack([rho.matrix for rho in states]), (d, big_d), mubs)["gamma"]
+            for rho, g in zip(states, stacked):
+                rho_b = sum(bra @ rho.matrix @ bra.T for bra in bras)
+                expected = np.kron(np.eye(d), rho_b) + (m - 1) / d * rho.matrix
+                expected -= sum(_pinch_by_kron(rho, mubs, theta) for theta in range(1, m + 1))
+                assert np.abs(g - expected).max() <= 1e-14, m
+                assert np.array_equal(gamma_direct(rho, mubs), g)
+
     def test_projector_route_zero_at_complete_set(self):
         basis = build_bipartite_basis(construct_mubs(2, 3))
         rho = random_density(4, 4, 77, dims=(2, 2))
@@ -552,8 +576,15 @@ class TestStackedReport:
     def test_shapes(self):
         mubs = construct_mubs(3, 2)
         stack = np.stack([random_density(6, 6, seed, dims=(3, 2)).matrix for seed in (1, 2, 3, 4)])
-        assert _relation_arrays(stack, (3, 2), mubs)["gamma"].shape == (4, 6, 6)
+        # the kernel's fields, which every caller reads
+        kernel = _relation_arrays(stack, (3, 2), mubs)
+        assert set(kernel) == {"purity_AB", "purity_B", "purity_thetaB", "lhs", "rhs", "gap",
+                               "gamma_expectation", "gamma", "blocks"}
+        assert kernel["gamma"].shape == (4, 6, 6)
+        assert kernel["blocks"].shape == (4, 2, 3, 2, 2)
+        # the report's fields, three of them derived from gamma and the blocks
         arrays = _report_arrays(stack, (3, 2), mubs)
+        assert set(arrays) == set(_PER_STATE_FIELDS)
         for name, values in arrays.items():
             expected = (4, 2) if name in ("purity_thetaB", "purity_B_given_theta") else (4,)
             assert values.shape == expected, name
@@ -855,6 +886,19 @@ class TestVerifyRelations:
         # sweep reads no gamma column
         assert main(["sweep", "--param", "x", "--steps", "9", "--simulate", "--out", str(tmp_path / "s.csv")]) == 0
         assert solves == []
+
+    @pytest.mark.parametrize("big_d", [1, 2, 3])
+    def test_verify_kernel_validates_nothing_it_built(self, monkeypatch, big_d):
+        # the drawn states, J's Omega and every gamma are built valid, so no
+        # stack is coerced and scanned for finiteness again
+        checked, real = [], linalg._as_stack
+        monkeypatch.setattr(linalg, "_as_stack", lambda m: checked.append(np.shape(m)) or real(m))
+        for m in (2, 3, 4):
+            assert verify_relations(construct_mubs(3, m), big_d, 7, 2).passed
+        assert checked == []
+        # relation_report solves gamma's spectrum, whose input is checked
+        relation_report(random_density(3 * big_d, 2, 1, dims=(3, big_d)), construct_mubs(3, 2))
+        assert (1, 3 * big_d, 3 * big_d) in checked
 
     @pytest.mark.parametrize("m", [2, 8])
     def test_trial_memory_is_bounded(self, m):
