@@ -63,7 +63,19 @@ MUTANTS = (
     Mutant("PSD gate shifted by 1.2 TOL_PSD", LINALG,
            "shifted = a + TOL_PSD *", "shifted = a + 1.2 * TOL_PSD *", ("tests/test_linalg.py",)),
     Mutant("depolarizing without the 1/2", EXPSIM,
-           "mixed = p * (traced * 0.5)", "mixed = p * traced", ("tests/test_expsim.py",)),
+           "(dev + dev[..., flip[:, None], flip]) * 0.5", "(dev + dev[..., flip[:, None], flip])",
+           ("tests/test_expsim.py",)),
+    # the simulator gates read one qubit-bit table: each mutant names the one test that must kill it
+    Mutant("(1 - p) dev computed as dev - p dev, which cancels near p = 1", EXPSIM,
+           "out = (1.0 - p) * dev", "out = dev - p * dev",
+           ("tests/test_expsim.py::TestNoiseAndRescaling::test_rescaling_holds_near_p_one",)),
+    Mutant("CSWAP without its control", EXPSIM,
+           "swap = _QUBIT_BITS[control] & (_QUBIT_BITS[q1] ^ _QUBIT_BITS[q2])",
+           "swap = _QUBIT_BITS[q1] ^ _QUBIT_BITS[q2]",
+           ("tests/test_expsim.py::TestGates::test_cswap_matches_dense_unitary",)),
+    Mutant("rotation about the other Pauli: RY turns about X", EXPSIM,
+           '"RY": np.array([[0, -1j], [1j, 0]])', '"RY": np.array([[0, 1], [1, 0]])',
+           ("tests/test_expsim.py::TestGates::test_rotation_matches_kron_embedding",)),
     Mutant("calibration reads the ideal panel as the noisy one", EXPSIM,
            "noisy = _read_panel(rho, observables)", "noisy = _read_panel(rho, _noise_level(0.0)[0])",
            ("tests/test_expsim.py",)),

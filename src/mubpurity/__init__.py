@@ -10,7 +10,6 @@ from .linalg import (
     DensityMatrix,
     density_from_json,
     hermitian_eigenvalues,
-    partial_trace_matrix,
     partial_transpose,
 )
 from .mub import (
@@ -54,7 +53,6 @@ __all__ = [
     "gamma_via_projector",
     "hermitian_eigenvalues",
     "load_mubs",
-    "partial_trace_matrix",
     "partial_transpose",
     "random_density",
     "relation_report",

@@ -43,7 +43,7 @@ from .mub import (
 from .relations import _check_bipartite_input, _relation_arrays, relation_report, verify_relations
 from .states import _family_states, rho_family
 
-_PI_RE = re.compile(r"^([+-]?(?:\d+(?:\.\d*)?|\.\d+)?)\*?pi(?:/(\d+(?:\.\d*)?))?$")
+_PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?|\.\d+)?\*?pi(?:/(\d+(?:\.\d*)?))?$")
 
 
 def parse_angle(text: str) -> float:
@@ -53,14 +53,11 @@ def parse_angle(text: str) -> float:
         m = _PI_RE.match(s)
         if not m:
             raise ValueError(f"cannot parse angle {text!r}")
-        coef_text, den_text = m.group(1), m.group(2)
-        coef = {"": 1.0, "+": 1.0, "-": -1.0}.get(coef_text)
-        if coef is None:
-            coef = float(coef_text)
-        den = float(den_text) if den_text else 1.0
+        sign, magnitude, den = m.groups()
+        den = float(den or 1)
         if den == 0.0:
             raise ValueError(f"zero denominator in angle {text!r}")
-        return coef * math.pi / den
+        return float(sign + (magnitude or "1")) * math.pi / den
     return float(s)
 
 

@@ -4,9 +4,12 @@ Register layout: qubit 0 is the probe, qubits 1-4 are A, B, A', B'. The
 register is the traceless deviation sigma_z^probe (x) rho (x) rho of two
 copies of the depolarized family state. Each of the eight panel settings
 is a fixed tuple of gate descriptors: ("RY", q, angle) and ("RX", q,
-angle) rotate qubit q, ("DEPHASE", q) pinches it in the computational
-basis, ("CSWAP", control, q1, q2) swaps q1 and q2 where the control is 1,
-and ("DEPOL", q, p) depolarizes q with strength p. A setting may pinch A
+angle) apply exp(-i angle sigma / 2) to qubit q, sigma = Y or X,
+("DEPHASE", q) pinches it in the computational basis, ("CSWAP", control,
+q1, q2) swaps q1 and q2 where the control is 1, and ("DEPOL", q, p) maps
+dev to (1 - p) dev + p (I/2 on q) (x) Tr_q(dev), which stays accurate as
+p nears 1. Every gate finds qubit q in one table of its bit in each
+register index. A setting may pinch A
 and A' in one Pauli basis (x: rotate by -pi/2 about y, dephase, rotate
 back; y: the same by +pi/2 about x; z: dephase), then rotates the probe
 into coherence, applies CSWAP(probe; A, A') and CSWAP(probe; B, B') ("AB"
@@ -71,7 +74,16 @@ PANEL_FIELDS = (
 
 _PROBE, _A, _B, _A2, _B2 = range(N_QUBITS)
 _SZ_PROBE_DIAG = np.repeat([1.0, -1.0], DIM // 2)  # diagonal of sigma_z^probe
-_QUBIT_BITS = [((np.arange(DIM) >> (N_QUBITS - 1 - q)) & 1) for q in range(N_QUBITS)]
+# The one qubit-bit table every gate reads: qubit q is bit N_QUBITS - 1 - q
+# of a register index. Per qubit, its value at each index, each index with it
+# flipped, and True where bra and ket agree on it (what DEPHASE keeps).
+_INDEX = np.arange(DIM)
+_SHIFTS = N_QUBITS - 1 - np.arange(N_QUBITS)[:, None]
+_QUBIT_BITS = (_INDEX >> _SHIFTS) & 1
+_FLIPS = _INDEX ^ (1 << _SHIFTS)
+_KEEP = _QUBIT_BITS[:, :, None] == _QUBIT_BITS[:, None, :]
+# The Pauli matrix each rotation turns about.
+_PAULI = {"RX": np.array([[0, 1], [1, 0]]), "RY": np.array([[0, -1j], [1j, 0]])}
 
 # The (measurement axis, readout) of each panel entry, in PANEL_FIELDS order;
 # axis None reads the register unpinched.
@@ -111,53 +123,29 @@ def _check_deviation(dev: np.ndarray) -> None:
         raise RuntimeError("deviation lost hermiticity")
 
 
-def _ry(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rx(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-# Per qubit: True where bra and ket agree on that qubit (what DEPHASE keeps).
-_DEPHASE_KEEP = [bits[:, None] == bits[None, :] for bits in _QUBIT_BITS]
-
-
-def _depolarize(dev: np.ndarray, qubit: int, p: float) -> np.ndarray:
-    """(1-p) dev + p * (I/2 on the qubit) (x) Tr_qubit(dev), over (..., DIM, DIM)."""
-    shape = (2 ** qubit, 2, 2 ** (N_QUBITS - 1 - qubit))
-    view = dev.reshape(dev.shape[:-2] + shape + shape)
-    traced = view[..., 0, :, :, 0, :] + view[..., 1, :, :, 1, :]
-    out = (1.0 - p) * view
-    mixed = p * (traced * 0.5)
-    out[..., 0, :, :, 0, :] += mixed
-    out[..., 1, :, :, 1, :] += mixed
-    return out.reshape(dev.shape)
-
-
 def _apply_gate(dev: np.ndarray, gate: tuple) -> np.ndarray:
     """A trusted gate descriptor (module docstring) applied to a (..., DIM, DIM) array, as a new, checked array."""
-    kind = gate[0]
-    if kind in ("RY", "RX"):
-        _, qubit, angle = gate
-        r = (_ry if kind == "RY" else _rx)(angle)
-        u = np.kron(np.kron(np.eye(2 ** qubit), r), np.eye(2 ** (N_QUBITS - 1 - qubit)))
+    kind, qubit = gate[:2]
+    if kind in _PAULI:
+        # exp(-i angle sigma / 2): r on the qubit where bra and ket agree on every other qubit
+        half = gate[2] / 2
+        r = np.cos(half) * np.eye(2) - 1j * np.sin(half) * _PAULI[kind]
+        bits = _QUBIT_BITS[qubit]
+        u = np.where(np.delete(_KEEP, qubit, axis=0).all(axis=0), r[bits[:, None], bits], 0.0)
         out = u @ dev @ u.conj().T
     elif kind == "CSWAP":
-        _, control, q1, q2 = gate
-        # flip q1 and q2 where control is 1 and they differ; entry (i, j) of
-        # the result is entry (perm[i], perm[j])
-        flip = _QUBIT_BITS[control] & (_QUBIT_BITS[q1] ^ _QUBIT_BITS[q2])
-        mask = (1 << (N_QUBITS - 1 - q1)) | (1 << (N_QUBITS - 1 - q2))
-        perm = np.arange(DIM) ^ (flip * mask)
-        out = dev[..., perm[:, None], perm[None, :]]
+        control, q1, q2 = gate[1:]
+        # swap q1 and q2 where the control is 1 and they differ; entry (i, j)
+        # of the result is entry (perm[i], perm[j])
+        swap = _QUBIT_BITS[control] & (_QUBIT_BITS[q1] ^ _QUBIT_BITS[q2])
+        perm = np.where(swap, _FLIPS[q1][_FLIPS[q2]], _INDEX)
+        out = dev[..., perm[:, None], perm]
     elif kind == "DEPHASE":
-        out = np.where(_DEPHASE_KEEP[gate[1]], dev, 0.0)
-    else:  # DEPOL
-        _, qubit, p = gate
-        out = _depolarize(dev, qubit, p)
+        out = np.where(_KEEP[qubit], dev, 0.0)
+    else:  # DEPOL: (1 - p) dev + p * (I/2 on the qubit) (x) Tr_qubit(dev)
+        p, flip = gate[2], _FLIPS[qubit]
+        mixed = np.where(_KEEP[qubit], (dev + dev[..., flip[:, None], flip]) * 0.5, 0.0)
+        out = (1.0 - p) * dev + p * mixed
     _check_deviation(out)
     return out
 

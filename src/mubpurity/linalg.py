@@ -73,40 +73,29 @@ def _hermiticity_defects(a: np.ndarray) -> np.ndarray:
     return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
-def _two_factors(m, dims: Sequence[int]) -> np.ndarray:
-    """View an operator on ``dims = (d1, d2)``, or each of a stack, as a (..., d1, d2, d1, d2) array."""
+def _partial_trace(t: np.ndarray) -> np.ndarray:
+    """Tr over the left factor of a (..., d1, d2, d1, d2) view, unchecked: (..., d2, d2)."""
+    return np.trace(t, axis1=t.ndim - 4, axis2=t.ndim - 2)
+
+
+def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:
+    """Transpose one factor of an operator on ``dims = (d1, d2)``, or of each operator of a (..., n, n) stack.
+
+    ``subsystem`` is 0 for the left factor and 1 for the right one. The map
+    is an entrywise permutation, hence an exact involution.
+    """
     a = _as_stack(m)
     if len(dims) != 2:
         raise ValueError(f"expected two factors, got dims {tuple(dims)}")
     d1, d2 = (_as_int("dims", d) for d in dims)
     if a.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"matrix shape {a.shape} does not match dims ({d1}, {d2})")
-    return a.reshape(a.shape[:-2] + (d1, d2, d1, d2))
-
-
-def _partial_trace(t: np.ndarray) -> np.ndarray:
-    """Tr over the left factor of a (..., d1, d2, d1, d2) view, unchecked: (..., d2, d2)."""
-    return np.trace(t, axis1=t.ndim - 4, axis2=t.ndim - 2)
-
-
-def partial_trace_matrix(m, dims: Sequence[int]) -> np.ndarray:
-    """Tr_A of any operator on ``dims = (dA, dB)``, or of each of a (..., n, n) stack: (..., dB, dB)."""
-    return _partial_trace(_two_factors(m, dims))
-
-
-def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:
-    """Transpose one factor of a bipartite operator, or of each operator of a (..., n, n) stack.
-
-    ``subsystem`` is 0 for the left factor and 1 for the right one. The map
-    is an entrywise permutation, hence an exact involution.
-    """
-    t = _two_factors(m, dims)
     if subsystem not in (0, 1):
         raise ValueError("subsystem must be 0 or 1")
     # swap the row and the column index of the chosen factor
-    row = t.ndim - 4 + subsystem
-    n = t.shape[-4] * t.shape[-3]
-    return t.swapaxes(row, row + 2).reshape(t.shape[:-4] + (n, n))
+    row = a.ndim - 2 + subsystem
+    t = a.reshape(a.shape[:-2] + (d1, d2, d1, d2))
+    return t.swapaxes(row, row + 2).reshape(a.shape)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

@@ -35,9 +35,9 @@ fields every caller reads, gamma and the blocks, each with a leading
 state axis; relation_report alone derives purity_B_given_theta,
 gamma_min_eig and gamma_frobenius. Each row has the same bits as a stack
 of that state alone; relation_report and gamma_direct are the n = 1
-slice. The kernel checks no array it is given: states are checked where
-they enter (DensityMatrix, the state builders and the Choi matrix's
-Omega).
+slice. The kernel checks no array it is given: a state is checked where
+it enters, as a DensityMatrix, or is valid by construction (verify's
+Ginibre draws, the Choi matrix's Omega).
 
 :func:`verify_relations` certifies the PSD claim for every state at once.
 gamma = (Phi (x) id_B)(rho) for the linear map
@@ -80,14 +80,10 @@ the gate (at M = d + 1, vanishes with the gap). The states are drawn and
 read in chunks, each one stack of states valid by construction and one
 kernel call whose gammas pass the gate in one stacked factorization; only
 the per-trial seeds and results grow with the trial count (one 200-trial
-stack at d = D = 29 would take gigabytes). A budget of 1 MiB sets the
-chunk size against the chunk's measured working set, about 4 + M/d
-state-sized complex arrays per state (4.15 to 4.97 at d = D = 11 and 13):
-the stack, the blocks, gamma, and two more (the hermiticity check's
-adjoint and difference, the gate's shifted copy and factor). A chunk of
-several states peaks under 1.8 MiB (tracemalloc, d up to 13, D in
-{1, 2, d}). At d = D = 7 a chunk holds 6 states at M = 2 and 5 at M = 8;
-from d = D = 13 on it holds one.
+stack at d = D = 29 would take gigabytes). A chunk holds as many states as
+fit in a budget of 256 KiB for the drawn stack alone, and at least one.
+The kernel's working set is a few state-sized arrays per state, M/d of
+them for the blocks, so a chunk's peak is a small multiple of the budget.
 """
 
 from __future__ import annotations
@@ -111,9 +107,8 @@ from .mub import MubSet, MubValidationError
 from .states import _random_density_stack
 from .tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 
-# the chunk budget and working set of verify_relations (module docstring)
-_CHUNK_BYTES = 1 << 20
-_CHUNK_ARRAYS = 4
+# the bytes of one chunk of verify_relations' drawn states (module docstring)
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,7 +437,7 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
     trial_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)]
     dim = d * big_d
     ranks = [(dim, 1, 2)[t % 3] for t in range(trials)]
-    chunk = max(1, _CHUNK_BYTES * d // ((_CHUNK_ARRAYS * d + m) * dim * dim * 16))
+    chunk = max(1, _CHUNK_BYTES // (dim * dim * 16))  # complex128 states
     complete = m == d + 1
     gaps, defects, skews, gammas = [], [], [], []
     for start in range(0, trials, chunk):

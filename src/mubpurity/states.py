@@ -57,15 +57,6 @@ def rho_family(alpha: float, x: float) -> DensityMatrix:
     return DensityMatrix(_family_states(float(alpha), float(x))[0], (2, 2))
 
 
-def _check_draw(dim, ranks) -> tuple[int, list[int]]:
-    """(dim, ranks) as ints once each is an integer and every rank lies in 1..dim."""
-    dim, ranks = _as_int("dim", dim), [_as_int("rank", rank) for rank in ranks]
-    for rank in ranks:
-        if not 1 <= rank <= dim:
-            raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    return dim, ranks
-
-
 def _ginibre(dim: int, rank: int, seed) -> np.ndarray:
     """g g^dagger / Tr(g g^dagger) for a seeded complex Gaussian (dim, rank) matrix g: a density matrix by construction."""
     rng = np.random.default_rng(seed)
@@ -76,19 +67,21 @@ def _ginibre(dim: int, rank: int, seed) -> np.ndarray:
 
 
 def _random_density_stack(dim: int, ranks, seeds) -> np.ndarray:
-    """The (n, dim, dim) stack of seeded random states, state i of rank ``ranks[i]``; only the ranks are checked.
+    """The (n, dim, dim) stack of seeded random states, state i of rank ``ranks[i]``; verify builds the sizes, so none is checked.
 
     Row i has the bits of ``random_density(dim, ranks[i], seeds[i]).matrix``.
     """
-    dim, ranks = _check_draw(dim, ranks)
     return np.stack([_ginibre(dim, rank, seed) for rank, seed in zip(ranks, seeds, strict=True)])
 
 
 def random_density(dim: int, rank: int, seed, dims=None) -> DensityMatrix:
     """Seeded random density matrix of the given rank (Ginibre construction).
 
-    ``dims`` optionally labels a tensor factorization; it must multiply to
-    ``dim`` and defaults to the single factor ``(dim,)``.
+    ``dim`` and ``rank`` are integers with 1 <= rank <= dim. ``dims``
+    optionally labels a tensor factorization; it must multiply to ``dim``
+    and defaults to the single factor ``(dim,)``.
     """
-    dim, (rank,) = _check_draw(dim, [rank])
+    dim, rank = _as_int("dim", dim), _as_int("rank", rank)
+    if not 1 <= rank <= dim:
+        raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
     return DensityMatrix(_ginibre(dim, rank, seed), (dim,) if dims is None else dims)

@@ -30,6 +30,7 @@ def test_star_import_binds_exactly_all():
 
 def test_test_only_helpers_are_gone():
     for module, name in [(relations, "post_measurement_state"), (linalg, "purity"), (linalg, "as_matrix"),
-                         (expsim, "calibration_factors"), (expsim, "NOISELESS")]:
+                         (expsim, "calibration_factors"), (expsim, "NOISELESS"),
+                         (linalg, "partial_trace_matrix")]:
         assert not hasattr(module, name), name
         assert not hasattr(mubpurity, name), name

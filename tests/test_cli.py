@@ -25,9 +25,14 @@ class TestParseAngle:
         assert parse_angle("3*pi/8") == 3 * math.pi / 8
         assert parse_angle("-pi/4") == -math.pi / 4
         assert parse_angle("0.5pi") == 0.5 * math.pi
+        assert parse_angle("+pi") == parse_angle("*pi") == math.pi
+        assert parse_angle(".5pi") == 0.5 * math.pi
+        assert parse_angle("5.pi/8") == 5 * math.pi / 8
+        zero = parse_angle("-0pi")
+        assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
 
     def test_rejects_junk(self):
-        for bad in ("pie", "pi/", "2+pi", "x", "pi/0", "3pi/0.0"):
+        for bad in ("pie", "pi/", "2+pi", "x", "pi/0", "3pi/0.0", "--pi", "+-pi", "pi/-2"):
             with pytest.raises(ValueError):
                 parse_angle(bad)
 

@@ -14,7 +14,6 @@ from mubpurity.expsim import (
     NoiseModel,
     _apply_gate,
     _check_deviation,
-    _depolarize,
     _noise_level,
     _observable,
     _pull_back,
@@ -25,6 +24,7 @@ from mubpurity.expsim import (
 from mubpurity.mub import construct_mubs
 from mubpurity.relations import relation_report
 from mubpurity.states import _family_states, random_density, rho_family
+from mubpurity.tolerances import TOL_STRUCTURAL
 from test_relations import _pinch, _purity
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -199,11 +199,21 @@ class TestGates:
         assert np.array_equal(u @ u.T, np.eye(DIM))
         assert np.array_equal(out, u @ dev @ u.T)
 
+    @pytest.mark.parametrize("kind", ["RX", "RY"])
+    def test_rotation_matches_kron_embedding(self, kind):
+        # exp(-i theta sigma / 2) as a literal 2x2 matrix, embedded by kron
+        c, s = np.cos(0.35), np.sin(0.35)
+        r = {"RX": np.array([[c, -1j * s], [-1j * s, c]]), "RY": np.array([[c, -s], [s, c]])}[kind]
+        dev = _random_deviation(7)
+        for qubit in range(N_QUBITS):
+            u = np.kron(np.kron(np.eye(2**qubit), r), np.eye(2 ** (N_QUBITS - 1 - qubit)))
+            out = _apply_gate(dev, (kind, qubit, 0.7))
+            assert np.abs(out - u @ dev @ u.conj().T).max() <= 1e-14
+
     @pytest.mark.parametrize("qubit", range(N_QUBITS))
     def test_depolarize_matches_slice_loop(self, qubit):
         dev = _random_deviation(10 + qubit)
         for p in (0.0, 0.05, 1.0):
-            assert np.array_equal(_depolarize(dev, qubit, p), _depolarize_reference(dev, qubit, p))
             assert np.array_equal(_apply_gate(dev, ("DEPOL", qubit, p)), _depolarize_reference(dev, qubit, p))
 
     def test_nan_angle_rejected(self):
@@ -668,6 +678,19 @@ class TestNoiseAndRescaling:
         for name in PANEL_FIELDS:
             expected = 0.01 ** len(_SETTINGS[name][1])
             assert abs(factors[name] - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("p", [0.9999, 0.99999999])
+    def test_rescaling_holds_near_p_one(self, p):
+        # (1 - p) dev must not be formed as dev - p dev, which cancels here
+        factors = _noise_level(p)[1]
+        for name in PANEL_FIELDS:
+            expected = (1.0 - p) ** len(_SETTINGS[name][1])
+            assert abs(factors[name] - expected) <= TOL_STRUCTURAL * expected
+        alpha = np.array([0.0, 0.0, np.pi / 2, np.pi / 2, 0.7])
+        x = np.array([0.0, 1.0, 0.0, 1.0, 0.3])
+        ideal, noisy = run_protocol(alpha, x), run_protocol(alpha, x, NoiseModel(p))
+        for name in PANEL_FIELDS:
+            assert np.abs(noisy.rescaled[name] - ideal.raw[name]).max() <= 1e-12
 
     def test_noiseless_factors_are_one(self):
         assert _noise_level(NoiseModel().p_depol)[1] == {name: 1.0 for name in PANEL_FIELDS}

@@ -7,16 +7,16 @@ from mubpurity.linalg import (
     DensityMatrix,
     _as_stack,
     _from_pairs,
+    _partial_trace,
     _psd_rows,
     _purities,
     density_from_json,
     density_to_json,
     hermitian_eigenvalues,
-    partial_trace_matrix,
     partial_transpose,
 )
 from mubpurity.mub import MubSet, construct_mubs, load_mubs, save_mubs
-from mubpurity.states import _random_density_stack, random_density
+from mubpurity.states import random_density
 from mubpurity.tolerances import TOL_PSD
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -97,10 +97,16 @@ class TestTensor:
             _as_stack(bad)
 
 
+def _tr_a(m, dims):
+    """The kernel's unchecked Tr_A, of a matrix or a stack on dims = (d1, d2)."""
+    m = np.asarray(m, dtype=complex)
+    return _partial_trace(m.reshape(m.shape[:-2] + (dims[0], dims[1], dims[0], dims[1])))
+
+
 class TestPartialTrace:
     def test_bell_marginal(self):
         rho = DensityMatrix(BELL, (2, 2))
-        out = partial_trace_matrix(rho.matrix, rho.dims)
+        out = _tr_a(rho.matrix, rho.dims)
         assert out.shape == (2, 2)
         assert np.abs(out - np.eye(2) / 2).max() <= 1e-14
 
@@ -109,7 +115,7 @@ class TestPartialTrace:
         for _ in range(20):
             a = _random_density_matrix(rng, 2)
             b = _random_density_matrix(rng, 3)
-            assert np.abs(partial_trace_matrix(np.kron(a, b), (2, 3)) - b).max() <= 1e-14
+            assert np.abs(_tr_a(np.kron(a, b), (2, 3)) - b).max() <= 1e-14
 
     def test_werner_marginal_direct_computation(self):
         # independent oracle: assemble the 4x4 family state and sum the
@@ -119,7 +125,7 @@ class TestPartialTrace:
         m = x * np.outer(psi, psi) + (1.0 - x) / 4.0 * np.eye(4)
         expected = m[0:2, 0:2] + m[2:4, 2:4]
         assert np.abs(expected - np.eye(2) / 2).max() <= 1e-15
-        out = partial_trace_matrix(m, (2, 2))
+        out = _tr_a(m, (2, 2))
         assert np.abs(out - expected).max() <= 1e-14
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (5, 5)])
@@ -128,24 +134,21 @@ class TestPartialTrace:
         d, big_d = dims
         m = _random_complex(_rng(9), d * big_d)
         expected = sum(m[a * big_d : (a + 1) * big_d, a * big_d : (a + 1) * big_d] for a in range(d))
-        assert np.abs(partial_trace_matrix(m, dims) - expected).max() <= 1e-13
+        assert np.abs(_tr_a(m, dims) - expected).max() <= 1e-13
 
     def test_stack_rows_equal_single_matrices(self):
         rng = _rng(5)
         stack = np.stack([_random_density_matrix(rng, 12) for _ in range(4)])
         for dims in ((3, 4), (4, 3)):
-            out = partial_trace_matrix(stack, dims)
+            out = _tr_a(stack, dims)
             for row, m in enumerate(stack):
-                assert np.array_equal(out[row], partial_trace_matrix(m, dims))
-        with pytest.raises(ValueError, match="does not match"):
-            partial_trace_matrix(stack, (2, 2))
+                assert np.array_equal(out[row], _tr_a(m, dims))
 
 
 @pytest.mark.parametrize("dims", [(4,), (2, 2, 1)])
 def test_two_factor_operators_reject_other_factor_counts(dims):
-    for op in (partial_trace_matrix, lambda m, dims: partial_transpose(m, dims, 1)):
-        with pytest.raises(ValueError, match=r"expected two factors, got dims"):
-            op(np.eye(4) / 4, dims)
+    with pytest.raises(ValueError, match=r"expected two factors, got dims"):
+        partial_transpose(np.eye(4) / 4, dims, 1)
 
 
 class TestPartialTranspose:
@@ -192,6 +195,8 @@ class TestPartialTranspose:
             assert out.shape == stack.shape
             for i in np.ndindex(stack.shape[:2]):
                 assert np.array_equal(out[i], partial_transpose(stack[i], (2, 3), sub))
+        with pytest.raises(ValueError, match="does not match"):
+            partial_transpose(stack, (2, 2), 0)
 
 
 class TestHermitianEigenvalues:
@@ -446,8 +451,6 @@ INTEGER_ENTRY_POINTS = {
     "MUB file M": (lambda v, tmp: load_mubs(_mub_file(tmp, M=v)), 4),
     "random_density dim": (lambda v, tmp: random_density(v, 2, 0), 4),
     "random_density rank": (lambda v, tmp: random_density(4, v, 0), 4),
-    "random density stack dim": (lambda v, tmp: _random_density_stack(v, [2], [0]), 4),
-    "random density stack rank": (lambda v, tmp: _random_density_stack(4, [2, v], [0, 1]), 4),
     "construct_mubs d": (lambda v, tmp: construct_mubs(v, 3), 5),
     "construct_mubs M": (lambda v, tmp: construct_mubs(5, v), 3),
 }

@@ -24,7 +24,6 @@ from mubpurity.linalg import (
     density_to_json,
     frobenius_norm,
     hermitian_eigenvalues,
-    partial_trace_matrix,
 )
 from mubpurity.mub import MubValidationError, construct_mubs, load_mubs, save_mubs
 from mubpurity.relations import (
@@ -36,7 +35,7 @@ from mubpurity.relations import (
 from mubpurity.states import random_density, rho_family
 from mubpurity.tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 from test_expsim import _forward_setting
-from test_relations import _equivalent_set, _pinch, _report_arrays, _report_fields, _stacked_row
+from test_relations import _equivalent_set, _marginal_b, _pinch, _report_arrays, _report_fields, _stacked_row
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SIMULATOR_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -118,11 +117,11 @@ def test_stacked_report_rows_equal_single_reports(case):
 @given(cases())
 def test_pinch_preserves_trace_and_marginal(case):
     basis, rho = case
-    rho_b = partial_trace_matrix(rho.matrix, rho.dims)
+    rho_b = _marginal_b(rho.matrix, rho.dims)
     for theta in range(1, basis.M + 1):
         out = _pinch(rho, basis.mubs, theta)
         assert abs(np.trace(out.matrix) - 1.0) <= TOL_STRUCTURAL
-        marginal = partial_trace_matrix(out.matrix, out.dims)
+        marginal = _marginal_b(out.matrix, out.dims)
         assert np.abs(marginal - rho_b).max() <= TOL_STRUCTURAL
 
 

@@ -127,7 +127,7 @@ class TestRandomDensityStack:
             assert np.array_equal(stack[row], random_density(12, rank, seed, dims=(3, 4)).matrix)
 
     def test_stack_checked_as_density_matrices(self):
-        # the builder checks the ranks only; every row is a density matrix by construction
+        # the builder checks nothing; every row is a density matrix by construction
         for dim in (1, 2, 7):
             ranks = [1 + t % dim for t in range(12)]
             for row in _random_density_stack(dim, ranks, range(12)):
@@ -141,14 +141,9 @@ class TestRandomDensityStack:
         (1, [1], (-1, -1), "invalid dims"),
     ])
     def test_rank_and_dims_checked_as_random_density(self, dim, ranks, dims, match):
+        # the stack builder reads only the ranks verify builds; random_density checks what comes from outside
         with pytest.raises(ValueError, match=match):
             random_density(dim, ranks[-1], 0, dims=dims)
-        # both builders check the ranks; only random_density's DensityMatrix reads dims
-        if match.startswith("rank"):
-            with pytest.raises(ValueError, match=match):
-                _random_density_stack(dim, ranks, [0] * len(ranks))
-        else:
-            assert _random_density_stack(dim, ranks, [0]).shape == (1, dim, dim)
 
 
 def _random_pure_state(dim, seed):
