@@ -90,11 +90,19 @@ MUTANTS = (
     Mutant("phi dropped from the constructed states", RELATIONS,
            "twisted[0, :1]", "twisted[0, :0]", ("tests/test_relations.py",)),
     Mutant("Ginibre state left unnormalized", STATES,
-           "m /= np.trace(m).real", "m *= 1.0", ("tests/test_states.py",)),
+           "scaled *= 1.0 / np.trace(row).real", "scaled *= 1.0", ("tests/test_states.py",)),
     Mutant("family state mixed with (1 - x)/2", STATES,
            "(1.0 - x) / 4.0", "(1.0 - x) / 2.0", ("tests/test_states.py",)),
     Mutant("indefinite Ginibre draw", STATES,
-           "g @ g.conj().T", "g @ g.conj().T - 1e-3 * np.eye(dim)", ("tests/test_states.py",)),
+           "np.matmul(g, g.conj().T, out=row)", "np.subtract(g @ g.conj().T, 1e-3 * np.eye(dim), out=row)",
+           ("tests/test_states.py",)),
+    # a valid state of other bits, and a route that still runs: each mutant names the one test that must kill it
+    Mutant("imaginary part filled from the real normals", STATES,
+           ".standard_normal((2, dim, rank))", ".standard_normal((2, dim, rank))[[0, 0]]",
+           ("tests/test_states.py::TestDrawBits::test_rows_match_the_two_call_formula",)),
+    Mutant("projector route without its partial transpose", RELATIONS,
+           "partial_transpose(basis.projector, (d, d), subsystem=1)", "basis.projector",
+           ("tests/test_relations.py::TestGamma::test_projector_route_agrees",)),
 )
 
 

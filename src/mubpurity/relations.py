@@ -276,9 +276,10 @@ def gamma_via_projector(rho: DensityMatrix, basis: BipartiteBasis) -> np.ndarray
     d = basis.d
     big_d = _check_bipartite_input(rho.dims, d)
     ptc = partial_transpose(basis.projector, (d, d), subsystem=1).reshape(d, d, d, d)
-    g = np.einsum(
-        "acxe,ebcy->abxy", ptc, rho.matrix.reshape(d, big_d, d, big_d), optimize=True
-    )
+    # one product over (c, e): rows (a, a') of P^{T_C}, columns (b, b') of rho
+    left = ptc.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    right = rho.matrix.reshape(d, big_d, d, big_d).transpose(2, 0, 1, 3).reshape(d * d, big_d * big_d)
+    g = (left @ right).reshape(d, d, big_d, big_d).transpose(0, 2, 1, 3)
     return g.reshape(d * big_d, d * big_d)
 
 

@@ -57,25 +57,32 @@ def rho_family(alpha: float, x: float) -> DensityMatrix:
     return DensityMatrix(_family_states(float(alpha), float(x))[0], (2, 2))
 
 
-def _ginibre(dim: int, rank: int, seed) -> np.ndarray:
-    """g g^dagger / Tr(g g^dagger) for a seeded complex Gaussian (dim, rank) matrix g: a density matrix by construction."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return m
-
-
 def _random_density_stack(dim: int, ranks, seeds) -> np.ndarray:
     """The (n, dim, dim) stack of seeded random states, state i of rank ``ranks[i]``; verify builds the sizes, so none is checked.
 
-    Row i has the bits of ``random_density(dim, ranks[i], seeds[i]).matrix``.
+    Row i is g g^dagger / Tr(g g^dagger) for the complex Gaussian (dim,
+    rank) matrix g whose real and then imaginary parts are the normals of
+    ``default_rng(seeds[i])``: a density matrix by construction (Ginibre
+    ensemble). Each row is written in place, and scaled on its float view
+    by the reciprocal of the trace. That is numpy's complex-by-real
+    division ``m /= t`` bit for bit: it divides by t + 0j with Smith's
+    algorithm, which then reduces to x * (1 / t) on each component of a
+    finite entry, save the sign of a -0.0 component. The diagonal, of
+    positive real parts, keeps every sign, and an entry off it has a zero
+    component with probability zero.
     """
-    return np.stack([_ginibre(dim, rank, seed) for rank, seed in zip(ranks, seeds, strict=True)])
+    out = np.empty((len(ranks), dim, dim), dtype=complex)
+    for row, rank, seed in zip(out, ranks, seeds, strict=True):
+        g = np.empty((dim, rank), dtype=complex)
+        g.real, g.imag = np.random.default_rng(seed).standard_normal((2, dim, rank))
+        np.matmul(g, g.conj().T, out=row)
+        scaled = row.view(float)
+        scaled *= 1.0 / np.trace(row).real
+    return out
 
 
 def random_density(dim: int, rank: int, seed, dims=None) -> DensityMatrix:
-    """Seeded random density matrix of the given rank (Ginibre construction).
+    """Seeded random density matrix of the given rank: the Ginibre state of :func:`_random_density_stack`.
 
     ``dim`` and ``rank`` are integers with 1 <= rank <= dim. ``dims``
     optionally labels a tensor factorization; it must multiply to ``dim``
@@ -84,4 +91,4 @@ def random_density(dim: int, rank: int, seed, dims=None) -> DensityMatrix:
     dim, rank = _as_int("dim", dim), _as_int("rank", rank)
     if not 1 <= rank <= dim:
         raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    return DensityMatrix(_ginibre(dim, rank, seed), (dim,) if dims is None else dims)
+    return DensityMatrix(_random_density_stack(dim, (rank,), (seed,))[0], (dim,) if dims is None else dims)

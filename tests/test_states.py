@@ -146,6 +146,48 @@ class TestRandomDensityStack:
             random_density(dim, ranks[-1], 0, dims=dims)
 
 
+def _ginibre_reference(dim, rank, seed):
+    """The draw as first written: two standard_normal calls, a + 1j*b, and a complex division by the trace."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    return m
+
+
+class TestDrawBits:
+    """The in-place draw keeps the bits of the formula it replaced, so every seeded output keeps its bytes."""
+
+    def test_complex_division_by_real_is_the_reciprocal_multiply(self):
+        # the draw scales its float view by 1/t; numpy's complex / real must compute the same
+        rng = np.random.default_rng(35)
+        m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        # a drawn diagonal: positive real parts, imaginary parts of both signs and signed zeros
+        m[np.diag_indices(64)] = np.abs(m.diagonal().real) + 1j * np.repeat([0.0, -0.0, 1e-17, -1e-17], 16)
+        for t in (1.0, 3.0, 7.1, 0.37, 1e-300, 1e300, float(rng.uniform(0.5, 1e3))):
+            scaled = m.copy()
+            view = scaled.view(float)
+            view *= 1.0 / t
+            assert (m / t).tobytes() == scaled.tobytes(), t
+
+    def test_rows_match_the_two_call_formula(self):
+        seeds = [0, 2**32 - 1, 2**32, 2**64 - 1]
+        seeds += [int(s) for s in np.random.SeedSequence(35).generate_state(330, dtype=np.uint64)]
+        pick = np.random.default_rng(36)
+        cases = 0
+        for dim in (1, 2, 3, 4, 9, 14, 25, 49):
+            for k, seed in enumerate(seeds):
+                ranks = [1, min(2, dim), dim, int(pick.integers(1, dim + 1))]
+                for rank, row in zip(ranks, _random_density_stack(dim, ranks, [seed] * 4)):
+                    assert row.tobytes() == _ginibre_reference(dim, rank, seed).tobytes(), (dim, rank, seed)
+                    cases += 1
+                if k < 8:
+                    rank = ranks[k % 4]
+                    expected = _ginibre_reference(dim, rank, seed).tobytes()
+                    assert random_density(dim, rank, seed).matrix.tobytes() == expected, (dim, rank, seed)
+        assert cases >= 10_000
+
+
 def _random_pure_state(dim, seed):
     """Seeded normalized complex Gaussian vector."""
     rng = np.random.default_rng(seed)
