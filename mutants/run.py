@@ -36,8 +36,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-RELATIONS, LINALG, EXPSIM, MUB, STATES = (
-    f"src/mubpurity/{m}.py" for m in ("relations", "linalg", "expsim", "mub", "states")
+RELATIONS, LINALG, EXPSIM, MUB, STATES, CLI = (
+    f"src/mubpurity/{m}.py" for m in ("relations", "linalg", "expsim", "mub", "states", "cli")
 )
 
 GAMMA_BY_KRON = "tests/test_relations.py::TestGamma::test_matches_kron_definition"
@@ -103,6 +103,15 @@ MUTANTS = (
     Mutant("projector route without its partial transpose", RELATIONS,
            "partial_transpose(basis.projector, (d, d), subsystem=1)", "basis.projector",
            ("tests/test_relations.py::TestGamma::test_projector_route_agrees",)),
+    # the CLI contracts: each mutant names the one test that must kill it
+    Mutant("load_mubs without the decode catch", MUB,
+           "except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:",
+           "except (OSError, json.JSONDecodeError) as exc:",
+           ("tests/test_cli.py::TestMubCommand::test_load_invalid_exits_2[non-utf-8]",)),
+    Mutant("cmd_verify prints the report before writing --out", CLI,
+           '    if ns.out:\n        Path(ns.out).write_text(text)\n    print(text, end="")\n',
+           '    print(text, end="")\n    if ns.out:\n        Path(ns.out).write_text(text)\n',
+           ("tests/test_cli.py::TestVerifyCommand::test_unwritable_out_exits_1_before_the_report",)),
 )
 
 

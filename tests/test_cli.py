@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -49,11 +50,15 @@ class TestMubCommand:
         assert main(["mub", "--d", "2", "--out", str(out)]) == 0
         assert load_mubs(out).M == 3
 
-    def test_non_prime_exits_2(self, tmp_path, capsys):
-        code = main(["mub", "--d", "6", "--m", "3", "--out", str(tmp_path / "x.json")])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: d=6 is not prime; basis sets are constructed for prime d only\n")
+    @pytest.mark.parametrize("argv", [["mub", "--d", "6", "--m", "3"], ["verify", "--d", "6", "--m", "2"]],
+                             ids=["mub", "verify"])
+    def test_non_prime_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: d=6 is not prime; basis sets are constructed for prime d only\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_load_round_trip(self, tmp_path):
         first = tmp_path / "a.json"
@@ -68,12 +73,25 @@ class TestMubCommand:
         assert capsys.readouterr().err == f"error: need d >= 2, got d={d}\n"
         assert not (tmp_path / "m.json").exists()
 
-    def test_load_invalid_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("kind,message", [
+        ("not-orthonormal", "invalid basis set in {}: not a set of mutually unbiased bases: "),
+        ("non-utf-8", "cannot read basis set from {}: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["not-orthonormal", "non-utf-8"])
+    def test_load_invalid_exits_2(self, tmp_path, capsys, kind, message):
         bad = tmp_path / "bad.json"
-        obj = json.loads(_write_mub_file(tmp_path).read_text())
-        obj["bases"][1][0][0] = [5.0, 0.0]
-        bad.write_text(json.dumps(obj))
-        assert main(["mub", "--d", "2", "--load", str(bad), "--out", str(tmp_path / "o.json")]) == 2
+        if kind == "non-utf-8":
+            bad.write_bytes(b"\xff\xfe{}")
+        else:
+            obj = json.loads(_write_mub_file(tmp_path).read_text())
+            obj["bases"][1][0][0] = [5.0, 0.0]
+            bad.write_text(json.dumps(obj))
+        capsys.readouterr()
+        out = tmp_path / "o.json"
+        assert main(["mub", "--d", "2", "--load", str(bad), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message.format(bad)}") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_m_out_of_range_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -323,6 +341,9 @@ class TestRelationCommand:
         ("dims", [2.5, 2.9], "dims[0] must be an integer, got 2.5"),
         ("dims", None, "dims must be a sequence of integers, got None"),
         ("rows", 4.9, "rows must be an integer, got 4.9"),
+        # sizes that hold, with data that is no state: an eigenvalue of -1e-6
+        ("data", [[v, 0.0] for v in np.diag([1 + 1e-6, 0.0, 0.0, -1e-6]).ravel()],
+         "density matrix has a negative eigenvalue beyond tolerance"),
     ])
     def test_non_integral_state_sizes_exit_1(self, tmp_path, capsys, field, value, message):
         from mubpurity.linalg import density_to_json
@@ -483,12 +504,20 @@ class TestSweepCommand:
         assert "raw_gap" in header and "rescaled_gap" in header
 
     def test_json_format(self, tmp_path):
-        out = tmp_path / "s.json"
-        assert main(["sweep", "--param", "x", "--steps", "3", "--format", "json",
-                     "--out", str(out)]) == 0
-        rows = json.loads(out.read_text())
-        assert len(rows) == 3
-        assert all((row["d"], row["M"]) == (2, 3) for row in rows)
+        # the CSV and the JSON writer format the same columns: every CSV cell
+        # is the repr of the float, or of the int, that the JSON holds
+        args = ["sweep", "--param", "alpha", "--steps", "21", "--simulate", "--noise", "0.01"]
+        assert main([*args, "--format", "json", "--out", str(tmp_path / "s.json")]) == 0
+        assert main([*args, "--out", str(tmp_path / "s.csv")]) == 0
+        values = json.loads((tmp_path / "s.json").read_text())
+        with open(tmp_path / "s.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(values) == len(rows) == 21
+        assert all((value["d"], value["M"]) == (2, 3) for value in values)
+        for row, value in zip(rows, values):
+            assert sorted(row) == list(value)  # json sorts its keys
+            for name, cell in row.items():
+                assert type(value[name]) in (int, float) and cell == repr(value[name]), name
 
     def test_seed_environment_is_not_read(self, tmp_path, monkeypatch):
         # a sweep draws no random numbers, so a bad PURITY_SEED must not stop it
@@ -747,6 +776,14 @@ def test_both_values_bad_names_x(tmp_path, capsys, alpha, x):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _run_module(argv, env=None, **kwargs):
+    """``python -m mubpurity argv`` with this checkout's src/ first on PYTHONPATH, plus ``env``; text output captured."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "mubpurity", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})}, **kwargs)
+
+
 class TestUsageErrors:
     def test_parser_built_once(self):
         from mubpurity.cli import _build_parser
@@ -782,14 +819,7 @@ class TestUsageErrors:
         assert exc.value.code == 1
 
     def test_zero_denominator_angle(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mubpurity", "relation", "--alpha", "pi/0"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = _run_module(["relation", "--alpha", "pi/0"])
         assert proc.returncode == 1
         assert "invalid parse_angle value" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -802,17 +832,9 @@ class TestUsageErrors:
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
 
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         out = tmp_path / "big.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "mubpurity", "mub", "--d", "1000003", "--m", "2", "--out", str(out)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
-            preexec_fn=cap_address_space,
-            timeout=120,
-        )
+        proc = _run_module(["mub", "--d", "1000003", "--m", "2", "--out", str(out)],
+                           env={"OPENBLAS_NUM_THREADS": "1"}, preexec_fn=cap_address_space, timeout=120)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
@@ -829,16 +851,23 @@ class TestUsageErrors:
     # single underscores between digits and any Unicode decimal digit; no
     # base prefix, exponent or fraction
     SEED_TEXTS = {
-        **dict.fromkeys(["0", "7", " 7 ", "+7", "-7", "-0", "007", "1_000", "\t12\n", "\xa07", "\u0663",
+        **dict.fromkeys(["0", "7", " 7 ", "+7", "-7", "-0", "007", "1_000", " 1_0 ", "\t12\n", "\xa07", "\u0663",
                          "\uff11\uff12", "18446744073709551615"], True),
-        **dict.fromkeys(["1__0", "_1", "1_", "0x10", "1e3", "1.0", "abc", "+", "- 7", "7 7", "0b1", "\xbd"], False),
+        **dict.fromkeys(["1__0", "_1", "1_", "0x10", "1e3", "1.0", "1.5", "abc", "+", "- 7", "7 7", "0b1", "\xbd"],
+                        False),
     }
 
     @pytest.mark.parametrize("text", SEED_TEXTS)
     def test_seed_environment_reads_as_int(self, monkeypatch, capsys, text):
         monkeypatch.setenv("PURITY_SEED", text)
+        argv = ["verify", "--d", "2", "--m", "3", "--trials", "1"]
         if self.SEED_TEXTS[text]:
             assert _default_seed() == int(text)
+            # the same exit code and bytes as that seed given as --seed
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert main([*argv, "--seed", str(int(text))]) == code
+            assert capsys.readouterr() == captured
         else:
-            assert main(["verify", "--d", "2", "--m", "3", "--trials", "1"]) == 1
+            assert main(argv) == 1
             assert capsys.readouterr().err == f"error: PURITY_SEED={text!r} is not an integer\n"

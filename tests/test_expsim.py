@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -680,7 +681,7 @@ class TestNoiseAndRescaling:
             assert abs(factors[name] - expected) <= 1e-12 * expected
 
     @pytest.mark.parametrize("p", [0.9999, 0.99999999])
-    def test_rescaling_holds_near_p_one(self, p):
+    def test_rescaling_holds_near_p_one(self, tmp_path, p):
         # (1 - p) dev must not be formed as dev - p dev, which cancels here
         factors = _noise_level(p)[1]
         for name in PANEL_FIELDS:
@@ -691,6 +692,14 @@ class TestNoiseAndRescaling:
         ideal, noisy = run_protocol(alpha, x), run_protocol(alpha, x, NoiseModel(p))
         for name in PANEL_FIELDS:
             assert np.abs(noisy.rescaled[name] - ideal.raw[name]).max() <= 1e-12
+        # and in the panel file that expsim writes for the last point
+        from mubpurity.cli import main
+
+        out = tmp_path / "panel.json"
+        assert main(["expsim", "--alpha", "0.7", "--x", "0.3", "--noise", repr(p), "--out", str(out)]) == 0
+        rescaled = json.loads(out.read_text())["rescaled"]
+        assert sorted(rescaled) == sorted(PANEL_FIELDS)
+        assert all(abs(rescaled[name] - ideal.raw[name][-1]) <= 1e-12 for name in PANEL_FIELDS)
 
     def test_noiseless_factors_are_one(self):
         assert _noise_level(NoiseModel().p_depol)[1] == {name: 1.0 for name in PANEL_FIELDS}
