@@ -112,6 +112,13 @@ MUTANTS = (
            '    if ns.out:\n        Path(ns.out).write_text(text)\n    print(text, end="")\n',
            '    print(text, end="")\n    if ns.out:\n        Path(ns.out).write_text(text)\n',
            ("tests/test_cli.py::TestVerifyCommand::test_unwritable_out_exits_1_before_the_report",)),
+    # the one check rule and the one pair reader: each mutant names the one test that must kill it
+    Mutant("lowest check compared with <=", RELATIONS,
+           "value >= bound if lowest else value <= bound", "value <= bound if lowest else value <= bound",
+           ("tests/test_relations.py::TestVerifyRelations::test_chunked_read_equals_per_trial_reports",)),
+    Mutant("pair reader accepts boolean leaves", LINALG,
+           "if bool in set(map(type, leaves)):", "if False:",
+           ("tests/test_linalg.py::TestPairReader::test_rejects_malformed_pairs[boolean-entry]",)),
 )
 
 

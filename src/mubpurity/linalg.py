@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,10 +30,15 @@ def _as_int(name: str, value) -> int:
 
 
 def _from_pairs(data) -> np.ndarray:
-    """The complex array of nested [re, im] number pairs, with the bits Python's complex gives each pair."""
-    a = np.array(data)  # numpy raises ValueError on ragged nesting
+    """The complex array of nested [re, im] number pairs, with the bits Python's complex gives each pair; a bool is no number."""
+    a = np.array(data)  # numpy raises ValueError on ragged nesting, and reads a bool among numbers as 0 or 1
     if a.dtype.kind not in "iuf" or a.ndim < 1 or a.shape[-1] != 2:
         raise ValueError(f"expected nested [re, im] number pairs, got {a.dtype} entries of shape {a.shape}")
+    leaves = data
+    for _ in range(a.ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    if bool in set(map(type, leaves)):
+        raise ValueError("expected nested [re, im] number pairs, got a boolean entry")
     return a.astype(float).view(complex)[..., 0]
 
 

@@ -186,11 +186,7 @@ class PtIdentityReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(self.phi_deviation, *self.theta_deviations)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= TOL_STRUCTURAL
+        return float(np.max((self.phi_deviation, *self.theta_deviations)))  # NaN if any is
 
 
 def check_pt_identities(basis: BipartiteBasis) -> PtIdentityReport:
@@ -382,10 +378,8 @@ class VerificationReport:
             f"choi min eigenvalue floor: {self.choi_floor!r} (Weyl, from the gram and choi vs projector deviations)",
         ]
         for name, value, bound, passed, state_seed in self.checks:
-            line = f"{name}: {value!r} (bound {bound!r}) {'PASS' if passed else 'FAIL'}"
-            if not passed and state_seed is not None:
-                line += f" [state seed {state_seed}]"
-            lines.append(line)
+            named = f" [state seed {state_seed}]" if not passed and state_seed is not None else ""
+            lines.append(f"{name}: {value!r} (bound {bound!r}) {'PASS' if passed else 'FAIL'}{named}")
         lines.append("all checks passed" if self.passed else "VERIFICATION FAILED")
         return "\n".join(lines)
 
@@ -398,22 +392,29 @@ def _choi_matrix(mubs: MubSet) -> np.ndarray:
     return _gamma_terms((omega.T @ omega)[None], (d, d), mubs)[2][0]
 
 
+def _check(name: str, values, bound, lowest: bool = False, seeds=None) -> tuple[str, float, float, bool, int | None]:
+    """The :class:`VerificationReport` check of ``values`` against ``bound``, with the seed ``seeds[k]``, or None.
+
+    k is the first worst entry, the least if ``lowest``, else the greatest;
+    NaN, which argmin and argmax return first, fails either comparison.
+    """
+    values = np.ravel(values)
+    k = int(values.argmin() if lowest else values.argmax())
+    value = values[k].item()
+    return name, value, bound, value >= bound if lowest else value <= bound, None if seeds is None else seeds[k]
+
+
 def _certificate(basis: BipartiteBasis) -> tuple[float, list[tuple[str, float, float, bool, None]]]:
     """Weyl's floor under lambda_min(J), and the checks of the Choi matrix J (module docstring)."""
     d, m = basis.d, basis.M
     choi = _choi_matrix(basis.mubs)
-    route = float(np.abs(choi - basis.projector).max())
-    floor = -(1 + m * (d - 1)) * basis.gram_deviation - d * d * route
-    checks = [("choi vs projector max deviation", route, TOL_STRUCTURAL, route <= TOL_STRUCTURAL, None)]
+    route = _check("choi vs projector max deviation", np.abs(choi - basis.projector), TOL_STRUCTURAL)
     if m == d + 1:
-        norm = frobenius_norm(choi)
-        checks.append(("choi frobenius", norm, TOL_SPECTRAL, norm <= TOL_SPECTRAL, None))
+        checks = [route, _check("choi frobenius", frobenius_norm(choi), TOL_SPECTRAL)]
     else:
-        skew = float(_hermiticity_defects(choi))
-        failed = int(not _psd_rows(choi[None])[0])
-        checks += [("choi hermiticity max deviation", skew, TOL_PSD, skew <= TOL_PSD, None),
-                   ("choi psd gate failures", failed, 0, failed == 0, None)]
-    return floor, checks
+        checks = [route, _check("choi hermiticity max deviation", _hermiticity_defects(choi), TOL_PSD),
+                  _check("choi psd gate failures", np.count_nonzero(~_psd_rows(choi[None])), 0)]
+    return -(1 + m * (d - 1)) * basis.gram_deviation - d * d * route[1], checks
 
 
 def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> VerificationReport:
@@ -430,8 +431,7 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
             raise ValueError(f"need {name} >= {low}, got {value}")
     d, m = mubs.d, mubs.M
     basis = build_bipartite_basis(mubs)
-    pt = check_pt_identities(basis)
-    checks = [("pt identities max deviation", pt.max_deviation, TOL_STRUCTURAL, pt.passed, None)]
+    checks = [_check("pt identities max deviation", check_pt_identities(basis).max_deviation, TOL_STRUCTURAL)]
     choi_floor, certificate = _certificate(basis)
     checks += certificate
 
@@ -448,27 +448,19 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
         g = arrays["gamma"]
         gaps.append(arrays["gap"])
         defects.append(np.abs(arrays["gap"] - arrays["gamma_expectation"]))
+        # the gate reads one triangle of gamma, so its verdict holds only for a Hermitian gamma
         skews.append(_hermiticity_defects(g))
-        # gamma must vanish at M = d + 1 and pass the PSD gate below it
-        gammas.append(_frobenius_rows(g) if complete else _psd_rows(g))
+        # gamma must vanish at M = d + 1 (its norm) and pass the PSD gate below it (whether the gate rejects it)
+        gammas.append(_frobenius_rows(g) if complete else ~_psd_rows(g))
     gaps, defects, skews, gammas = (np.concatenate(a) for a in (gaps, defects, skews, gammas))
 
-    def worst(name, values, lowest, bound):
-        k = int(np.argmin(values) if lowest else np.argmax(values))
-        value = float(values[k])
-        return name, value, bound, (value >= bound) if lowest else (value <= bound), trial_seeds[k]
-
-    checks += [
-        worst("relation gap min", gaps, True, -TOL_SPECTRAL),
-        worst("gap vs Tr(gamma rho) max deviation", defects, False, TOL_SPECTRAL),
-        # the gate reads one triangle of gamma, so its verdict holds only for a Hermitian gamma
-        worst("gamma hermiticity max deviation", skews, False, TOL_PSD),
-    ]
+    checks += [_check("relation gap min", gaps, -TOL_SPECTRAL, lowest=True, seeds=trial_seeds),
+               _check("gap vs Tr(gamma rho) max deviation", defects, TOL_SPECTRAL, seeds=trial_seeds),
+               _check("gamma hermiticity max deviation", skews, TOL_PSD, seeds=trial_seeds)]
     if complete:
-        checks += [worst("gamma frobenius max", gammas, False, TOL_SPECTRAL),
-                   worst("relation |gap| max", np.abs(gaps), False, TOL_SPECTRAL)]
+        checks += [_check("gamma frobenius max", gammas, TOL_SPECTRAL, seeds=trial_seeds),
+                   _check("relation |gap| max", np.abs(gaps), TOL_SPECTRAL, seeds=trial_seeds)]
     else:
-        failed = int((~gammas).sum())
-        first = trial_seeds[int(np.argmin(gammas))] if failed else None
-        checks.append(("gamma psd gate failures", failed, 0, failed == 0, first))
+        # each rejected trial reads the failure count, so the first worst is the first rejected
+        checks.append(_check("gamma psd gate failures", gammas.sum() * gammas, 0, seeds=trial_seeds if gammas.any() else None))
     return VerificationReport(d, big_d, m, trials, seed, basis.gram_deviation, choi_floor, tuple(checks))

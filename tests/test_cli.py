@@ -76,14 +76,19 @@ class TestMubCommand:
     @pytest.mark.parametrize("kind,message", [
         ("not-orthonormal", "invalid basis set in {}: not a set of mutually unbiased bases: "),
         ("non-utf-8", "cannot read basis set from {}: 'utf-8' codec can't decode byte 0xff in position 0"),
-    ], ids=["not-orthonormal", "non-utf-8"])
+        ("boolean", "malformed basis file {}: expected nested [re, im] number pairs, got a boolean entry\n"),
+    ], ids=["not-orthonormal", "non-utf-8", "boolean"])
     def test_load_invalid_exits_2(self, tmp_path, capsys, kind, message):
         bad = tmp_path / "bad.json"
         if kind == "non-utf-8":
             bad.write_bytes(b"\xff\xfe{}")
         else:
             obj = json.loads(_write_mub_file(tmp_path).read_text())
-            obj["bases"][1][0][0] = [5.0, 0.0]
+            if kind == "boolean":
+                # a JSON false for the 0 of basis 1, which numpy would read as 0.0
+                obj["bases"][0][0][1] = [False, 0.0]
+            else:
+                obj["bases"][1][0][0] = [5.0, 0.0]
             bad.write_text(json.dumps(obj))
         capsys.readouterr()
         out = tmp_path / "o.json"
@@ -344,6 +349,9 @@ class TestRelationCommand:
         # sizes that hold, with data that is no state: an eigenvalue of -1e-6
         ("data", [[v, 0.0] for v in np.diag([1 + 1e-6, 0.0, 0.0, -1e-6]).ravel()],
          "density matrix has a negative eigenvalue beyond tolerance"),
+        # I/4 with a JSON false for the imaginary part of an off-diagonal 0, which numpy would read as 0
+        ("data", [[0, False] if k == 1 else [v, 0.0] for k, v in enumerate(np.eye(4).ravel() / 4)],
+         "expected nested [re, im] number pairs, got a boolean entry"),
     ])
     def test_non_integral_state_sizes_exit_1(self, tmp_path, capsys, field, value, message):
         from mubpurity.linalg import density_to_json

@@ -416,7 +416,9 @@ class TestPairReader:
         [["1", "0"]],
         [[1.0, "x"]],
         [[1.0, None]],
-    ], ids=["ragged", "ragged-depth", "three-element", "strings", "string-entry", "null-entry"])
+        # numpy reads a bool among numbers as 0 or 1
+        [[1.0, 0.0], [0, False]],
+    ], ids=["ragged", "ragged-depth", "three-element", "strings", "string-entry", "null-entry", "boolean-entry"])
     def test_rejects_malformed_pairs(self, data):
         with pytest.raises(ValueError):
             _from_pairs(data)
