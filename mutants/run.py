@@ -78,7 +78,7 @@ MUTANTS = (
            ("tests/test_expsim.py::TestGates::test_rotation_matches_kron_embedding",)),
     Mutant("calibration reads the ideal panel as the noisy one", EXPSIM,
            "noisy = _read_panel(rho, observables)", "noisy = _read_panel(rho, _noise_level(0.0)[0])",
-           ("tests/test_expsim.py",)),
+           ("tests/test_expsim.py::TestNoiseAndRescaling::test_calibration_matches_fresh_preparation_reference[0.05]",)),
     Mutant("calibration accepts a factor where (1 - p)**k is 0", EXPSIM,
            "if expected == 0.0 or not abs(", "if not abs(", ("tests/test_expsim.py",)),
     Mutant("construct_mubs takes M unread", MUB,
@@ -117,8 +117,14 @@ MUTANTS = (
            "value >= bound if lowest else value <= bound", "value <= bound if lowest else value <= bound",
            ("tests/test_relations.py::TestVerifyRelations::test_chunked_read_equals_per_trial_reports",)),
     Mutant("pair reader accepts boolean leaves", LINALG,
-           "if bool in set(map(type, leaves)):", "if False:",
+           "t is not bool and issubclass(t, numbers.Real)", "issubclass(t, numbers.Real)",
            ("tests/test_linalg.py::TestPairReader::test_rejects_malformed_pairs[boolean-entry]",)),
+    Mutant("pair reader checks the nesting depth, not the declared sizes", LINALG,
+           "if a.shape != (*shape, 2):", "if a.ndim != len(shape) + 1 or a.shape[-1] != 2:",
+           ("tests/test_linalg.py::TestPairReader::test_rejects_malformed_pairs[sizes-disagree]",)),
+    Mutant("pair reader lets an integer beyond float range raise OverflowError", LINALG,
+           "except OverflowError:", "except ZeroDivisionError:",
+           ("tests/test_linalg.py::TestPairReader::test_rejects_malformed_pairs[401-digit-integer]",)),
 )
 
 

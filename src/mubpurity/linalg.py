@@ -10,7 +10,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,17 +28,24 @@ def _as_int(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _from_pairs(data) -> np.ndarray:
-    """The complex array of nested [re, im] number pairs, with the bits Python's complex gives each pair; a bool is no number."""
-    a = np.array(data)  # numpy raises ValueError on ragged nesting, and reads a bool among numbers as 0 or 1
-    if a.dtype.kind not in "iuf" or a.ndim < 1 or a.shape[-1] != 2:
-        raise ValueError(f"expected nested [re, im] number pairs, got {a.dtype} entries of shape {a.shape}")
-    leaves = data
-    for _ in range(a.ndim - 1):
-        leaves = itertools.chain.from_iterable(leaves)
-    if bool in set(map(type, leaves)):
-        raise ValueError("expected nested [re, im] number pairs, got a boolean entry")
-    return a.astype(float).view(complex)[..., 0]
+def _from_pairs(data, shape: tuple[int, ...]) -> np.ndarray:
+    """The complex array of ``shape`` read from nested [re, im] pairs, with the bits Python's complex gives each pair.
+
+    The one reader of both JSON formats. Nesting other than ``shape + (2,)``,
+    a leaf that is a bool or no real number (every JSON integer and float is
+    one) and an integer beyond float range raise ValueError.
+    """
+    a = np.array(data, dtype=object)  # a ragged level ends the shape numpy finds
+    if a.shape != (*shape, 2):
+        raise ValueError(f"expected nested [re, im] number pairs of shape {(*shape, 2)}, got shape {a.shape}")
+    leaves = a.ravel().tolist()
+    if not all(t is not bool and issubclass(t, numbers.Real) for t in set(map(type, leaves))):
+        bad = next(type(x) for x in leaves if type(x) is bool or not isinstance(x, numbers.Real))
+        raise ValueError(f"expected nested [re, im] number pairs, got a {'boolean' if bad is bool else bad.__name__} entry")
+    try:
+        return a.astype(float).view(complex)[..., 0]
+    except OverflowError:
+        raise ValueError("expected nested [re, im] number pairs, got an integer beyond float range") from None
 
 
 def _to_pairs(a: np.ndarray) -> np.ndarray:
@@ -208,7 +214,4 @@ def density_from_json(obj: dict) -> DensityMatrix:
     for name, size in (("rows", rows), ("cols", cols)):
         if size < 1:
             raise ValueError(f"{name} must be at least 1, got {size}")
-    flat = _from_pairs(data)
-    if flat.shape != (rows * cols,):
-        raise ValueError(f"expected {rows * cols} [re, im] pairs, got an array of shape {flat.shape + (2,)}")
-    return DensityMatrix(flat.reshape(rows, cols), dims)
+    return DensityMatrix(_from_pairs(data, (rows * cols,)).reshape(rows, cols), dims)

@@ -211,13 +211,10 @@ def load_mubs(path) -> MubSet:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MubValidationError(f"cannot read basis set from {path}: {exc}") from exc
     try:
-        d, m, arr = _as_int("d", obj["d"]), _as_int("M", obj["M"]), _from_pairs(obj["bases"])
+        d, m = _as_int("d", obj["d"]), _as_int("M", obj["M"])
+        arr = _from_pairs(obj["bases"], (m, d, d))
     except (KeyError, TypeError, ValueError) as exc:
         raise MubValidationError(f"malformed basis file {path}: {exc}") from exc
-    if arr.shape != (m, d, d):
-        raise MubValidationError(
-            f"basis file {path} declares (M={m}, d={d}) but has shape {arr.shape}"
-        )
     try:
         return MubSet(arr)
     except ValueError as exc:

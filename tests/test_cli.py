@@ -77,7 +77,13 @@ class TestMubCommand:
         ("not-orthonormal", "invalid basis set in {}: not a set of mutually unbiased bases: "),
         ("non-utf-8", "cannot read basis set from {}: 'utf-8' codec can't decode byte 0xff in position 0"),
         ("boolean", "malformed basis file {}: expected nested [re, im] number pairs, got a boolean entry\n"),
-    ], ids=["not-orthonormal", "non-utf-8", "boolean"])
+        # a number numpy alone would store as an object; the set check rejects it
+        ("two-to-the-64", "invalid basis set in {}: not a set of mutually unbiased bases: "),
+        ("401-digit", "malformed basis file {}: expected nested [re, im] number pairs, "
+                      "got an integer beyond float range\n"),
+        ("nesting-disagrees", "malformed basis file {}: expected nested [re, im] number pairs of shape "
+                              "(2, 2, 2, 2), got shape (3, 2, 2, 2)\n"),
+    ], ids=["not-orthonormal", "non-utf-8", "boolean", "two-to-the-64", "401-digit", "nesting-disagrees"])
     def test_load_invalid_exits_2(self, tmp_path, capsys, kind, message):
         bad = tmp_path / "bad.json"
         if kind == "non-utf-8":
@@ -87,8 +93,10 @@ class TestMubCommand:
             if kind == "boolean":
                 # a JSON false for the 0 of basis 1, which numpy would read as 0.0
                 obj["bases"][0][0][1] = [False, 0.0]
+            elif kind == "nesting-disagrees":
+                obj["M"] = 2
             else:
-                obj["bases"][1][0][0] = [5.0, 0.0]
+                obj["bases"][1][0][0] = [{"two-to-the-64": 2**64, "401-digit": 10**400}.get(kind, 5.0), 0.0]
             bad.write_text(json.dumps(obj))
         capsys.readouterr()
         out = tmp_path / "o.json"
@@ -352,6 +360,13 @@ class TestRelationCommand:
         # I/4 with a JSON false for the imaginary part of an off-diagonal 0, which numpy would read as 0
         ("data", [[0, False] if k == 1 else [v, 0.0] for k, v in enumerate(np.eye(4).ravel() / 4)],
          "expected nested [re, im] number pairs, got a boolean entry"),
+        # I/4 with an off-diagonal 2**64, a number numpy alone would store as an object
+        ("data", [[2**64, 0] if k == 1 else [v, 0.0] for k, v in enumerate(np.eye(4).ravel() / 4)],
+         "density matrix is not Hermitian within tolerance"),
+        ("data", [[10**400, 0] if k == 1 else [v, 0.0] for k, v in enumerate(np.eye(4).ravel() / 4)],
+         "expected nested [re, im] number pairs, got an integer beyond float range"),
+        # 16 pairs where rows * cols declares 8
+        ("rows", 2, "expected nested [re, im] number pairs of shape (8, 2), got shape (16, 2)"),
     ])
     def test_non_integral_state_sizes_exit_1(self, tmp_path, capsys, field, value, message):
         from mubpurity.linalg import density_to_json

@@ -375,7 +375,7 @@ class TestJson:
 
     def test_malformed(self):
         obj = density_to_json(DensityMatrix(np.eye(2) / 2, (2,)))
-        with pytest.raises(ValueError, match="expected 4 "):
+        with pytest.raises(ValueError, match=r"of shape \(4, 2\), got shape \(1, 2\)$"):
             density_from_json(obj | {"data": obj["data"][:1]})
         with pytest.raises(ValueError, match="must carry 'dims'"):
             density_from_json({key: value for key, value in obj.items() if key != "dims"})
@@ -403,25 +403,37 @@ class TestPairReader:
         path = tmp_path / "m.json"
         save_mubs(construct_mubs(d, d + 1), path)
         bases = json.loads(path.read_text())["bases"]
-        assert _from_pairs(bases).tobytes() == np.array(self._by_complex(bases)).tobytes()
+        assert _from_pairs(bases, (d + 1, d, d)).tobytes() == np.array(self._by_complex(bases)).tobytes()
 
     def test_signed_zeros_kept(self):
         pairs = [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1, -0.0]]
-        assert _from_pairs(pairs).tobytes() == np.array(self._by_complex(pairs)).tobytes()
+        assert _from_pairs(pairs, (4,)).tobytes() == np.array(self._by_complex(pairs)).tobytes()
 
-    @pytest.mark.parametrize("data", [
-        [[1.0, 0.0], [1.0]],
-        [[[1.0, 0.0]], [1.0, 0.0]],
-        [[1.0, 0.0, 0.0]],
-        [["1", "0"]],
-        [[1.0, "x"]],
-        [[1.0, None]],
+    def test_integer_beyond_int64_is_a_number(self):
+        # numpy alone stores 2**64 as an object, not as a number
+        pairs = [[18446744073709551616, 0]]
+        assert _from_pairs(pairs, (1,)).tobytes() == np.array([complex(2**64, 0)]).tobytes()
+
+    @pytest.mark.parametrize("data,shape", [
+        ([[1.0, 0.0], [1.0]], (2,)),
+        ([[[1.0, 0.0]], [1.0, 0.0]], (2, 1)),
+        ([[1.0, 0.0, 0.0]], (1,)),
+        ([["1", "0"]], (1,)),
+        ([[1.0, "x"]], (1,)),
+        ([[1.0, None]], (1,)),
         # numpy reads a bool among numbers as 0 or 1
-        [[1.0, 0.0], [0, False]],
-    ], ids=["ragged", "ragged-depth", "three-element", "strings", "string-entry", "null-entry", "boolean-entry"])
-    def test_rejects_malformed_pairs(self, data):
+        ([[1.0, 0.0], [0, False]], (2,)),
+        ([[1.0, [0.0]]], (1,)),
+        ([[[1.0, 0.0]]], (1,)),
+        ([[1.0, 0.0]], (1, 1)),
+        ([[1.0, 0.0], [0.0, 0.0]], (3,)),
+        # float(10**400) raises OverflowError
+        ([[1.0, 0.0], [10**400, 0]], (2,)),
+    ], ids=["ragged", "ragged-depth", "three-element", "strings", "string-entry", "null-entry", "boolean-entry",
+            "list-entry", "deeper-than-declared", "shallower-than-declared", "sizes-disagree", "401-digit-integer"])
+    def test_rejects_malformed_pairs(self, data, shape):
         with pytest.raises(ValueError):
-            _from_pairs(data)
+            _from_pairs(data, shape)
 
 
 def _density_object(**fields):
