@@ -41,6 +41,7 @@ RELATIONS, LINALG, EXPSIM, MUB, STATES, CLI = (
 )
 
 GAMMA_BY_KRON = "tests/test_relations.py::TestGamma::test_matches_kron_definition"
+PSD_AT_THE_SLACK = "tests/test_linalg.py::TestTypes::test_psd_gate_sits_at_the_slack"
 
 MUTANTS = (
     # the realigned gamma: each mutant names the one test that must kill it
@@ -55,16 +56,18 @@ MUTANTS = (
     Mutant("gamma scaled by M/d, not (M-1)/d", RELATIONS,
            "(m - 1) / d", "m / d", ("tests/test_relations.py::TestGamma::test_complete_set_vanishes_d2",)),
     Mutant("purity read as Tr(m m^T)", LINALG,
-           '"...ab,...ba->..."', '"...ab,...ab->..."', ("tests/test_linalg.py",)),
+           '"...ab,...ba->..."', '"...ab,...ab->..."',
+           ("tests/test_linalg.py::TestPurity::test_matches_squared_eigenvalues",)),
     Mutant("projector from the conjugated span", RELATIONS,
-           "span.T @ span.conj()", "span.conj().T @ span", ("tests/test_relations.py",)),
+           "span.T @ span.conj()", "span.conj().T @ span",
+           ("tests/test_relations.py::TestBipartiteBasis::test_projector_invariants",)),
     Mutant("PSD gate shifted by 0.8 TOL_PSD", LINALG,
-           "shifted = a + TOL_PSD *", "shifted = a + 0.8 * TOL_PSD *", ("tests/test_linalg.py",)),
+           "shifted = a + TOL_PSD *", "shifted = a + 0.8 * TOL_PSD *", (PSD_AT_THE_SLACK,)),
     Mutant("PSD gate shifted by 1.2 TOL_PSD", LINALG,
-           "shifted = a + TOL_PSD *", "shifted = a + 1.2 * TOL_PSD *", ("tests/test_linalg.py",)),
+           "shifted = a + TOL_PSD *", "shifted = a + 1.2 * TOL_PSD *", (PSD_AT_THE_SLACK,)),
     Mutant("depolarizing without the 1/2", EXPSIM,
            "(dev + dev[..., flip[:, None], flip]) * 0.5", "(dev + dev[..., flip[:, None], flip])",
-           ("tests/test_expsim.py",)),
+           ("tests/test_expsim.py::TestGates::test_depolarize_matches_slice_loop",)),
     # the simulator gates read one qubit-bit table: each mutant names the one test that must kill it
     Mutant("(1 - p) dev computed as dev - p dev, which cancels near p = 1", EXPSIM,
            "out = (1.0 - p) * dev", "out = dev - p * dev",
@@ -80,22 +83,26 @@ MUTANTS = (
            "noisy = _read_panel(rho, observables)", "noisy = _read_panel(rho, _noise_level(0.0)[0])",
            ("tests/test_expsim.py::TestNoiseAndRescaling::test_calibration_matches_fresh_preparation_reference[0.05]",)),
     Mutant("calibration accepts a factor where (1 - p)**k is 0", EXPSIM,
-           "if expected == 0.0 or not abs(", "if not abs(", ("tests/test_expsim.py",)),
+           "if expected == 0.0 or not abs(", "if not abs(",
+           ("tests/test_expsim.py::TestNoiseAndRescaling::test_exact_zero_read_at_p_one_is_rejected",)),
     Mutant("construct_mubs takes M unread", MUB,
-           'd, M = _as_int("d", d), _as_int("M", M)', 'd = _as_int("d", d)', ("tests/test_linalg.py",)),
+           'd, M = _as_int("d", d), _as_int("M", M)', 'd = _as_int("d", d)',
+           ("tests/test_linalg.py::test_integer_rule_rejects_non_integers[2.5-construct_mubs M]",)),
     Mutant("float texts deduplicated by value, merging -0.0 and 0.0", LINALG,
            "np.unique(a.view(np.uint64), return_inverse=True)", "np.unique(a, return_inverse=True)",
-           ("tests/test_mub.py",)),
+           ("tests/test_mub.py::test_saved_text_keeps_float_reprs",)),
     # the checks the builders dropped: each fact must still be caught by a test
     Mutant("phi dropped from the constructed states", RELATIONS,
-           "twisted[0, :1]", "twisted[0, :0]", ("tests/test_relations.py",)),
+           "twisted[0, :1]", "twisted[0, :0]",
+           ("tests/test_relations.py::TestBipartiteBasis::test_d3_m2_counts_and_gram",)),
     Mutant("Ginibre state left unnormalized", STATES,
-           "scaled *= 1.0 / np.trace(row).real", "scaled *= 1.0", ("tests/test_states.py",)),
+           "scaled *= 1.0 / np.trace(row).real", "scaled *= 1.0",
+           ("tests/test_states.py::TestRandomDensity::test_psd_and_trace",)),
     Mutant("family state mixed with (1 - x)/2", STATES,
-           "(1.0 - x) / 4.0", "(1.0 - x) / 2.0", ("tests/test_states.py",)),
+           "(1.0 - x) / 4.0", "(1.0 - x) / 2.0", ("tests/test_states.py::TestRhoFamily::test_x_zero_maximally_mixed",)),
     Mutant("indefinite Ginibre draw", STATES,
            "np.matmul(g, g.conj().T, out=row)", "np.subtract(g @ g.conj().T, 1e-3 * np.eye(dim), out=row)",
-           ("tests/test_states.py",)),
+           ("tests/test_states.py::TestRandomDensityStack::test_stack_checked_as_density_matrices",)),
     # a valid state of other bits, and a route that still runs: each mutant names the one test that must kill it
     Mutant("imaginary part filled from the real normals", STATES,
            ".standard_normal((2, dim, rank))", ".standard_normal((2, dim, rank))[[0, 0]]",
@@ -105,9 +112,15 @@ MUTANTS = (
            ("tests/test_relations.py::TestGamma::test_projector_route_agrees",)),
     # the CLI contracts: each mutant names the one test that must kill it
     Mutant("load_mubs without the decode catch", MUB,
-           "except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:",
-           "except (OSError, json.JSONDecodeError) as exc:",
+           "except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:",
+           "except (OSError, json.JSONDecodeError, RecursionError) as exc:",
            ("tests/test_cli.py::TestMubCommand::test_load_invalid_exits_2[non-utf-8]",)),
+    Mutant("load_mubs read catch without RecursionError", MUB,
+           "json.JSONDecodeError, RecursionError) as exc:", "json.JSONDecodeError) as exc:",
+           ("tests/test_cli.py::TestMubCommand::test_load_invalid_exits_2[deeply-nested]",)),
+    Mutant("relation --state read catch without RecursionError", CLI,
+           "except (OSError, ValueError, RecursionError) as exc:", "except (OSError, ValueError) as exc:",
+           ("tests/test_cli.py::TestRelationCommand::test_unreadable_state_file_exits_1_naming_it[deeply-nested]",)),
     Mutant("cmd_verify prints the report before writing --out", CLI,
            '    if ns.out:\n        Path(ns.out).write_text(text)\n    print(text, end="")\n',
            '    print(text, end="")\n    if ns.out:\n        Path(ns.out).write_text(text)\n',
@@ -125,6 +138,13 @@ MUTANTS = (
     Mutant("pair reader lets an integer beyond float range raise OverflowError", LINALG,
            "except OverflowError:", "except ZeroDivisionError:",
            ("tests/test_linalg.py::TestPairReader::test_rejects_malformed_pairs[401-digit-integer]",)),
+    # the one set check: each mutant names the one test that must kill it
+    Mutant("MubSet accepted without validate_mubs", MUB,
+           "report = validate_mubs(self)", "report = MubValidationReport(d, m, 0.0, 0.0, (1, 0, 0), (1, 2, 0, 0))",
+           ("tests/test_mub.py::test_duplicated_basis_fails",)),
+    Mutant("pair stack formed without .conj()", MUB,
+           "pairs = b.conj()[rows] @", "pairs = b[rows] @",
+           ("tests/test_mub.py::test_validation_matches_pair_loop[3]",)),
 )
 
 

@@ -133,7 +133,7 @@ def cmd_relation(ns) -> int:
                 raise ValueError(f"{flag} sets the family state and does not apply to --state")
         try:
             obj = json.loads(Path(ns.state).read_text())
-        except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
             raise ValueError(f"cannot read state from {ns.state}: {exc}") from exc
         rho = density_from_json(obj)
         # the basis set is resolved at d, which only a bipartite state has

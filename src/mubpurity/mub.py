@@ -122,16 +122,15 @@ def _worst(dev: np.ndarray) -> tuple[float, tuple[int, ...]]:
 def validate_mubs(mubs: MubSet) -> MubValidationReport:
     """Check orthonormality of each basis and pairwise unbiasedness.
 
-    One contraction gives every overlap <t_i|u_j>: the t = u blocks are the
-    Gram matrices, the t < u blocks the cross-basis overlaps.
+    Only the overlaps <t_i|u_j> that are checked are formed: the M Gram
+    blocks (t = u) and the M(M-1)/2 cross-basis blocks (t < u).
     """
     d, m = mubs.d, mubs.M
     b = mubs.bases
-    overlaps = b.conj()[:, None] @ b.transpose(0, 2, 1)[None]  # (M, M, d, d)
-    diag = np.arange(m)
-    worst_on, (t, i, j) = _worst(np.abs(overlaps[diag, diag] - np.eye(d)))
+    worst_on, (t, i, j) = _worst(np.abs(b.conj() @ b.transpose(0, 2, 1) - np.eye(d)))
     rows, cols = np.triu_indices(m, 1)
-    worst_ub, (k, wi, wj) = _worst(np.abs(np.abs(overlaps[rows, cols]) ** 2 - 1.0 / d))
+    pairs = b.conj()[rows] @ b[cols].transpose(0, 2, 1)
+    worst_ub, (k, wi, wj) = _worst(np.abs(np.abs(pairs) ** 2 - 1.0 / d))
     return MubValidationReport(
         d, m, worst_on, worst_ub, (t + 1, i, j), (int(rows[k]) + 1, int(cols[k]) + 1, wi, wj)
     )
@@ -208,7 +207,7 @@ def load_mubs(path) -> MubSet:
     """Load a basis set; a file that cannot be read or holds no valid set raises MubValidationError."""
     try:
         obj = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MubValidationError(f"cannot read basis set from {path}: {exc}") from exc
     try:
         d, m = _as_int("d", obj["d"]), _as_int("M", obj["M"])

@@ -83,11 +83,16 @@ class TestMubCommand:
                       "got an integer beyond float range\n"),
         ("nesting-disagrees", "malformed basis file {}: expected nested [re, im] number pairs of shape "
                               "(2, 2, 2, 2), got shape (3, 2, 2, 2)\n"),
-    ], ids=["not-orthonormal", "non-utf-8", "boolean", "two-to-the-64", "401-digit", "nesting-disagrees"])
+        # json's RecursionError; its text differs between Python versions
+        ("deeply-nested", "cannot read basis set from {}: "),
+    ], ids=["not-orthonormal", "non-utf-8", "boolean", "two-to-the-64", "401-digit", "nesting-disagrees",
+            "deeply-nested"])
     def test_load_invalid_exits_2(self, tmp_path, capsys, kind, message):
         bad = tmp_path / "bad.json"
         if kind == "non-utf-8":
             bad.write_bytes(b"\xff\xfe{}")
+        elif kind == "deeply-nested":
+            bad.write_text('{"d": 2, "M": 2, "bases": ' + "[" * 100_000 + "]" * 100_000 + "}")
         else:
             obj = json.loads(_write_mub_file(tmp_path).read_text())
             if kind == "boolean":
@@ -449,6 +454,8 @@ class TestRelationCommand:
         (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
         (b"not json", "Expecting value: line 1 column 1 (char 0)"),
         (None, "[Errno 2] No such file or directory"),
+        # json's RecursionError; its text differs between Python versions
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "", id="deeply-nested"),
     ])
     def test_unreadable_state_file_exits_1_naming_it(self, tmp_path, capsys, content, cause):
         state_path = tmp_path / "state.json"
