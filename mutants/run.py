@@ -145,6 +145,21 @@ MUTANTS = (
     Mutant("pair stack formed without .conj()", MUB,
            "pairs = b.conj()[rows] @", "pairs = b[rows] @",
            ("tests/test_mub.py::test_validation_matches_pair_loop[3]",)),
+    # identical bases tie in every block, and the reference loop keeps the first
+    Mutant("worst entry taken at its last occurrence", LINALG,
+           "k = int(values.argmin() if lowest else values.argmax())",
+           "k = int(values.argmin() if lowest else values.size - 1 - values.ravel()[::-1].argmax())",
+           ("tests/test_mub.py::test_validation_matches_pair_loop[2]",)),
+    # operator swaps that no test caught before: each mutant names the one test that must kill it
+    Mutant("expsim prints lhs + rhs as the gap", CLI,
+           "gap={lhs - rhs!r}", "gap={lhs + rhs!r}",
+           ("tests/test_cli.py::TestExpsimCommand::test_prints_the_rescaled_relation_sides",)),
+    Mutant("sweep accepts from == to", CLI,
+           "if not start < stop:", "if not start <= stop:",
+           ("tests/test_cli.py::TestSweepCommand::test_empty_range_exits_1",)),
+    Mutant("state reader refuses rows = cols = 1", LINALG,
+           "if size < 1:", "if size <= 1:",
+           ("tests/test_cli.py::TestRelationCommand::test_state_dims_decide_the_exit[one-by-one]",)),
 )
 
 

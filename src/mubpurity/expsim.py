@@ -272,18 +272,16 @@ def run_protocol(alpha, x, noise: NoiseModel = NoiseModel()) -> PurityPanel:
     ``alpha`` and ``x`` are two floats, or two equal-length 1-D arrays of
     points read in one contraction; the panel then holds arrays.
     """
-    alpha, x = np.array(alpha, dtype=float), np.array(x, dtype=float)
-    rho = _family_states(alpha, x)
-    if x.ndim == 0:
-        alpha, x = float(alpha), float(x)
-    return _panel(alpha, x, rho, noise)
+    return _panel(alpha, x, _family_states(alpha, x), noise)
 
 
 def _panel(alpha, x, rho: np.ndarray, noise: NoiseModel) -> PurityPanel:
     """The panel of the state stack ``rho`` that ``_family_states`` built at the points alpha, x (floats or (n,) arrays)."""
+    alpha, x = np.array(alpha, dtype=float), np.array(x, dtype=float)
     observables, factors = _noise_level(noise.p_depol)
     raw = _read_panel(rho, observables)
-    if np.ndim(x) == 0:
+    if x.ndim == 0:
+        alpha, x = float(alpha), float(x)
         raw = {name: float(value[0]) for name, value in raw.items()}
     rescaled = {name: value / factors[name] for name, value in raw.items()}
     return PurityPanel(alpha=alpha, x=x, noise_p=noise.p_depol, raw=raw, rescaled=rescaled)

@@ -85,6 +85,15 @@ def _hermiticity_defects(a: np.ndarray) -> np.ndarray:
     return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
+def _first_worst(values: np.ndarray, lowest: bool = False) -> tuple[float, tuple[int, ...]]:
+    """The first least (``lowest``) or greatest entry of ``values`` in C order, as a Python number, and its index.
+
+    NaN, which argmin and argmax return first, is that entry; it fails every bound.
+    """
+    k = int(values.argmin() if lowest else values.argmax())
+    return values.item(k), tuple(map(int, np.unravel_index(k, values.shape)))
+
+
 def _partial_trace(t: np.ndarray) -> np.ndarray:
     """Tr over the left factor of a (..., d1, d2, d1, d2) view, unchecked: (..., d2, d2)."""
     return np.trace(t, axis1=t.ndim - 4, axis2=t.ndim - 2)

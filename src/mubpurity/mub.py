@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _as_int, _float_reprs, _from_pairs, _to_pairs
+from .linalg import _as_int, _first_worst, _float_reprs, _from_pairs, _to_pairs
 from .tolerances import TOL_STRUCTURAL
 
 # Basis order produced by construct_mubs(2, 3); basis labels are 1-based.
@@ -106,31 +106,18 @@ class MubValidationReport:
         )
 
 
-def _worst(dev: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Worst entry of a stack of (d, d) deviation blocks and its (block, i, j).
-
-    The first maximum within a block, and the last block attaining the largest.
-    """
-    flat = dev.reshape(len(dev), -1)
-    first = flat.argmax(axis=1)
-    peaks = flat[np.arange(len(flat)), first]
-    k = len(peaks) - 1 - int(peaks[::-1].argmax())
-    i, j = np.unravel_index(int(first[k]), dev.shape[1:])
-    return float(peaks[k]), (k, int(i), int(j))
-
-
 def validate_mubs(mubs: MubSet) -> MubValidationReport:
-    """Check orthonormality of each basis and pairwise unbiasedness.
+    """Check orthonormality of each basis and pairwise unbiasedness, naming the first worst entry of each.
 
-    Only the overlaps <t_i|u_j> that are checked are formed: the M Gram
-    blocks (t = u) and the M(M-1)/2 cross-basis blocks (t < u).
+    Only the checked overlaps <t_i|u_j> are formed: the M Gram blocks (t = u) and
+    the M(M-1)/2 cross-basis blocks (t < u). First means lowest labels, then indices.
     """
     d, m = mubs.d, mubs.M
     b = mubs.bases
-    worst_on, (t, i, j) = _worst(np.abs(b.conj() @ b.transpose(0, 2, 1) - np.eye(d)))
+    worst_on, (t, i, j) = _first_worst(np.abs(b.conj() @ b.transpose(0, 2, 1) - np.eye(d)))
     rows, cols = np.triu_indices(m, 1)
     pairs = b.conj()[rows] @ b[cols].transpose(0, 2, 1)
-    worst_ub, (k, wi, wj) = _worst(np.abs(np.abs(pairs) ** 2 - 1.0 / d))
+    worst_ub, (k, wi, wj) = _first_worst(np.abs(np.abs(pairs) ** 2 - 1.0 / d))
     return MubValidationReport(
         d, m, worst_on, worst_ub, (t + 1, i, j), (int(rows[k]) + 1, int(cols[k]) + 1, wi, wj)
     )

@@ -95,6 +95,7 @@ import numpy as np
 from .linalg import (
     DensityMatrix,
     _as_int,
+    _first_worst,
     _hermiticity_defects,
     _partial_trace,
     _psd_rows,
@@ -395,12 +396,10 @@ def _choi_matrix(mubs: MubSet) -> np.ndarray:
 def _check(name: str, values, bound, lowest: bool = False, seeds=None) -> tuple[str, float, float, bool, int | None]:
     """The :class:`VerificationReport` check of ``values`` against ``bound``, with the seed ``seeds[k]``, or None.
 
-    k is the first worst entry, the least if ``lowest``, else the greatest;
-    NaN, which argmin and argmax return first, fails either comparison.
+    k is the first worst entry (:func:`_first_worst`), the least if
+    ``lowest``, else the greatest; a NaN there fails either comparison.
     """
-    values = np.ravel(values)
-    k = int(values.argmin() if lowest else values.argmax())
-    value = values[k].item()
+    value, (k,) = _first_worst(np.ravel(values), lowest)
     return name, value, bound, value >= bound if lowest else value <= bound, None if seeds is None else seeds[k]
 
 

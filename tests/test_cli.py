@@ -435,6 +435,8 @@ class TestRelationCommand:
         ((4, 1, 1), 1, "expected a bipartite state, got dims (4, 1, 1)"),
         ((5,), 1, "expected a bipartite state, got dims (5,)"),
         ((6, 1), 2, "d=6 is not prime; basis sets are constructed for prime d only"),
+        # rows = cols = 1 is the least size the reader accepts
+        pytest.param((1,), 1, "expected a bipartite state, got dims (1,)", id="one-by-one"),
     ])
     def test_state_dims_decide_the_exit(self, tmp_path, capsys, dims, code, message):
         # a state without two factors has no d, so the primality of its
@@ -727,6 +729,12 @@ class TestSweepCommand:
         assert main(["sweep", "--param", "x", "--steps", "3", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
+    def test_empty_range_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--param", "x", "--from", "0.5", "--to", "0.5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sweep range must satisfy from < to\n"
+        assert not out.exists()
+
     def test_bad_range_exits_1(self, tmp_path):
         assert main(["sweep", "--param", "x", "--from", "0.5", "--to", "0.2",
                      "--out", str(tmp_path / "x.csv")]) == 1
@@ -761,6 +769,15 @@ class TestExpsimCommand:
         obj = json.loads(out.read_text())
         for name, value in obj["raw"].items():
             assert value < obj["rescaled"][name]
+
+    def test_prints_the_rescaled_relation_sides(self, tmp_path, capsys):
+        from mubpurity.expsim import NoiseModel, run_protocol
+
+        assert main(["expsim", "--alpha", "pi/2", "--x", "0.75", "--noise", "0.01",
+                     "--out", str(tmp_path / "panel.json")]) == 0
+        lhs, rhs = run_protocol(math.pi / 2, 0.75, NoiseModel(0.01)).relation_sides()
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"rescaled lhs={lhs!r} rhs={rhs!r} gap={lhs - rhs!r}"
 
     def test_lost_signal_exits_1_and_writes_nothing(self, tmp_path, capsys):
         # at --noise 1 the probe signal is gone, so no rescaled panel exists

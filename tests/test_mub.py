@@ -100,20 +100,20 @@ def test_construction_matches_row_loop(d):
 def _validate_by_loop(bases):
     """Reference report of an (M, d, d) array of bases, one basis and one pair at a time.
 
-    The first maximum within a basis or pair is kept; across them a later
-    maximum equal to the worst so far replaces it.
+    The first maximum within a basis or pair is kept; across them only a
+    later maximum greater than the worst so far replaces it.
     """
     m, d = bases.shape[:2]
     worst_on, worst_on_at, worst_ub, worst_ub_at = 0.0, (1, 0, 0), 0.0, (1, 2, 0, 0)
     for t in range(m):
         dev = np.abs(bases[t].conj() @ bases[t].T - np.eye(d))
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-        if dev[i, j] >= worst_on:
+        if dev[i, j] > worst_on:
             worst_on, worst_on_at = float(dev[i, j]), (t + 1, int(i), int(j))
         for u in range(t + 1, m):
             dev = np.abs(np.abs(bases[t].conj() @ bases[u].T) ** 2 - 1.0 / d)
             i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-            if dev[i, j] >= worst_ub:
+            if dev[i, j] > worst_ub:
                 worst_ub, worst_ub_at = float(dev[i, j]), (t + 1, u + 1, int(i), int(j))
     return MubValidationReport(d, m, worst_on, worst_ub, worst_on_at, worst_ub_at)
 
