@@ -128,13 +128,13 @@ def construct_mubs(d: int, M: int) -> MubSet:
 
     d and M follow the integer rule (3.0 reads as 3); d < 2 or M outside
     2..d+1 raises ``ValueError``, a non-prime d :class:`MubValidationError`.
-    Basis 1 is the computational basis. For odd prime d the remaining
-    bases have components ``omega**(a*s*s + j*s) / sqrt(d)`` with
-    ``omega = exp(2*pi*i/d)`` and a = 0..d-1; for d = 2 the quadratic form
-    degenerates, so the x and y eigenbases are used instead.
-    ``construct_mubs(d, M)`` is a prefix of ``construct_mubs(d, M')`` for
-    M < M'. The first amplitude of every vector is real and positive (1,
-    or the s = 0 component 1/sqrt(d)), so no phase needs fixing.
+    Basis 1 is the computational basis. For odd prime d the remaining bases
+    have components ``omega**(a*s*s + j*s) / sqrt(d)``, with
+    ``omega = exp(2*pi*i/d)`` and a = 0..d-1, read from the d amplitudes
+    ``omega**k / sqrt(d)``; for d = 2 the quadratic form degenerates, so
+    the x and y eigenbases are used instead. ``construct_mubs(d, M)`` is a
+    prefix of ``construct_mubs(d, M')`` for M < M'. The first amplitude of
+    every vector is real and positive (1, or 1/sqrt(d)): no phase needs fixing.
     """
     d, M = _as_int("d", d), _as_int("M", M)
     if d < 2:
@@ -147,9 +147,9 @@ def construct_mubs(d: int, M: int) -> MubSet:
         s = 1.0 / np.sqrt(2.0)
         rest = np.array([[[s, s], [s, -s]], [[s, 1j * s], [s, -1j * s]]], dtype=complex)[: M - 1]
     else:
-        # rest[a, j, s] = omega**(a*s*s + j*s) / sqrt(d), for the M - 1 bases returned
+        # rest[a, j, s] = amplitude k = (a*s*s + j*s) mod d, for the M - 1 bases returned
         a, j, s = np.ogrid[: M - 1, :d, :d]
-        rest = np.exp(2j * np.pi * ((a * s * s + j * s) % d) / d) / np.sqrt(d)
+        rest = (np.exp(2j * np.pi * np.arange(d) / d) / np.sqrt(d))[(a * s * s + j * s) % d]
     return MubSet(np.concatenate([np.eye(d, dtype=complex)[None], rest]))
 
 
@@ -173,9 +173,9 @@ def save_mubs(mubs: MubSet, path) -> None:
 
     The text is exactly ``json.dumps(obj, indent=2) + "\\n"`` of the schema
     object. Every float is written as its ``repr``, as json writes finite
-    floats, but ``repr`` runs once per distinct bit pattern (a constructed
-    set holds at most 2d + 2 distinct components; -0.0 and 0.0 stay apart),
-    and the text is one join of the numbers and the separators between them.
+    floats, but ``repr`` runs once per distinct bit pattern (of which a
+    constructed set has at most 2d + 2 by construction; -0.0 and 0.0 stay
+    apart), and the text is one join of the numbers and the separators.
     """
     d, m = mubs.d, mubs.M
     texts = _float_reprs(_to_pairs(mubs.bases)).ravel()
@@ -194,7 +194,7 @@ def load_mubs(path) -> MubSet:
     """Load a basis set; a file that cannot be read or holds no valid set raises MubValidationError."""
     try:
         obj = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise MubValidationError(f"cannot read basis set from {path}: {exc}") from exc
     try:
         d, m = _as_int("d", obj["d"]), _as_int("M", obj["M"])

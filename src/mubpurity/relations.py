@@ -160,9 +160,11 @@ def build_bipartite_basis(mubs: MubSet) -> BipartiteBasis:
     """
     d, m = mubs.d, mubs.M
     phases = np.exp(2j * np.pi / d * (np.outer(np.arange(d), np.arange(d)) % d))
-    # twisted[t, k] = sum_i phases[k, i] |i_t>|i_t*>, as one batched BLAS product
+    # twisted[t, k] = sum_i phases[k, i] |i_t>|i_t*> / sqrt(d), scaled by the rule of states._random_density_stack
     outer = (mubs.bases[:, :, :, None] * mubs.bases.conj()[:, :, None, :]).reshape(m, d, d * d)
-    twisted = phases @ outer / np.sqrt(d)
+    twisted = phases @ outer
+    scaled = twisted.view(float)
+    scaled *= 1.0 / np.sqrt(d)
 
     span = _constructed_states(twisted)
     gram_dev = float(np.abs(span.conj() @ span.T - np.eye(len(span))).max())
@@ -193,31 +195,29 @@ class PtIdentityReport:
 def check_pt_identities(basis: BipartiteBasis) -> PtIdentityReport:
     """Verify the partial-transpose rewrites of the constructed projectors.
 
-    The stored twisted states are checked against the stored MUB vectors
-    one basis at a time. The partial transpose only permutes entries, so it
-    moves to the right-hand side at no cost to the Frobenius norm, where
-    every term has rank at most d: each basis's deviation is the norm of one
-    (d*d, 2d) @ (2d, d*d) product, and phi's of one (d*d, 2) @ (2, d*d).
-    That product is the only (d*d, d*d) array alive at any M.
+    The stored twisted states are checked against the stored MUB vectors,
+    and one stacked product forms the swap factor q of every basis. The
+    partial transpose only permutes entries, so it moves to the right-hand
+    side at no cost to the Frobenius norm, where every term has rank at
+    most d: each basis's deviation is the norm of one (d*d, 2d) @ (2d, d*d)
+    product, and phi's of one (d*d, 2) @ (2, d*d). That product is the only
+    (d*d, d*d) array alive at any M.
     """
-    d = basis.d
-    phi = basis.phi
-    phi_dev = 0.0
+    d, bases, phi = basis.d, basis.mubs.bases, basis.phi
+    # the rows of bases[t] are the vectors |i> of basis t+1; with
+    # q[t, a, e] = sum_i <a|i><i|e>, its partially transposed swap
+    # sum_ij |i><j| (x) |j><i| is vec(q) vec(q^T)^T
+    q = bases.transpose(0, 2, 1) @ bases.conj()
+    swap_left, swap_right = q.reshape(-1, d * d, 1) / d, q.transpose(0, 2, 1).reshape(-1, 1, d * d)
+    # phi's identity uses the swap of basis 1
+    phi_dev = frobenius_norm(np.concatenate([phi[:, None], -swap_left[0]], axis=1)
+                             @ np.concatenate([phi.conj()[None], swap_right[0]]))
     theta_devs = []
-    for t, (vecs, twists) in enumerate(zip(basis.mubs.bases, basis.twisted[:, 1:])):
-        # the rows of vecs are the vectors |i> of the basis; with
-        # q[a, e] = sum_i <a|i><i|e>, the partially transposed swap
-        # sum_ij |i><j| (x) |j><i| is vec(q) vec(q^T)^T
-        q = vecs.T @ vecs.conj()
-        swap_left, swap_right = q.reshape(-1, 1) / d, q.T.reshape(1, -1)
-        if t == 0:
-            # phi's identity uses the swap of basis 1
-            phi_dev = frobenius_norm(np.hstack([phi[:, None], -swap_left]) @ np.vstack([phi.conj(), swap_right]))
-        # the partially transposed pinch sum_i P_i (x) P_i is u^T u* with
-        # u[i, ab] = <a|i><i|b>
+    for vecs, twists, left_q, right_q in zip(bases, basis.twisted[:, 1:], swap_left, swap_right):
+        # the partially transposed pinch sum_i P_i (x) P_i is u^T u* with u[i, ab] = <a|i><i|b>
         u = (vecs[:, :, None] * vecs.conj()[:, None, :]).reshape(d, d * d)
-        left = np.hstack([twists.T, -u.T, swap_left])
-        right = np.vstack([twists.conj(), u.conj(), swap_right])
+        left = np.concatenate([twists.T, -u.T, left_q], axis=1)
+        right = np.concatenate([twists.conj(), u.conj(), right_q])
         theta_devs.append(frobenius_norm(left @ right))
     return PtIdentityReport(phi_dev, tuple(theta_devs))
 
@@ -331,11 +331,6 @@ def _relation_arrays(rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet) -> di
     }
 
 
-def _frobenius_rows(g: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix of an (n, k, k) stack."""
-    return np.linalg.norm(g.reshape(len(g), -1), axis=1)
-
-
 def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
     """Every purity of the relation, both its sides and their gap, and gamma's Tr(gamma rho), min eigenvalue and norm."""
     arrays = _relation_arrays(rho.matrix[None], rho.dims, mubs)
@@ -343,7 +338,7 @@ def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
     # the B marginal of rho_thetaB is sum_i blocks[t, i]
     arrays["purity_B_given_theta"] = _purities(blocks.sum(axis=2))
     arrays["gamma_min_eig"] = hermitian_eigenvalues(g)[:, 0]
-    arrays["gamma_frobenius"] = _frobenius_rows(g)
+    arrays["gamma_frobenius"] = np.linalg.norm(g, axis=(1, 2))
     fields = {name: tuple(v[0].tolist()) if v.ndim == 2 else v[0].tolist() for name, v in arrays.items()}
     return RelationReport(
         d=mubs.d, D=rho.dims[1], M=mubs.M, equality_expected=(mubs.M == mubs.d + 1), **fields
@@ -450,7 +445,7 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
         # the gate reads one triangle of gamma, so its verdict holds only for a Hermitian gamma
         skews.append(_hermiticity_defects(g))
         # gamma must vanish at M = d + 1 (its norm) and pass the PSD gate below it (whether the gate rejects it)
-        gammas.append(_frobenius_rows(g) if complete else ~_psd_rows(g))
+        gammas.append(np.linalg.norm(g, axis=(1, 2)) if complete else ~_psd_rows(g))
     gaps, defects, skews, gammas = (np.concatenate(a) for a in (gaps, defects, skews, gammas))
 
     checks += [_check("relation gap min", gaps, -TOL_SPECTRAL, lowest=True, seeds=trial_seeds),

@@ -13,6 +13,10 @@ import pytest
 from mubpurity.cli import _default_seed, main, parse_angle
 from mubpurity.mub import load_mubs
 
+# an integer json refuses to convert: one digit past the interpreter's limit, 4300 by default
+# (Python before 3.10.7 has no limit and reads it)
+HUGE_INTEGER = "1" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1)
+
 
 class TestParseAngle:
     def test_plain_float(self):
@@ -83,16 +87,20 @@ class TestMubCommand:
                       "got an integer beyond float range\n"),
         ("nesting-disagrees", "malformed basis file {}: expected nested [re, im] number pairs of shape "
                               "(2, 2, 2, 2), got shape (3, 2, 2, 2)\n"),
-        # json's RecursionError; its text differs between Python versions
+        # json's RecursionError, and its ValueError past the integer digit limit; their texts differ between versions
         ("deeply-nested", "cannot read basis set from {}: "),
+        ("huge-integer", "cannot read basis set from {}: "),
     ], ids=["not-orthonormal", "non-utf-8", "boolean", "two-to-the-64", "401-digit", "nesting-disagrees",
-            "deeply-nested"])
+            "deeply-nested", "huge-integer"])
     def test_load_invalid_exits_2(self, tmp_path, capsys, kind, message):
         bad = tmp_path / "bad.json"
         if kind == "non-utf-8":
             bad.write_bytes(b"\xff\xfe{}")
         elif kind == "deeply-nested":
             bad.write_text('{"d": 2, "M": 2, "bases": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        elif kind == "huge-integer":
+            # the 1.0 of basis 1's first vector
+            bad.write_text(_write_mub_file(tmp_path).read_text().replace("1.0", HUGE_INTEGER, 1))
         else:
             obj = json.loads(_write_mub_file(tmp_path).read_text())
             if kind == "boolean":
@@ -485,6 +493,17 @@ class TestRelationCommand:
         captured = capsys.readouterr()
         assert captured.err == "error: state A-dimension 2 does not match basis dimension 5\n"
         assert "equality_expected" not in captured.out
+
+    def test_unreadable_mubs_file_exits_2_naming_it(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text(_write_mub_file(tmp_path).read_text().replace("1.0", HUGE_INTEGER, 1))
+        capsys.readouterr()
+        assert main(["relation", "--mubs", str(huge)]) == 2
+        captured = capsys.readouterr()
+        # the prefix only: the interpreter's text of the digit limit varies
+        assert captured.err.startswith(f"error: cannot read basis set from {huge}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_mubs_file_disagreeing_with_m_exits_1(self, tmp_path, capsys):
         pair = tmp_path / "pair.json"
