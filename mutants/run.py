@@ -125,18 +125,27 @@ MUTANTS = (
            "-swap_left[1]], axis=1)\n                             @ np.concatenate([phi.conj()[None], swap_right[1]])",
            ("tests/test_relations.py::TestBipartiteBasis::test_near_bound_sets_build_or_fail_validation",)),
     # the CLI contracts: each mutant names the one test that must kill it
-    # load_mubs catches ValueError, so also json's error past the integer digit limit
-    Mutant("load_mubs without the decode catch", MUB,
+    # load_mubs and relation --state read through the one catch of linalg._read_json, which catches
+    # ValueError, so also json's error past the integer digit limit
+    Mutant("load_mubs without the decode catch", LINALG,
            "except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError",
            "except (OSError, RecursionError) as exc:  # UnicodeDecodeError",
            ("tests/test_cli.py::TestMubCommand::test_load_invalid_exits_2[non-utf-8]",)),
-    Mutant("load_mubs read catch without RecursionError", MUB,
+    Mutant("load_mubs read catch without RecursionError", LINALG,
            "except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError",
            "except (OSError, ValueError) as exc:  # UnicodeDecodeError",
            ("tests/test_cli.py::TestMubCommand::test_load_invalid_exits_2[deeply-nested]",)),
-    Mutant("relation --state read catch without RecursionError", CLI,
-           "except (OSError, ValueError, RecursionError) as exc:", "except (OSError, ValueError) as exc:",
+    Mutant("relation --state read catch without RecursionError", LINALG,
+           "except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError",
+           "except (OSError, ValueError) as exc:  # UnicodeDecodeError",
            ("tests/test_cli.py::TestRelationCommand::test_unreadable_state_file_exits_1_naming_it[deeply-nested]",)),
+    Mutant("main exits 1 for a MubValidationError", CLI,
+           "return 2 if isinstance(exc, MubValidationError) else 1", "return 1",
+           ("tests/test_cli.py::TestMubCommand::test_non_prime_exits_2[mub]",)),
+    # 3825123056546413051 is a strong pseudoprime to every prime base up to 31
+    Mutant("Miller-Rabin without the base 37", MUB,
+           "29, 31, 37)", "29, 31)",
+           ("tests/test_mub.py::test_construct_rejects_strong_pseudoprimes[3825123056546413051]",)),
     Mutant("cmd_verify prints the report before writing --out", CLI,
            '    if ns.out:\n        Path(ns.out).write_text(text)\n    print(text, end="")\n',
            '    print(text, end="")\n    if ns.out:\n        Path(ns.out).write_text(text)\n',
@@ -176,6 +185,20 @@ MUTANTS = (
     Mutant("state reader refuses rows = cols = 1", LINALG,
            "if size < 1:", "if size <= 1:",
            ("tests/test_cli.py::TestRelationCommand::test_state_dims_decide_the_exit[one-by-one]",)),
+    # historical simulator bugs: each mutant names the one test that must kill it
+    Mutant("panel read with optimize=True, which reorders the sums", EXPSIM,
+           '"sabcd,nca,ndb->sn", observables, rho, rho)', '"sabcd,nca,ndb->sn", observables, rho, rho, optimize=True)',
+           ("tests/test_expsim.py::TestBatch::test_one_read_equals_per_setting_reads[0.05]",)),
+    # a cache of size 0 keeps cache_info and cache_clear, so only the count of reads tells
+    Mutant("noise-level cache removed", EXPSIM,
+           "@lru_cache(maxsize=8)", "@lru_cache(maxsize=0)",
+           ("tests/test_expsim.py::TestNoiseAndRescaling::test_calibration_runs_once_per_level",)),
+    Mutant("probe DEPOL moved before its CSWAP", EXPSIM,
+           '        gates.append(("CSWAP", _PROBE) + pair)\n        if p > 0.0:\n'
+           '            gates.append(("DEPOL", _PROBE, p))\n',
+           '        if p > 0.0:\n            gates.append(("DEPOL", _PROBE, p))\n'
+           '        gates.append(("CSWAP", _PROBE) + pair)\n',
+           ("tests/test_expsim.py::TestObservables::test_noise_sites_follow_each_cswap",)),
 )
 
 

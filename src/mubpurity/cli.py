@@ -31,7 +31,7 @@ from .expsim import (
     _panel,
     run_protocol,
 )
-from .linalg import _float_reprs, density_from_json
+from .linalg import _float_reprs, _read_json, density_from_json
 from .mub import (
     PAULI_AXIS_LABELS,
     MubSet,
@@ -131,11 +131,7 @@ def cmd_relation(ns) -> int:
         for flag, value in (("--alpha", ns.alpha), ("--x", ns.x)):
             if value is not None:
                 raise ValueError(f"{flag} sets the family state and does not apply to --state")
-        try:
-            obj = json.loads(Path(ns.state).read_text())
-        except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-            raise ValueError(f"cannot read state from {ns.state}: {exc}") from exc
-        rho = density_from_json(obj)
+        rho = density_from_json(_read_json(ns.state, "state"))
         # the basis set is resolved at d, which only a bipartite state has
         d = rho.dims[0]
         _check_bipartite_input(rho.dims, d)
@@ -293,12 +289,9 @@ def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except MubValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, MubValidationError) else 1
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _hermiticity_defects
+from .linalg import _first_worst, _hermiticity_defects
 from .states import _family_states
 from .tolerances import TOL_STRUCTURAL
 
@@ -116,8 +116,8 @@ def _check_deviation(dev: np.ndarray) -> None:
     if not np.isfinite(dev).all():
         raise RuntimeError("deviation has non-finite entries")
     trace = np.trace(dev, axis1=1, axis2=2)
-    worst = int(np.abs(trace).argmax())
-    if abs(trace[worst]) > TOL_STRUCTURAL:
+    drift, (worst,) = _first_worst(np.abs(trace))
+    if drift > TOL_STRUCTURAL:
         raise RuntimeError(f"deviation trace drifted to {trace[worst]!r}")
     if _hermiticity_defects(dev).max() > TOL_STRUCTURAL:
         raise RuntimeError("deviation lost hermiticity")

@@ -10,9 +10,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +48,14 @@ def _from_pairs(data, shape: tuple[int, ...]) -> np.ndarray:
         return a.astype(float).view(complex)[..., 0]
     except OverflowError:
         raise ValueError("expected nested [re, im] number pairs, got an integer beyond float range") from None
+
+
+def _read_json(path, what: str, error: type[ValueError] = ValueError):
+    """The JSON value in the file at ``path``; a file that cannot be read or decoded raises ``error`` naming ``what``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise error(f"cannot read {what} from {path}: {exc}") from exc
 
 
 def _to_pairs(a: np.ndarray) -> np.ndarray:

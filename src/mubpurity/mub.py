@@ -8,14 +8,12 @@ set can be loaded from JSON. Every :class:`MubSet` is validated.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .linalg import _as_int, _first_worst, _float_reprs, _from_pairs, _to_pairs
+from .linalg import _as_int, _first_worst, _float_reprs, _from_pairs, _read_json, _to_pairs
 from .tolerances import TOL_STRUCTURAL
 
 # Basis order produced by construct_mubs(2, 3); basis labels are 1-based.
@@ -123,6 +121,16 @@ def validate_mubs(mubs: MubSet) -> MubValidationReport:
     )
 
 
+def _is_prime(n: int) -> bool:
+    """Whether n >= 2 is a strong probable prime to the bases 2..37 (Miller-Rabin): exactly when it is prime below 3.18e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = q * 2**s with q odd
+    q = (n - 1) >> s
+    return all(pow(a, q, n) == 1 or any(pow(a, q << r, n) == n - 1 for r in range(s)) for a in bases)
+
+
 def construct_mubs(d: int, M: int) -> MubSet:
     """Deterministic MUB construction for prime d; the one rule for which (d, M) can be built.
 
@@ -139,7 +147,7 @@ def construct_mubs(d: int, M: int) -> MubSet:
     d, M = _as_int("d", d), _as_int("M", M)
     if d < 2:
         raise ValueError(f"need d >= 2, got d={d}")
-    if any(d % k == 0 for k in range(2, math.isqrt(d) + 1)):
+    if not _is_prime(d):
         raise MubValidationError(f"d={d} is not prime; basis sets are constructed for prime d only")
     if not 2 <= M <= d + 1:
         raise ValueError(f"need 2 <= M <= d+1, got M={M}, d={d}")
@@ -192,10 +200,7 @@ def save_mubs(mubs: MubSet, path) -> None:
 
 def load_mubs(path) -> MubSet:
     """Load a basis set; a file that cannot be read or holds no valid set raises MubValidationError."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
-        raise MubValidationError(f"cannot read basis set from {path}: {exc}") from exc
+    obj = _read_json(path, "basis set", MubValidationError)
     try:
         d, m = _as_int("d", obj["d"]), _as_int("M", obj["M"])
         arr = _from_pairs(obj["bases"], (m, d, d))

@@ -4,19 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DensityMatrix, _as_int
-
-
-def _psi_stack(alpha: np.ndarray) -> np.ndarray:
-    """The (n, 4) amplitudes of cos(a/2)|01> - sin(a/2)|10> for each a of a 1-D array; no range check.
-
-    alpha = 0 gives the product state |01>; alpha = pi/2 the maximally
-    entangled singlet. Qubit A is the leftmost (most significant) factor.
-    """
-    v = np.zeros((len(alpha), 4), dtype=complex)
-    v[:, 1] = np.cos(alpha / 2)
-    v[:, 2] = -np.sin(alpha / 2)
-    return v
+from .linalg import DensityMatrix, _as_int, _first_worst
 
 
 def _family_states(alpha, x) -> np.ndarray:
@@ -39,11 +27,14 @@ def _family_states(alpha, x) -> np.ndarray:
     bad_x = ~((0.0 <= x) & (x <= 1.0))
     bad = bad_x | ~((0.0 <= alpha) & (alpha <= np.pi / 2))
     if bad.any():
-        i = int(bad.argmax())
+        _, (i,) = _first_worst(bad)
         if bad_x[i]:
             raise ValueError(f"x={float(x[i])!r} outside [0, 1]")
         raise ValueError(f"alpha={float(alpha[i])!r} outside [0, pi/2]")
-    v = _psi_stack(alpha)
+    # psi_alpha = cos(alpha/2)|01> - sin(alpha/2)|10>, qubit A the leftmost factor
+    v = np.zeros((len(alpha), 4), dtype=complex)
+    v[:, 1] = np.cos(alpha / 2)
+    v[:, 2] = -np.sin(alpha / 2)
     pure = v[:, :, None] * v[:, None, :].conj()
     return x[:, None, None] * pure + ((1.0 - x) / 4.0)[:, None, None] * np.eye(4)
 

@@ -464,18 +464,26 @@ class TestRelationCommand:
         (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
         (b"not json", "Expecting value: line 1 column 1 (char 0)"),
         (None, "[Errno 2] No such file or directory"),
-        # json's RecursionError; its text differs between Python versions
+        # json's RecursionError, and its ValueError past the integer digit limit; their texts differ between versions
         pytest.param(b"[" * 100_000 + b"]" * 100_000, "", id="deeply-nested"),
+        pytest.param(HUGE_INTEGER.encode(), "", id="huge-integer"),
     ])
     def test_unreadable_state_file_exits_1_naming_it(self, tmp_path, capsys, content, cause):
+        # a state file and a basis-set file are read by one rule: only the exit code and what was read differ
         state_path = tmp_path / "state.json"
         if content is not None:
             state_path.write_bytes(content)
-        assert main(["relation", "--state", str(state_path)]) == 1
+        out = tmp_path / "o.json"
+        assert main(["relation", "--state", str(state_path), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot read state from {state_path}: {cause}")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+        assert main(["mub", "--d", "2", "--load", str(state_path), "--out", str(out)]) == 2
+        loaded = capsys.readouterr()
+        assert loaded.err == captured.err.replace("cannot read state from", "cannot read basis set from", 1)
+        assert loaded.out == ""
+        assert not out.exists()
 
     def test_family_state_reads_mubs_file(self, tmp_path, capsys):
         # --mubs applies to the family state too, through the same resolver
@@ -904,6 +912,18 @@ class TestUsageErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mub", "verify"])
+    def test_huge_prime_d_exits_1_at_once(self, tmp_path, command):
+        # 10**18 + 3 is prime, and deciding so must not trial-divide up to 10**9:
+        # the set's allocation then fails at once; the timeout turns a hang into a failure
+        out = tmp_path / "out"
+        proc = _run_module([command, "--d", "1000000000000000003", "--m", "2", "--out", str(out)],
+                           env={"OPENBLAS_NUM_THREADS": "1"}, timeout=10)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
         assert not out.exists()
 
     def test_bad_seed_environment(self, monkeypatch, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from mubpurity import expsim
 from mubpurity.expsim import (
+    _PROBE,
     _SETTINGS,
     _SZ_PROBE_DIAG,
     DIM,
@@ -602,6 +603,25 @@ def _patch_reference_reads(monkeypatch, ideal, noisy):
     monkeypatch.setattr(expsim, "_read_panel", lambda rho, v: ideal if v is _noise_level(0.0)[0] else noisy)
 
 
+def _over_rotated_observables(eps, own_direction):
+    """The (8, 4, 4, 4, 4) V_s stack of the noiseless settings with the probe's two RY(+-pi/2) over-rotated by eps.
+
+    With ``own_direction`` each rotation turns eps further in its own
+    direction (pi/2 + eps, -pi/2 - eps); otherwise both angles shift by +eps.
+    """
+    stack = []
+    for axis, which in _SETTINGS.values():
+        gates = []
+        for gate in _setting_gates(axis, which, 0.0):
+            if gate[:2] == ("RY", _PROBE):
+                angle = gate[2]
+                gate = ("RY", _PROBE, angle + (math.copysign(eps, angle) if own_direction else eps))
+            gates.append(gate)
+        w = _pull_back(np.diag(_SZ_PROBE_DIAG).astype(complex), gates)
+        stack.append((w[: DIM // 2, : DIM // 2] - w[DIM // 2 :, DIM // 2 :]).reshape(4, 4, 4, 4))
+    return np.stack(stack)
+
+
 class TestNoiseAndRescaling:
     NOISE = NoiseModel(0.01)
 
@@ -700,6 +720,20 @@ class TestNoiseAndRescaling:
         rescaled = json.loads(out.read_text())["rescaled"]
         assert sorted(rescaled) == sorted(PANEL_FIELDS)
         assert all(abs(rescaled[name] - ideal.raw[name][-1]) <= 1e-12 for name in PANEL_FIELDS)
+
+    @pytest.mark.parametrize("own_direction", [True, False], ids=["each-own-direction", "both-plus"])
+    @pytest.mark.parametrize("eps", [0.01, 0.05])
+    def test_rescaling_misses_probe_over_rotation_by_eps_squared(self, eps, own_direction):
+        # rescaling is exact for probe depolarization only: an over-rotated probe pulse leaves a
+        # state-independent offset that no division by the reference's attenuation removes
+        alpha, x = np.meshgrid(np.linspace(0.0, np.pi / 2, 7), np.linspace(0.0, 1.0, 7))
+        rho, reference = _family_states(alpha.ravel(), x.ravel()), _family_states(np.pi / 2, 1.0)
+        ideal_observables, observables = _noise_level(0.0)[0], _over_rotated_observables(eps, own_direction)
+        ideal, measured = _read_panel(rho, ideal_observables), _read_panel(rho, observables)
+        ideal_ref, measured_ref = _read_panel(reference, ideal_observables), _read_panel(reference, observables)
+        error = max(np.abs(measured[name] / (measured_ref[name][0] / ideal_ref[name][0]) - ideal[name]).max()
+                    for name in PANEL_FIELDS)
+        assert 0.99 <= error / eps**2 <= 1.01
 
     def test_noiseless_factors_are_one(self):
         assert _noise_level(NoiseModel().p_depol)[1] == {name: 1.0 for name in PANEL_FIELDS}

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from mubpurity.mub import (
     MubSet,
     MubValidationError,
     MubValidationReport,
+    _is_prime,
     construct_mubs,
     load_mubs,
     save_mubs,
@@ -23,6 +25,23 @@ def test_is_prime():
         else:
             with pytest.raises(MubValidationError, match=f"d={d} is not prime"):
                 construct_mubs(d, 2)
+
+
+def test_primality_matches_trial_division():
+    # Miller-Rabin to the bases 2..37 against trial division by every smaller prime up to the square root
+    primes = []
+    for n in range(2, 200_000):
+        if all(n % p for p in itertools.takewhile(lambda p: p * p <= n, primes)):
+            primes.append(n)
+    assert [n for n in range(2, 200_000) if _is_prime(n)] == primes
+    assert _is_prime(10**18 + 3) and _is_prime(2**61 - 1)
+
+
+# strong pseudoprimes: 3215031751 passes the bases 2..7, 3825123056546413051 every prime base up to 31
+@pytest.mark.parametrize("d", [3215031751, 3825123056546413051])
+def test_construct_rejects_strong_pseudoprimes(d):
+    with pytest.raises(MubValidationError, match=f"^d={d} is not prime; basis sets are constructed for prime d only$"):
+        construct_mubs(d, 2)
 
 
 def test_d2_pauli_triple():
