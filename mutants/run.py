@@ -147,8 +147,8 @@ MUTANTS = (
            "29, 31, 37)", "29, 31)",
            ("tests/test_mub.py::test_construct_rejects_strong_pseudoprimes[3825123056546413051]",)),
     Mutant("cmd_verify prints the report before writing --out", CLI,
-           '    if ns.out:\n        Path(ns.out).write_text(text)\n    print(text, end="")\n',
-           '    print(text, end="")\n    if ns.out:\n        Path(ns.out).write_text(text)\n',
+           '    if ns.out is not None:\n        Path(ns.out).write_text(text)\n    print(text, end="")\n',
+           '    print(text, end="")\n    if ns.out is not None:\n        Path(ns.out).write_text(text)\n',
            ("tests/test_cli.py::TestVerifyCommand::test_unwritable_out_exits_1_before_the_report",)),
     # the one check rule and the one pair reader: each mutant names the one test that must kill it
     Mutant("lowest check compared with <=", RELATIONS,
@@ -199,6 +199,17 @@ MUTANTS = (
            '        if p > 0.0:\n            gates.append(("DEPOL", _PROBE, p))\n'
            '        gates.append(("CSWAP", _PROBE) + pair)\n',
            ("tests/test_expsim.py::TestObservables::test_noise_sites_follow_each_cswap",)),
+    # historical relation-layer bugs: each mutant names the one test that must kill it
+    Mutant("partial transpose of the other factor", LINALG,
+           "row = a.ndim - 2 + subsystem", "row = a.ndim - 1 - subsystem",
+           ("tests/test_linalg.py::TestPartialTranspose::test_entrywise_index_map",)),
+    Mutant("all trials read in one stack", RELATIONS,
+           "_CHUNK_BYTES = 1 << 18", "_CHUNK_BYTES = 1 << 60",
+           ("tests/test_relations.py::TestVerifyRelations::test_trial_memory_is_bounded[2]",)),
+    Mutant("gamma hermiticity line dropped", RELATIONS,
+           ',\n               _check("gamma hermiticity max deviation", skews, TOL_PSD, seeds=trial_seeds)]',
+           "]",
+           ("tests/test_relations.py::TestVerifyRelations::test_non_hermitian_gamma_fails_verification[3]",)),
 )
 
 

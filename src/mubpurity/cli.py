@@ -82,7 +82,7 @@ def _json_dumps(obj) -> str:
 
 def _emit(text: str, out: str | None, what: str) -> None:
     """Write ``text`` to ``out`` and say so, or print it when there is no ``out``."""
-    if out:
+    if out is not None:
         Path(out).write_text(text)
         print(f"wrote {what} to {out}")
     else:
@@ -120,7 +120,7 @@ def cmd_verify(ns) -> int:
     report = verify_relations(mubs, ns.d if ns.big_d is None else ns.big_d, ns.trials, seed)
     text = report.summary() + "\n"
     # written first, so an unwritable --out prints no report
-    if ns.out:
+    if ns.out is not None:
         Path(ns.out).write_text(text)
     print(text, end="")
     return 0 if report.passed else 2

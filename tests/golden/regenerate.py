@@ -57,7 +57,8 @@ CASES = {
     "verify-d23-m12-D2": _verify(23, 12, 2, 3),
     "relation-family": [["relation"], ["relation", "--alpha", "3pi/8", "--x", "0.6", "--m", "2", "--out", "relation.json"]],
     "relation-state": [["mub", "--d", "3", "--m", "3", "--out", "mubs.json"],
-                       ["relation", "--state", "state32.json", "--mubs", "mubs.json", "--out", "relation.json"]],
+                       ["relation", "--state", "state32.json", "--mubs", "mubs.json", "--out", "relation.json"],
+                       ["relation", "--state", "state32.json"]],
     "sweep-sim-csv": [["sweep", "--param", "alpha", "--fixed", "0.8", "--steps", "7", "--simulate", "--noise", "0.01",
                        "--out", "sweep.csv"]],
     "sweep-sim-json": [["sweep", "--param", "x", "--fixed", "pi/3", "--steps", "5", "--simulate", "--format", "json",

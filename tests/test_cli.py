@@ -209,6 +209,24 @@ def test_zero_m_exits_1_with_one_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["mub", "--d", "2"],
+    ["verify", "--d", "2", "--m", "3", "--trials", "1"],
+    ["relation"],
+    ["sweep", "--param", "x", "--steps", "2"],
+    ["expsim", "--alpha", "pi/2", "--x", "0.5"],
+], ids=lambda argv: argv[0])
+def test_empty_out_is_a_bad_path(tmp_path, capsys, monkeypatch, argv):
+    # '' names the working directory, not a missing --out: every command
+    # fails on it as on any unwritable path, and prints nothing
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: [Errno 21] Is a directory: '.'\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("load", [False, True])
 def test_mub_validates_the_set_once(tmp_path, capsys, monkeypatch, load):
     from mubpurity import cli, mub

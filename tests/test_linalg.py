@@ -159,6 +159,14 @@ class TestPartialTranspose:
             twice = partial_transpose(partial_transpose(m, (2, 3), sub), (2, 3), sub)
             assert np.array_equal(twice, m)
 
+    def test_entrywise_index_map(self):
+        # (i,j;k,l) -> (k,j;i,l) on the left factor and (i,l;k,j) on the right,
+        # at unequal factors, so a swap of the other factor's indices shows
+        m = _random_complex(_rng(9), 6)
+        t = m.reshape(2, 3, 2, 3)
+        for sub, axes in ((0, (2, 1, 0, 3)), (1, (0, 3, 2, 1))):
+            assert np.array_equal(partial_transpose(m, (2, 3), sub), t.transpose(axes).reshape(6, 6))
+
     def test_bell_negative_eigenvalue(self):
         pt = partial_transpose(BELL, (2, 2), subsystem=1)
         # entrywise oracle: (i,j;k,l) -> (i,l;k,j) turns the |00><11| corner
@@ -465,6 +473,7 @@ INTEGER_ENTRY_POINTS = {
     "MUB file M": (lambda v, tmp: load_mubs(_mub_file(tmp, M=v)), 4),
     "random_density dim": (lambda v, tmp: random_density(v, 2, 0), 4),
     "random_density rank": (lambda v, tmp: random_density(4, v, 0), 4),
+    "random_density seed": (lambda v, tmp: random_density(4, 2, v), 2),
     "construct_mubs d": (lambda v, tmp: construct_mubs(v, 3), 5),
     "construct_mubs M": (lambda v, tmp: construct_mubs(5, v), 3),
 }

@@ -3,7 +3,7 @@ import pytest
 
 from mubpurity.linalg import DensityMatrix, hermitian_eigenvalues
 from mubpurity.mub import construct_mubs
-from mubpurity.relations import relation_report
+from mubpurity.relations import relation_report, verify_relations
 from mubpurity.states import (
     _family_states,
     _random_density_stack,
@@ -116,6 +116,19 @@ class TestRandomDensity:
     def test_dims_must_multiply(self):
         with pytest.raises(ValueError):
             random_density(4, 4, 0, dims=(2, 3))
+
+    @pytest.mark.parametrize("seed,message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        (-1, "need seed >= 0, got -1"),
+    ])
+    def test_seed_refused_as_verify_relations_refuses_it(self, seed, message):
+        # one rule for a seed from outside; the integer-rule table of
+        # tests/test_linalg.py reads an integral float such as 2.0 as its int
+        for call in (lambda: random_density(4, 2, seed), lambda: verify_relations(construct_mubs(2, 3), 2, 1, seed)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestRandomDensityStack:
