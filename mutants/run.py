@@ -10,10 +10,22 @@ mutants' tests (test files, or the one test that must kill a mutant) first
 run once unmutated and must pass. Then, for each mutant, the script checks
 that its pattern occurs exactly once in its file, so code that moved fails
 loudly, writes the mutated file and runs the mutant's tests with ``pytest
--x -q -p no:cacheprovider`` on one BLAS thread. Only pytest's exit code 1,
-a failed test, kills the mutant; a collection error (2) or a pass (0) lets
-it survive. One line is printed per mutant, and the script exits 1 on any
-survivor. The script itself needs only the standard library.
+-x -q -p no:cacheprovider`` on one BLAS thread, hypothesis's plugin the
+one installed plugin loaded. Only pytest's exit code 1, a failed test,
+kills the mutant; a collection error (2) or a pass (0) lets it survive.
+One line is printed per mutant, naming the first failed test, and the
+script exits 1 on any survivor.
+
+The script imports numpy and pytest once, and each run, the unmutated one
+too, is a child forked from it: the child enters the copy, puts its ``src``
+first on ``sys.path`` and calls ``pytest.main``, whose exit code it exits
+with, and a small plugin sends back the first failed test. One child runs
+at a time. The parent never imports ``mubpurity``, so every child reads
+the copy as it is now, nor ``hypothesis``: a module that pytest is to
+rewrite must not be imported before pytest starts, or pytest warns, and
+the project's ``filterwarnings = error`` makes that a failure. Where
+``os.fork`` is missing, each child is this script started again with
+``--child``.
 """
 
 from __future__ import annotations
@@ -26,6 +38,15 @@ import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+
+# set before numpy loads, so the parent has no BLAS thread when it forks, and
+# inherited by every child; no bytecode: a mutant of the same size and second
+# as its original would leave a stale .pyc
+os.environ.update(OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+sys.dont_write_bytecode = True
+
+import numpy  # noqa: E402,F401  imported once, for every child
+import pytest  # noqa: E402
 
 
 class Mutant(NamedTuple):
@@ -150,6 +171,28 @@ MUTANTS = (
            '    if ns.out is not None:\n        Path(ns.out).write_text(text)\n    print(text, end="")\n',
            '    print(text, end="")\n    if ns.out is not None:\n        Path(ns.out).write_text(text)\n',
            ("tests/test_cli.py::TestVerifyCommand::test_unwritable_out_exits_1_before_the_report",)),
+    # one presence rule for every path flag: '' is a path that cannot be read, not a missing flag
+    Mutant("an empty --load or --mubs read as no flag", CLI,
+           "if path is not None:", "if path:",
+           ("tests/test_cli.py::test_empty_input_path_is_a_bad_path[mub-load]",)),
+    Mutant("an empty --state read as no flag", CLI,
+           "if ns.state is not None:", "if ns.state:",
+           ("tests/test_cli.py::test_empty_input_path_is_a_bad_path[relation-state]",)),
+    # input checks that no test reached: each mutant lets the bad input past, and names the one test that must kill it
+    Mutant("sweep accepts a single step", CLI,
+           "if ns.steps < 2:", "if ns.steps < 1:",
+           ("tests/test_cli.py::TestSweepCommand::test_steps_below_two_exit_1[1]",)),
+    # subsystem -1 swaps a valid pair of axes and returns a matrix
+    Mutant("partial_transpose accepts a negative subsystem", LINALG,
+           "if subsystem not in (0, 1):", "if subsystem > 1:",
+           ("tests/test_linalg.py::TestPartialTranspose::test_subsystem_out_of_range[-1]",)),
+    Mutant("state reader lets a JSON list raise TypeError", LINALG,
+           "    except TypeError:\n        raise ValueError(f\"expected a density matrix object",
+           "    except ZeroDivisionError:\n        raise ValueError(f\"expected a density matrix object",
+           ("tests/test_cli.py::TestRelationCommand::test_state_file_not_an_object_exits_1[list]",)),
+    Mutant("MubSet accepts non-square bases", MUB,
+           "if a.ndim != 3 or a.shape[1] != a.shape[2]:", "if a.ndim != 3:",
+           ("tests/test_mub.py::test_structural_rejects_non_square_stacks[non-square]",)),
     # the one check rule and the one pair reader: each mutant names the one test that must kill it
     Mutant("lowest check compared with <=", RELATIONS,
            "value >= bound if lowest else value <= bound", "value <= bound if lowest else value <= bound",
@@ -213,28 +256,71 @@ MUTANTS = (
 )
 
 
-def _pytest(work: Path, tests, env: dict) -> tuple[int, str]:
-    """pytest's exit code, and the id of the first test that failed ("" if none did)."""
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    proc = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
-    failed = [line.split(" - ")[0].split(" ", 1)[1] for line in proc.stdout.splitlines()
-              if line.startswith(("FAILED ", "ERROR "))]
-    return proc.returncode, failed[0] if failed else ""
+class _FirstFailure:
+    """pytest plugin: the node id of the first failed test, or of a collector that failed."""
+
+    nodeid = ""
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed and not self.nodeid:
+            self.nodeid = report.nodeid
+
+    pytest_collectreport = pytest_runtest_logreport
+
+
+def _child(work: Path, tests, result: int) -> None:
+    """Run ``tests`` in the copy ``work``, write the first failed node id to the fd ``result``, exit with pytest's code."""
+    code = 3  # pytest's internal-error code, should anything here raise
+    try:
+        os.chdir(work)
+        src = str(work / "src")
+        sys.path.insert(0, src)
+        os.environ["PYTHONPATH"] = src  # for the interpreters the tests start
+        quiet = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(quiet, 1)
+        os.dup2(quiet, 2)
+        # of the installed plugins only hypothesis's, by name: pytest then rewrites the asserts of that one
+        # module, not of every module of every plugin's distribution, which without bytecode it redoes each run
+        os.environ["PYTEST_DISABLE_PLUGIN_AUTOLOAD"] = "1"
+        first = _FirstFailure()
+        code = pytest.main(["-x", "-q", "-p", "no:cacheprovider", "-p", "_hypothesis_pytestplugin", *tests],
+                           plugins=[first])
+        os.write(result, first.nodeid.encode())
+    finally:
+        os._exit(int(code))
+
+
+def _forked(work: Path, tests) -> tuple[int, str]:
+    """pytest's exit code on ``tests``, and the id of the first test that failed ("" if none did)."""
+    read, write = os.pipe()
+    sys.stdout.flush()  # else the child inherits, and may write, the lines not yet flushed
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        _child(work, tests, write)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        nodeid = pipe.read().decode()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), nodeid
+
+
+def _started(work: Path, tests) -> tuple[int, str]:
+    """As :func:`_forked`, in a new interpreter running this script with ``--child``."""
+    proc = subprocess.run([sys.executable, __file__, "--child", str(work), *tests], stdout=subprocess.PIPE, text=True)
+    return proc.returncode, proc.stdout
 
 
 def main() -> int:
     root = Path(__file__).resolve().parents[1]
+    run = _forked if hasattr(os, "fork") else _started
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(root / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(root / "pyproject.toml", work)
-        # no bytecode: a mutant of the same size and second as its original would leave a stale .pyc
-        env = {**os.environ, "PYTHONPATH": str(work / "src"), "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONDONTWRITEBYTECODE": "1"}
         files = sorted({test for mutant in MUTANTS for test in mutant.tests})
-        code, _ = _pytest(work, files, env)
+        code, _ = run(work, files)
         if code != 0:
             print(f"unmutated tests fail (pytest exit {code}): {' '.join(files)}")
             return 1
@@ -249,7 +335,7 @@ def main() -> int:
             path.write_text(original.replace(mutant.pattern, mutant.replacement))
             start = time.perf_counter()
             try:
-                code, killer = _pytest(work, mutant.tests, env)
+                code, killer = run(work, mutant.tests)
             finally:
                 path.write_text(original)
             killed = code == 1
@@ -261,4 +347,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        # the result goes to stdout as it was at start; pytest's own output goes nowhere
+        _child(Path(sys.argv[2]), sys.argv[3:], os.dup(1))
     sys.exit(main())

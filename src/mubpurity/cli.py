@@ -95,7 +95,7 @@ def _basis_set(d: int, m: int | None, path: str | None) -> MubSet:
     A loaded set must hold m bases unless m is None, a usage error naming
     ``--m`` otherwise; ``construct_mubs`` decides which (d, m) can be built.
     """
-    if path:
+    if path is not None:
         mubs = load_mubs(path)
         if m is not None and m != mubs.M:
             raise ValueError(f"--m {m} does not match the {mubs.M} bases in {path}")
@@ -127,7 +127,7 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_relation(ns) -> int:
-    if ns.state:
+    if ns.state is not None:
         for flag, value in (("--alpha", ns.alpha), ("--x", ns.x)):
             if value is not None:
                 raise ValueError(f"{flag} sets the family state and does not apply to --state")

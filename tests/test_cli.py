@@ -227,6 +227,22 @@ def test_empty_out_is_a_bad_path(tmp_path, capsys, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,code,what", [
+    pytest.param(["relation", "--state", ""], 1, "state", id="relation-state"),
+    pytest.param(["relation", "--mubs", ""], 2, "basis set", id="relation-mubs"),
+    pytest.param(["mub", "--d", "3", "--load", "", "--out", "o.json"], 2, "basis set", id="mub-load"),
+])
+def test_empty_input_path_is_a_bad_path(tmp_path, capsys, monkeypatch, argv, code, what):
+    # '' names the working directory, not a missing --load, --mubs or --state:
+    # it is read, and fails, as any unreadable path does
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot read {what} from : [Errno 21] Is a directory: '.'\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("load", [False, True])
 def test_mub_validates_the_set_once(tmp_path, capsys, monkeypatch, load):
     from mubpurity import cli, mub
@@ -503,6 +519,15 @@ class TestRelationCommand:
         assert loaded.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [[], "state"], ids=["list", "str"])
+    def test_state_file_not_an_object_exits_1(self, tmp_path, capsys, value):
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps(value))
+        assert main(["relation", "--state", str(state_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: expected a density matrix object, got {type(value).__name__}\n"
+        assert captured.out == ""
+
     def test_family_state_reads_mubs_file(self, tmp_path, capsys):
         # --mubs applies to the family state too, through the same resolver
         assert main(["relation", "--mubs", str(tmp_path / "missing.json")]) == 2
@@ -773,6 +798,13 @@ class TestSweepCommand:
         out = tmp_path / "missing" / "s.csv"
         assert main(["sweep", "--param", "x", "--steps", "3", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+    @pytest.mark.parametrize("steps", ["1", "0"])
+    def test_steps_below_two_exit_1(self, tmp_path, capsys, steps):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--param", "x", "--steps", steps, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: steps must be at least 2\n"
+        assert not out.exists()
 
     def test_empty_range_exits_1(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -195,6 +195,12 @@ class TestPartialTranspose:
         with pytest.raises(ValueError):
             partial_transpose(np.eye(5), (2, 2), subsystem=1)
 
+    @pytest.mark.parametrize("subsystem", [2, -1])
+    def test_subsystem_out_of_range(self, subsystem):
+        # -1 would otherwise swap a valid pair of axes and return a matrix
+        with pytest.raises(ValueError, match="subsystem must be 0 or 1"):
+            partial_transpose(np.eye(4), (2, 2), subsystem=subsystem)
+
     def test_stack_matches_single(self):
         rng = _rng(8)
         stack = np.array([[_random_complex(rng, 6) for _ in range(3)] for _ in range(2)])

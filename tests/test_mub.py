@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,12 @@ def test_labels_and_vector_access():
     s = np.arange(3)
     expected = np.exp(2j * np.pi / 3 * ((s * s + s) % 3)) / np.sqrt(3)
     assert np.abs(mubs.bases[2, 1] - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 3), (2, 4)], ids=["non-square", "two-axes"])
+def test_structural_rejects_non_square_stacks(shape):
+    with pytest.raises(ValueError, match=re.escape(f"bases must have shape (M, d, d), got {shape}")):
+        MubSet(np.ones(shape))
 
 
 def test_structural_rejects_bad_m():
