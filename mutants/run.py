@@ -23,16 +23,14 @@ with, and a small plugin sends back the first failed test. One child runs
 at a time. The parent never imports ``mubpurity``, so every child reads
 the copy as it is now, nor ``hypothesis``: a module that pytest is to
 rewrite must not be imported before pytest starts, or pytest warns, and
-the project's ``filterwarnings = error`` makes that a failure. Where
-``os.fork`` is missing, each child is this script started again with
-``--child``.
+the project's ``filterwarnings = error`` makes that a failure. The script
+needs ``os.fork``, so a POSIX system.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
@@ -304,15 +302,8 @@ def _forked(work: Path, tests) -> tuple[int, str]:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), nodeid
 
 
-def _started(work: Path, tests) -> tuple[int, str]:
-    """As :func:`_forked`, in a new interpreter running this script with ``--child``."""
-    proc = subprocess.run([sys.executable, __file__, "--child", str(work), *tests], stdout=subprocess.PIPE, text=True)
-    return proc.returncode, proc.stdout
-
-
 def main() -> int:
     root = Path(__file__).resolve().parents[1]
-    run = _forked if hasattr(os, "fork") else _started
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -320,7 +311,7 @@ def main() -> int:
             shutil.copytree(root / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(root / "pyproject.toml", work)
         files = sorted({test for mutant in MUTANTS for test in mutant.tests})
-        code, _ = run(work, files)
+        code, _ = _forked(work, files)
         if code != 0:
             print(f"unmutated tests fail (pytest exit {code}): {' '.join(files)}")
             return 1
@@ -335,7 +326,7 @@ def main() -> int:
             path.write_text(original.replace(mutant.pattern, mutant.replacement))
             start = time.perf_counter()
             try:
-                code, killer = run(work, mutant.tests)
+                code, killer = _forked(work, mutant.tests)
             finally:
                 path.write_text(original)
             killed = code == 1
@@ -347,7 +338,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--child"]:
-        # the result goes to stdout as it was at start; pytest's own output goes nowhere
-        _child(Path(sys.argv[2]), sys.argv[3:], os.dup(1))
     sys.exit(main())
