@@ -22,10 +22,12 @@ import numpy as np
 from .tolerances import TOL_PSD, TOL_STRUCTURAL
 
 
-def _as_int(name: str, value) -> int:
-    """``value`` as an int if it is a real number of integral value (4 or 4.0, not True); ValueError otherwise."""
+def _as_int(name: str, value, low: int | None = None) -> int:
+    """``value`` as an int if it is a real number of integral value (4 or 4.0, not True) not below ``low``; else ValueError."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if isinstance(value, numbers.Integral) or float(value).is_integer():
+            if low is not None and value < low:
+                raise ValueError(f"need {name} >= {low}, got {int(value)}")
             return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
@@ -116,11 +118,12 @@ def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:
     is an entrywise permutation, hence an exact involution.
     """
     a = _as_stack(m)
-    if len(dims) != 2:
-        raise ValueError(f"expected two factors, got dims {tuple(dims)}")
+    if np.shape(dims) != (2,):
+        raise ValueError(f"expected two factors, got dims {dims!r}")
     d1, d2 = (_as_int("dims", d) for d in dims)
     if a.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"matrix shape {a.shape} does not match dims ({d1}, {d2})")
+    subsystem = _as_int("subsystem", subsystem)
     if subsystem not in (0, 1):
         raise ValueError("subsystem must be 0 or 1")
     # swap the row and the column index of the chosen factor

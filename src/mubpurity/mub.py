@@ -28,6 +28,14 @@ class MubValidationError(ValueError):
         self.report = report
 
 
+def _check_sizes(d: int, m: int) -> None:
+    """The one rule for a basis set's (d, M): ValueError unless d >= 2, then unless 2 <= M <= d+1."""
+    if d < 2:
+        raise ValueError(f"need d >= 2, got d={d}")
+    if not 2 <= m <= d + 1:
+        raise ValueError(f"need 2 <= M <= d+1, got M={m}, d={d}")
+
+
 @dataclass(frozen=True, eq=False)
 class MubSet:
     """M orthonormal bases of a d-dimensional space.
@@ -51,11 +59,7 @@ class MubSet:
             raise ValueError(f"bases must have shape (M, d, d), got {a.shape}")
         if not np.isfinite(a).all():
             raise ValueError("basis amplitudes must be finite")
-        m, d = a.shape[0], a.shape[1]
-        if d < 2:
-            raise ValueError(f"need d >= 2, got d={d}")
-        if not 2 <= m <= d + 1:
-            raise ValueError(f"need 2 <= M <= d+1, got M={m}, d={d}")
+        _check_sizes(d=a.shape[1], m=a.shape[0])
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "bases", a)
@@ -145,12 +149,9 @@ def construct_mubs(d: int, M: int) -> MubSet:
     every vector is real and positive (1, or 1/sqrt(d)): no phase needs fixing.
     """
     d, M = _as_int("d", d), _as_int("M", M)
-    if d < 2:
-        raise ValueError(f"need d >= 2, got d={d}")
-    if not _is_prime(d):
+    if d >= 2 and not _is_prime(d):  # a d below 2 gets the size rule's first message
         raise MubValidationError(f"d={d} is not prime; basis sets are constructed for prime d only")
-    if not 2 <= M <= d + 1:
-        raise ValueError(f"need 2 <= M <= d+1, got M={M}, d={d}")
+    _check_sizes(d, M)
     if d == 2:
         s = 1.0 / np.sqrt(2.0)
         rest = np.array([[[s, s], [s, -s]], [[s, 1j * s], [s, -1j * s]]], dtype=complex)[: M - 1]

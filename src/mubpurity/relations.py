@@ -419,10 +419,7 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
     seed of ``SeedSequence(seed)``; the checks are those of the module
     docstring, and a state check reports its first worst trial.
     """
-    big_d, trials, seed = (_as_int(name, v) for name, v in (("big_d", big_d), ("trials", trials), ("seed", seed)))
-    for name, value, low in (("big_d", big_d, 1), ("trials", trials, 1), ("seed", seed, 0)):
-        if value < low:
-            raise ValueError(f"need {name} >= {low}, got {value}")
+    big_d, trials, seed = _as_int("big_d", big_d, 1), _as_int("trials", trials, 1), _as_int("seed", seed, 0)
     d, m = mubs.d, mubs.M
     basis = build_bipartite_basis(mubs)
     checks = [_check("pt identities max deviation", check_pt_identities(basis).max_deviation, TOL_STRUCTURAL)]

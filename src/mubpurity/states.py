@@ -79,9 +79,7 @@ def random_density(dim: int, rank: int, seed, dims=None) -> DensityMatrix:
     seed >= 0. ``dims`` optionally labels a tensor factorization; it must
     multiply to ``dim`` and defaults to the single factor ``(dim,)``.
     """
-    dim, rank, seed = _as_int("dim", dim), _as_int("rank", rank), _as_int("seed", seed)
+    dim, rank, seed = _as_int("dim", dim), _as_int("rank", rank), _as_int("seed", seed, 0)
     if not 1 <= rank <= dim:
         raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    if seed < 0:
-        raise ValueError(f"need seed >= 0, got {seed}")
     return DensityMatrix(_random_density_stack(dim, (rank,), (seed,))[0], (dim,) if dims is None else dims)

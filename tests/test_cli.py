@@ -121,7 +121,7 @@ class TestMubCommand:
 
     def test_m_out_of_range_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.json"
-        for m in ("9", "1"):
+        for m in ("9", "1", "5"):
             assert main(["mub", "--d", "3", "--m", m, "--out", str(out)]) == 1
             # the library's message
             assert capsys.readouterr().err == f"error: need 2 <= M <= d+1, got M={m}, d=3\n"

@@ -20,9 +20,14 @@ A Hermitian J with J^2 = J has its spectrum in {0, 1}. So the exact
 tr J = (d-1)(d+1-M) proves J >= 0 for M <= d, hence gamma(rho) >= 0 for
 every state and every D by Choi's theorem, and J = 0 at M = d + 1, where
 the relation holds with equality. The library's floating-point J is then
-compared with the exact one. The file shares no code with the library's
-kernel or with tests/test_weyl.py. d = 11 is left out: its idempotence
-product alone takes about 11 s.
+compared with the exact one. J also equals, exactly, the projector
+P = I - sum_v |v><v| onto the complement of the constructed states: phi
+and the twists k = 1..d-1 of every basis t,
+v_{t,k} = d^(-1/2) sum_i omega^(k i) |i_t>|i_t*>, omega = exp(2 pi i / d).
+Each entry of d^(3/2) v is a sum of roots of unity, so d^3 P is held as
+d^2 J is. The file shares no code with the library's kernel or with
+tests/test_weyl.py. d = 11 is left out: its idempotence product alone
+takes about 11 s.
 """
 
 import numpy as np
@@ -59,6 +64,26 @@ def _exact_choi(d, m):
     return j.reshape(d * d, d * d, n)
 
 
+def _exact_projector(d, m):
+    """d^3 P as an int64 (d^2, d^2, N) coefficient array in the layout of :func:`_exact_choi`."""
+    n = 4 if d == 2 else d
+    w = n // d  # omega = zeta^w
+    # u[a, c, state] = d^(3/2) v[(a, c)] = d sum_i omega^(k i) <a|i_t> <i_t|c>, phi the first state
+    u = np.zeros((d, d, 1 + m * (d - 1), n), dtype=np.int64)
+    i = np.arange(d)
+    for k in range(d):  # basis 1: d omega^(k a) on a = c; k = 0 is phi
+        np.add.at(u, (i, i, k, w * k * i % n), d)
+    ex = _exponents(d, m)
+    i, a, c = np.ogrid[:d, :d, :d]
+    for t in range(m - 1):  # basis t + 2: sum_i omega^(k i) zeta^(e_ia - e_ic), as its amplitudes are zeta^e / sqrt(d)
+        for k in range(1, d):
+            np.add.at(u, (a, c, d + t * (d - 1) + k - 1, (w * k * i + ex[t, i, a] - ex[t, i, c]) % n), 1)
+    u = u.reshape(d * d, -1, n)
+    p = -_product(u, _conj(u).swapaxes(0, 1))
+    p[np.arange(d * d), np.arange(d * d), 0] += d**3
+    return p
+
+
 def _product(x, y):
     """The matrix product of two coefficient arrays (p, q, N) and (q, r, N) in Z[zeta_N]."""
     n = x.shape[-1]
@@ -88,6 +113,12 @@ def test_choi_matrix_is_exactly_a_projector_of_the_stated_trace(d, m):
     assert _is_zero(trace)
     if m == d + 1:
         assert _is_zero(j).all()
+
+
+@pytest.mark.parametrize("d,m", CASES)
+def test_choi_matrix_is_exactly_the_complement_projector(d, m):
+    # d (d^2 J) - d^3 P
+    assert _is_zero(d * _exact_choi(d, m) - _exact_projector(d, m)).all()
 
 
 @pytest.mark.parametrize("d,m", CASES)

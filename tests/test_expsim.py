@@ -725,7 +725,10 @@ class TestNoiseAndRescaling:
     @pytest.mark.parametrize("eps", [0.01, 0.05])
     def test_rescaling_misses_probe_over_rotation_by_eps_squared(self, eps, own_direction):
         # rescaling is exact for probe depolarization only: an over-rotated probe pulse leaves a
-        # state-independent offset that no division by the reference's attenuation removes
+        # state-independent offset that no division by the reference's attenuation removes.
+        # Probe angles pi/2 + e1 and -pi/2 + e2 read a P + b, a = cos e1 cos e2, b = -sin e1 sin e2,
+        # so rescaling by the reference misses by b (P_ref - P) / (a P_ref + b), largest on the grid
+        # at P_ref = 1/2, |P_ref - P| = 1/2: sin^2 eps / (cos^2 eps -+ 2 sin^2 eps), - for both-plus
         alpha, x = np.meshgrid(np.linspace(0.0, np.pi / 2, 7), np.linspace(0.0, 1.0, 7))
         rho, reference = _family_states(alpha.ravel(), x.ravel()), _family_states(np.pi / 2, 1.0)
         ideal_observables, observables = _noise_level(0.0)[0], _over_rotated_observables(eps, own_direction)
@@ -733,7 +736,9 @@ class TestNoiseAndRescaling:
         ideal_ref, measured_ref = _read_panel(reference, ideal_observables), _read_panel(reference, observables)
         error = max(np.abs(measured[name] / (measured_ref[name][0] / ideal_ref[name][0]) - ideal[name]).max()
                     for name in PANEL_FIELDS)
-        assert 0.99 <= error / eps**2 <= 1.01
+        sin2, cos2 = math.sin(eps) ** 2, math.cos(eps) ** 2
+        exact = sin2 / (cos2 + 2 * sin2 if own_direction else cos2 - 2 * sin2)
+        assert abs(error - exact) <= 1e-10 * exact
 
     def test_noiseless_factors_are_one(self):
         assert _noise_level(NoiseModel().p_depol)[1] == {name: 1.0 for name in PANEL_FIELDS}

@@ -145,7 +145,7 @@ class TestPartialTrace:
                 assert np.array_equal(out[row], _tr_a(m, dims))
 
 
-@pytest.mark.parametrize("dims", [(4,), (2, 2, 1)])
+@pytest.mark.parametrize("dims", [(4,), (2, 2, 1), 4, None])
 def test_two_factor_operators_reject_other_factor_counts(dims):
     with pytest.raises(ValueError, match=r"expected two factors, got dims"):
         partial_transpose(np.eye(4) / 4, dims, 1)
@@ -482,6 +482,8 @@ INTEGER_ENTRY_POINTS = {
     "random_density seed": (lambda v, tmp: random_density(4, 2, v), 2),
     "construct_mubs d": (lambda v, tmp: construct_mubs(v, 3), 5),
     "construct_mubs M": (lambda v, tmp: construct_mubs(5, v), 3),
+    "partial_transpose subsystem": (lambda v, tmp: partial_transpose(np.eye(4) / 4, (2, 2), v), 1),
+    "partial_transpose dims": (lambda v, tmp: partial_transpose(np.eye(4) / 4, (v, 2), 1), 2),
 }
 
 
