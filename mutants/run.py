@@ -173,7 +173,7 @@ MUTANTS = (
            "tests/test_cli.py::test_empty_input_path_is_a_bad_path[relation-state]"),
     # input checks that no test reached: each mutant lets the bad input past
     Mutant("sweep accepts a single step", CLI,
-           "if ns.steps < 2:", "if ns.steps < 1:",
+           '_as_int("steps", ns.steps, 2)', '_as_int("steps", ns.steps, 1)',
            "tests/test_cli.py::TestSweepCommand::test_steps_below_two_exit_1[1]"),
     # subsystem -1 swaps a valid pair of axes and returns a matrix
     Mutant("partial_transpose accepts a negative subsystem", LINALG,
@@ -219,7 +219,7 @@ MUTANTS = (
            "if not start < stop:", "if not start <= stop:",
            "tests/test_cli.py::TestSweepCommand::test_empty_range_exits_1"),
     Mutant("state reader refuses rows = cols = 1", LINALG,
-           "if size < 1:", "if size <= 1:",
+           '_as_int("rows", rows, 1)', '_as_int("rows", rows, 2)',
            "tests/test_cli.py::TestRelationCommand::test_state_dims_decide_the_exit[one-by-one]"),
     # historical simulator bugs
     Mutant("panel read with optimize=True, which reorders the sums", EXPSIM,
@@ -256,6 +256,13 @@ MUTANTS = (
     Mutant("partial_transpose reads subsystem without the integer rule", LINALG,
            '    subsystem = _as_int("subsystem", subsystem)\n', "",
            "tests/test_linalg.py::test_integer_rule_rejects_non_integers[True-partial_transpose subsystem]"),
+    # dims (-2, -2) ended in numpy's reshape error, and an empty matrix in its reduction error
+    Mutant("partial_transpose reads dims without the floor", LINALG,
+           '_as_int("dims", d, 1)', '_as_int("dims", d)',
+           "tests/test_linalg.py::test_integer_rule_refuses_below_the_floor[partial_transpose dims]"),
+    Mutant("_as_stack accepts a zero-size array", LINALG,
+           "if a.ndim < 2 or a.size == 0:", "if a.ndim < 2:",
+           "tests/test_linalg.py::test_empty_arrays_refused[hermitian_eigenvalues-shape0]"),
 )
 
 
@@ -316,9 +323,9 @@ def main() -> int:
             shutil.copytree(root / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(root / "pyproject.toml", work)
         tests = sorted({mutant.test for mutant in MUTANTS})
-        code, _ = _forked(work, tests)
+        code, first = _forked(work, tests)
         if code != 0:
-            print(f"unmutated tests fail (pytest exit {code}): {' '.join(tests)}")
+            print(f"unmutated tests fail (pytest exit {code}): {first or 'no test failed'}")
             return 1
         for mutant in MUTANTS:
             path = work / mutant.path

@@ -31,7 +31,7 @@ from .expsim import (
     _panel,
     run_protocol,
 )
-from .linalg import _float_reprs, _read_json, density_from_json
+from .linalg import _as_int, _float_reprs, _read_json, density_from_json
 from .mub import (
     PAULI_AXIS_LABELS,
     MubSet,
@@ -164,8 +164,7 @@ def _sweep_columns(ns) -> dict[str, np.ndarray]:
     start = 0.0 if ns.start is None else ns.start
     stop = ns.stop if ns.stop is not None else (math.pi / 2 if ns.param == "alpha" else 1.0)
     fixed = ns.fixed if ns.fixed is not None else (1.0 if ns.param == "alpha" else math.pi / 2)
-    if ns.steps < 2:
-        raise ValueError("steps must be at least 2")
+    _as_int("steps", ns.steps, 2)
     for flag, bound in (("--from", start), ("--to", stop)):
         if not math.isfinite(bound):
             raise ValueError(f"{flag} must be finite, got {bound!r}")

@@ -79,9 +79,9 @@ def _float_reprs(a: np.ndarray) -> np.ndarray:
 
 
 def _as_stack(m) -> np.ndarray:
-    """Coerce ``m`` to a finite complex array of one matrix or a (..., n, n) stack."""
+    """Coerce ``m`` to a finite complex array of one matrix or a (..., n, n) stack, not empty."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim < 2:
+    if a.ndim < 2 or a.size == 0:
         raise ValueError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
@@ -120,7 +120,7 @@ def partial_transpose(m, dims: Sequence[int], subsystem: int) -> np.ndarray:
     a = _as_stack(m)
     if np.shape(dims) != (2,):
         raise ValueError(f"expected two factors, got dims {dims!r}")
-    d1, d2 = (_as_int("dims", d) for d in dims)
+    d1, d2 = (_as_int("dims", d, 1) for d in dims)
     if a.shape[-2:] != (d1 * d2, d1 * d2):
         raise ValueError(f"matrix shape {a.shape} does not match dims ({d1}, {d2})")
     subsystem = _as_int("subsystem", subsystem)
@@ -186,12 +186,12 @@ class DensityMatrix:
     def __post_init__(self):
         a = _as_stack(self.matrix)
         try:
-            dims = tuple(_as_int(f"dims[{k}]", d) for k, d in enumerate(self.dims))
+            dims = tuple(_as_int(f"dims[{k}]", d, 1) for k, d in enumerate(self.dims))
         except TypeError:
             raise ValueError(f"dims must be a sequence of integers, got {self.dims!r}") from None
+        if not dims:
+            raise ValueError("invalid dims ()")
         total = math.prod(dims)
-        if min(dims, default=0) < 1:
-            raise ValueError(f"invalid dims {dims}")
         if a.shape != (total, total):
             raise ValueError(f"matrix shape {a.shape} does not match dims {dims}")
         if _hermiticity_defects(a) > TOL_STRUCTURAL:
@@ -232,8 +232,5 @@ def density_from_json(obj: dict) -> DensityMatrix:
         raise ValueError(f"density matrix object must carry {exc}") from None
     except TypeError:
         raise ValueError(f"expected a density matrix object, got {type(obj).__name__}") from None
-    rows, cols = _as_int("rows", rows), _as_int("cols", cols)
-    for name, size in (("rows", rows), ("cols", cols)):
-        if size < 1:
-            raise ValueError(f"{name} must be at least 1, got {size}")
+    rows, cols = _as_int("rows", rows, 1), _as_int("cols", cols, 1)
     return DensityMatrix(_from_pairs(data, (rows * cols,)).reshape(rows, cols), dims)

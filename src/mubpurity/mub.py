@@ -30,8 +30,7 @@ class MubValidationError(ValueError):
 
 def _check_sizes(d: int, m: int) -> None:
     """The one rule for a basis set's (d, M): ValueError unless d >= 2, then unless 2 <= M <= d+1."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got d={d}")
+    _as_int("d", d, 2)
     if not 2 <= m <= d + 1:
         raise ValueError(f"need 2 <= M <= d+1, got M={m}, d={d}")
 

@@ -75,11 +75,11 @@ def _random_density_stack(dim: int, ranks, seeds) -> np.ndarray:
 def random_density(dim: int, rank: int, seed, dims=None) -> DensityMatrix:
     """Seeded random density matrix of the given rank: the Ginibre state of :func:`_random_density_stack`.
 
-    ``dim``, ``rank`` and ``seed`` are integers with 1 <= rank <= dim and
+    ``dim``, ``rank`` and ``seed`` are integers, with rank from 1 to dim and
     seed >= 0. ``dims`` optionally labels a tensor factorization; it must
     multiply to ``dim`` and defaults to the single factor ``(dim,)``.
     """
-    dim, rank, seed = _as_int("dim", dim), _as_int("rank", rank), _as_int("seed", seed, 0)
-    if not 1 <= rank <= dim:
-        raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
+    dim, rank, seed = _as_int("dim", dim, 1), _as_int("rank", rank, 1), _as_int("seed", seed, 0)
+    if rank > dim:
+        raise ValueError(f"need rank <= dim, got rank={rank}, dim={dim}")
     return DensityMatrix(_random_density_stack(dim, (rank,), (seed,))[0], (dim,) if dims is None else dims)

@@ -74,7 +74,7 @@ class TestMubCommand:
     @pytest.mark.parametrize("d", ["1", "0", "-3"])
     def test_d_below_two_exits_1(self, tmp_path, capsys, d):
         assert main(["mub", "--d", d, "--out", str(tmp_path / "m.json")]) == 1
-        assert capsys.readouterr().err == f"error: need d >= 2, got d={d}\n"
+        assert capsys.readouterr().err == f"error: need d >= 2, got {d}\n"
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("kind,message", [
@@ -336,7 +336,7 @@ class TestVerifyCommand:
     def test_d_below_two_exits_1(self, capsys, d):
         assert main(["verify", "--d", d, "--m", "2", "--trials", "1"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: need d >= 2, got d={d}\n"
+        assert captured.err == f"error: need d >= 2, got {d}\n"
         assert "all checks passed" not in captured.out
 
     def test_zero_big_d_exits_1(self, capsys):
@@ -470,7 +470,7 @@ class TestRelationCommand:
         state_path.write_text(json.dumps(density_to_json(random_density(2, 2, 0, dims=(1, 2)))))
         assert main(["relation", "--state", str(state_path)]) == 1
         # the A side is the d of construct_mubs
-        assert capsys.readouterr().err == "error: need d >= 2, got d=1\n"
+        assert capsys.readouterr().err == "error: need d >= 2, got 1\n"
 
     @pytest.mark.parametrize("dims,code,message", [
         ((4,), 1, "expected a bipartite state, got dims (4,)"),
@@ -803,7 +803,7 @@ class TestSweepCommand:
     def test_steps_below_two_exit_1(self, tmp_path, capsys, steps):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--param", "x", "--steps", steps, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: steps must be at least 2\n"
+        assert capsys.readouterr().err == f"error: need steps >= 2, got {steps}\n"
         assert not out.exists()
 
     def test_empty_range_exits_1(self, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import json
+import re
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from mubpurity.linalg import (
     partial_transpose,
 )
 from mubpurity.mub import MubSet, construct_mubs, load_mubs, save_mubs
+from mubpurity.relations import VerificationReport, verify_relations
 from mubpurity.states import random_density
 from mubpurity.tolerances import TOL_PSD
 
@@ -149,6 +152,18 @@ class TestPartialTrace:
 def test_two_factor_operators_reject_other_factor_counts(dims):
     with pytest.raises(ValueError, match=r"expected two factors, got dims"):
         partial_transpose(np.eye(4) / 4, dims, 1)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 2, 2), (3, 0, 0)])
+@pytest.mark.parametrize("read", [
+    hermitian_eigenvalues,
+    lambda m: partial_transpose(m, (2, 1), 0),
+    lambda m: DensityMatrix(m, (2,)),
+], ids=["hermitian_eigenvalues", "partial_transpose", "DensityMatrix"])
+def test_empty_arrays_refused(read, shape):
+    # no empty matrix reaches a numpy reduction, and no empty stack passes through
+    with pytest.raises(ValueError, match=rf"^expected a matrix or a stack of matrices, got shape {re.escape(str(shape))}$"):
+        read(np.zeros(shape))
 
 
 class TestPartialTranspose:
@@ -399,7 +414,7 @@ class TestJson:
         # when their product matches it
         four = density_to_json(DensityMatrix(np.eye(4) / 4, (4,)))
         for rows, cols, name, value in ((-4, -4, "rows", -4), (-2, -8, "rows", -2), (4, 0, "cols", 0)):
-            with pytest.raises(ValueError, match=rf"^{name} must be at least 1, got {value}$"):
+            with pytest.raises(ValueError, match=rf"^need {name} >= 1, got {value}$"):
                 density_from_json(four | {"rows": rows, "cols": cols})
 
 
@@ -462,6 +477,8 @@ def _mub_file(tmp_path, **fields):
 
 
 def _content(result):
+    if isinstance(result, VerificationReport):
+        return result.summary()
     if isinstance(result, DensityMatrix):
         return result.matrix.tobytes(), result.dims, [type(d) for d in result.dims]
     if isinstance(result, MubSet):
@@ -469,33 +486,53 @@ def _content(result):
     return result.tobytes()
 
 
-# Every entry point that reads a count from outside, with an integral value it accepts.
+class Count(NamedTuple):
+    name: str  # as its messages give it; a basis file's message names the file, {path}
+    read: Callable
+    good: int  # an integral value the entry point accepts
+    low: int | None = None  # the floor, where a value below it meets no other check first
+
+
+# Every entry point that reads a count from outside.
 INTEGER_ENTRY_POINTS = {
-    "DensityMatrix dims": (lambda v, tmp: DensityMatrix(np.eye(4) / 4, (v,)), 4),
-    "density JSON rows": (lambda v, tmp: density_from_json(_density_object(rows=v)), 4),
-    "density JSON cols": (lambda v, tmp: density_from_json(_density_object(cols=v)), 4),
-    "density JSON dims": (lambda v, tmp: density_from_json(_density_object(dims=[v])), 4),
-    "MUB file d": (lambda v, tmp: load_mubs(_mub_file(tmp, d=v)), 3),
-    "MUB file M": (lambda v, tmp: load_mubs(_mub_file(tmp, M=v)), 4),
-    "random_density dim": (lambda v, tmp: random_density(v, 2, 0), 4),
-    "random_density rank": (lambda v, tmp: random_density(4, v, 0), 4),
-    "random_density seed": (lambda v, tmp: random_density(4, 2, v), 2),
-    "construct_mubs d": (lambda v, tmp: construct_mubs(v, 3), 5),
-    "construct_mubs M": (lambda v, tmp: construct_mubs(5, v), 3),
-    "partial_transpose subsystem": (lambda v, tmp: partial_transpose(np.eye(4) / 4, (2, 2), v), 1),
-    "partial_transpose dims": (lambda v, tmp: partial_transpose(np.eye(4) / 4, (v, 2), 1), 2),
+    "DensityMatrix dims": Count("dims[0]", lambda v, tmp: DensityMatrix(np.eye(4) / 4, (v,)), 4, 1),
+    "density JSON rows": Count("rows", lambda v, tmp: density_from_json(_density_object(rows=v)), 4, 1),
+    "density JSON cols": Count("cols", lambda v, tmp: density_from_json(_density_object(cols=v)), 4, 1),
+    "density JSON dims": Count("dims[0]", lambda v, tmp: density_from_json(_density_object(dims=[v])), 4, 1),
+    # a d or M below the floor first fails the shape of the bases
+    "MUB file d": Count("malformed basis file {path}: d", lambda v, tmp: load_mubs(_mub_file(tmp, d=v)), 3),
+    "MUB file M": Count("malformed basis file {path}: M", lambda v, tmp: load_mubs(_mub_file(tmp, M=v)), 4),
+    "random_density dim": Count("dim", lambda v, tmp: random_density(v, 2, 0), 4, 1),
+    "random_density rank": Count("rank", lambda v, tmp: random_density(4, v, 0), 4, 1),
+    "random_density seed": Count("seed", lambda v, tmp: random_density(4, 2, v), 2, 0),
+    "construct_mubs d": Count("d", lambda v, tmp: construct_mubs(v, 3), 5, 2),
+    # a range, not a floor
+    "construct_mubs M": Count("M", lambda v, tmp: construct_mubs(5, v), 3),
+    "partial_transpose subsystem": Count("subsystem", lambda v, tmp: partial_transpose(np.eye(4) / 4, (2, 2), v), 1),
+    "partial_transpose dims": Count("dims", lambda v, tmp: partial_transpose(np.eye(4) / 4, (v, 2), 1), 2, 1),
+    "verify_relations big_d": Count("big_d", lambda v, tmp: verify_relations(construct_mubs(2, 3), v, 2, 0), 2, 1),
+    "verify_relations trials": Count("trials", lambda v, tmp: verify_relations(construct_mubs(2, 3), 2, v, 0), 3, 1),
+    "verify_relations seed": Count("seed", lambda v, tmp: verify_relations(construct_mubs(2, 3), 2, 2, v), 2, 0),
 }
 
 
 @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
 @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), None, "x", True, 4.9])
 def test_integer_rule_rejects_non_integers(tmp_path, entry, bad):
-    read, _ = INTEGER_ENTRY_POINTS[entry]
-    with pytest.raises(ValueError, match="must be an integer"):
-        read(bad, tmp_path)
+    count = INTEGER_ENTRY_POINTS[entry]
+    name = count.name.format(path=tmp_path / "m.json")
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer, got {re.escape(repr(bad))}$"):
+        count.read(bad, tmp_path)
+
+
+@pytest.mark.parametrize("entry", [entry for entry, count in INTEGER_ENTRY_POINTS.items() if count.low is not None])
+def test_integer_rule_refuses_below_the_floor(tmp_path, entry):
+    count = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=rf"^need {re.escape(count.name)} >= {count.low}, got {count.low - 1}$"):
+        count.read(count.low - 1, tmp_path)
 
 
 @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
 def test_integer_rule_accepts_integral_floats(tmp_path, entry):
-    read, good = INTEGER_ENTRY_POINTS[entry]
+    _, read, good, _ = INTEGER_ENTRY_POINTS[entry]
     assert _content(read(float(good), tmp_path)) == _content(read(good, tmp_path))

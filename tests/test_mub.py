@@ -193,7 +193,7 @@ def test_construct_rejects_non_prime():
 @pytest.mark.parametrize("d", [1, 0, -3])
 def test_construct_rejects_d_below_two(d):
     # a usage error, not a failed validation
-    with pytest.raises(ValueError, match=rf"^need d >= 2, got d={d}$") as exc:
+    with pytest.raises(ValueError, match=rf"^need d >= 2, got {d}$") as exc:
         construct_mubs(d, 2)
     assert not isinstance(exc.value, MubValidationError)
 

@@ -947,15 +947,6 @@ class TestVerifyRelations:
         with pytest.raises(ValueError, match=f"need {name} >= 1"):
             verify_relations(construct_mubs(2, 3), big_d, trials, 0)
 
-    def test_rejects_negative_seed(self):
-        with pytest.raises(ValueError, match=r"^need seed >= 0, got -1$"):
-            verify_relations(construct_mubs(2, 3), 2, 1, -1)
-
-    def test_integral_float_sizes_are_read_as_ints(self):
-        report = verify_relations(construct_mubs(2, 3), 2.0, 3.0, 0.0)
-        assert (report.D, report.trials, report.seed) == (2, 3, 0)
-        assert report.summary().splitlines()[0] == "verify d=2 M=3 D=2 trials=3 seed=0"
-
     @pytest.mark.parametrize(
         "big_d,trials,seed,name",
         [(2.5, 3, 0, "big_d"), (2, 3, 1.5, "seed"), (2, True, 0, "trials"), (2, "3", 0, "trials"), (None, 3, 0, "big_d")],
