@@ -61,6 +61,7 @@ RELATIONS, LINALG, EXPSIM, MUB, STATES, CLI = (
 
 GAMMA_BY_KRON = "tests/test_relations.py::TestGamma::test_matches_kron_definition"
 PSD_AT_THE_SLACK = "tests/test_linalg.py::TestTypes::test_psd_gate_sits_at_the_slack"
+TWISTED_BY_KRON = "tests/test_relations.py::TestBipartiteBasis::test_twisted_matches_kron_reference[3]"
 
 MUTANTS = (
     # the realigned gamma
@@ -81,9 +82,9 @@ MUTANTS = (
            "span.T @ span.conj()", "span.conj().T @ span",
            "tests/test_relations.py::TestBipartiteBasis::test_projector_invariants"),
     Mutant("PSD gate shifted by 0.8 TOL_PSD", LINALG,
-           "shifted = a + TOL_PSD *", "shifted = a + 0.8 * TOL_PSD *", PSD_AT_THE_SLACK),
+           "cholesky(a + TOL_PSD *", "cholesky(a + 0.8 * TOL_PSD *", PSD_AT_THE_SLACK),
     Mutant("PSD gate shifted by 1.2 TOL_PSD", LINALG,
-           "shifted = a + TOL_PSD *", "shifted = a + 1.2 * TOL_PSD *", PSD_AT_THE_SLACK),
+           "cholesky(a + TOL_PSD *", "cholesky(a + 1.2 * TOL_PSD *", PSD_AT_THE_SLACK),
     Mutant("depolarizing without the 1/2", EXPSIM,
            "(dev + dev[..., flip[:, None], flip]) * 0.5", "(dev + dev[..., flip[:, None], flip])",
            "tests/test_expsim.py::TestGates::test_depolarize_matches_slice_loop"),
@@ -134,8 +135,9 @@ MUTANTS = (
            "[(a * s * s + j * s) % d]", "[(a * s + j * s) % d]",
            "tests/test_mub.py::test_construction_matches_row_loop[3]"),
     Mutant("twisted states scaled by 1/d, not 1/sqrt(d)", RELATIONS,
-           "scaled *= 1.0 / np.sqrt(d)", "scaled *= 1.0 / d",
-           "tests/test_relations.py::TestBipartiteBasis::test_twisted_matches_kron_reference[3]"),
+           "scaled *= 1.0 / np.sqrt(d)", "scaled *= 1.0 / d", TWISTED_BY_KRON),
+    Mutant("twist index shifted", RELATIONS,
+           "np.outer(np.arange(d), np.arange(d))", "np.outer(np.arange(d) + 1, np.arange(d))", TWISTED_BY_KRON),
     # a near-equivalent site: q = V^T V* is I up to rounding for every orthonormal basis V, so on
     # a constructed set phi's deviation moves only in its last bits (1.9e-16 -> 3.6e-16 at d = 7).
     # Only sets perturbed to the acceptance bound tell the bases apart: 2.2e-12 > TOL_STRUCTURAL.
@@ -183,9 +185,9 @@ MUTANTS = (
            "    except TypeError:\n        raise ValueError(f\"expected a density matrix object",
            "    except ZeroDivisionError:\n        raise ValueError(f\"expected a density matrix object",
            "tests/test_cli.py::TestRelationCommand::test_state_file_not_an_object_exits_1[list]"),
-    Mutant("MubSet accepts non-square bases", MUB,
-           "if a.ndim != 3 or a.shape[1] != a.shape[2]:", "if a.ndim != 3:",
-           "tests/test_mub.py::test_structural_rejects_non_square_stacks[non-square]"),
+    Mutant("_as_stack accepts a non-square stack", LINALG,
+           " or a.shape[-2] != a.shape[-1]:", ":",
+           "tests/test_linalg.py::test_empty_arrays_refused[hermitian_eigenvalues-shape3]"),
     # the one check rule and the one pair reader
     Mutant("lowest check compared with <=", RELATIONS,
            "value >= bound if lowest else value <= bound", "value <= bound if lowest else value <= bound",
@@ -261,7 +263,7 @@ MUTANTS = (
            '_as_int("dims", d, 1)', '_as_int("dims", d)',
            "tests/test_linalg.py::test_integer_rule_refuses_below_the_floor[partial_transpose dims]"),
     Mutant("_as_stack accepts a zero-size array", LINALG,
-           "if a.ndim < 2 or a.size == 0:", "if a.ndim < 2:",
+           "a.ndim < 2 or a.size == 0 or", "a.ndim < 2 or",
            "tests/test_linalg.py::test_empty_arrays_refused[hermitian_eigenvalues-shape0]"),
 )
 

@@ -79,9 +79,9 @@ def _float_reprs(a: np.ndarray) -> np.ndarray:
 
 
 def _as_stack(m) -> np.ndarray:
-    """Coerce ``m`` to a finite complex array of one matrix or a (..., n, n) stack, not empty."""
+    """Coerce ``m`` to a finite complex array of one square matrix or a (..., n, n) stack, not empty."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.size == 0:
+    if a.ndim < 2 or a.size == 0 or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
@@ -144,30 +144,21 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def _psd_rows(a: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a Hermitian (n, k, k) stack has every eigenvalue above -TOL_PSD, as an (n,) bool array.
+def _is_psd(a: np.ndarray) -> bool:
+    """Whether a Hermitian matrix has every eigenvalue above -TOL_PSD.
 
     Decided without an eigensolve: a Hermitian matrix has a Cholesky factor
     exactly when it is positive definite, so ``a + TOL_PSD I`` factors
     exactly when every eigenvalue of ``a`` exceeds -TOL_PSD. The
     factorization is backward stable, so rounding moves that bound by far
     less than the slack. It reads one triangle only, so the caller checks
-    hermiticity first. The whole stack is factored in one call; only when
-    that fails is each matrix factored alone, to tell which ones fail.
+    hermiticity first.
     """
-    shifted = a + TOL_PSD * np.eye(a.shape[-1])
     try:
-        np.linalg.cholesky(shifted)
-        return np.ones(len(a), dtype=bool)
+        np.linalg.cholesky(a + TOL_PSD * np.eye(len(a)))
     except np.linalg.LinAlgError:
-        pass
-    rows = np.ones(len(a), dtype=bool)
-    for k, m in enumerate(shifted):
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            rows[k] = False
-    return rows
+        return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +167,7 @@ class DensityMatrix:
 
     ``dims`` lists the subsystem dimensions, leftmost factor first. The
     matrix must be finite, Hermitian and unit-trace within TOL_STRUCTURAL,
-    and PSD as :func:`_psd_rows` decides it; a read-only copy is stored.
+    and PSD as :func:`_is_psd` decides it; a read-only copy is stored.
     Instances compare and hash by identity.
     """
 
@@ -199,7 +190,7 @@ class DensityMatrix:
         trace = np.trace(a)
         if abs(trace - 1.0) > TOL_STRUCTURAL:
             raise ValueError(f"trace {complex(trace)!r} is not 1 within tolerance")
-        if not _psd_rows(a[None])[0]:
+        if not _is_psd(a):
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
         a = a.copy()
         a.setflags(write=False)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _as_int, _first_worst, _float_reprs, _from_pairs, _read_json, _to_pairs
+from .linalg import _as_int, _as_stack, _first_worst, _float_reprs, _from_pairs, _read_json, _to_pairs
 from .tolerances import TOL_STRUCTURAL
 
 # Basis order produced by construct_mubs(2, 3); basis labels are 1-based.
@@ -53,11 +53,9 @@ class MubSet:
     report: MubValidationReport = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.bases, dtype=complex)
-        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        a = _as_stack(self.bases)
+        if a.ndim != 3:
             raise ValueError(f"bases must have shape (M, d, d), got {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("basis amplitudes must be finite")
         _check_sizes(d=a.shape[1], m=a.shape[0])
         a = a.copy()
         a.setflags(write=False)

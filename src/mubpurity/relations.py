@@ -54,20 +54,20 @@ rho and every D
 
     gamma(rho) >= -eps (I_A (x) rho_B) >= -eps I.
 
-A Cholesky factorization of J + TOL_PSD I, the gate each trial's gamma
-passes too, exists exactly when lambda_min(J) > -TOL_PSD. One
-factorization of J thus bounds every gamma at the bound each trial is
-gated at, and the gap Tr(gamma rho) is then at least -TOL_PSD. At
-M = d + 1, J = 0 makes gamma vanish identically, and a small J bounds
-every gamma: for every state rho and every D
+A Cholesky factorization of J + TOL_PSD I, the PSD gate, exists exactly
+when lambda_min(J) > -TOL_PSD. One factorization of J thus bounds every
+gamma at that bound, so no trial's gamma is gated, and the gap
+Tr(gamma rho) is then at least -TOL_PSD. At M = d + 1, J = 0 makes gamma
+vanish identically, and a small J bounds every gamma: for every state rho
+and every D
 
     ||gamma(rho)||_1 <= ||Phi||_diamond <= ||J||_1 <= d ||J||_F
 
 (Watrous, The Theory of Quantum Information, CUP 2018, ch. 3; the last
-step holds because J is d^2 x d^2). The gate reads one triangle, so J and
-every gamma must also be Hermitian within TOL_PSD, and the call runs no
-eigensolve. P = I - S^T S* over the k = 1 + M(d-1) constructed states S
-has the eigenvalues 1 - spec(G) of their Gram matrix G, and 1, so Weyl's
+step holds because J is d^2 x d^2). The gate reads one triangle, so J
+must also be Hermitian within TOL_PSD, and the call runs no eigensolve.
+P = I - S^T S* over the k = 1 + M(d-1) constructed states S has the
+eigenvalues 1 - spec(G) of their Gram matrix G, and 1, so Weyl's
 inequality (Math. Ann. 71, 441 (1912)) gives the observed floor
 lambda_min(J) >= -k max|G - I| - d^2 max|J - P|, up to the rounding of P's
 product.
@@ -75,15 +75,15 @@ product.
 verify_relations checks once per call that J equals P, the paper's
 two-route cross-check and the one check of P's entries, and that J passes
 the gate (vanishes at M = d + 1); on each seeded random state, that the gap
-is at least -TOL_SPECTRAL and equals Tr(gamma rho), and that gamma passes
-the gate (at M = d + 1, vanishes with the gap). The states are drawn and
+is at least -TOL_SPECTRAL and equals Tr(gamma rho), and that gamma is
+Hermitian (at M = d + 1, vanishes with the gap). The states are drawn and
 read in chunks, each one stack of states valid by construction and one
-kernel call whose gammas pass the gate in one stacked factorization; only
-the per-trial seeds and results grow with the trial count (one 200-trial
-stack at d = D = 29 would take gigabytes). A chunk holds as many states as
-fit in a budget of 256 KiB for the drawn stack alone, and at least one.
-The kernel's working set is a few state-sized arrays per state, M/d of
-them for the blocks, so a chunk's peak is a small multiple of the budget.
+kernel call; only the per-trial seeds and results grow with the trial count
+(one 200-trial stack at d = D = 29 would take gigabytes). A chunk holds as
+many states as fit in a budget of 256 KiB for the drawn stack alone, and
+at least one. Its working set is a few state-sized arrays per state, M/d
+of them for the blocks, so a chunk's peak is a small multiple of the
+budget.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ from .linalg import (
     _as_int,
     _first_worst,
     _hermiticity_defects,
+    _is_psd,
     _partial_trace,
-    _psd_rows,
     _purities,
     frobenius_norm,
     hermitian_eigenvalues,
@@ -349,9 +349,9 @@ def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
 class VerificationReport:
     """The checks of :func:`verify_relations`, one ``(name, value, bound, passed, state_seed)`` each.
 
-    ``state_seed`` seeds the trial attaining ``value`` (for the gate, the
-    first it rejects), else None. ``gram_deviation`` and ``choi_floor``
-    (module docstring) are observations, not checks.
+    ``state_seed`` seeds the trial attaining ``value``, else None.
+    ``gram_deviation`` and ``choi_floor`` (module docstring) are
+    observations, not checks.
     """
 
     d: int
@@ -407,7 +407,7 @@ def _certificate(basis: BipartiteBasis) -> tuple[float, list[tuple[str, float, f
         checks = [route, _check("choi frobenius", frobenius_norm(choi), TOL_SPECTRAL)]
     else:
         checks = [route, _check("choi hermiticity max deviation", _hermiticity_defects(choi), TOL_PSD),
-                  _check("choi psd gate failures", np.count_nonzero(~_psd_rows(choi[None])), 0)]
+                  _check("choi psd gate failures", int(not _is_psd(choi)), 0)]
     return -(1 + m * (d - 1)) * basis.gram_deviation - d * d * route[1], checks
 
 
@@ -431,7 +431,7 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
     ranks = [(dim, 1, 2)[t % 3] for t in range(trials)]
     chunk = max(1, _CHUNK_BYTES // (dim * dim * 16))  # complex128 states
     complete = m == d + 1
-    gaps, defects, skews, gammas = [], [], [], []
+    gaps, defects, skews, norms = [], [], [], []
     for start in range(0, trials, chunk):
         stop = start + chunk
         rho = _random_density_stack(dim, ranks[start:stop], trial_seeds[start:stop])
@@ -439,19 +439,16 @@ def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> Verifi
         g = arrays["gamma"]
         gaps.append(arrays["gap"])
         defects.append(np.abs(arrays["gap"] - arrays["gamma_expectation"]))
-        # the gate reads one triangle of gamma, so its verdict holds only for a Hermitian gamma
+        # Tr(gamma rho) is read as its real part, the whole expectation only for a Hermitian gamma
         skews.append(_hermiticity_defects(g))
-        # gamma must vanish at M = d + 1 (its norm) and pass the PSD gate below it (whether the gate rejects it)
-        gammas.append(np.linalg.norm(g, axis=(1, 2)) if complete else ~_psd_rows(g))
-    gaps, defects, skews, gammas = (np.concatenate(a) for a in (gaps, defects, skews, gammas))
+        if complete:
+            norms.append(np.linalg.norm(g, axis=(1, 2)))  # gamma must vanish at M = d + 1
+    gaps, defects, skews = (np.concatenate(a) for a in (gaps, defects, skews))
 
     checks += [_check("relation gap min", gaps, -TOL_SPECTRAL, lowest=True, seeds=trial_seeds),
                _check("gap vs Tr(gamma rho) max deviation", defects, TOL_SPECTRAL, seeds=trial_seeds),
                _check("gamma hermiticity max deviation", skews, TOL_PSD, seeds=trial_seeds)]
     if complete:
-        checks += [_check("gamma frobenius max", gammas, TOL_SPECTRAL, seeds=trial_seeds),
+        checks += [_check("gamma frobenius max", np.concatenate(norms), TOL_SPECTRAL, seeds=trial_seeds),
                    _check("relation |gap| max", np.abs(gaps), TOL_SPECTRAL, seeds=trial_seeds)]
-    else:
-        # each rejected trial reads the failure count, so the first worst is the first rejected
-        checks.append(_check("gamma psd gate failures", gammas.sum() * gammas, 0, seeds=trial_seeds if gammas.any() else None))
     return VerificationReport(d, big_d, m, trials, seed, basis.gram_deviation, choi_floor, tuple(checks))

@@ -10,7 +10,7 @@ from mubpurity.linalg import (
     _as_stack,
     _from_pairs,
     _partial_trace,
-    _psd_rows,
+    _is_psd,
     _purities,
     density_from_json,
     density_to_json,
@@ -154,14 +154,14 @@ def test_two_factor_operators_reject_other_factor_counts(dims):
         partial_transpose(np.eye(4) / 4, dims, 1)
 
 
-@pytest.mark.parametrize("shape", [(0, 0), (0, 2, 2), (3, 0, 0)])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 2, 2), (3, 0, 0), (2, 3), (4, 2, 3), (1, 2)])
 @pytest.mark.parametrize("read", [
     hermitian_eigenvalues,
     lambda m: partial_transpose(m, (2, 1), 0),
     lambda m: DensityMatrix(m, (2,)),
 ], ids=["hermitian_eigenvalues", "partial_transpose", "DensityMatrix"])
 def test_empty_arrays_refused(read, shape):
-    # no empty matrix reaches a numpy reduction, and no empty stack passes through
+    # no empty or non-square matrix reaches numpy, and no empty stack passes through
     with pytest.raises(ValueError, match=rf"^expected a matrix or a stack of matrices, got shape {re.escape(str(shape))}$"):
         read(np.zeros(shape))
 
@@ -375,15 +375,11 @@ class TestTypes:
 
     @pytest.mark.parametrize("k", [3, 49, 121])
     def test_psd_gate_sits_at_the_slack(self, k):
-        # an eigenvalue 10 % inside -TOL_PSD passes alone and at every position
-        # of a stack through the gate; 10 % beyond it fails with the PSD message
+        # an eigenvalue 10 % inside -TOL_PSD passes the gate; 10 % beyond it
+        # fails with the PSD message
         inside = _state_with_min_eigenvalue(k, -0.9 * TOL_PSD, 18)
         DensityMatrix(inside, (k,))
-        good = _random_density_matrix(_rng(16), k)
-        for position in range(3):
-            stack = [good, good]
-            stack.insert(position, inside)
-            assert _psd_rows(np.stack(stack)).all()
+        assert _is_psd(inside)
         with pytest.raises(ValueError) as alone:
             DensityMatrix(_state_with_min_eigenvalue(k, -1.1 * TOL_PSD, 18), (k,))
         assert str(alone.value) == "density matrix has a negative eigenvalue beyond tolerance"
@@ -517,7 +513,7 @@ INTEGER_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
-@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), None, "x", True, 4.9])
+@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), None, "x", True, 4.9, "3"])
 def test_integer_rule_rejects_non_integers(tmp_path, entry, bad):
     count = INTEGER_ENTRY_POINTS[entry]
     name = count.name.format(path=tmp_path / "m.json")

@@ -324,9 +324,13 @@ def test_labels_and_vector_access():
     assert np.abs(mubs.bases[2, 1] - expected).max() <= 1e-12
 
 
-@pytest.mark.parametrize("shape", [(2, 2, 3), (2, 4)], ids=["non-square", "two-axes"])
-def test_structural_rejects_non_square_stacks(shape):
-    with pytest.raises(ValueError, match=re.escape(f"bases must have shape (M, d, d), got {shape}")):
+@pytest.mark.parametrize("shape,message", [
+    ((2, 2, 3), "expected a matrix or a stack of matrices, got shape"),
+    ((2, 4), "expected a matrix or a stack of matrices, got shape"),
+    ((4, 4), "bases must have shape (M, d, d), got"),
+], ids=["non-square", "two-axes", "one-matrix"])
+def test_structural_rejects_non_square_stacks(shape, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{message} {shape}')}$"):
         MubSet(np.ones(shape))
 
 

@@ -27,5 +27,5 @@ def test_every_verify_report_name_is_documented():
         report = verify_relations(construct_mubs(3, m), 2, 4, 9)
         for line in report.summary().splitlines()[1:-1]:
             names.add(line.split(": ", 1)[0])
-    assert len(names) == 13
+    assert len(names) == 12
     assert sorted(name for name in names if f"`{name}`" not in readme) == []

@@ -76,10 +76,10 @@ class TestRhoFamily:
 
         # the builder checks the range only; DensityMatrix runs the one PSD gate
         checked = []
-        real = linalg._psd_rows
-        monkeypatch.setattr(linalg, "_psd_rows", lambda a: checked.append(a) or real(a))
+        real = linalg._is_psd
+        monkeypatch.setattr(linalg, "_is_psd", lambda a: checked.append(a) or real(a))
         rho = rho_family(0.3, 0.6)
-        assert len(checked) == 1 and np.array_equal(checked[0][0], rho.matrix)
+        assert len(checked) == 1 and np.array_equal(checked[0], rho.matrix)
         assert np.array_equal(rho.matrix, _family_states(0.3, 0.6)[0])
         # a frozen copy on int dims
         assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
