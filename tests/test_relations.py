@@ -915,6 +915,19 @@ class TestVerifyRelations:
         # all 200 states in one stack would pinch through 15 MiB at M = 2
         assert peaks[1] <= peaks[0] + 4 * 2**20
 
+    @pytest.mark.parametrize("big_d,trials,name", [(0, 1, "big_d"), (-1, 1, "big_d"), (1, 0, "trials")])
+    def test_rejects_empty_b_side_and_no_trials(self, big_d, trials, name):
+        with pytest.raises(ValueError, match=f"need {name} >= 1"):
+            verify_relations(construct_mubs(2, 3), big_d, trials, 0)
+
+    @pytest.mark.parametrize(
+        "big_d,trials,seed,name",
+        [(2.5, 3, 0, "big_d"), (2, 3, 1.5, "seed"), (2, True, 0, "trials"), (2, "3", 0, "trials"), (None, 3, 0, "big_d")],
+    )
+    def test_non_integral_sizes_rejected(self, big_d, trials, seed, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            verify_relations(construct_mubs(2, 3), big_d, trials, seed)
+
 
 class TestEquivalentSets:
     """The paper's claims on every set of MUBs, not only the constructed prefixes."""
