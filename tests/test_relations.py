@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mubpurity import linalg, relations
+from mubpurity import cli, linalg, relations
 from mubpurity.cli import main
 from mubpurity.linalg import (
     DensityMatrix,
@@ -69,6 +69,27 @@ def _equivalent_set(d, m, seed):
     bases = construct_mubs(d, d + 1).bases[rng.permutation(d + 1)[:m]] @ haar.T
     bases = np.stack([vecs[rng.permutation(d)] for vecs in bases])
     return MubSet(bases * np.exp(2j * np.pi * rng.random((m, d, 1))))
+
+
+def _turned_set(d, eps):
+    """The M = 2 set at prime d >= 3 with basis 2 turned by exp(i eps H), H = A + A^H for A[i, i+1] = alpha_i.
+
+    alpha_i = d omega^-i / (2i (1 - omega)) makes |<i_1|j_2>|^2 move by eps
+    cos(2 pi (j - i) / d) to first order: an unbiasedness deviation of eps,
+    which the DFT in the Gram matrix of the constructed states sums to
+    d eps / 2, while the bases stay orthonormal to rounding.
+    """
+    omega = np.exp(2j * np.pi / d)
+    a = np.roll(np.diag(d * omega ** -np.arange(d) / (2j * (1 - omega))), 1, axis=1)
+    w, v = np.linalg.eigh(a + a.conj().T)
+    exact = construct_mubs(d, 2).bases
+    return MubSet(np.stack([exact[0], exact[1] @ ((v * np.exp(1j * eps * w)) @ v.conj().T).T]))
+
+
+def _gram_minus_identity(basis):
+    # G - I of the constructed states by the direct (k, k) product, the reference for the build's bound
+    states = _constructed_states(basis.twisted)
+    return states.conj() @ states.T - np.eye(len(states))
 
 
 def _report_arrays(rho, dims, mubs):
@@ -139,10 +160,32 @@ class TestBipartiteBasis:
         assert basis.twisted.shape == (2, 3, 9)
         states = _constructed_states(basis.twisted)
         assert states.shape == (5, 9)
-        gram = states.conj() @ states.T
-        assert np.abs(gram - np.eye(5)).max() <= 1e-12
-        assert basis.gram_deviation == np.abs(gram - np.eye(5)).max()
+        # the bound, read from the set's report, covers the measured deviation
+        assert np.abs(_gram_minus_identity(basis)).max() <= basis.gram_deviation <= 1e-12
         _assert_projector_facts(basis)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+    def test_gram_bounds_cover_the_measured_deviation(self, d):
+        # on constructed and on equivalent sets, at every M, in both forms
+        for m in range(2, d + 2):
+            for mubs in (construct_mubs(d, m), _equivalent_set(d, m, 1700 * d + m)):
+                basis = build_bipartite_basis(mubs)
+                dev = _gram_minus_identity(basis)
+                entry, frobenius = relations._gram_bounds(mubs.report)
+                assert np.abs(dev).max() <= basis.gram_deviation == entry <= TOL_STRUCTURAL, (d, m)
+                assert frobenius_norm(dev) <= frobenius, (d, m)
+
+    @pytest.mark.parametrize("d", [5, 7])
+    def test_gram_bound_covers_a_turned_set(self, d):
+        # the turned set's Gram deviation is d/2 times its unbiasedness
+        # deviation and far above its orthonormality deviation, so the bound
+        # needs both its factor d and its unbiasedness term
+        mubs = _turned_set(d, 1e-13)
+        basis = build_bipartite_basis(mubs)
+        measured = np.abs(_gram_minus_identity(basis)).max()
+        assert measured >= 0.45 * d * mubs.report.max_unbiasedness_deviation
+        assert measured >= 100 * mubs.report.max_orthonormality_deviation
+        assert measured <= basis.gram_deviation <= TOL_STRUCTURAL
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_constructed_states_orthonormal(self, d):
@@ -176,19 +219,16 @@ class TestBipartiteBasis:
             _assert_projector_facts(basis)
 
     def test_rejects_states_off_orthonormal(self, monkeypatch, capsys):
-        # phi's first amplitude moved by 1e-11 puts the Gram matrix about
-        # 1e-11 off I, beyond TOL_STRUCTURAL: the build's one check fires
-        real = relations._constructed_states
-
-        def moved(twisted):
-            span = real(twisted).copy()
-            span[0, 0] += 1e-11
-            return span
-
-        monkeypatch.setattr(relations, "_constructed_states", moved)
-        with pytest.raises(MubValidationError, match=r"^basis states not orthonormal: max deviation \d\.\d{3}e-11$") as exc:
-            build_bipartite_basis(construct_mubs(3, 2))
-        assert main(["verify", "--d", "3", "--m", "2", "--trials", "3"]) == 2
+        # MubSet accepts the turned set at d = 5 with eps just under 1e-12,
+        # whose constructed states are 2.25e-12 off orthonormal; the bound
+        # read from its report, 4.5e-12, makes the build raise
+        mubs = _turned_set(5, 9e-13)
+        assert 8.9e-13 <= mubs.report.max_unbiasedness_deviation <= TOL_STRUCTURAL
+        assert mubs.report.max_orthonormality_deviation <= 1e-14
+        with pytest.raises(MubValidationError, match=r"^basis states not orthonormal: gram max deviation bound 4\.5\d\de-12$") as exc:
+            build_bipartite_basis(mubs)
+        monkeypatch.setattr(cli, "construct_mubs", lambda d, m: mubs)
+        assert main(["verify", "--d", "5", "--m", "2", "--trials", "3"]) == 2
         assert capsys.readouterr() == ("", f"error: {exc.value}\n")
 
     def test_rejects_invalid_mubs(self):
@@ -211,33 +251,37 @@ class TestBipartiteBasis:
                 assert frobenius_norm(diff) <= TOL_SPECTRAL
 
     def test_near_bound_sets_build_or_fail_validation(self):
-        # complete sets perturbed by eps*G, eps bisected to just inside the
-        # bound MubSet accepts, and their first M bases: every one of these
-        # seeded draws builds, passes the PT identities and gives the same
-        # gamma by both routes. Acceptance alone does not guarantee a build:
-        # an accepted set's constructed states may deviate from orthonormal
-        # by up to about d * 1e-12, beyond the build's Gram bound; these
-        # draws stay inside it.
-        def accepted(bases):
-            try:
-                MubSet(bases)
-            except MubValidationError:
-                return False
-            return True
+        # complete sets perturbed by eps*G. At eps bisected to just inside
+        # the bound MubSet accepts, the build raises: the Gram bound it reads
+        # from the report is about d times the report's deviations. At eps
+        # bisected to just inside the build's bound, each set and its first M
+        # bases build, pass the PT identities, with phi's deviation that of
+        # the batched reference, and give the same gamma by both routes
+        def bisected(ok, exact, g):
+            lo, hi = 0.0, 1e-10
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                try:
+                    ok(exact + mid * g)
+                    lo = mid
+                except MubValidationError:
+                    hi = mid
+            return lo
 
         for d in (7, 11, 13):
             exact = construct_mubs(d, d + 1).bases
             for seed in range(3):
                 rng = np.random.default_rng(seed)
                 g = rng.standard_normal(exact.shape) + 1j * rng.standard_normal(exact.shape)
-                lo, hi = 0.0, 1e-10
-                for _ in range(60):
-                    mid = (lo + hi) / 2
-                    lo, hi = (mid, hi) if accepted(exact + mid * g) else (lo, mid)
+                with pytest.raises(MubValidationError, match="^basis states not orthonormal: gram max deviation bound"):
+                    build_bipartite_basis(MubSet(exact + bisected(MubSet, exact, g) * g))
+                lo = bisected(lambda bases: build_bipartite_basis(MubSet(bases)), exact, g)
                 for m in (2, (d + 1) // 2, d, d + 1):
                     mubs = MubSet(exact[:m] + lo * g[:m])
                     basis = build_bipartite_basis(mubs)
-                    assert check_pt_identities(basis).max_deviation <= TOL_STRUCTURAL, (d, seed, m)
+                    report = check_pt_identities(basis)
+                    assert report.max_deviation <= TOL_STRUCTURAL, (d, seed, m)
+                    assert abs(report.phi_deviation - _pt_deviations_batched(basis)[0]) <= 1e-14, (d, seed, m)
                     rho = random_density(2 * d, 2 * d, 900 * d + 10 * m + seed, dims=(d, 2))
                     diff = gamma_direct(rho, mubs) - gamma_via_projector(rho, basis)
                     assert frobenius_norm(diff) <= TOL_SPECTRAL, (d, seed, m)
@@ -648,8 +692,9 @@ class TestVerifyRelations:
         ]
         assert report.gram_deviation == basis.gram_deviation
         assert report.checks[0][1] == check_pt_identities(basis).max_deviation
-        # Weyl's floor from the k = 1 + M(d-1) constructed states and the d^2 x d^2 J
-        assert report.choi_floor == -(1 + 2 * m) * basis.gram_deviation - 9 * report.checks[1][1]
+        # Weyl's floor from the Frobenius bound on G - I and ||J - P||_F
+        off = np.abs(_choi_matrix(mubs) - basis.projector)
+        assert report.choi_floor == -relations._gram_bounds(mubs.report)[1] - frobenius_norm(off)
         assert report.summary().splitlines()[2] == (
             f"choi min eigenvalue floor: {report.choi_floor!r} (Weyl, from the gram and choi vs projector deviations)"
         )
@@ -664,11 +709,21 @@ class TestVerifyRelations:
     def test_gram_deviation_is_an_observation(self):
         report = verify_relations(construct_mubs(3, 3), 2, 2, 9)
         lines = report.summary().splitlines()
-        assert lines[1] == f"gram max deviation: {report.gram_deviation!r} (basis build raises above 1e-12)"
+        assert lines[1] == (f"gram max deviation bound: {report.gram_deviation!r} "
+                            "(from the set's validation report; basis build raises above 1e-12)")
         # the build raises above the bound, so no report can fail on it
         beyond = dataclasses.replace(report, gram_deviation=1.0)
         assert beyond.passed
-        assert beyond.summary().splitlines()[1] == "gram max deviation: 1.0 (basis build raises above 1e-12)"
+        assert beyond.summary().splitlines()[1] == (
+            "gram max deviation bound: 1.0 (from the set's validation report; basis build raises above 1e-12)")
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_choi_floor_is_below_the_spectrum(self, d):
+        # Weyl's floor under lambda_min(J), on constructed and equivalent sets at every M
+        for m in range(2, d + 2):
+            for mubs in (construct_mubs(d, m), _equivalent_set(d, m, 1900 * d + m)):
+                floor = relations._certificate(build_bipartite_basis(mubs))[0]
+                assert -TOL_PSD < floor <= np.linalg.eigvalsh(_choi_matrix(mubs))[0], (d, m)
 
     @pytest.mark.parametrize("m", [2, 8])
     def test_chunked_read_equals_per_trial_reports(self, m):
@@ -765,7 +820,7 @@ class TestVerifyRelations:
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_choi_route_catches_the_conjugated_projector(self, monkeypatch, d):
         # the conjugated projector is idempotent with the right trace, and
-        # the build checks only the Gram matrix; J tells it apart wherever P
+        # the build bounds only the Gram matrix; J tells it apart wherever P
         # is complex (the constructed P is real at M = 2 and zero at
         # M = d + 1), and only the J-vs-P line fails: J still passes the gate
         real = relations.build_bipartite_basis
