@@ -62,7 +62,6 @@ RELATIONS, LINALG, EXPSIM, MUB, STATES, CLI = (
 GAMMA_BY_KRON = "tests/test_relations.py::TestGamma::test_matches_kron_definition"
 PSD_AT_THE_SLACK = "tests/test_linalg.py::TestTypes::test_psd_gate_sits_at_the_slack"
 TWISTED_BY_KRON = "tests/test_relations.py::TestBipartiteBasis::test_twisted_matches_kron_reference[3]"
-GRAM_BY_TURNED_SET = "tests/test_relations.py::TestBipartiteBasis::test_gram_bound_covers_a_turned_set[5]"
 
 MUTANTS = (
     # the realigned gamma
@@ -116,6 +115,10 @@ MUTANTS = (
     Mutant("phi dropped from the constructed states", RELATIONS,
            "twisted[0, :1]", "twisted[0, :0]",
            "tests/test_relations.py::TestBipartiteBasis::test_d3_m2_counts_and_gram"),
+    # a set MubSet accepts can give states d/2 times its unbiasedness deviation off orthonormal
+    Mutant("build's Gram check at ten times its bound", RELATIONS,
+           "if gram_dev > TOL_STRUCTURAL:", "if gram_dev > 10 * TOL_STRUCTURAL:",
+           "tests/test_relations.py::TestBipartiteBasis::test_rejects_states_off_orthonormal"),
     Mutant("Ginibre state left unnormalized", STATES,
            "scaled *= 1.0 / np.trace(row).real", "scaled *= 1.0",
            "tests/test_states.py::TestRandomDensity::test_psd_and_trace"),
@@ -139,16 +142,9 @@ MUTANTS = (
            "scaled *= 1.0 / np.sqrt(d)", "scaled *= 1.0 / d", TWISTED_BY_KRON),
     Mutant("twist index shifted", RELATIONS,
            "np.outer(np.arange(d), np.arange(d))", "np.outer(np.arange(d) + 1, np.arange(d))", TWISTED_BY_KRON),
-    # the build reads its Gram bound from the set's report: a set turned to move the unbiasedness
-    # deviation by eps moves the Gram matrix by d eps / 2, beyond either weakened bound
-    Mutant("gram bound without its factor d", RELATIONS,
-           "d * report.max_unbiasedness_deviation", "report.max_unbiasedness_deviation", GRAM_BY_TURNED_SET),
-    Mutant("gram bound without the unbiasedness term", RELATIONS,
-           "float(max(cross, same) + row)", "float(same + row)", GRAM_BY_TURNED_SET),
     # a near-equivalent site: q = V^T V* is I up to rounding for every orthonormal basis V, so on
     # a constructed set phi's deviation moves only in its last bits (1.9e-16 -> 3.6e-16 at d = 7).
-    # Only perturbed sets tell the bases apart: on one bisected to the build's Gram bound at d = 7,
-    # phi's deviation reads 3.4e-13 against the batched reference's 2.1e-16.
+    # Only sets perturbed to the acceptance bound tell the bases apart: 2.2e-12 > TOL_STRUCTURAL.
     Mutant("phi's identity taken with basis 2's swap", RELATIONS,
            "-swap_left[0]], axis=1)\n                             @ np.concatenate([phi.conj()[None], swap_right[0]])",
            "-swap_left[1]], axis=1)\n                             @ np.concatenate([phi.conj()[None], swap_right[1]])",

@@ -25,9 +25,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .expsim import PANEL_FIELDS, NoiseModel, _panel, run_protocol
+from .expsim import (
+    PANEL_FIELDS,
+    NoiseModel,
+    _panel,
+    run_protocol,
+)
 from .linalg import _as_int, _float_reprs, _read_json, density_from_json
-from .mub import PAULI_AXIS_LABELS, MubSet, MubValidationError, construct_mubs, load_mubs, save_mubs
+from .mub import (
+    PAULI_AXIS_LABELS,
+    MubSet,
+    MubValidationError,
+    construct_mubs,
+    load_mubs,
+    save_mubs,
+)
 from .relations import _check_bipartite_input, _relation_arrays, relation_report, verify_relations
 from .states import _family_states, rho_family
 

@@ -69,8 +69,8 @@ must also be Hermitian within TOL_PSD, and the call runs no eigensolve.
 P = I - S^T S* over the k = 1 + M(d-1) constructed states S has the
 eigenvalues 1 - spec(G) of their Gram matrix G, and 1, so Weyl's
 inequality (Math. Ann. 71, 441 (1912)) gives the observed floor
-lambda_min(J) >= -||G - I||_F - ||J - P||_F, with ||G - I||_F bounded by
-:func:`_gram_bounds`, up to the rounding of P's product.
+lambda_min(J) >= -k max|G - I| - d^2 max|J - P|, up to the rounding of P's
+product.
 
 verify_relations checks once per call that J equals P, the paper's
 two-route cross-check and the one check of P's entries, and that J passes
@@ -104,7 +104,7 @@ from .linalg import (
     hermitian_eigenvalues,
     partial_transpose,
 )
-from .mub import MubSet, MubValidationError, MubValidationReport
+from .mub import MubSet, MubValidationError
 from .states import _random_density_stack
 from .tolerances import TOL_PSD, TOL_SPECTRAL, TOL_STRUCTURAL
 
@@ -121,9 +121,10 @@ class BipartiteBasis:
     (M, d, d*d); every k = 0 row is the same state ``phi``. The 1 + M(d-1)
     distinct states are orthonormal, and ``projector`` = I - sum_v |v><v|
     over them projects onto the p = (d-1)(d+1-M)-dimensional rest of the
-    d*d space; no complement states are stored. ``gram_deviation`` bounds
-    max|G - I| over their Gram matrix G (:func:`_gram_bounds`). ``d`` and
-    ``M`` are those of ``mubs``. Instances compare and hash by identity.
+    d*d space; no complement states are stored. ``gram_deviation`` is
+    max|G - I| of the Gram matrix G of the constructed states, measured
+    when the basis was built. ``d`` and ``M`` are those of ``mubs``.
+    Instances compare and hash by identity.
     """
 
     twisted: np.ndarray
@@ -149,44 +150,28 @@ def _constructed_states(twisted: np.ndarray) -> np.ndarray:
     return np.concatenate([twisted[0, :1], twisted[:, 1:].reshape(-1, twisted.shape[2])])
 
 
-def _gram_bounds(report: MubValidationReport) -> tuple[float, float]:
-    """Proven bounds on max|G - I| and ||G - I||_F for the constructed states' Gram matrix G, from the set's ``report``.
-
-    G_{(t,k),(u,l)} = (1/d) sum_ij omega^{-ki+lj} |<i_t|j_u>|^2 makes each block of G - I a unitary 2-D DFT of the
-    overlaps' deviations: an entry is at most d eps_ub across bases and 2 eps_on + d eps_on^2 within one, a block's
-    Frobenius norm d eps_ub or sqrt(d) times that. Rounding (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 3; u = 2^-53): an overlap is off by sqrt(2) gamma_2d in any summation order, so eps_on by 2.9du and d eps_ub
-    by (5.8 d^1.5 + 6)u; a stored row is off its exact state by (sqrt(2) gamma_2d + 27u) sqrt(d) in norm (phases
-    21u, outer product and scaling 3u each), so an entry of G by (5.9d + 55) sqrt(d) u, and ||G - I||_F by sqrt(k)
-    times that.
-    """
-    d, m, u = report.d, report.M, np.finfo(float).eps / 2
-    on = report.max_orthonormality_deviation + 2.9 * d * u
-    cross, same = d * report.max_unbiasedness_deviation + (5.8 * d**1.5 + 6) * u, 2 * on + d * on * on
-    row = (5.9 * d + 55) * d**0.5 * u
-    return float(max(cross, same) + row), float(m * max(cross, d**0.5 * same) + (1 + m * (d - 1))**0.5 * row)
-
-
 def build_bipartite_basis(mubs: MubSet) -> BipartiteBasis:
     """The :class:`BipartiteBasis` of a set, conjugating in the computational basis.
 
-    The set's report bounds the Gram matrix G = S* S^T of the derived states
-    S (:func:`_gram_bounds`), and a bound above TOL_STRUCTURAL raises
-    :class:`MubValidationError`; G settles P, as P^2 - P = S^T (G - I) S*.
+    ``mubs`` was validated when it was made. The derived states, the rows
+    of S, are checked orthonormal through their Gram matrix G = S* S^T, and
+    a failure raises :class:`MubValidationError`; G also settles the
+    projector, as P^2 - P = S^T (G - I) S* and tr P = d^2 - tr G.
     """
     d, m = mubs.d, mubs.M
-    gram_bound = _gram_bounds(mubs.report)[0]
-    if gram_bound > TOL_STRUCTURAL:
-        raise MubValidationError(f"basis states not orthonormal: gram max deviation bound {gram_bound:.3e}")
     phases = np.exp(2j * np.pi / d * (np.outer(np.arange(d), np.arange(d)) % d))
     # twisted[t, k] = sum_i phases[k, i] |i_t>|i_t*> / sqrt(d), scaled by the rule of states._random_density_stack
     outer = (mubs.bases[:, :, :, None] * mubs.bases.conj()[:, :, None, :]).reshape(m, d, d * d)
     twisted = phases @ outer
     scaled = twisted.view(float)
     scaled *= 1.0 / np.sqrt(d)
+
     span = _constructed_states(twisted)
+    gram_dev = float(np.abs(span.conj() @ span.T - np.eye(len(span))).max())
+    if gram_dev > TOL_STRUCTURAL:
+        raise MubValidationError(f"basis states not orthonormal: max deviation {gram_dev:.3e}")
     projector = np.eye(d * d, dtype=complex) - span.T @ span.conj()
-    return BipartiteBasis(twisted, projector, mubs, gram_bound)
+    return BipartiteBasis(twisted, projector, mubs, gram_dev)
 
 
 @dataclass(frozen=True)
@@ -245,7 +230,9 @@ def _check_bipartite_input(dims: tuple[int, ...], d: int) -> int:
     return dims[1]
 
 
-def _gamma_terms(rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _gamma_terms(
+    rho: np.ndarray, dims: tuple[int, ...], mubs: MubSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rho_B, the pinch blocks of all M bases, gamma) of an (n, d*D, d*D) stack ``rho`` on ``dims``, from gamma's definition.
 
     ``blocks[n, t, i] = <i_t|rho_n|i_t>``, shape (n, M, d, D, D), is Pi @ R,
@@ -353,7 +340,9 @@ def relation_report(rho: DensityMatrix, mubs: MubSet) -> RelationReport:
     arrays["gamma_min_eig"] = hermitian_eigenvalues(g)[:, 0]
     arrays["gamma_frobenius"] = np.linalg.norm(g, axis=(1, 2))
     fields = {name: tuple(v[0].tolist()) if v.ndim == 2 else v[0].tolist() for name, v in arrays.items()}
-    return RelationReport(d=mubs.d, D=rho.dims[1], M=mubs.M, equality_expected=(mubs.M == mubs.d + 1), **fields)
+    return RelationReport(
+        d=mubs.d, D=rho.dims[1], M=mubs.M, equality_expected=(mubs.M == mubs.d + 1), **fields
+    )
 
 
 @dataclass(frozen=True)
@@ -381,7 +370,7 @@ class VerificationReport:
     def summary(self) -> str:
         lines = [
             f"verify d={self.d} M={self.M} D={self.D} trials={self.trials} seed={self.seed}",
-            f"gram max deviation bound: {self.gram_deviation!r} (from the set's validation report; basis build raises above {TOL_STRUCTURAL!r})",
+            f"gram max deviation: {self.gram_deviation!r} (basis build raises above {TOL_STRUCTURAL!r})",
             f"choi min eigenvalue floor: {self.choi_floor!r} (Weyl, from the gram and choi vs projector deviations)",
         ]
         for name, value, bound, passed, state_seed in self.checks:
@@ -413,14 +402,13 @@ def _certificate(basis: BipartiteBasis) -> tuple[float, list[tuple[str, float, f
     """Weyl's floor under lambda_min(J), and the checks of the Choi matrix J (module docstring)."""
     d, m = basis.d, basis.M
     choi = _choi_matrix(basis.mubs)
-    off = np.abs(choi - basis.projector)
-    route = _check("choi vs projector max deviation", off, TOL_STRUCTURAL)
+    route = _check("choi vs projector max deviation", np.abs(choi - basis.projector), TOL_STRUCTURAL)
     if m == d + 1:
         checks = [route, _check("choi frobenius", frobenius_norm(choi), TOL_SPECTRAL)]
     else:
         checks = [route, _check("choi hermiticity max deviation", _hermiticity_defects(choi), TOL_PSD),
                   _check("choi psd gate failures", int(not _is_psd(choi)), 0)]
-    return -_gram_bounds(basis.mubs.report)[1] - frobenius_norm(off), checks
+    return -(1 + m * (d - 1)) * basis.gram_deviation - d * d * route[1], checks
 
 
 def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> VerificationReport:

@@ -366,7 +366,7 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         seed = int(np.random.SeedSequence(5).generate_state(6, dtype=np.uint64)[4])
         # lines 1 and 2 are the Gram and Choi floor observations, which carry no verdict
-        assert lines[1].startswith("gram max deviation bound: ")
+        assert lines[1].startswith("gram max deviation: ")
         assert lines[2].startswith("choi min eigenvalue floor: ")
         assert [line for line in lines[3:-1] if not line.endswith("PASS")] == [
             f"relation gap min: -1.0 (bound -1e-09) FAIL [state seed {seed}]"
