@@ -119,6 +119,11 @@ MUTANTS = (
     Mutant("build's Gram check at ten times its bound", RELATIONS,
            "if gram_dev > TOL_STRUCTURAL:", "if gram_dev > 10 * TOL_STRUCTURAL:",
            "tests/test_relations.py::TestBipartiteBasis::test_rejects_states_off_orthonormal"),
+    # a floor that still lies below the spectrum, about 100 times lower at d = 41
+    Mutant("Weyl floor in entrywise form", RELATIONS,
+           "-basis._gram_frobenius - frobenius_norm(deviations)",
+           "-(1 + m * (d - 1)) * basis.gram_deviation - d * d * route[1]",
+           "tests/test_relations.py::TestVerifyRelations::test_report_reads_the_library_checks[3-state_checks1]"),
     Mutant("Ginibre state left unnormalized", STATES,
            "scaled *= 1.0 / np.trace(row).real", "scaled *= 1.0",
            "tests/test_states.py::TestRandomDensity::test_psd_and_trace"),
@@ -206,8 +211,8 @@ MUTANTS = (
            "except OverflowError:", "except ZeroDivisionError:",
            "tests/test_linalg.py::TestPairReader::test_rejects_malformed_pairs[401-digit-integer]"),
     # the one set check
-    Mutant("MubSet accepted without validate_mubs", MUB,
-           "report = validate_mubs(self)",
+    Mutant("MubSet accepted without its validation report", MUB,
+           "report = _validation_report(a)",
            "report = MubValidationReport(a.shape[1], a.shape[0], 0.0, 0.0, (1, 0, 0), (1, 2, 0, 0))",
            "tests/test_mub.py::test_duplicated_basis_fails"),
     Mutant("pair stack formed without .conj()", MUB,

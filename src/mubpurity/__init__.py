@@ -19,7 +19,6 @@ from .mub import (
     construct_mubs,
     load_mubs,
     save_mubs,
-    validate_mubs,
 )
 from .relations import (
     BipartiteBasis,
@@ -59,6 +58,5 @@ __all__ = [
     "rho_family",
     "run_protocol",
     "save_mubs",
-    "validate_mubs",
     "verify_relations",
 ]

@@ -60,7 +60,7 @@ class MubSet:
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "bases", a)
-        report = validate_mubs(self)
+        report = _validation_report(a)
         if not report.passed:
             raise MubValidationError(
                 f"not a set of mutually unbiased bases: orthonormality deviation "
@@ -105,14 +105,13 @@ class MubValidationReport:
         )
 
 
-def validate_mubs(mubs: MubSet) -> MubValidationReport:
-    """Check orthonormality of each basis and pairwise unbiasedness, naming the first worst entry of each.
+def _validation_report(b: np.ndarray) -> MubValidationReport:
+    """The report of an (M, d, d) array of bases: orthonormality and pairwise unbiasedness, with the first worst entries.
 
     Only the checked overlaps <t_i|u_j> are formed: the M Gram blocks (t = u) and
     the M(M-1)/2 cross-basis blocks (t < u). First means lowest labels, then indices.
     """
-    d, m = mubs.d, mubs.M
-    b = mubs.bases
+    m, d = b.shape[:2]
     worst_on, (t, i, j) = _first_worst(np.abs(b.conj() @ b.transpose(0, 2, 1) - np.eye(d)))
     rows, cols = np.triu_indices(m, 1)
     pairs = b.conj()[rows] @ b[cols].transpose(0, 2, 1)

@@ -66,11 +66,11 @@ and every D
 (Watrous, The Theory of Quantum Information, CUP 2018, ch. 3; the last
 step holds because J is d^2 x d^2). The gate reads one triangle, so J
 must also be Hermitian within TOL_PSD, and the call runs no eigensolve.
-P = I - S^T S* over the k = 1 + M(d-1) constructed states S has the
-eigenvalues 1 - spec(G) of their Gram matrix G, and 1, so Weyl's
-inequality (Math. Ann. 71, 441 (1912)) gives the observed floor
-lambda_min(J) >= -k max|G - I| - d^2 max|J - P|, up to the rounding of P's
-product.
+P = I - S^T S* over the constructed states S has the eigenvalues
+1 - spec(G) of their Gram matrix G, and 1, so Weyl's inequality (Math.
+Ann. 71, 441 (1912)), with the spectral norm below the Frobenius one, gives
+the observed floor lambda_min(J) >= -||G - I||_F - ||J - P||_F, up to the
+rounding of P's product.
 
 verify_relations checks once per call that J equals P, the paper's
 two-route cross-check and the one check of P's entries, and that J passes
@@ -121,16 +121,17 @@ class BipartiteBasis:
     (M, d, d*d); every k = 0 row is the same state ``phi``. The 1 + M(d-1)
     distinct states are orthonormal, and ``projector`` = I - sum_v |v><v|
     over them projects onto the p = (d-1)(d+1-M)-dimensional rest of the
-    d*d space; no complement states are stored. ``gram_deviation`` is
-    max|G - I| of the Gram matrix G of the constructed states, measured
-    when the basis was built. ``d`` and ``M`` are those of ``mubs``.
-    Instances compare and hash by identity.
+    d*d space; no complement states are stored. ``gram_deviation`` and
+    ``_gram_frobenius`` are max|G - I| and ||G - I||_F of the Gram matrix G
+    of the constructed states, measured when the basis was built. ``d`` and
+    ``M`` are those of ``mubs``. Instances compare and hash by identity.
     """
 
     twisted: np.ndarray
     projector: np.ndarray
     mubs: MubSet
     gram_deviation: float
+    _gram_frobenius: float
 
     @property
     def d(self) -> int:
@@ -161,17 +162,18 @@ def build_bipartite_basis(mubs: MubSet) -> BipartiteBasis:
     d, m = mubs.d, mubs.M
     phases = np.exp(2j * np.pi / d * (np.outer(np.arange(d), np.arange(d)) % d))
     # twisted[t, k] = sum_i phases[k, i] |i_t>|i_t*> / sqrt(d), scaled by the rule of states._random_density_stack
-    outer = (mubs.bases[:, :, :, None] * mubs.bases.conj()[:, :, None, :]).reshape(m, d, d * d)
-    twisted = phases @ outer
+    twisted = phases @ (mubs.bases[:, :, :, None] * mubs.bases.conj()[:, :, None, :]).reshape(m, d, d * d)
     scaled = twisted.view(float)
     scaled *= 1.0 / np.sqrt(d)
 
     span = _constructed_states(twisted)
-    gram_dev = float(np.abs(span.conj() @ span.T - np.eye(len(span))).max())
+    gram_abs = np.abs(span.conj() @ span.T - np.eye(len(span)))
+    gram_dev, gram_frobenius = float(gram_abs.max()), frobenius_norm(gram_abs)
+    del gram_abs  # not kept through the projector product
     if gram_dev > TOL_STRUCTURAL:
         raise MubValidationError(f"basis states not orthonormal: max deviation {gram_dev:.3e}")
     projector = np.eye(d * d, dtype=complex) - span.T @ span.conj()
-    return BipartiteBasis(twisted, projector, mubs, gram_dev)
+    return BipartiteBasis(twisted, projector, mubs, gram_dev, gram_frobenius)
 
 
 @dataclass(frozen=True)
@@ -402,13 +404,14 @@ def _certificate(basis: BipartiteBasis) -> tuple[float, list[tuple[str, float, f
     """Weyl's floor under lambda_min(J), and the checks of the Choi matrix J (module docstring)."""
     d, m = basis.d, basis.M
     choi = _choi_matrix(basis.mubs)
-    route = _check("choi vs projector max deviation", np.abs(choi - basis.projector), TOL_STRUCTURAL)
+    deviations = np.abs(choi - basis.projector)
+    route = _check("choi vs projector max deviation", deviations, TOL_STRUCTURAL)
     if m == d + 1:
         checks = [route, _check("choi frobenius", frobenius_norm(choi), TOL_SPECTRAL)]
     else:
         checks = [route, _check("choi hermiticity max deviation", _hermiticity_defects(choi), TOL_PSD),
                   _check("choi psd gate failures", int(not _is_psd(choi)), 0)]
-    return -(1 + m * (d - 1)) * basis.gram_deviation - d * d * route[1], checks
+    return -basis._gram_frobenius - frobenius_norm(deviations), checks
 
 
 def verify_relations(mubs: MubSet, big_d: int, trials: int, seed: int) -> VerificationReport:

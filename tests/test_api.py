@@ -3,7 +3,7 @@
 import types
 
 import mubpurity
-from mubpurity import expsim, linalg, relations
+from mubpurity import expsim, linalg, mub, relations
 
 
 def test_every_listed_name_resolves_once():
@@ -31,6 +31,6 @@ def test_star_import_binds_exactly_all():
 def test_test_only_helpers_are_gone():
     for module, name in [(relations, "post_measurement_state"), (linalg, "purity"), (linalg, "as_matrix"),
                          (expsim, "calibration_factors"), (expsim, "NOISELESS"),
-                         (linalg, "partial_trace_matrix")]:
+                         (linalg, "partial_trace_matrix"), (mub, "validate_mubs")]:
         assert not hasattr(module, name), name
         assert not hasattr(mubpurity, name), name

@@ -250,15 +250,15 @@ def test_mub_validates_the_set_once(tmp_path, capsys, monkeypatch, load):
     five = tmp_path / "m.json"
     assert main(["mub", "--d", "5", "--out", str(five)]) == 0
     first = capsys.readouterr().out
-    real, calls = mub.validate_mubs, []
+    real, calls = mub._validation_report, []
 
-    def counted(mubs):
-        calls.append(mubs.M)
-        return real(mubs)
+    def counted(bases):
+        calls.append(len(bases))
+        return real(bases)
 
     # the CLI's own name too, should it ever import the function again
     for module in (mub, cli):
-        monkeypatch.setattr(module, "validate_mubs", counted, raising=False)
+        monkeypatch.setattr(module, "_validation_report", counted, raising=False)
     out = tmp_path / "o.json"
     assert main(["mub", "--d", "5", *(["--load", str(five)] if load else []), "--out", str(out)]) == 0
     assert calls == [6]

@@ -25,16 +25,29 @@ P = I - sum_v |v><v| onto the complement of the constructed states: phi
 and the twists k = 1..d-1 of every basis t,
 v_{t,k} = d^(-1/2) sum_i omega^(k i) |i_t>|i_t*>, omega = exp(2 pi i / d).
 Each entry of d^(3/2) v is a sum of roots of unity, so d^3 P is held as
-d^2 J is. The file shares no code with the library's kernel or with
-tests/test_weyl.py. d = 11 is left out: its idempotence product alone
+d^2 J is.
+
+The partial-transpose identities that the library's check_pt_identities
+measures are proven the same way, with T_B the transpose of the second
+factor and SWAP_t = sum_ij |i_t><j_t| (x) |j_t><i_t|:
+
+    |phi><phi|^T_B = SWAP_1 / d,
+    (sum_{k>=1} |v_{t,k}><v_{t,k}|)^T_B = sum_i P_ti (x) P_ti - SWAP_t / d
+
+for every basis t. Times d^3 both sides lie in Z[zeta_N], built from the
+numbers d <a|i_t><i_t|c>, and T_B only permutes the indices of a
+coefficient array. The file shares no code with the library's kernel or
+with tests/test_weyl.py. d = 11 is left out: its idempotence product alone
 takes about 11 s.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from mubpurity.mub import construct_mubs
-from mubpurity.relations import _choi_matrix
+from mubpurity.relations import _choi_matrix, build_bipartite_basis, check_pt_identities
 from mubpurity.tolerances import TOL_STRUCTURAL
 
 CASES = [(d, m) for d in (2, 3, 5, 7) for m in range(2, d + 2)]
@@ -64,24 +77,60 @@ def _exact_choi(d, m):
     return j.reshape(d * d, d * d, n)
 
 
+def _scaled_projectors(d, m):
+    """d <a|i_t><i_t|c> as an int64 (m, d, d, d, N) coefficient array: [basis t, vector i, a, c]."""
+    n = 4 if d == 2 else d
+    w = np.zeros((m, d, d, d, n), dtype=np.int64)
+    i = np.arange(d)
+    w[0, i, i, i, 0] = d  # basis 1: d |i><i|
+    # any other basis: d zeta^e_ia / sqrt(d) * zeta^-e_ic / sqrt(d)
+    ex = _exponents(d, m)
+    t, i, a, c = np.ogrid[: m - 1, :d, :d, :d]
+    w[t + 1, i, a, c, (ex[t, i, a] - ex[t, i, c]) % n] = 1
+    return w
+
+
+def _twists(w, ks):
+    """d^(3/2) v_{t,k} = sum_i omega^(k i) w[i] for each k of ``ks``, of one basis's w: a (d^2, len(ks), N) array."""
+    d, n = w.shape[0], w.shape[-1]
+    states = [sum(np.roll(w[i], n // d * k * i, axis=-1) for i in range(d)) for k in ks]
+    return np.stack(states, axis=2).reshape(d * d, len(ks), n)
+
+
 def _exact_projector(d, m):
     """d^3 P as an int64 (d^2, d^2, N) coefficient array in the layout of :func:`_exact_choi`."""
-    n = 4 if d == 2 else d
-    w = n // d  # omega = zeta^w
-    # u[a, c, state] = d^(3/2) v[(a, c)] = d sum_i omega^(k i) <a|i_t> <i_t|c>, phi the first state
-    u = np.zeros((d, d, 1 + m * (d - 1), n), dtype=np.int64)
-    i = np.arange(d)
-    for k in range(d):  # basis 1: d omega^(k a) on a = c; k = 0 is phi
-        np.add.at(u, (i, i, k, w * k * i % n), d)
-    ex = _exponents(d, m)
-    i, a, c = np.ogrid[:d, :d, :d]
-    for t in range(m - 1):  # basis t + 2: sum_i omega^(k i) zeta^(e_ia - e_ic), as its amplitudes are zeta^e / sqrt(d)
-        for k in range(1, d):
-            np.add.at(u, (a, c, d + t * (d - 1) + k - 1, (w * k * i + ex[t, i, a] - ex[t, i, c]) % n), 1)
-    u = u.reshape(d * d, -1, n)
-    p = -_product(u, _conj(u).swapaxes(0, 1))
+    w = _scaled_projectors(d, m)
+    # d^(3/2) v of phi and the twists of basis 1, then of every other basis's twists k >= 1
+    u = np.concatenate([_twists(w[0], range(d)), *(_twists(w[t], range(1, d)) for t in range(1, m))], axis=1)
+    p = -_outer(u)
     p[np.arange(d * d), np.arange(d * d), 0] += d**3
     return p
+
+
+def _outer(u):
+    """sum_k |u_k><u_k| of the columns of a (p, K, N) coefficient array."""
+    return _product(u, _conj(u).swapaxes(0, 1))
+
+
+def _transpose_b(x):
+    """The transpose of the second factor of a (d^2, d^2, N) coefficient array, rows (a, b) and columns (a', b')."""
+    d, n = math.isqrt(len(x)), x.shape[-1]
+    return x.reshape(d, d, d, d, n).transpose(0, 3, 2, 1, 4).reshape(d * d, d * d, n)
+
+
+def _swap(w):
+    """d^2 SWAP_t from one basis's w: entry [(a, b), (a', b')] is q[a, b'] q[b, a'], q = sum_i w[i] = d sum_i |i><i|."""
+    d, n = w.shape[0], w.shape[-1]
+    q = w.sum(axis=0)
+    x = _product(q.reshape(d * d, 1, n), q.reshape(1, d * d, n))  # [(a, b'), (b, a')]
+    return x.reshape(d, d, d, d, n).transpose(0, 2, 3, 1, 4).reshape(d * d, d * d, n)
+
+
+def _pinch(w):
+    """d^2 sum_i P_i (x) P_i from one basis's w: entry [(a, b), (a', b')] is sum_i w[i, a, a'] w[i, b, b']."""
+    d, n = w.shape[0], w.shape[-1]
+    x = w.reshape(d, d * d, n)
+    return _product(x.swapaxes(0, 1), x).reshape(d, d, d, d, n).transpose(0, 2, 1, 3, 4).reshape(d * d, d * d, n)
 
 
 def _product(x, y):
@@ -126,3 +175,21 @@ def test_library_choi_matrix_matches_the_exact_one(d, m):
     j = _exact_choi(d, m)
     zeta = np.exp(2j * np.pi * np.arange(j.shape[-1]) / j.shape[-1])
     assert np.abs(_choi_matrix(construct_mubs(d, m)) - j @ zeta / d**2).max() <= TOL_STRUCTURAL
+
+
+@pytest.mark.parametrize("d,m", CASES)
+def test_pt_identities_hold_exactly(d, m):
+    w = _scaled_projectors(d, m)
+    phi = _twists(w[0], [0])
+    # every k = 0 state is phi
+    for t in range(1, m):
+        assert _is_zero(_twists(w[t], [0]) - phi).all()
+    # d^3 |phi><phi|^T_B = d^2 SWAP_1
+    assert _is_zero(_transpose_b(_outer(phi)) - _swap(w[0])).all()
+    for t in range(m):
+        # d^3 (sum_{k>=1} |v_{t,k}><v_{t,k}|)^T_B = d (d^2 sum_i P_ti (x) P_ti) - d^2 SWAP_t
+        twists = _outer(_twists(w[t], range(1, d)))
+        assert _is_zero(_transpose_b(twists) - (d * _pinch(w[t]) - _swap(w[t]))).all(), t
+    report = check_pt_identities(build_bipartite_basis(construct_mubs(d, m)))
+    assert len(report.theta_deviations) == m
+    assert report.max_deviation <= TOL_STRUCTURAL

@@ -406,6 +406,9 @@ class TestJson:
             density_from_json({key: value for key, value in obj.items() if key != "dims"})
         with pytest.raises(ValueError, match="dims must be a sequence"):
             density_from_json(obj | {"dims": None})
+        # a 1x1 state on no subsystem at all
+        with pytest.raises(ValueError, match=r"^invalid dims \(\)$"):
+            density_from_json({"rows": 1, "cols": 1, "data": [[1.0, 0.0]], "dims": []})
         # sizes below 1 are named before the pair count is compared, even
         # when their product matches it
         four = density_to_json(DensityMatrix(np.eye(4) / 4, (4,)))

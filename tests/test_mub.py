@@ -10,10 +10,10 @@ from mubpurity.mub import (
     MubValidationError,
     MubValidationReport,
     _is_prime,
+    _validation_report,
     construct_mubs,
     load_mubs,
     save_mubs,
-    validate_mubs,
 )
 from test_relations import _equivalent_set
 
@@ -58,7 +58,7 @@ def test_d2_pauli_triple():
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_complete_sets_validate(d):
-    report = validate_mubs(construct_mubs(d, d + 1))
+    report = construct_mubs(d, d + 1).report
     assert report.passed
     assert report.max_orthonormality_deviation <= 1e-12
     assert report.max_unbiasedness_deviation <= 1e-12
@@ -66,7 +66,7 @@ def test_complete_sets_validate(d):
 
 def test_set_keeps_the_report_it_was_accepted_on():
     mubs = construct_mubs(5, 4)
-    assert mubs.report == validate_mubs(mubs) and mubs.report.passed
+    assert mubs.report == _validation_report(mubs.bases) and mubs.report.passed
     assert "report" not in repr(mubs)
 
 
@@ -144,7 +144,7 @@ def test_validation_matches_pair_loop(d):
     # every M up to d = 13; past it, where OpenBLAS may switch GEMM kernels, five M keep the test fast
     for m in range(2, d + 2) if d <= 13 else (2, 3, (d + 1) // 2, d, d + 1):
         mubs = construct_mubs(d, m)
-        assert validate_mubs(mubs) == _validate_by_loop(mubs.bases)
+        assert mubs.report == _validate_by_loop(mubs.bases)
         # a stretched vector, a repeated basis, a perturbed set: MubSet
         # refuses each, with the report of the reference loop
         stretched = mubs.bases.copy()
@@ -307,7 +307,7 @@ def test_load_d4_tensor_product_triple(tmp_path):
     for q in (z, x, y):
         bases.append(np.stack([np.kron(q[i], q[j]) for i in range(2) for j in range(2)]))
     mubs = MubSet(np.stack(bases))
-    report = validate_mubs(mubs)
+    report = mubs.report
     assert report.passed
     path = tmp_path / "d4.json"
     save_mubs(mubs, path)

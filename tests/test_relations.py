@@ -661,8 +661,12 @@ class TestVerifyRelations:
         ]
         assert report.gram_deviation == basis.gram_deviation
         assert report.checks[0][1] == check_pt_identities(basis).max_deviation
-        # Weyl's floor from the k = 1 + M(d-1) constructed states and the d^2 x d^2 J
-        assert report.choi_floor == -(1 + 2 * m) * basis.gram_deviation - 9 * report.checks[1][1]
+        # Weyl's floor: the Frobenius norms of G - I, over phi and every twist k >= 1, and of J - P
+        span = np.concatenate([basis.phi[None], basis.twisted[:, 1:].reshape(-1, 9)])
+        gram = np.abs(span.conj() @ span.T - np.eye(len(span)))
+        route = np.abs(_choi_matrix(mubs) - basis.projector)
+        assert report.checks[1][1] == route.max()
+        assert report.choi_floor == -np.linalg.norm(gram) - np.linalg.norm(route)
         assert report.summary().splitlines()[2] == (
             f"choi min eigenvalue floor: {report.choi_floor!r} (Weyl, from the gram and choi vs projector deviations)"
         )
