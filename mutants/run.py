@@ -14,12 +14,14 @@ loudly, writes the mutated file and runs the mutant's test with ``pytest
 one installed plugin loaded. Only pytest's exit code 1, a failed test,
 kills the mutant; a collection error (2) or a pass (0) lets it survive.
 One line is printed per mutant, naming the failed test, and the script
-exits 1 on any survivor.
+exits 1 on any survivor, or when pytest does not collect a named test,
+which it prints.
 
 The script imports numpy and pytest once, and each run, the unmutated one
 too, is a child forked from it: the child enters the copy, puts its ``src``
 first on ``sys.path`` and calls ``pytest.main``, whose exit code it exits
-with, and a small plugin sends back the first failed test. One child runs
+with, and two small plugins send back the first failed test and the
+named tests not collected. One child runs
 at a time. The parent never imports ``mubpurity``, so every child reads
 the copy as it is now, nor ``hypothesis``: a module that pytest is to
 rewrite must not be imported before pytest starts, or pytest warns, and
@@ -62,6 +64,8 @@ RELATIONS, LINALG, EXPSIM, MUB, STATES, CLI = (
 GAMMA_BY_KRON = "tests/test_relations.py::TestGamma::test_matches_kron_definition"
 PSD_AT_THE_SLACK = "tests/test_linalg.py::TestTypes::test_psd_gate_sits_at_the_slack"
 TWISTED_BY_KRON = "tests/test_relations.py::TestBipartiteBasis::test_twisted_matches_kron_reference[3]"
+# a row of the CLI error table, by its id
+ERROR_ROW = "tests/test_cli.py::test_error_contract[{}]"
 
 MUTANTS = (
     # the realigned gamma
@@ -159,14 +163,14 @@ MUTANTS = (
     Mutant("load_mubs without the decode catch", LINALG,
            "except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError",
            "except (OSError, RecursionError) as exc:  # UnicodeDecodeError",
-           "tests/test_cli.py::TestMubCommand::test_load_invalid_exits_2[non-utf-8]"),
+           ERROR_ROW.format("mub-load-non-utf-8")),
     Mutant("load_mubs and relation --state read catch without RecursionError", LINALG,
            "except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError",
            "except (OSError, ValueError) as exc:  # UnicodeDecodeError",
-           "tests/test_cli.py::TestMubCommand::test_load_invalid_exits_2[deeply-nested]"),
+           ERROR_ROW.format("mub-load-deeply-nested")),
     Mutant("main exits 1 for a MubValidationError", CLI,
            "return 2 if isinstance(exc, MubValidationError) else 1", "return 1",
-           "tests/test_cli.py::TestMubCommand::test_non_prime_exits_2[mub]"),
+           ERROR_ROW.format("mub-d-6-not-prime")),
     # 3825123056546413051 is a strong pseudoprime to every prime base up to 31
     Mutant("Miller-Rabin without the base 37", MUB,
            "29, 31, 37)", "29, 31)",
@@ -174,18 +178,18 @@ MUTANTS = (
     Mutant("cmd_verify prints the report before writing --out", CLI,
            '    if ns.out is not None:\n        Path(ns.out).write_text(text)\n    print(text, end="")\n',
            '    print(text, end="")\n    if ns.out is not None:\n        Path(ns.out).write_text(text)\n',
-           "tests/test_cli.py::TestVerifyCommand::test_unwritable_out_exits_1_before_the_report"),
+           ERROR_ROW.format("verify-out-is-a-directory")),
     # one presence rule for every path flag: '' is a path that cannot be read, not a missing flag
     Mutant("an empty --load or --mubs read as no flag", CLI,
            "if path is not None:", "if path:",
-           "tests/test_cli.py::test_empty_input_path_is_a_bad_path[mub-load]"),
+           ERROR_ROW.format("mub-load-empty-path")),
     Mutant("an empty --state read as no flag", CLI,
            "if ns.state is not None:", "if ns.state:",
-           "tests/test_cli.py::test_empty_input_path_is_a_bad_path[relation-state]"),
+           ERROR_ROW.format("relation-state-empty-path")),
     # input checks that no test reached: each mutant lets the bad input past
     Mutant("sweep accepts a single step", CLI,
            '_as_int("steps", ns.steps, 2)', '_as_int("steps", ns.steps, 1)',
-           "tests/test_cli.py::TestSweepCommand::test_steps_below_two_exit_1[1]"),
+           ERROR_ROW.format("sweep-steps-1")),
     # subsystem -1 swaps a valid pair of axes and returns a matrix
     Mutant("partial_transpose accepts a negative subsystem", LINALG,
            "if subsystem not in (0, 1):", "if subsystem > 1:",
@@ -193,7 +197,7 @@ MUTANTS = (
     Mutant("state reader lets a JSON list raise TypeError", LINALG,
            "    except TypeError:\n        raise ValueError(f\"expected a density matrix object",
            "    except ZeroDivisionError:\n        raise ValueError(f\"expected a density matrix object",
-           "tests/test_cli.py::TestRelationCommand::test_state_file_not_an_object_exits_1[list]"),
+           ERROR_ROW.format("relation-state-list")),
     Mutant("_as_stack accepts a non-square stack", LINALG,
            " or a.shape[-2] != a.shape[-1]:", ":",
            "tests/test_linalg.py::test_empty_arrays_refused[hermitian_eigenvalues-shape3]"),
@@ -229,10 +233,10 @@ MUTANTS = (
            "tests/test_cli.py::TestExpsimCommand::test_prints_the_rescaled_relation_sides"),
     Mutant("sweep accepts from == to", CLI,
            "if not start < stop:", "if not start <= stop:",
-           "tests/test_cli.py::TestSweepCommand::test_empty_range_exits_1"),
+           ERROR_ROW.format("sweep-empty-range")),
     Mutant("state reader refuses rows = cols = 1", LINALG,
            '_as_int("rows", rows, 1)', '_as_int("rows", rows, 2)',
-           "tests/test_cli.py::TestRelationCommand::test_state_dims_decide_the_exit[one-by-one]"),
+           ERROR_ROW.format("relation-state-dims-1")),
     # historical simulator bugs
     Mutant("panel read with optimize=True, which reorders the sums", EXPSIM,
            '"sabcd,nca,ndb->sn", observables, rho, rho)', '"sabcd,nca,ndb->sn", observables, rho, rho, optimize=True)',
@@ -261,10 +265,10 @@ MUTANTS = (
     # each input rule stated once: each mutant lets a bad input past the one place that refuses it
     Mutant("integer rule ignores its lower bound", LINALG,
            "if low is not None and value < low:", "if False:",
-           "tests/test_cli.py::TestVerifyCommand::test_zero_trials_exits_1"),
+           ERROR_ROW.format("verify-trials-0")),
     Mutant("basis sets of M = d + 2 bases pass the size rule", MUB,
            "if not 2 <= m <= d + 1:", "if not 2 <= m <= d + 2:",
-           "tests/test_cli.py::TestMubCommand::test_m_out_of_range_exits_1"),
+           ERROR_ROW.format("mub-m-5")),
     Mutant("partial_transpose reads subsystem without the integer rule", LINALG,
            '    subsystem = _as_int("subsystem", subsystem)\n', "",
            "tests/test_linalg.py::test_integer_rule_rejects_non_integers[True-partial_transpose subsystem]"),
@@ -290,8 +294,24 @@ class _FirstFailure:
     pytest_collectreport = pytest_runtest_logreport
 
 
+class _Collected:
+    """pytest plugin: the node ids of the collected tests, and of each parametrized function as a whole."""
+
+    def __init__(self):
+        self.nodeids = set()
+
+    def pytest_collectreport(self, report):
+        for node in report.result:
+            if isinstance(node, pytest.Item):
+                self.nodeids.update((node.nodeid, node.nodeid.partition("[")[0]))
+
+
 def _child(work: Path, tests, result: int) -> None:
-    """Run ``tests`` in the copy ``work``, write the first failed node id to the fd ``result``, exit with pytest's code."""
+    """Run ``tests`` in the copy ``work`` and exit with pytest's code.
+
+    To the fd ``result`` it writes one line per id: the first failed test
+    ("" if none did), then each of ``tests`` that was not collected.
+    """
     code = 3  # pytest's internal-error code, should anything here raise
     try:
         os.chdir(work)
@@ -304,16 +324,16 @@ def _child(work: Path, tests, result: int) -> None:
         # of the installed plugins only hypothesis's, by name: pytest then rewrites the asserts of that one
         # module, not of every module of every plugin's distribution, which without bytecode it redoes each run
         os.environ["PYTEST_DISABLE_PLUGIN_AUTOLOAD"] = "1"
-        first = _FirstFailure()
+        first, collected = _FirstFailure(), _Collected()
         code = pytest.main(["-x", "-q", "-p", "no:cacheprovider", "-p", "_hypothesis_pytestplugin", *tests],
-                           plugins=[first])
-        os.write(result, first.nodeid.encode())
+                           plugins=[first, collected])
+        os.write(result, "\n".join([first.nodeid, *(t for t in tests if t not in collected.nodeids)]).encode())
     finally:
         os._exit(int(code))
 
 
-def _forked(work: Path, tests) -> tuple[int, str]:
-    """pytest's exit code on ``tests``, and the id of the first test that failed ("" if none did)."""
+def _forked(work: Path, tests) -> tuple[int, str, list[str]]:
+    """pytest's exit code on ``tests``, the id of the first test that failed ("" if none did), and the uncollected."""
     read, write = os.pipe()
     sys.stdout.flush()  # else the child inherits, and may write, the lines not yet flushed
     pid = os.fork()
@@ -322,8 +342,8 @@ def _forked(work: Path, tests) -> tuple[int, str]:
         _child(work, tests, write)
     os.close(write)
     with os.fdopen(read, "rb") as pipe:
-        nodeid = pipe.read().decode()
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), nodeid
+        nodeid, *missing = pipe.read().decode().split("\n")
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), nodeid, missing
 
 
 def main() -> int:
@@ -335,8 +355,10 @@ def main() -> int:
             shutil.copytree(root / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(root / "pyproject.toml", work)
         tests = sorted({mutant.test for mutant in MUTANTS})
-        code, first = _forked(work, tests)
-        if code != 0:
+        code, first, missing = _forked(work, tests)
+        for nodeid in missing:
+            print(f"named test not collected: {nodeid}")
+        if code != 0 or missing:
             print(f"unmutated tests fail (pytest exit {code}): {first or 'no test failed'}")
             return 1
         for mutant in MUTANTS:
@@ -350,7 +372,7 @@ def main() -> int:
             path.write_text(original.replace(mutant.pattern, mutant.replacement))
             start = time.perf_counter()
             try:
-                code, killer = _forked(work, [mutant.test])
+                code, killer, _ = _forked(work, [mutant.test])
             finally:
                 path.write_text(original)
             killed = code == 1

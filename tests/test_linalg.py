@@ -516,7 +516,7 @@ INTEGER_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
-@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), None, "x", True, 4.9, "3"])
+@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), None, "x", True, 4.9, "3", 1.5])
 def test_integer_rule_rejects_non_integers(tmp_path, entry, bad):
     count = INTEGER_ENTRY_POINTS[entry]
     name = count.name.format(path=tmp_path / "m.json")
@@ -527,8 +527,9 @@ def test_integer_rule_rejects_non_integers(tmp_path, entry, bad):
 @pytest.mark.parametrize("entry", [entry for entry, count in INTEGER_ENTRY_POINTS.items() if count.low is not None])
 def test_integer_rule_refuses_below_the_floor(tmp_path, entry):
     count = INTEGER_ENTRY_POINTS[entry]
-    with pytest.raises(ValueError, match=rf"^need {re.escape(count.name)} >= {count.low}, got {count.low - 1}$"):
-        count.read(count.low - 1, tmp_path)
+    for below in (count.low - 1, count.low - 2):
+        with pytest.raises(ValueError, match=rf"^need {re.escape(count.name)} >= {count.low}, got {below}$"):
+            count.read(below, tmp_path)
 
 
 @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
