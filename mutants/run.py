@@ -66,6 +66,8 @@ PSD_AT_THE_SLACK = "tests/test_linalg.py::TestTypes::test_psd_gate_sits_at_the_s
 TWISTED_BY_KRON = "tests/test_relations.py::TestBipartiteBasis::test_twisted_matches_kron_reference[3]"
 # a row of the CLI error table, by its id
 ERROR_ROW = "tests/test_cli.py::test_error_contract[{}]"
+# a row of the relation layer's claims table, by its id
+CLAIM_ROW = "tests/test_relations.py::test_paper_claims[{}]"
 
 MUTANTS = (
     # the realigned gamma
@@ -78,7 +80,7 @@ MUTANTS = (
     Mutant("rho_B added on the rows :: d, not the rows (a, a)", RELATIONS,
            "g[:, :: d + 1]", "g[:, :: d]", GAMMA_BY_KRON),
     Mutant("gamma scaled by M/d, not (M-1)/d", RELATIONS,
-           "(m - 1) / d", "m / d", "tests/test_relations.py::TestGamma::test_complete_set_vanishes_d2"),
+           "(m - 1) / d", "m / d", CLAIM_ROW.format("constructed-d2-m3-D2-vanish")),
     Mutant("purity read as Tr(m m^T)", LINALG,
            '"...ab,...ba->..."', '"...ab,...ab->..."',
            "tests/test_linalg.py::TestPurity::test_matches_squared_eigenvalues"),
@@ -142,7 +144,7 @@ MUTANTS = (
            "tests/test_states.py::TestDrawBits::test_rows_match_the_two_call_formula"),
     Mutant("projector route without its partial transpose", RELATIONS,
            "partial_transpose(basis.projector, (d, d), subsystem=1)", "basis.projector",
-           "tests/test_relations.py::TestGamma::test_projector_route_agrees"),
+           CLAIM_ROW.format("constructed-d3-m3-D3-route")),
     # the basis layer forms each operand once
     Mutant("quadratic phase a*s*s read as linear in the amplitude table", MUB,
            "[(a * s * s + j * s) % d]", "[(a * s + j * s) % d]",

@@ -23,7 +23,6 @@ from mubpurity.states import random_density
 from mubpurity.tolerances import TOL_PSD
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 BELL = np.zeros((4, 4), dtype=complex)
 BELL[0, 0] = BELL[0, 3] = BELL[3, 0] = BELL[3, 3] = 0.5
 
@@ -56,48 +55,6 @@ def _state_with_min_eigenvalue(k, lowest, seed):
     eigs = np.linalg.eigvalsh(m)
     assert abs(eigs[0] - lowest) <= 1e-3 * TOL_PSD and abs(np.trace(m) - 1.0) <= 1e-14
     return m
-
-
-class TestTensor:
-    """The Kronecker ordering the package builds registers with: the left
-    factor is subsystem 0, the most significant index digit."""
-
-    def test_identity(self):
-        assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_computational_projectors(self):
-        p0 = np.diag([1.0, 0.0])
-        p1 = np.diag([0.0, 1.0])
-        out = np.kron(p0, p1)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0  # |01>
-        assert np.array_equal(out, expected)
-
-    def test_pauli_zz(self):
-        # hand-expanded 4x4 Kronecker product
-        assert np.array_equal(np.kron(PAULI_Z, PAULI_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-    def test_dimensions_multiply(self):
-        out = np.kron(np.ones((2, 3)), np.ones((4, 5)))
-        assert out.shape == (8, 15)
-
-    def test_associativity_integer_exact(self):
-        rng = _rng(1)
-        a, b, c = (rng.integers(-5, 5, size=(2, 2)).astype(complex) for _ in range(3))
-        assert np.array_equal(np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c)))
-
-    def test_associativity_random_complex(self):
-        rng = _rng(2)
-        for _ in range(20):
-            a, b, c = (_random_complex(rng, 2) for _ in range(3))
-            lhs = np.kron(np.kron(a, b), c)
-            rhs = np.kron(a, np.kron(b, c))
-            assert np.abs(lhs - rhs).max() <= 1e-14
-
-    def test_rejects_nan(self):
-        bad = np.array([[np.nan, 0], [0, 1]])
-        with pytest.raises(ValueError, match="finite"):
-            _as_stack(bad)
 
 
 def _tr_a(m, dims):
@@ -164,6 +121,11 @@ def test_empty_arrays_refused(read, shape):
     # no empty or non-square matrix reaches numpy, and no empty stack passes through
     with pytest.raises(ValueError, match=rf"^expected a matrix or a stack of matrices, got shape {re.escape(str(shape))}$"):
         read(np.zeros(shape))
+
+
+def test_rejects_nan():
+    with pytest.raises(ValueError, match="finite"):
+        _as_stack(np.array([[np.nan, 0], [0, 1]]))
 
 
 class TestPartialTranspose:
@@ -320,58 +282,41 @@ class TestPurity:
         assert abs(_purities(m) - np.trace(m @ m).real) <= 1e-14
 
 
+def _with_entry(base, index, value):
+    bad = base.copy()
+    bad[index] = value
+    return bad
+
+
+MIXED_3 = np.eye(3, dtype=complex) / 3
+NOT_HERMITIAN = "density matrix is not Hermitian within tolerance"
+NEGATIVE = "density matrix has a negative eigenvalue beyond tolerance"
+NOT_FINITE = "matrix entries must be finite"
+
+
 class TestTypes:
-    def test_density_rejects_non_hermitian(self):
-        m = np.eye(2, dtype=complex) / 2
-        m[0, 1] = 0.1
-        with pytest.raises(ValueError):
-            DensityMatrix(m, (2,))
-
-    def test_density_rejects_bad_trace(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(2), (2,))
-
-    def test_density_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.diag([1.1, -0.1]), (2,))
-
-    def test_density_rejects_nan(self):
-        m = np.eye(2) / 2
-        m[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            DensityMatrix(m, (2,))
-
     def test_density_dims_mismatch(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
 
-    @pytest.mark.parametrize("defect,k", [
-        *(pytest.param(defect, 3, id=defect) for defect in ("non-hermitian", "trace", "negative", "nan", "inf")),
-        *(pytest.param("past the PSD slack", k, id=f"past-psd-slack-{k}") for k in (3, 49, 121)),
+    @pytest.mark.parametrize("bad,message", [
+        pytest.param(_with_entry(MIXED_3, (0, 1), 0.1), NOT_HERMITIAN, id="non-hermitian"),
+        pytest.param(_with_entry(np.eye(2, dtype=complex) / 2, (0, 1), 0.1), NOT_HERMITIAN, id="non-hermitian-2x2"),
+        pytest.param(MIXED_3 * 1.5, "trace (1.5+0j) is not 1 within tolerance", id="trace"),
+        pytest.param(np.eye(2), "trace (2+0j) is not 1 within tolerance", id="trace-2x2"),
+        pytest.param(np.diag([0.7, 0.5, -0.2]).astype(complex), NEGATIVE, id="negative"),
+        pytest.param(np.diag([1.1, -0.1]), NEGATIVE, id="negative-2x2"),
+        pytest.param(_with_entry(MIXED_3, (2, 2), np.nan), NOT_FINITE, id="nan"),
+        pytest.param(_with_entry(np.eye(2) / 2, (0, 0), np.nan), NOT_FINITE, id="nan-2x2"),
+        pytest.param(_with_entry(MIXED_3, (1, 2), np.inf), NOT_FINITE, id="inf"),
+        *(pytest.param(_state_with_min_eigenvalue(k, -1.1 * TOL_PSD, 17), NEGATIVE, id=f"past-psd-slack-{k}")
+          for k in (3, 49, 121)),
     ])
-    def test_density_matrix_rejects_each_defect(self, defect, k):
+    def test_density_matrix_rejects_each_defect(self, bad, message):
         # the one state check: each defect fails it with its own message
-        bad = np.eye(k, dtype=complex) / k
-        if defect == "non-hermitian":
-            bad[0, 1] = 0.1
-        elif defect == "trace":
-            bad *= 1.5
-        elif defect == "negative":
-            bad = np.diag([0.7, 0.5, -0.2]).astype(complex)
-        elif defect == "nan":
-            bad[2, 2] = np.nan
-        elif defect == "inf":
-            bad[1, 2] = np.inf
-        else:
-            bad = _state_with_min_eigenvalue(k, -1.1 * TOL_PSD, 17)
         with pytest.raises(ValueError) as alone:
-            DensityMatrix(bad, (k,))
-        assert str(alone.value) == {
-            "non-hermitian": "density matrix is not Hermitian within tolerance",
-            "trace": "trace (1.5+0j) is not 1 within tolerance",
-            "nan": "matrix entries must be finite",
-            "inf": "matrix entries must be finite",
-        }.get(defect, "density matrix has a negative eigenvalue beyond tolerance")
+            DensityMatrix(bad, (len(bad),))
+        assert str(alone.value) == message
 
     @pytest.mark.parametrize("k", [3, 49, 121])
     def test_psd_gate_sits_at_the_slack(self, k):
@@ -382,7 +327,7 @@ class TestTypes:
         assert _is_psd(inside)
         with pytest.raises(ValueError) as alone:
             DensityMatrix(_state_with_min_eigenvalue(k, -1.1 * TOL_PSD, 18), (k,))
-        assert str(alone.value) == "density matrix has a negative eigenvalue beyond tolerance"
+        assert str(alone.value) == NEGATIVE
 
     def test_immutable(self):
         rho = DensityMatrix(np.eye(2) / 2, (2,))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -210,19 +211,6 @@ class TestBipartiteBasis:
             MubSet(np.stack([np.eye(2, dtype=complex)] * 2))
         assert not exc.value.report.passed
 
-    @pytest.mark.parametrize("d", [2, 3, 5, 7])
-    def test_complement_of_equivalent_sets(self, d):
-        # any M bases of a rotated complete set, in any order, with the
-        # vectors of each basis permuted and rephased, are MUBs too
-        for m in range(2, d + 2):
-            mubs = _equivalent_set(d, m, 100 * d + m)
-            basis = build_bipartite_basis(mubs)
-            _assert_projector_facts(basis)
-            for big_d, seed in ((2, 1), (d, 2)):
-                rho = random_density(d * big_d, d * big_d, seed, dims=(d, big_d))
-                diff = gamma_direct(rho, mubs) - gamma_via_projector(rho, basis)
-                assert frobenius_norm(diff) <= TOL_SPECTRAL
-
     def test_near_bound_sets_build_or_fail_validation(self):
         # complete sets perturbed by eps*G, eps bisected to just inside the
         # bound MubSet accepts, and their first M bases: every one of these
@@ -408,38 +396,6 @@ class TestPostMeasurement:
 
 
 class TestGamma:
-    def test_complete_set_vanishes_d2(self):
-        mubs = construct_mubs(2, 3)
-        for seed in _seeds(41, 50):
-            rho = random_density(4, 4, seed, dims=(2, 2))
-            assert frobenius_norm(gamma_direct(rho, mubs)) <= 1e-10
-
-    def test_complete_set_vanishes_d3(self):
-        mubs = construct_mubs(3, 4)
-        for seed in _seeds(42, 20):
-            rho = random_density(9, 9, seed, dims=(3, 3))
-            assert frobenius_norm(gamma_direct(rho, mubs)) <= 1e-9
-
-    def test_psd_when_m_at_most_d(self):
-        mubs = construct_mubs(2, 2)
-        for seed in _seeds(43, 100):
-            rho = random_density(4, 4, seed, dims=(2, 2))
-            g = gamma_direct(rho, mubs)
-            assert np.abs(g - g.conj().T).max() <= 1e-12
-            assert hermitian_eigenvalues(g)[0] >= -1e-10
-
-    @pytest.mark.parametrize(
-        "d,m,big_d",
-        [(2, 2, 2), (2, 3, 3), (3, 2, 3), (3, 4, 3), (3, 3, 3), (3, 3, 2), (5, 3, 2)],
-    )
-    def test_projector_route_agrees(self, d, m, big_d):
-        mubs = construct_mubs(d, m)
-        basis = build_bipartite_basis(mubs)
-        for seed in _seeds(1000 * d + 10 * m + big_d, 50):
-            rho = random_density(d * big_d, d * big_d, seed, dims=(d, big_d))
-            diff = gamma_direct(rho, mubs) - gamma_via_projector(rho, basis)
-            assert frobenius_norm(diff) <= 1e-10
-
     @pytest.mark.parametrize("d,big_d", [(d, big_d) for d in (2, 3, 5, 7) for big_d in sorted({1, 2, d})])
     def test_matches_kron_definition(self, d, big_d):
         # the realigned assembly against I_A (x) rho_B + (M-1)/d rho - sum_theta rho_thetaB,
@@ -457,11 +413,6 @@ class TestGamma:
                 expected -= sum(_pinch_by_kron(rho, mubs, theta) for theta in range(1, m + 1))
                 assert np.abs(g - expected).max() <= 1e-14, m
                 assert np.array_equal(gamma_direct(rho, mubs), g)
-
-    def test_projector_route_zero_at_complete_set(self):
-        basis = build_bipartite_basis(construct_mubs(2, 3))
-        rho = random_density(4, 4, 77, dims=(2, 2))
-        assert frobenius_norm(gamma_via_projector(rho, basis)) <= 1e-10
 
     def test_expectation_nonnegative_for_random_psd(self):
         # contraction against arbitrary PSD operators, not just states
@@ -498,47 +449,6 @@ class TestRelationReport:
         assert all(abs(p - 0.3125) <= 1e-12 for p in rep.purity_thetaB)
         assert abs(rep.lhs - 0.5625) <= 1e-12
         assert abs(rep.rhs - 0.5625) <= 1e-12
-
-    def test_expectation_identity_and_gap(self):
-        # Tr(gamma rho) must reproduce the purity combination; the gap is
-        # nonnegative and closes at the complete set
-        for d, m in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]:
-            mubs = construct_mubs(d, m)
-            for seed in _seeds(137 + 10 * d + m, 20):
-                rho = random_density(d * d, d * d, seed, dims=(d, d))
-                rep = relation_report(rho, mubs)
-                combo = (
-                    rep.purity_B
-                    + (m - 1) / d * rep.purity_AB
-                    - sum(rep.purity_thetaB)
-                )
-                assert abs(rep.gamma_expectation - combo) <= 1e-10
-                assert rep.gap >= -1e-9
-                if rep.equality_expected:
-                    assert abs(rep.gap) <= 1e-9
-
-    def test_pure_states_and_family(self):
-        mubs = construct_mubs(2, 3)
-        for seed in _seeds(77, 20):
-            rho = random_density(4, 1, seed, dims=(2, 2))  # a random pure state
-            rep = relation_report(rho, mubs)
-            assert abs(rep.gap) <= 1e-9
-        for alpha in (0.0, np.pi / 4, np.pi / 2):
-            for x in (0.0, 0.5, 1.0):
-                rep = relation_report(rho_family(alpha, x), mubs)
-                assert abs(rep.gap) <= 1e-9
-
-    def test_rectangular_b_side(self):
-        mubs = construct_mubs(2, 2)
-        for seed in _seeds(99, 20):
-            rho = random_density(6, 6, seed, dims=(2, 3))
-            rep = relation_report(rho, mubs)
-            assert rep.D == 3
-            assert rep.gap >= -1e-9
-            assert rep.gamma_min_eig >= -1e-10
-            # measuring A never changes the B marginal purity
-            for p in rep.purity_B_given_theta:
-                assert abs(p - rep.purity_B) <= 1e-12
 
     def test_memory_is_a_few_states(self):
         # the pinch holds the realigned state and the (M*d, D*D) blocks;
@@ -955,28 +865,7 @@ class TestVerifyRelations:
 
 
 class TestEquivalentSets:
-    """The paper's claims on every set of MUBs, not only the constructed prefixes."""
-
-    @pytest.mark.parametrize("d", [2, 3, 5, 7])
-    def test_pt_identities_hold(self, d):
-        for m in range(2, d + 2):
-            report = check_pt_identities(build_bipartite_basis(_equivalent_set(d, m, 100 * d + m)))
-            assert report.max_deviation <= TOL_STRUCTURAL, m
-
-    @pytest.mark.parametrize("d", [2, 3, 5, 7])
-    def test_relation_and_gamma_psd(self, d):
-        for m in range(2, d + 2):
-            mubs = _equivalent_set(d, m, 200 * d + m)
-            for big_d in (2, d):
-                dim = d * big_d
-                for k, seed in enumerate(_seeds(300 * d + 10 * m + big_d, 3)):
-                    rho = random_density(dim, (dim, 1, 2)[k], seed, dims=(d, big_d))
-                    rep = relation_report(rho, mubs)
-                    assert rep.gap >= -TOL_SPECTRAL
-                    if m == d + 1:
-                        assert abs(rep.gap) <= TOL_SPECTRAL
-                    else:
-                        assert rep.gamma_min_eig >= -TOL_PSD
+    """The report is covariant under a local unitary on rotated, reordered and rephased sets."""
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_local_unitary_covariance(self, d):
@@ -1054,26 +943,86 @@ class TestNonPrimeSets:
             for big_d in (2, d):
                 _gate_matches_spectrum(mubs, big_d, _seeds(1100 * d + 10 * m + big_d, 3))
 
-    @pytest.mark.parametrize("d,m", _NON_PRIME)
-    def test_relation_checks_hold(self, d, m):
-        mubs = _non_prime_set(d, m)
-        basis = build_bipartite_basis(mubs)
-        _assert_projector_facts(basis)
-        assert check_pt_identities(basis).max_deviation <= TOL_STRUCTURAL
-        for big_d in (2, d):
-            dim = d * big_d
-            for k, seed in enumerate(_seeds(700 * d + 10 * m + big_d, 3)):
-                rho = random_density(dim, (dim, 1, 2)[k], seed, dims=(d, big_d))
-                diff = gamma_direct(rho, mubs) - gamma_via_projector(rho, basis)
-                assert frobenius_norm(diff) <= TOL_SPECTRAL
-                rep = relation_report(rho, mubs)
-                assert rep.gap >= -TOL_SPECTRAL
-                assert rep.equality_expected == (m == d + 1)
-                if m == d + 1:
-                    assert abs(rep.gap) <= TOL_SPECTRAL
-                    assert rep.gamma_frobenius <= TOL_SPECTRAL
-                else:
-                    assert rep.gamma_min_eig >= -TOL_PSD
+
+_SETS = {"constructed": construct_mubs, "equivalent": _equivalent_set, "non-prime": _non_prime_set}
+
+
+def _ginibre(ranks, base, n):
+    # the n seeds of base, the ranks taken in turn
+    return [("ginibre", rank, seed) for rank, seed in zip(itertools.cycle(ranks), _seeds(base, n))]
+
+
+def _claims(groups):
+    """One row per (set, D, name), holding each state of its groups once, in order.
+
+    A set is ``(kind, d, M, *args)``, built by ``_SETS[kind](d, M, *args)``. A
+    state is ``("ginibre", rank, seed)``, drawn by ``random_density``, or
+    ``("family", alpha, x)``, drawn by ``rho_family`` at d = D = 2. The name,
+    empty for most groups, tells apart rows that share a set and a D.
+    """
+    rows = {}
+    for name, spec, big_d, states in groups:
+        rows.setdefault((spec, big_d, name), {}).update(dict.fromkeys(states))
+    return [pytest.param(spec, big_d, tuple(states), id="-".join(
+                [spec[0], f"d{spec[1]}", f"m{spec[2]}", *(f"seed{a}" for a in spec[3:]), f"D{big_d}", *([name] if name else [])]))
+            for (spec, big_d, name), states in rows.items()]
+
+
+CLAIMS = _claims([
+    # complete sets at d = 2 and 3, M = 2 at d = 2, and the projector route on constructed sets
+    ("vanish", ("constructed", 2, 3), 2, _ginibre([4], 41, 50)),
+    ("vanish", ("constructed", 3, 4), 3, _ginibre([9], 42, 20)),
+    ("psd", ("constructed", 2, 2), 2, _ginibre([4], 43, 100)),
+    ("route-vanish", ("constructed", 2, 3), 2, [("ginibre", 4, 77)]),
+    *(("route", ("constructed", d, m), big_d, _ginibre([d * big_d], 1000 * d + 10 * m + big_d, 50))
+      for d, m, big_d in [(2, 2, 2), (2, 3, 3), (3, 2, 3), (3, 4, 3), (3, 3, 3), (3, 3, 2), (5, 3, 2)]),
+    # the report: constructed sets at D = d, pure and family states, and a B side larger than A
+    *(("report", ("constructed", d, m), d, _ginibre([d * d], 137 + 10 * d + m, 20))
+      for d, m in [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)]),
+    ("pure", ("constructed", 2, 3), 2, _ginibre([1], 77, 20)
+     + [("family", alpha, x) for alpha in (0.0, np.pi / 4, np.pi / 2) for x in (0.0, 0.5, 1.0)]),
+    ("report", ("constructed", 2, 2), 3, _ginibre([6], 99, 20)),
+    # every M of rotated, reordered and rephased complete sets, under two set seeds
+    *(("", ("equivalent", d, m, 100 * d + m), big_d, [("ginibre", d * big_d, seed)])
+      for d in (2, 3, 5, 7) for m in range(2, d + 2) for big_d, seed in ((2, 1), (d, 2))),
+    *(("", ("equivalent", d, m, 200 * d + m), big_d, _ginibre([d * big_d, 1, 2], 300 * d + 10 * m + big_d, 3))
+      for d in (2, 3, 5, 7) for m in range(2, d + 2) for big_d in (2, d)),
+    *(("", ("non-prime", d, m), big_d, _ginibre([d * big_d, 1, 2], 700 * d + 10 * m + big_d, 3))
+      for d, m in _NON_PRIME for big_d in (2, d)),
+])
+
+
+@pytest.mark.parametrize("spec,big_d,states", CLAIMS)
+def test_paper_claims(spec, big_d, states):
+    """Every claim of the paper on each state of the row, and the complement facts of its set.
+
+    The gap is >= 0; gamma is PSD for M <= d; at M = d + 1 the gap and gamma
+    by both routes vanish; the two routes agree; Tr(gamma rho) is the purity
+    combination; and measuring A leaves the purity of the B marginal.
+    """
+    kind, d, m, *args = spec
+    mubs = _SETS[kind](d, m, *args)
+    basis = build_bipartite_basis(mubs)
+    _assert_projector_facts(basis)
+    assert check_pt_identities(basis).max_deviation <= TOL_STRUCTURAL
+    dims, complete = (d, big_d), m == d + 1
+    for state in states:
+        source, a, b = state
+        rho = rho_family(a, b) if source == "family" else random_density(d * big_d, a, b, dims=dims)
+        rep = relation_report(rho, mubs)
+        g, routed = gamma_direct(rho, mubs), gamma_via_projector(rho, basis)
+        assert (rep.d, rep.D, rep.M, rep.equality_expected) == (*dims, m, complete), state
+        assert rep.gap >= -1e-9, state
+        combo = rep.purity_B + (m - 1) / d * rep.purity_AB - sum(rep.purity_thetaB)
+        assert abs(rep.gamma_expectation - combo) <= 1e-10, state
+        assert np.abs(g - g.conj().T).max() <= 1e-12, state
+        assert frobenius_norm(g - routed) <= 1e-10, state
+        assert max(abs(p - rep.purity_B) for p in rep.purity_B_given_theta) <= 1e-12, state
+        if complete:
+            assert abs(rep.gap) <= 1e-9, state
+            assert max(frobenius_norm(g), frobenius_norm(routed)) <= 1e-10, state
+        else:
+            assert rep.gamma_min_eig >= -1e-10, state
 
 
 @pytest.mark.parametrize(
